@@ -7,9 +7,8 @@ against a pole, which is exactly the classical-realizability recipe; the
 control operator then realizes the classical principle.
 """
 
-from effreal.effhol import Abs, App, BOT_TYPE, PVar, Strategy, multi_step, type_of
+from effreal.effhol import PROG, Abs, App, BOT_TYPE, PVar, Strategy, multi_step, shift, type_of
 from effreal.effhol.conversion import normalize_type
-from effreal.effhol.subst import shift_prog
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
     build_callcc,
@@ -44,7 +43,7 @@ print()
 # style: cc grabs the continuation, throw restores it.
 ta = tb = BOT_TYPE
 cc = build_cc(ta, tb)
-applied = App(App(shift_prog(cc, dp=2), PVar(1)), PVar(0))  # frame [z, k]
+applied = App(App(shift(cc, PROG, 2), PVar(1)), PVar(0))  # frame [z, k]
 result, steps = multi_step(applied, Strategy.CBN, 10)
 throw = build_throw(ta, tb, PVar(0))
 assert result == App(App(PVar(1), throw), PVar(0))

@@ -29,7 +29,6 @@ from .instances import (
     check_instance_laws,
     continuation_instance,
     identity_instance,
-    instantiate,
     instantiate_derivation,
 )
 from .frame import (

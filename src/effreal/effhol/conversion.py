@@ -3,9 +3,11 @@
 The two conversion axioms — type-level beta and expression-level type
 application — form a terminating, confluent rewrite (the kind layer is
 simple), so convertibility of any two objects is structural equality of
-their normal forms.  Program positions inside expressions and
-specifications carry types, which get normalized too; program-level beta
-is deliberately *not* part of conversion (that is the anti-reduction
+their normal forms.  ``normalize`` works on every category: only the two
+axioms are written out, every other node is rebuilt from its normalized
+children by the generic traversal, so the types embedded in programs,
+indices, expressions and specifications get normalized too.  Program-level
+beta is deliberately *not* part of conversion (that is the anti-reduction
 rule's job).
 """
 
@@ -13,151 +15,35 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .subst import subst_type_in_expr, subst_type_in_type
-from .syntax import (
-    Abs,
-    After,
-    App,
-    Bind,
-    Comp,
-    Compr,
-    ComprBase,
-    EApp,
-    EffExpr,
-    EffIndex,
-    EffProgram,
-    EffSpec,
-    EffType,
-    EForall,
-    EVar,
-    Fun,
-    IForall,
-    PVar,
-    Ref,
-    RefBase,
-    Ret,
-    SForallExpr,
-    SForallProg,
-    SForallType,
-    SImp,
-    SMem,
-    SMemBase,
-    TAbs,
-    TApp,
-    TForall,
-    TVar,
-    TyAbs,
-    TyApp,
-)
+from .._astnode import map_children, subst
+from .syntax import TYPE, EApp, EForall, TAbs, TApp
 
 
 @lru_cache(maxsize=None)
-def normalize_type(t: EffType) -> EffType:
-    match t:
-        case TVar(_):
-            return t
+def normalize(x):
+    match x:
         case TApp(fn, arg):
-            fn = normalize_type(fn)
-            arg = normalize_type(arg)
+            fn = normalize(fn)
+            arg = normalize(arg)
             if isinstance(fn, TAbs):
-                return normalize_type(subst_type_in_type(fn.body, 0, arg))
+                return normalize(subst(fn.body, TYPE, 0, arg))
             return TApp(fn, arg)
-        case TAbs(kind, body):
-            return TAbs(kind, normalize_type(body))
-        case Fun(dom, cod):
-            return Fun(normalize_type(dom), normalize_type(cod))
-        case TForall(kind, body):
-            return TForall(kind, normalize_type(body))
-        case Comp(inner):
-            return Comp(normalize_type(inner))
-    raise TypeError(f"unexpected type {t!r}")
-
-
-@lru_cache(maxsize=None)
-def normalize_index(s: EffIndex) -> EffIndex:
-    match s:
-        case RefBase(carrier):
-            return RefBase(normalize_type(carrier))
-        case Ref(carrier, arg):
-            return Ref(normalize_type(carrier), normalize_index(arg))
-        case IForall(kind, body):
-            return IForall(kind, normalize_index(body))
-    raise TypeError(f"unexpected index {s!r}")
-
-
-@lru_cache(maxsize=None)
-def normalize_prog(p: EffProgram) -> EffProgram:
-    """Normalize the types embedded in a program; no program-level beta."""
-    match p:
-        case PVar(_):
-            return p
-        case TyAbs(kind, body):
-            return TyAbs(kind, normalize_prog(body))
-        case Abs(ty, body):
-            return Abs(normalize_type(ty), normalize_prog(body))
-        case TyApp(fn, arg):
-            return TyApp(normalize_prog(fn), normalize_type(arg))
-        case App(fn, arg):
-            return App(normalize_prog(fn), normalize_prog(arg))
-        case Ret(inner):
-            return Ret(normalize_prog(inner))
-        case Bind(ty, first, rest):
-            return Bind(normalize_type(ty), normalize_prog(first), normalize_prog(rest))
-    raise TypeError(f"unexpected program {p!r}")
-
-
-@lru_cache(maxsize=None)
-def normalize_expr(e: EffExpr) -> EffExpr:
-    match e:
-        case EVar(_):
-            return e
-        case Compr(ty, idx, body):
-            return Compr(normalize_type(ty), normalize_index(idx), normalize_spec(body))
-        case ComprBase(ty, body):
-            return ComprBase(normalize_type(ty), normalize_spec(body))
-        case EForall(kind, body):
-            return EForall(kind, normalize_expr(body))
         case EApp(fn, arg):
-            fn = normalize_expr(fn)
-            arg = normalize_type(arg)
+            fn = normalize(fn)
+            arg = normalize(arg)
             if isinstance(fn, EForall):
-                return normalize_expr(subst_type_in_expr(fn.body, 0, arg))
+                return normalize(subst(fn.body, TYPE, 0, arg))
             return EApp(fn, arg)
-    raise TypeError(f"unexpected expression {e!r}")
+    return map_children(x, _normalize_child)
 
 
-@lru_cache(maxsize=None)
-def normalize_spec(f: EffSpec) -> EffSpec:
-    match f:
-        case SMem(p, fn, arg):
-            return SMem(normalize_prog(p), normalize_expr(fn), normalize_expr(arg))
-        case SMemBase(p, fn):
-            return SMemBase(normalize_prog(p), normalize_expr(fn))
-        case SImp(a, b):
-            return SImp(normalize_spec(a), normalize_spec(b))
-        case After(p, ty, body):
-            return After(normalize_prog(p), normalize_type(ty), normalize_spec(body))
-        case SForallType(kind, body):
-            return SForallType(kind, normalize_spec(body))
-        case SForallProg(ty, body):
-            return SForallProg(normalize_type(ty), normalize_spec(body))
-        case SForallExpr(idx, body):
-            return SForallExpr(normalize_index(idx), normalize_spec(body))
-    raise TypeError(f"unexpected specification {f!r}")
+def _normalize_child(child, _under):
+    return normalize(child)
 
 
-def conv_normalize(x):
-    """Normalize any of the four convertible categories (dispatch by type)."""
-    if isinstance(x, EffType):
-        return normalize_type(x)
-    if isinstance(x, EffIndex):
-        return normalize_index(x)
-    if isinstance(x, EffExpr):
-        return normalize_expr(x)
-    if isinstance(x, EffSpec):
-        return normalize_spec(x)
-    raise TypeError(f"not a convertible category: {x!r}")
+# The name the type-level callers and the benchmark harness use.
+normalize_type = normalize
 
 
 def convertible(a, b) -> bool:
-    return conv_normalize(a) == conv_normalize(b)
+    return normalize(a) == normalize(b)

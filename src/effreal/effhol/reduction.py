@@ -20,8 +20,10 @@ from __future__ import annotations
 from enum import Enum
 
 from ..errors import FuelExhausted
-from .subst import subst_prog_in_prog, subst_type_in_prog
+from .._astnode import subst
 from .syntax import (
+    PROG,
+    TYPE,
     Abs,
     App,
     Bind,
@@ -44,12 +46,12 @@ def root_step(p: EffProgram, cbv: bool) -> EffProgram | None:
     """Apply one reduction axiom at the root, or return None."""
     match p:
         case Bind(_, Ret(inner), rest):
-            return subst_prog_in_prog(rest, 0, inner)
+            return subst(rest, PROG, 0, inner)
         case TyApp(TyAbs(_, body), arg):
-            return subst_type_in_prog(body, 0, arg)
+            return subst(body, TYPE, 0, arg)
         case App(Abs(_, body), arg):
             if not cbv or is_value(arg):
-                return subst_prog_in_prog(body, 0, arg)
+                return subst(body, PROG, 0, arg)
             return None
     return None
 
@@ -137,16 +139,16 @@ def multi_step(
         steps += 1
 
 
-def reduces_to(
+def count_steps(
     p1: EffProgram, p2: EffProgram, strategy: Strategy, max_steps: int
-) -> bool:
-    """Whether p1 reduces to p2 in at most ``max_steps`` steps."""
+) -> int | None:
+    """The number of steps from p1 to p2, or None if p2 is not reached
+    within ``max_steps`` steps."""
     cur = p1
-    for _ in range(max_steps + 1):
+    for n in range(max_steps + 1):
         if cur == p2:
-            return True
-        nxt = step(cur, strategy)
-        if nxt is None:
-            return False
-        cur = nxt
-    return cur == p2
+            return n
+        cur = step(cur, strategy)
+        if cur is None:
+            return None
+    return None

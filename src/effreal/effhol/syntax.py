@@ -2,24 +2,26 @@
 
 Six categories: kinds, types, programs, indices, expressions and
 specifications.  There are three independent de Bruijn namespaces —
-type variables (kind context), program variables (type context) and
-expression variables (index context) — and each binder extends exactly
-one of them:
-
-  type var    TAbs, TForall, TyAbs, IForall, EForall, SForallType
-  program var Abs, Bind (in rest), Compr (with its expr var), ComprBase,
-              After (in body), SForallProg
-  expr var    Compr (paired with its program var), SForallExpr
+``TYPE`` (type variables, the kind context), ``PROG`` (program variables,
+the type context) and ``EXPR`` (expression variables, the index context).
+Each binder is declared on its node class with ``@astnode(binds=...)``:
+all of them extend exactly one namespace except ``Compr``, whose body
+sits under one program and one expression variable.  Shifting,
+substitution and conversion are derived from those declarations
+(``shift``/``subst`` in ``effreal._astnode``, ``normalize`` in
+``conversion``); kinds hold no variables and are never traversed.
 
 Everything is immutable; structural equality is alpha-equality.
 """
 
 from __future__ import annotations
 
-from .._astnode import astnode
+from .._astnode import NonTerm, Term, astnode, namespaces
+
+TYPE, PROG, EXPR = namespaces("type", "program", "expression")
 
 
-class Kind:
+class Kind(NonTerm):
     __slots__ = ()
 
 
@@ -42,11 +44,11 @@ class KCon(Kind):
 KSTAR = KBase()
 
 
-class EffType:
+class EffType(Term):
     __slots__ = ()
 
 
-@astnode
+@astnode(var=TYPE)
 class TVar(EffType):
     index: int
 
@@ -57,7 +59,7 @@ class TApp(EffType):
     arg: EffType
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class TAbs(EffType):
     binder_kind: Kind
     body: EffType
@@ -69,7 +71,7 @@ class Fun(EffType):
     cod: EffType
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class TForall(EffType):
     binder_kind: Kind
     body: EffType
@@ -82,22 +84,22 @@ class Comp(EffType):
     inner: EffType
 
 
-class EffProgram:
+class EffProgram(Term):
     __slots__ = ()
 
 
-@astnode
+@astnode(var=PROG)
 class PVar(EffProgram):
     index: int
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class TyAbs(EffProgram):
     binder_kind: Kind
     body: EffProgram
 
 
-@astnode
+@astnode(binds={"body": (PROG,)})
 class Abs(EffProgram):
     binder_type: EffType
     body: EffProgram
@@ -120,7 +122,7 @@ class Ret(EffProgram):
     inner: EffProgram
 
 
-@astnode
+@astnode(binds={"rest": (PROG,)})
 class Bind(EffProgram):
     """bind x:binder_type <- first; rest — binds one program variable in rest.
 
@@ -132,7 +134,7 @@ class Bind(EffProgram):
     rest: EffProgram
 
 
-class EffIndex:
+class EffIndex(Term):
     __slots__ = ()
 
 
@@ -147,26 +149,26 @@ class Ref(EffIndex):
     arg: EffIndex
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class IForall(EffIndex):
     binder_kind: Kind
     body: EffIndex
 
 
-class EffExpr:
+class EffExpr(Term):
     __slots__ = ()
 
 
-class EffSpec:
+class EffSpec(Term):
     __slots__ = ()
 
 
-@astnode
+@astnode(var=EXPR)
 class EVar(EffExpr):
     index: int
 
 
-@astnode
+@astnode(binds={"body": (PROG, EXPR)})
 class Compr(EffExpr):
     """{x:prog_type ; y:arg_index | body} — binds one program variable and
     one expression variable in body."""
@@ -176,7 +178,7 @@ class Compr(EffExpr):
     body: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (PROG,)})
 class ComprBase(EffExpr):
     """{x:prog_type | body}0 — binds one program variable in body."""
 
@@ -184,7 +186,7 @@ class ComprBase(EffExpr):
     body: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class EForall(EffExpr):
     binder_kind: Kind
     body: EffExpr
@@ -217,7 +219,7 @@ class SImp(EffSpec):
     rhs: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (PROG,)})
 class After(EffSpec):
     """after prog (x:binder_type) body — body holds of the result of running prog."""
 
@@ -226,19 +228,19 @@ class After(EffSpec):
     body: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (TYPE,)})
 class SForallType(EffSpec):
     binder_kind: Kind
     body: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (PROG,)})
 class SForallProg(EffSpec):
     binder_type: EffType
     body: EffSpec
 
 
-@astnode
+@astnode(binds={"body": (EXPR,)})
 class SForallExpr(EffSpec):
     binder_index: EffIndex
     body: EffSpec

@@ -17,18 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..errors import IllTyped, ReductionMismatch, RuleMismatch
-from .conversion import convertible, normalize_index, normalize_spec, normalize_type
-from .reduction import Strategy, reduces_to
-from .subst import (
-    shift_index,
-    shift_prog,
-    shift_spec,
-    shift_type,
-    subst_expr_in_spec,
-    subst_prog_in_spec,
-    subst_type_in_spec,
-)
+from .._astnode import shift, subst
+from .conversion import normalize
+from .reduction import Strategy, count_steps
 from .syntax import (
+    EXPR,
+    PROG,
+    TYPE,
     After,
     Bind,
     Compr,
@@ -47,7 +42,7 @@ from .syntax import (
     SMem,
     SMemBase,
 )
-from .typing import index_of, index_wf, kind_of, spec_wf, type_of
+from .typing import index_of, index_wf, kind_of, shift_ctx, spec_wf, type_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,14 +109,14 @@ def sequent_wf(seq: EffSequent, path=None) -> None:
 
 
 def _hypset(hyps) -> frozenset:
-    return frozenset(normalize_spec(h) for h in hyps)
+    return frozenset(normalize(h) for h in hyps)
 
 
 def _same_ctxs(a: EffContexts, b: EffContexts) -> bool:
     return (
         a.kinds == b.kinds
-        and tuple(map(normalize_index, a.indices)) == tuple(map(normalize_index, b.indices))
-        and tuple(map(normalize_type, a.types)) == tuple(map(normalize_type, b.types))
+        and tuple(map(normalize, a.indices)) == tuple(map(normalize, b.indices))
+        and tuple(map(normalize, a.types)) == tuple(map(normalize, b.types))
     )
 
 
@@ -148,7 +143,7 @@ def check(d: EffDerivation) -> EffSequent:
 def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
     c = d.conclusion
     ctxs = c.ctxs
-    goal = normalize_spec(c.goal)
+    goal = normalize(c.goal)
 
     match d.rule:
         case "Id":
@@ -160,7 +155,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            if normalize_spec(p.conclusion.goal) != goal:
+            if normalize(p.conclusion.goal) != goal:
                 raise RuleMismatch("Conv: premise is not convertible to the goal", path)
 
         case "ImpI":
@@ -171,9 +166,9 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             pc = p.conclusion
             if not _same_ctxs(pc.ctxs, ctxs):
                 raise RuleMismatch("ImpI: premise contexts differ", path)
-            if _hypset(pc.hyps) != _hypset(c.hyps) | {normalize_spec(goal.lhs)}:
+            if _hypset(pc.hyps) != _hypset(c.hyps) | {normalize(goal.lhs)}:
                 raise RuleMismatch("ImpI: premise hypotheses are not the discharged set", path)
-            if normalize_spec(pc.goal) != normalize_spec(goal.rhs):
+            if normalize(pc.goal) != normalize(goal.rhs):
                 raise RuleMismatch("ImpI: premise goal is not the consequent", path)
 
         case "ImpE":
@@ -181,10 +176,10 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             fn, arg = d.premises
             _same_frame(d, fn.conclusion, path)
             _same_frame(d, arg.conclusion, path)
-            g = normalize_spec(fn.conclusion.goal)
+            g = normalize(fn.conclusion.goal)
             if not isinstance(g, SImp):
                 raise RuleMismatch("ImpE: first premise is not an implication", path)
-            if normalize_spec(arg.conclusion.goal) != g.lhs:
+            if normalize(arg.conclusion.goal) != g.lhs:
                 raise RuleMismatch("ImpE: argument premise does not match antecedent", path)
             if g.rhs != goal:
                 raise RuleMismatch("ImpE: conclusion does not match consequent", path)
@@ -199,10 +194,10 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if not _same_ctxs(pc.ctxs, want):
                 raise RuleMismatch("UniProgI: premise context is not the extension", path)
             if _hypset(pc.hyps) != frozenset(
-                normalize_spec(shift_spec(h, dp=1)) for h in c.hyps
+                normalize(shift(h, PROG)) for h in c.hyps
             ):
                 raise RuleMismatch("UniProgI: premise hypotheses are not the shifted set", path)
-            if normalize_spec(pc.goal) != normalize_spec(goal.body):
+            if normalize(pc.goal) != normalize(goal.body):
                 raise RuleMismatch("UniProgI: premise goal is not the body", path)
 
         case "UniExpI":
@@ -215,10 +210,10 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if not _same_ctxs(pc.ctxs, want):
                 raise RuleMismatch("UniExpI: premise context is not the extension", path)
             if _hypset(pc.hyps) != frozenset(
-                normalize_spec(shift_spec(h, de=1)) for h in c.hyps
+                normalize(shift(h, EXPR)) for h in c.hyps
             ):
                 raise RuleMismatch("UniExpI: premise hypotheses are not the shifted set", path)
-            if normalize_spec(pc.goal) != normalize_spec(goal.body):
+            if normalize(pc.goal) != normalize(goal.body):
                 raise RuleMismatch("UniExpI: premise goal is not the body", path)
 
         case "UniTypeI":
@@ -229,16 +224,16 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             pc = p.conclusion
             want = EffContexts(
                 ctxs.kinds + (goal.binder_kind,),
-                tuple(shift_index(s, 1) for s in ctxs.indices),
-                tuple(shift_type(t, 1) for t in ctxs.types),
+                shift_ctx(ctxs.indices),
+                shift_ctx(ctxs.types),
             )
             if not _same_ctxs(pc.ctxs, want):
                 raise RuleMismatch("UniTypeI: premise context is not the extension", path)
             if _hypset(pc.hyps) != frozenset(
-                normalize_spec(shift_spec(h, dt=1)) for h in c.hyps
+                normalize(shift(h, TYPE)) for h in c.hyps
             ):
                 raise RuleMismatch("UniTypeI: premise hypotheses are not the shifted set", path)
-            if normalize_spec(pc.goal) != normalize_spec(goal.body):
+            if normalize(pc.goal) != normalize(goal.body):
                 raise RuleMismatch("UniTypeI: premise goal is not the body", path)
 
         case "UniProgE":
@@ -248,15 +243,15 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniProgE: missing program witness", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            g = normalize_spec(p.conclusion.goal)
+            g = normalize(p.conclusion.goal)
             if not isinstance(g, SForallProg):
                 raise RuleMismatch("UniProgE: premise is not a program universal", path)
             tw = type_of(ctxs.kinds, ctxs.types, w, path)
-            if tw != normalize_type(g.binder_type):
+            if tw != normalize(g.binder_type):
                 raise IllTyped(
                     f"UniProgE: witness has type {tw!r}, expected {g.binder_type!r}", path
                 )
-            if normalize_spec(subst_prog_in_spec(g.body, 0, w)) != goal:
+            if normalize(subst(g.body, PROG, 0, w)) != goal:
                 raise RuleMismatch("UniProgE: conclusion is not the instantiated body", path)
 
         case "UniExpE":
@@ -266,15 +261,15 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniExpE: missing expression witness", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            g = normalize_spec(p.conclusion.goal)
+            g = normalize(p.conclusion.goal)
             if not isinstance(g, SForallExpr):
                 raise RuleMismatch("UniExpE: premise is not an expression universal", path)
             sw = index_of(ctxs.kinds, ctxs.indices, ctxs.types, w, path)
-            if sw != normalize_index(g.binder_index):
+            if sw != normalize(g.binder_index):
                 raise IllTyped(
                     f"UniExpE: witness has index {sw!r}, expected {g.binder_index!r}", path
                 )
-            if normalize_spec(subst_expr_in_spec(g.body, 0, w)) != goal:
+            if normalize(subst(g.body, EXPR, 0, w)) != goal:
                 raise RuleMismatch("UniExpE: conclusion is not the instantiated body", path)
 
         case "UniTypeE":
@@ -284,7 +279,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniTypeE: missing type witness", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            g = normalize_spec(p.conclusion.goal)
+            g = normalize(p.conclusion.goal)
             if not isinstance(g, SForallType):
                 raise RuleMismatch("UniTypeE: premise is not a type universal", path)
             kw = kind_of(ctxs.kinds, w, path)
@@ -292,7 +287,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise IllTyped(
                     f"UniTypeE: witness has kind {kw!r}, expected {g.binder_kind!r}", path
                 )
-            if normalize_spec(subst_type_in_spec(g.body, 0, w)) != goal:
+            if normalize(subst(g.body, TYPE, 0, w)) != goal:
                 raise RuleMismatch("UniTypeE: conclusion is not the instantiated body", path)
 
         case "ModI":
@@ -301,8 +296,8 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ModI: goal is not a modality over a return", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            want = subst_prog_in_spec(goal.body, 0, goal.prog.inner)
-            if normalize_spec(p.conclusion.goal) != normalize_spec(want):
+            want = subst(goal.body, PROG, 0, goal.prog.inner)
+            if normalize(p.conclusion.goal) != normalize(want):
                 raise RuleMismatch("ModI: premise is not the substituted body", path)
 
         case "ModE":
@@ -312,9 +307,9 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             b = goal.prog
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            inner = After(b.rest, goal.binder_type, shift_spec(goal.body, dp=1, cp=1))
+            inner = After(b.rest, goal.binder_type, shift(goal.body, PROG, 1, 1))
             want = After(b.first, b.binder_type, inner)
-            if normalize_spec(p.conclusion.goal) != normalize_spec(want):
+            if normalize(p.conclusion.goal) != normalize(want):
                 raise RuleMismatch("ModE: premise is not the nested modality", path)
 
         case "Mon":
@@ -323,7 +318,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mon: goal is not a modality", path)
             ent, mod = d.premises
             _same_frame(d, mod.conclusion, path)
-            g2 = normalize_spec(mod.conclusion.goal)
+            g2 = normalize(mod.conclusion.goal)
             if not isinstance(g2, After):
                 raise RuleMismatch("Mon: second premise is not a modality", path)
             if g2.prog != goal.prog or g2.binder_type != goal.binder_type:
@@ -332,10 +327,10 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             want = EffContexts(ctxs.kinds, ctxs.indices, ctxs.types + (goal.binder_type,))
             if not _same_ctxs(ec.ctxs, want):
                 raise RuleMismatch("Mon: entailment premise context is not the extension", path)
-            shifted = frozenset(normalize_spec(shift_spec(h, dp=1)) for h in c.hyps)
+            shifted = frozenset(normalize(shift(h, PROG)) for h in c.hyps)
             if _hypset(ec.hyps) != shifted | {g2.body}:
                 raise RuleMismatch("Mon: entailment hypotheses are not the shifted set", path)
-            if normalize_spec(ec.goal) != normalize_spec(goal.body):
+            if normalize(ec.goal) != normalize(goal.body):
                 raise RuleMismatch("Mon: entailment goal is not the modality body", path)
 
         case "MemI":
@@ -344,30 +339,28 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
             comp = goal.fn
             tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
-            if tp != normalize_type(comp.prog_type):
+            if tp != normalize(comp.prog_type):
                 raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.prog_type!r}", path)
             sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path)
-            if sa != normalize_index(comp.arg_index):
+            if sa != normalize(comp.arg_index):
                 raise IllTyped(
                     f"MemI: argument has index {sa!r}, expected {comp.arg_index!r}", path
                 )
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            want = subst_expr_in_spec(
-                subst_prog_in_spec(comp.body, 0, goal.prog), 0, goal.arg
-            )
-            if normalize_spec(p.conclusion.goal) != normalize_spec(want):
+            want = subst(subst(comp.body, PROG, 0, goal.prog), EXPR, 0, goal.arg)
+            if normalize(p.conclusion.goal) != normalize(want):
                 raise RuleMismatch("MemI: premise is not the substituted body", path)
 
         case "MemE":
             _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            g = normalize_spec(p.conclusion.goal)
+            g = normalize(p.conclusion.goal)
             if not (isinstance(g, SMem) and isinstance(g.fn, Compr)):
                 raise RuleMismatch("MemE: premise is not membership in a comprehension", path)
-            want = subst_expr_in_spec(subst_prog_in_spec(g.fn.body, 0, g.prog), 0, g.arg)
-            if normalize_spec(want) != goal:
+            want = subst(subst(g.fn.body, PROG, 0, g.prog), EXPR, 0, g.arg)
+            if normalize(want) != goal:
                 raise RuleMismatch("MemE: conclusion is not the substituted body", path)
 
         case "Mem0I":
@@ -376,23 +369,23 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0I: goal is not base membership in a comprehension", path)
             comp = goal.fn
             tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
-            if tp != normalize_type(comp.prog_type):
+            if tp != normalize(comp.prog_type):
                 raise IllTyped(f"Mem0I: member has type {tp!r}, expected {comp.prog_type!r}", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            want = subst_prog_in_spec(comp.body, 0, goal.prog)
-            if normalize_spec(p.conclusion.goal) != normalize_spec(want):
+            want = subst(comp.body, PROG, 0, goal.prog)
+            if normalize(p.conclusion.goal) != normalize(want):
                 raise RuleMismatch("Mem0I: premise is not the substituted body", path)
 
         case "Mem0E":
             _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            g = normalize_spec(p.conclusion.goal)
+            g = normalize(p.conclusion.goal)
             if not (isinstance(g, SMemBase) and isinstance(g.fn, ComprBase)):
                 raise RuleMismatch("Mem0E: premise is not base membership in a comprehension", path)
-            want = subst_prog_in_spec(g.fn.body, 0, g.prog)
-            if normalize_spec(want) != goal:
+            want = subst(g.fn.body, PROG, 0, g.prog)
+            if normalize(want) != goal:
                 raise RuleMismatch("Mem0E: conclusion is not the substituted body", path)
 
         case "AntiRed":
@@ -403,18 +396,18 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("AntiRed: missing binder type", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            before = subst_prog_in_spec(d.hole_spec, 0, d.prog_before)
-            after = subst_prog_in_spec(d.hole_spec, 0, d.prog_after)
-            if normalize_spec(before) != goal:
+            before = subst(d.hole_spec, PROG, 0, d.prog_before)
+            after = subst(d.hole_spec, PROG, 0, d.prog_after)
+            if normalize(before) != goal:
                 raise RuleMismatch("AntiRed: conclusion is not the pre-reduction form", path)
-            if normalize_spec(after) != normalize_spec(p.conclusion.goal):
+            if normalize(after) != normalize(p.conclusion.goal):
                 raise RuleMismatch("AntiRed: premise is not the post-reduction form", path)
             t1 = type_of(ctxs.kinds, ctxs.types, d.prog_before, path)
             t2 = type_of(ctxs.kinds, ctxs.types, d.prog_after, path)
-            want_t = normalize_type(d.hole_type)
+            want_t = normalize(d.hole_type)
             if t1 != want_t or t2 != want_t:
                 raise IllTyped("AntiRed: reduction does not preserve the declared type", path)
-            if not reduces_to(d.prog_before, d.prog_after, d.strategy, d.steps):
+            if count_steps(d.prog_before, d.prog_after, d.strategy, d.steps) is None:
                 raise ReductionMismatch(
                     f"AntiRed: claimed reduction does not hold within {d.steps} steps", path
                 )
@@ -437,7 +430,7 @@ def make_triple(
     tp = type_of(ctxs.kinds, ctxs.types, prog)
     from .syntax import Comp
 
-    if tp != normalize_type(Comp(binder_type)):
+    if tp != normalize(Comp(binder_type)):
         raise IllTyped(f"triple program has type {tp!r}, expected M {binder_type!r}")
     return EffSequent(ctxs, hyps, After(prog, binder_type, body))
 
@@ -448,118 +441,68 @@ def make_triple(
 
 
 def _map_node(d: EffDerivation, fn) -> EffDerivation:
+    def term(x, hole=False):
+        return None if x is None else fn.term(d.conclusion, x, hole)
+
     return replace(
         d,
         conclusion=fn(d.conclusion),
         premises=tuple(_map_node(p, fn) for p in d.premises),
-        witness_prog=None if d.witness_prog is None else fn.prog(d.conclusion, d.witness_prog),
-        witness_expr=None if d.witness_expr is None else fn.expr(d.conclusion, d.witness_expr),
-        witness_type=None if d.witness_type is None else fn.type(d.conclusion, d.witness_type),
-        hole_spec=None if d.hole_spec is None else fn.hole(d.conclusion, d.hole_spec),
-        hole_type=None if d.hole_type is None else fn.type(d.conclusion, d.hole_type),
-        prog_before=None if d.prog_before is None else fn.prog(d.conclusion, d.prog_before),
-        prog_after=None if d.prog_after is None else fn.prog(d.conclusion, d.prog_after),
+        witness_prog=term(d.witness_prog),
+        witness_expr=term(d.witness_expr),
+        witness_type=term(d.witness_type),
+        hole_spec=term(d.hole_spec, hole=True),
+        hole_type=term(d.hole_type),
+        prog_before=term(d.prog_before),
+        prog_after=term(d.prog_after),
     )
 
 
 class _Weaken:
-    """One insertion into one namespace, applied node by node.
+    """One insertion into the context of one namespace, applied node by node.
 
-    ``ns`` is "kind", "type" or "index"; ``pos`` is the root-context list
-    position at which ``entry`` (expressed in the root context) is
-    inserted.
+    ``ns`` is the namespace whose context grows (``TYPE``: kinds, ``PROG``:
+    types, ``EXPR``: indices); ``pos`` is the root-context list position
+    at which ``entry`` (expressed in the root context) is inserted.
     """
 
-    def __init__(self, ns: str, pos: int, entry, root: EffSequent):
+    _CTX = {TYPE: "kinds", PROG: "types", EXPR: "indices"}
+
+    def __init__(self, ns, pos: int, entry, root: EffSequent):
         self.ns = ns
         self.pos = pos
         self.entry = entry
         self.root = root
 
-    def _cuts(self, seq: EffSequent) -> tuple[int, int, int]:
-        ct = cp = ce = 0
-        if self.ns == "kind":
-            ct = len(seq.ctxs.kinds) - self.pos
-        elif self.ns == "type":
-            cp = len(seq.ctxs.types) - self.pos
-        else:
-            ce = len(seq.ctxs.indices) - self.pos
-        return ct, cp, ce
-
-    def _deltas(self, seq: EffSequent) -> tuple[int, int, int]:
-        r = self.root.ctxs
-        return (
-            len(seq.ctxs.kinds) - len(r.kinds),
-            len(seq.ctxs.types) - len(r.types),
-            len(seq.ctxs.indices) - len(r.indices),
-        )
-
-    def spec(self, seq: EffSequent, f: EffSpec) -> EffSpec:
-        ct, cp, ce = self._cuts(seq)
-        dt = 1 if self.ns == "kind" else 0
-        dp = 1 if self.ns == "type" else 0
-        de = 1 if self.ns == "index" else 0
-        return shift_spec(f, dt=dt, dp=dp, de=de, ct=ct, cp=cp, ce=ce)
-
-    def hole(self, seq: EffSequent, f: EffSpec) -> EffSpec:
-        # The hole variable occupies program index 0 of the spec.
-        ct, cp, ce = self._cuts(seq)
-        dt = 1 if self.ns == "kind" else 0
-        dp = 1 if self.ns == "type" else 0
-        de = 1 if self.ns == "index" else 0
-        return shift_spec(f, dt=dt, dp=dp, de=de, ct=ct, cp=cp + 1, ce=ce)
-
-    def prog(self, seq: EffSequent, p: EffProgram) -> EffProgram:
-        ct, cp, _ = self._cuts(seq)
-        dt = 1 if self.ns == "kind" else 0
-        dp = 1 if self.ns == "type" else 0
-        return shift_prog(p, dt=dt, dp=dp, ct=ct, cp=cp)
-
-    def expr(self, seq: EffSequent, e: EffExpr):
-        ct, cp, ce = self._cuts(seq)
-        dt = 1 if self.ns == "kind" else 0
-        dp = 1 if self.ns == "type" else 0
-        de = 1 if self.ns == "index" else 0
-        from .subst import shift_expr
-
-        return shift_expr(e, dt=dt, dp=dp, de=de, ct=ct, cp=cp, ce=ce)
-
-    def type(self, seq: EffSequent, t: EffType) -> EffType:
-        ct, _, _ = self._cuts(seq)
-        return shift_type(t, 1, ct) if self.ns == "kind" else t
-
-    def index(self, seq: EffSequent, s):
-        ct, _, _ = self._cuts(seq)
-        return shift_index(s, 1, ct) if self.ns == "kind" else s
+    def term(self, seq: EffSequent, x, hole: bool = False):
+        # The hole variable of an anti-reduction occupies program index 0.
+        cutoff = len(getattr(seq.ctxs, self._CTX[self.ns])) - self.pos
+        return shift(x, self.ns, 1, cutoff + (hole and self.ns is PROG))
 
     def __call__(self, seq: EffSequent) -> EffSequent:
-        dk, _, _ = self._deltas(seq)
-        kinds = list(seq.ctxs.kinds)
-        indices = [self.index(seq, s) for s in seq.ctxs.indices]
-        types = [self.type(seq, t) for t in seq.ctxs.types]
-        if self.ns == "kind":
-            kinds.insert(self.pos, self.entry)
-        elif self.ns == "type":
-            types.insert(self.pos, shift_type(self.entry, dk))
-        else:
-            indices.insert(self.pos, shift_index(self.entry, dk))
+        c = seq.ctxs
+        ctx = {
+            "kinds": list(c.kinds),
+            "indices": [self.term(seq, s) for s in c.indices],
+            "types": [self.term(seq, t) for t in c.types],
+        }
+        entry = self.entry
+        if self.ns is not TYPE:
+            entry = shift(entry, TYPE, len(c.kinds) - len(self.root.ctxs.kinds))
+        ctx[self._CTX[self.ns]].insert(self.pos, entry)
         return EffSequent(
-            EffContexts(tuple(kinds), tuple(indices), tuple(types)),
-            tuple(self.spec(seq, h) for h in seq.hyps),
-            self.spec(seq, seq.goal),
+            EffContexts(tuple(ctx["kinds"]), tuple(ctx["indices"]), tuple(ctx["types"])),
+            tuple(self.term(seq, h) for h in seq.hyps),
+            self.term(seq, seq.goal),
         )
 
 
 def weaken_kind(d: EffDerivation, pos: int, kind: Kind) -> EffDerivation:
-    return _map_node(d, _Weaken("kind", pos, kind, d.conclusion))
+    return _map_node(d, _Weaken(TYPE, pos, kind, d.conclusion))
 
 
 def weaken_type(d: EffDerivation, pos: int, ty: EffType) -> EffDerivation:
-    return _map_node(d, _Weaken("type", pos, ty, d.conclusion))
-
-
-def weaken_index(d: EffDerivation, pos: int, idx) -> EffDerivation:
-    return _map_node(d, _Weaken("index", pos, idx, d.conclusion))
+    return _map_node(d, _Weaken(PROG, pos, ty, d.conclusion))
 
 
 class _AddHyps:
@@ -570,19 +513,13 @@ class _AddHyps:
         self.root = root
 
     def _shift(self, seq: EffSequent, h: EffSpec) -> EffSpec:
-        r = self.root.ctxs
-        dk = len(seq.ctxs.kinds) - len(r.kinds)
-        dt = len(seq.ctxs.types) - len(r.types)
-        de = len(seq.ctxs.indices) - len(r.indices)
-        return shift_spec(h, dt=dk, dp=dt, de=de)
+        c, r = seq.ctxs, self.root.ctxs
+        h = shift(h, TYPE, len(c.kinds) - len(r.kinds))
+        h = shift(h, PROG, len(c.types) - len(r.types))
+        return shift(h, EXPR, len(c.indices) - len(r.indices))
 
-    def spec(self, seq, f):
-        return f
-
-    hole = spec
-    prog = spec
-    expr = spec
-    type = spec
+    def term(self, seq, x, hole=False):
+        return x
 
     def __call__(self, seq: EffSequent) -> EffSequent:
         extra = tuple(self._shift(seq, h) for h in self.hyps)

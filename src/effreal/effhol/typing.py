@@ -16,9 +16,10 @@ from ..errors import (
     UnboundTypeVariable,
     UnboundVariable,
 )
-from .conversion import normalize_index, normalize_type
-from .subst import shift_index, shift_type, subst_type_in_index, subst_type_in_type
+from .._astnode import shift, subst
+from .conversion import normalize
 from .syntax import (
+    TYPE,
     Abs,
     After,
     App,
@@ -62,12 +63,9 @@ TypeCtx = tuple[EffType, ...]
 IndexCtx = tuple[EffIndex, ...]
 
 
-def shift_type_ctx(tctx: TypeCtx, by: int = 1) -> TypeCtx:
-    return tuple(shift_type(t, by) for t in tctx)
-
-
-def shift_index_ctx(ictx: IndexCtx, by: int = 1) -> IndexCtx:
-    return tuple(shift_index(s, by) for s in ictx)
+def shift_ctx(ctx: tuple) -> tuple:
+    """Re-express type or index context entries under one more kind binder."""
+    return tuple(shift(x, TYPE) for x in ctx)
 
 
 def kind_of(kctx: KindCtx, t: EffType, path=None) -> Kind:
@@ -133,17 +131,17 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
     match p:
         case PVar(k):
             if 0 <= k < len(tctx):
-                return normalize_type(tctx[len(tctx) - 1 - k])
+                return normalize(tctx[len(tctx) - 1 - k])
             raise UnboundVariable(f"program variable {k} unbound", path)
         case TyAbs(kind, body):
-            inner = type_of(kctx + (kind,), shift_type_ctx(tctx), body, path)
+            inner = type_of(kctx + (kind,), shift_ctx(tctx), body, path)
             return TForall(kind, inner)
         case Abs(ty, body):
             k = kind_of(kctx, ty, path)
             if k != KSTAR:
                 raise KindMismatch(f"abstraction annotation has kind {k!r}, expected *", path)
             cod = type_of(kctx, tctx + (ty,), body, path)
-            return normalize_type(Fun(ty, cod))
+            return normalize(Fun(ty, cod))
         case TyApp(fn, arg):
             tf = type_of(kctx, tctx, fn, path)
             if not isinstance(tf, TForall):
@@ -153,7 +151,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
                 raise KindMismatch(
                     f"type argument has kind {ka!r}, expected {tf.binder_kind!r}", path
                 )
-            return normalize_type(subst_type_in_type(tf.body, 0, arg))
+            return normalize(subst(tf.body, TYPE, 0, arg))
         case App(fn, arg):
             tf = type_of(kctx, tctx, fn, path)
             if not isinstance(tf, Fun):
@@ -170,7 +168,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
             if k != KSTAR:
                 raise KindMismatch(f"bind annotation has kind {k!r}, expected *", path)
             tf = type_of(kctx, tctx, first, path)
-            want = normalize_type(Comp(ty))
+            want = normalize(Comp(ty))
             if tf != want:
                 raise TypeMismatch(f"bind source has type {tf!r}, expected {want!r}", path)
             tr = type_of(kctx, tctx + (ty,), rest, path)
@@ -185,7 +183,7 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
     match e:
         case EVar(k):
             if 0 <= k < len(ictx):
-                return normalize_index(ictx[len(ictx) - 1 - k])
+                return normalize(ictx[len(ictx) - 1 - k])
             raise UnboundVariable(f"expression variable {k} unbound", path)
         case Compr(ty, idx, body):
             k = kind_of(kctx, ty, path)
@@ -193,16 +191,16 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
                 raise KindMismatch(f"comprehension carrier has kind {k!r}, expected *", path)
             index_wf(kctx, idx, path)
             spec_wf(kctx, ictx + (idx,), tctx + (ty,), body, path)
-            return normalize_index(Ref(ty, idx))
+            return normalize(Ref(ty, idx))
         case ComprBase(ty, body):
             k = kind_of(kctx, ty, path)
             if k != KSTAR:
                 raise KindMismatch(f"comprehension carrier has kind {k!r}, expected *", path)
             spec_wf(kctx, ictx, tctx + (ty,), body, path)
-            return normalize_index(RefBase(ty))
+            return normalize(RefBase(ty))
         case EForall(kind, body):
             inner = index_of(
-                kctx + (kind,), shift_index_ctx(ictx), shift_type_ctx(tctx), body, path
+                kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path
             )
             return IForall(kind, inner)
         case EApp(fn, arg):
@@ -214,7 +212,7 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
                 raise KindMismatch(
                     f"type argument has kind {ka!r}, expected {sf.binder_kind!r}", path
                 )
-            return normalize_index(subst_type_in_index(sf.body, 0, arg))
+            return normalize(subst(sf.body, TYPE, 0, arg))
     raise TypeError(f"unexpected expression {e!r}")
 
 
@@ -224,14 +222,14 @@ def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, path=None)
             tp = type_of(kctx, tctx, p, path)
             sa = index_of(kctx, ictx, tctx, arg, path)
             sf = index_of(kctx, ictx, tctx, fn, path)
-            if sf != normalize_index(Ref(tp, sa)):
+            if sf != normalize(Ref(tp, sa)):
                 raise SpecIllFormed(
                     f"membership needs refining index {Ref(tp, sa)!r}, got {sf!r}", path
                 )
         case SMemBase(p, fn):
             tp = type_of(kctx, tctx, p, path)
             sf = index_of(kctx, ictx, tctx, fn, path)
-            if sf != normalize_index(RefBase(tp)):
+            if sf != normalize(RefBase(tp)):
                 raise SpecIllFormed(
                     f"base membership needs index {RefBase(tp)!r}, got {sf!r}", path
                 )
@@ -240,14 +238,14 @@ def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, path=None)
             spec_wf(kctx, ictx, tctx, b, path)
         case After(p, ty, body):
             tp = type_of(kctx, tctx, p, path)
-            want = normalize_type(Comp(ty))
+            want = normalize(Comp(ty))
             if tp != want:
                 raise SpecIllFormed(
                     f"modality source has type {tp!r}, expected {want!r}", path
                 )
             spec_wf(kctx, ictx, tctx + (ty,), body, path)
         case SForallType(kind, body):
-            spec_wf(kctx + (kind,), shift_index_ctx(ictx), shift_type_ctx(tctx), body, path)
+            spec_wf(kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path)
         case SForallProg(ty, body):
             k = kind_of(kctx, ty, path)
             if k != KSTAR:

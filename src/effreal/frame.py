@@ -15,21 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._astnode import astnode
+from ._astnode import Term, astnode, namespaces, shift, subst
 from .errors import CandidateRejected, FuelExhausted, UnsupportedInstance
 from .effhol import syntax as e
 
 
-class UntypedTerm:
+(UNTYPED,) = namespaces("untyped")
+
+
+class UntypedTerm(Term):
     __slots__ = ()
 
 
-@astnode
+@astnode(var=UNTYPED)
 class UVar(UntypedTerm):
     index: int
 
 
-@astnode
+@astnode(binds={"body": (UNTYPED,)})
 class ULam(UntypedTerm):
     body: UntypedTerm
 
@@ -45,7 +48,7 @@ class URet(UntypedTerm):
     inner: UntypedTerm
 
 
-@astnode
+@astnode(binds={"rest": (UNTYPED,)})
 class UBind(UntypedTerm):
     """bind x <- first; rest — binds one variable in rest."""
 
@@ -99,56 +102,16 @@ def erase(p: e.EffProgram) -> UntypedTerm:
 
 
 def ushift(t: UntypedTerm, by: int, cutoff: int = 0) -> UntypedTerm:
-    match t:
-        case UVar(k):
-            return UVar(k + by) if k >= cutoff else t
-        case ULam(body):
-            return ULam(ushift(body, by, cutoff + 1))
-        case UApp(fn, arg):
-            return UApp(ushift(fn, by, cutoff), ushift(arg, by, cutoff))
-        case URet(inner):
-            return URet(ushift(inner, by, cutoff))
-        case UBind(first, rest):
-            return UBind(ushift(first, by, cutoff), ushift(rest, by, cutoff + 1))
-        case UPair(a, b):
-            return UPair(ushift(a, by, cutoff), ushift(b, by, cutoff))
-        case UProj1(x):
-            return UProj1(ushift(x, by, cutoff))
-        case UProj2(x):
-            return UProj2(ushift(x, by, cutoff))
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def usubst(t: UntypedTerm, j: int, sub: UntypedTerm) -> UntypedTerm:
-    match t:
-        case UVar(k):
-            if k == j:
-                return sub
-            return UVar(k - 1) if k > j else t
-        case ULam(body):
-            return ULam(usubst(body, j + 1, ushift(sub, 1)))
-        case UApp(fn, arg):
-            return UApp(usubst(fn, j, sub), usubst(arg, j, sub))
-        case URet(inner):
-            return URet(usubst(inner, j, sub))
-        case UBind(first, rest):
-            return UBind(usubst(first, j, sub), usubst(rest, j + 1, ushift(sub, 1)))
-        case UPair(a, b):
-            return UPair(usubst(a, j, sub), usubst(b, j, sub))
-        case UProj1(x):
-            return UProj1(usubst(x, j, sub))
-        case UProj2(x):
-            return UProj2(usubst(x, j, sub))
-    raise TypeError(f"unexpected term {t!r}")
+    return shift(t, UNTYPED, by, cutoff)
 
 
 def _uroot(t: UntypedTerm, cbv: bool) -> UntypedTerm | None:
     match t:
         case UBind(URet(inner), rest):
-            return usubst(rest, 0, inner)
+            return subst(rest, UNTYPED, 0, inner)
         case UApp(ULam(body), arg):
             if not cbv or is_uvalue(arg):
-                return usubst(body, 0, arg)
+                return subst(body, UNTYPED, 0, arg)
             return None
         case UProj1(UPair(a, b)):
             if is_uvalue(a) and is_uvalue(b):
@@ -243,9 +206,9 @@ def lift_member(
     fuel ran out (unknown).  Instances without an executable untyped
     semantics are rejected.
     """
-    if inst is not None and getattr(inst, "untyped_lift", "identity") != "identity":
+    if inst is not None and not inst.untyped_lift:
         raise UnsupportedInstance(
-            f"instance {getattr(inst, 'name', inst)!r} declares no executable untyped semantics"
+            f"instance {inst.name!r} declares no executable untyped semantics"
         )
     try:
         n = untyped_normalize(p, fuel)
@@ -319,7 +282,7 @@ def univ_impl(
             raise CandidateRejected(f"universal-implication member is not a lambda: {cand!r}")
         for v1 in phi1:
             for phi in family:
-                r = lift_member(usubst(cand.body, 0, v1), phi, fuel=fuel)
+                r = lift_member(subst(cand.body, UNTYPED, 0, v1), phi, fuel=fuel)
                 if r is not True:
                     raise CandidateRejected(
                         f"candidate fails the defining condition on {v1!r}"

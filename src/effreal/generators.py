@@ -14,7 +14,7 @@ import random
 from .hol import checker as hc
 from .hol import syntax as h
 from .effhol import syntax as e
-from .effhol.typing import KindCtx, TypeCtx, shift_type_ctx, type_of
+from .effhol.typing import KindCtx, TypeCtx, shift_ctx, type_of
 
 
 def random_sort(rng: random.Random, depth: int = 2) -> h.Sort:
@@ -123,7 +123,7 @@ def random_typed_program(
     if pick < 0.4:
         k = random_kind(rng, 1)
         return e.TyAbs(
-            k, random_typed_program(rng, kctx + (k,), shift_type_ctx(tctx), size - 1)
+            k, random_typed_program(rng, kctx + (k,), shift_ctx(tctx), size - 1)
         )
     if pick < 0.55:
         return e.Ret(random_typed_program(rng, kctx, tctx, size - 1))
@@ -134,7 +134,7 @@ def random_typed_program(
         return e.App(e.Abs(dom, body), arg)
     if pick < 0.85:
         k = random_kind(rng, 1)
-        body = random_typed_program(rng, kctx + (k,), shift_type_ctx(tctx), size - 2)
+        body = random_typed_program(rng, kctx + (k,), shift_ctx(tctx), size - 2)
         return e.TyApp(e.TyAbs(k, body), random_type(rng, kctx, k, 1))
     inner = random_typed_program(rng, kctx, tctx, size - 2)
     mid = type_of(kctx, tctx, inner)

@@ -1,3 +1,4 @@
+from .._astnode import shift, subst
 from .syntax import (
     Base,
     Compr,
@@ -12,11 +13,8 @@ from .syntax import (
     Pred,
     STAR,
     Sort,
+    TERM,
     Var,
-    shift_prop,
-    shift_term,
-    subst_prop,
-    subst_term,
 )
 from .checker import (
     HOL_RULES,
@@ -30,8 +28,8 @@ from .checker import (
 
 __all__ = [
     "Base", "Compr", "ComprBase", "FALSUM", "Forall", "HolProp", "HolTerm",
-    "Imp", "Mem", "MemBase", "Pred", "STAR", "Sort", "Var",
-    "shift_prop", "shift_term", "subst_prop", "subst_term",
+    "Imp", "Mem", "MemBase", "Pred", "STAR", "Sort", "TERM", "Var",
+    "shift", "subst",
     "HOL_RULES", "HolDerivation", "Sequent", "check", "prop_wf", "sort_of",
     "sequent_wf",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .._astnode import shift, subst
 from ..errors import (
     IllFormedBody,
     IllTyped,
@@ -31,9 +32,8 @@ from .syntax import (
     Pred,
     Sort,
     STAR,
+    TERM,
     Var,
-    shift_prop,
-    subst_prop,
 )
 
 SortContext = tuple[Sort, ...]
@@ -188,7 +188,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
             pc = p.conclusion
             if pc.ctx != c.ctx + (c.goal.binder_sort,):
                 raise RuleMismatch("UniI: premise context is not the extension by the bound sort", path)
-            if set(pc.hyps) != {shift_prop(h, 1) for h in c.hyps}:
+            if set(pc.hyps) != {shift(h, TERM) for h in c.hyps}:
                 raise RuleMismatch("UniI: premise hypotheses are not the shifted hypotheses", path)
             if pc.goal != c.goal.body:
                 raise RuleMismatch("UniI: premise goal is not the universal body", path)
@@ -205,7 +205,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
             s = sort_of(c.ctx, d.witness, path)
             if s != g.binder_sort:
                 raise IllTyped(f"UniE: witness has sort {s!r}, expected {g.binder_sort!r}", path)
-            if subst_prop(g.body, 0, d.witness) != c.goal:
+            if subst(g.body, TERM, 0, d.witness) != c.goal:
                 raise RuleMismatch("UniE: conclusion is not the instantiated body", path)
 
         case "MemI":
@@ -218,7 +218,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise IllTyped(f"MemI: element has sort {s!r}, expected {g.set.binder_sort!r}", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
-            if p.conclusion.goal != subst_prop(g.set.body, 0, g.element):
+            if p.conclusion.goal != subst(g.set.body, TERM, 0, g.element):
                 raise RuleMismatch("MemI: premise is not the substituted body", path)
 
         case "MemE":
@@ -228,7 +228,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
             g = p.conclusion.goal
             if not (isinstance(g, Mem) and isinstance(g.set, Compr)):
                 raise RuleMismatch("MemE: premise is not membership in a comprehension", path)
-            if c.goal != subst_prop(g.set.body, 0, g.element):
+            if c.goal != subst(g.set.body, TERM, 0, g.element):
                 raise RuleMismatch("MemE: conclusion is not the substituted body", path)
 
         case "Mem0I":

@@ -1,19 +1,24 @@
 """Syntax of intuitionistic many-sorted monadic higher-order logic.
 
-Terms and propositions use de Bruijn indices over a single namespace of
-sorted term variables; index 0 is the innermost binder.  All nodes are
-immutable, so structural equality is exactly alpha-equality.
+Terms and propositions use de Bruijn indices over a single namespace,
+``TERM``, of sorted term variables; index 0 is the innermost binder.  The
+binders are declared on the node classes, and shifting and substitution
+are the generic ``shift``/``subst`` derived from those declarations.  All
+nodes are immutable, so structural equality is exactly alpha-equality.
 """
 
 from __future__ import annotations
 
-from .._astnode import astnode
+from .._astnode import NonTerm, Term, astnode, namespaces
+
+# The single namespace of sorted term variables.
+(TERM,) = namespaces("term")
 
 
 # Sorts: the base sort and one-argument predicate sorts over it.
 
 
-class Sort:
+class Sort(NonTerm):
     __slots__ = ()
 
 
@@ -37,20 +42,20 @@ STAR = Base()
 # Terms: variables and (base) comprehensions.
 
 
-class HolTerm:
+class HolTerm(Term):
     __slots__ = ()
 
 
-class HolProp:
+class HolProp(Term):
     __slots__ = ()
 
 
-@astnode
+@astnode(var=TERM)
 class Var(HolTerm):
     index: int
 
 
-@astnode
+@astnode(binds={"body": (TERM,)})
 class Compr(HolTerm):
     """{u:s | psi} — binds one variable of sort ``binder_sort`` in ``body``."""
 
@@ -86,7 +91,7 @@ class Imp(HolProp):
     rhs: HolProp
 
 
-@astnode
+@astnode(binds={"body": (TERM,)})
 class Forall(HolProp):
     binder_sort: Sort
     body: HolProp
@@ -94,54 +99,3 @@ class Forall(HolProp):
 
 # The derived falsity constant: forall u:*. u ∈₀.
 FALSUM = Forall(STAR, MemBase(Var(0)))
-
-
-def shift_term(t: HolTerm, by: int, cutoff: int = 0) -> HolTerm:
-    match t:
-        case Var(k):
-            return Var(k + by) if k >= cutoff else t
-        case Compr(s, body):
-            return Compr(s, shift_prop(body, by, cutoff + 1))
-        case ComprBase(body):
-            return ComprBase(shift_prop(body, by, cutoff))
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def shift_prop(p: HolProp, by: int, cutoff: int = 0) -> HolProp:
-    match p:
-        case MemBase(t):
-            return MemBase(shift_term(t, by, cutoff))
-        case Mem(e, s):
-            return Mem(shift_term(e, by, cutoff), shift_term(s, by, cutoff))
-        case Imp(a, b):
-            return Imp(shift_prop(a, by, cutoff), shift_prop(b, by, cutoff))
-        case Forall(s, body):
-            return Forall(s, shift_prop(body, by, cutoff + 1))
-    raise TypeError(f"unexpected proposition {p!r}")
-
-
-def subst_term(t: HolTerm, target: int, sub: HolTerm) -> HolTerm:
-    """t[target := sub], removing the substituted variable from scope."""
-    match t:
-        case Var(k):
-            if k == target:
-                return sub
-            return Var(k - 1) if k > target else t
-        case Compr(s, body):
-            return Compr(s, subst_prop(body, target + 1, shift_term(sub, 1)))
-        case ComprBase(body):
-            return ComprBase(subst_prop(body, target, sub))
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def subst_prop(p: HolProp, target: int, sub: HolTerm) -> HolProp:
-    match p:
-        case MemBase(t):
-            return MemBase(subst_term(t, target, sub))
-        case Mem(e, s):
-            return Mem(subst_term(e, target, sub), subst_term(s, target, sub))
-        case Imp(a, b):
-            return Imp(subst_prop(a, target, sub), subst_prop(b, target, sub))
-        case Forall(s, body):
-            return Forall(s, subst_prop(body, target + 1, shift_term(sub, 1)))
-    raise TypeError(f"unexpected proposition {p!r}")

@@ -20,22 +20,15 @@ Shipped instances:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
-from .errors import RecheckFailed, TemplateMissing
+from ._astnode import shift, subst
+from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
-from .effhol.conversion import normalize_spec
-from .effhol.reduction import Strategy, root_step, step
-from .effhol.subst import (
-    shift_expr,
-    shift_index,
-    shift_prog,
-    shift_spec,
-    shift_type,
-    subst_prog_in_prog,
-    subst_prog_in_spec,
-)
+from .effhol.conversion import normalize
+from .effhol.reduction import Strategy, count_steps, root_step
 from .effhol.theory import (
     EffDerivation,
     EffSequent,
@@ -43,7 +36,8 @@ from .effhol.theory import (
     check,
     weaken_type,
 )
-from .effhol.typing import type_of
+from .effhol.syntax import PROG
+from .effhol.typing import shift_ctx, type_of
 
 
 @dataclass(frozen=True)
@@ -63,9 +57,9 @@ class PureInstance:
     modi_template: Callable = None
     mode_template: Callable = None
     mon_template: Callable = None
-    # Decides "does the erased computation deliver a value in this set";
-    # None when the instance has no executable untyped semantics.
-    untyped_lift: Optional[Callable] = None
+    # Whether the erased computations run under the frame's untyped
+    # normalizer (the instance has an executable untyped semantics).
+    untyped_lift: bool = False
     normalize_fuel: int = 10_000
 
 
@@ -106,9 +100,7 @@ def instantiate_prog(
         case e.PVar(_):
             return p
         case e.TyAbs(k, body):
-            from .effhol.typing import shift_type_ctx
-
-            return e.TyAbs(k, instantiate_prog(body, inst, kctx + (k,), shift_type_ctx(tctx)))
+            return e.TyAbs(k, instantiate_prog(body, inst, kctx + (k,), shift_ctx(tctx)))
         case e.Abs(ty, body):
             return e.Abs(
                 instantiate_type(ty, inst),
@@ -154,9 +146,7 @@ def instantiate_expr(x: e.EffExpr, inst: PureInstance, kctx=(), tctx=()) -> e.Ef
                 instantiate_spec(body, inst, kctx, tctx + (ty,)),
             )
         case e.EForall(k, body):
-            from .effhol.typing import shift_type_ctx
-
-            return e.EForall(k, instantiate_expr(body, inst, kctx + (k,), shift_type_ctx(tctx)))
+            return e.EForall(k, instantiate_expr(body, inst, kctx + (k,), shift_ctx(tctx)))
         case e.EApp(fn, arg):
             return e.EApp(instantiate_expr(fn, inst, kctx, tctx), instantiate_type(arg, inst))
     raise TypeError(f"unexpected expression {x!r}")
@@ -187,10 +177,8 @@ def instantiate_spec(f: e.EffSpec, inst: PureInstance, kctx=(), tctx=()) -> e.Ef
                 instantiate_spec(body, inst, kctx, tctx + (ty,)),
             )
         case e.SForallType(k, body):
-            from .effhol.typing import shift_type_ctx
-
             return e.SForallType(
-                k, instantiate_spec(body, inst, kctx + (k,), shift_type_ctx(tctx))
+                k, instantiate_spec(body, inst, kctx + (k,), shift_ctx(tctx))
             )
         case e.SForallProg(ty, body):
             return e.SForallProg(
@@ -234,18 +222,6 @@ def assert_pure(x) -> None:
                     stack.append(v)
 
 
-def _count_steps(p1, p2, strategy: Strategy, fuel: int) -> int | None:
-    cur = p1
-    for n in range(fuel + 1):
-        if cur == p2:
-            return n
-        nxt = step(cur, strategy)
-        if nxt is None:
-            return None
-        cur = nxt
-    return None
-
-
 def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivation:
     """Interpret a derivation; the result lies in the effect-free fragment
     and is re-checked by the caller (or by check_instance_laws)."""
@@ -256,7 +232,7 @@ def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivatio
 
     match d.rule:
         case "ModI":
-            goal = normalize_spec(d.conclusion.goal)
+            goal = normalize(d.conclusion.goal)
             assert isinstance(goal, e.After) and isinstance(goal.prog, e.Ret)
             if inst.modi_template is None:
                 raise TemplateMissing(f"instance {inst.name} has no ModI template")
@@ -277,7 +253,7 @@ def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivatio
             if p1 == p2:
                 # the instantiated sides coincide; splice the premise
                 return prems[0]
-            n = _count_steps(p1, p2, inst.strategy, inst.normalize_fuel)
+            n = count_steps(p1, p2, inst.strategy, inst.normalize_fuel)
             if n is None:
                 raise RecheckFailed(
                     f"instance {inst.name}: anti-reduction does not replay"
@@ -314,23 +290,6 @@ def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivatio
             )
 
 
-def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
-    """Interpret any category (dispatch by type)."""
-    if isinstance(x, EffDerivation):
-        return instantiate_derivation(x, inst)
-    if isinstance(x, e.EffType):
-        return instantiate_type(x, inst)
-    if isinstance(x, e.EffIndex):
-        return instantiate_index(x, inst)
-    if isinstance(x, e.EffProgram):
-        return instantiate_prog(x, inst, kctx, tctx)
-    if isinstance(x, e.EffExpr):
-        return instantiate_expr(x, inst, kctx, tctx)
-    if isinstance(x, e.EffSpec):
-        return instantiate_spec(x, inst, kctx, tctx)
-    raise TypeError(f"cannot instantiate {x!r}")
-
-
 # The identity instance.
 
 
@@ -340,7 +299,7 @@ def _id_modi(inst, node, seq, prem):
 
 
 def _id_mode(inst, node, seq, prem):
-    goal = normalize_spec(node.conclusion.goal)
+    goal = normalize(node.conclusion.goal)
     b = goal.prog
     assert isinstance(goal, e.After) and isinstance(b, e.Bind)
     k = node.conclusion.ctxs.kinds
@@ -351,8 +310,8 @@ def _id_mode(inst, node, seq, prem):
     t1_i = instantiate_type(b.binder_type, inst)
     t2_i = instantiate_type(goal.binder_type, inst)
     redex = e.App(e.Abs(t1_i, rest_i), first_i)
-    reduct = subst_prog_in_prog(rest_i, 0, first_i)
-    n = _count_steps(redex, reduct, inst.strategy, inst.normalize_fuel)
+    reduct = subst(rest_i, PROG, 0, first_i)
+    n = count_steps(redex, reduct, inst.strategy, inst.normalize_fuel)
     if n is None:
         raise RecheckFailed("identity ModE: let-beta does not replay")
     return EffDerivation(
@@ -369,11 +328,11 @@ def _id_mode(inst, node, seq, prem):
 
 
 def _id_mon(inst, node, seq, ent, mod):
-    goal = normalize_spec(node.conclusion.goal)
+    goal = normalize(node.conclusion.goal)
     assert isinstance(goal, e.After)
     k = node.conclusion.ctxs.kinds
     t = node.conclusion.ctxs.types
-    mod_goal = normalize_spec(node.premises[1].conclusion.goal)
+    mod_goal = normalize(node.premises[1].conclusion.goal)
     assert isinstance(mod_goal, e.After)
     tau_i = instantiate_type(goal.binder_type, inst)
     p_i = instantiate_prog(goal.prog, inst, k, t)
@@ -381,7 +340,7 @@ def _id_mon(inst, node, seq, ent, mod):
     phi2_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
     impi = EffDerivation(
         "ImpI",
-        EffSequent(ent.conclusion.ctxs, tuple(shift_spec(h, dp=1) for h in seq.hyps),
+        EffSequent(ent.conclusion.ctxs, tuple(shift(h, PROG) for h in seq.hyps),
                    e.SImp(phi1_i, phi2_i)),
         (ent,),
     )
@@ -395,7 +354,7 @@ def _id_mon(inst, node, seq, ent, mod):
         EffSequent(
             seq.ctxs,
             seq.hyps,
-            subst_prog_in_spec(e.SImp(phi1_i, phi2_i), 0, p_i),
+            subst(e.SImp(phi1_i, phi2_i), PROG, 0, p_i),
         ),
         (upi,),
         witness_prog=p_i,
@@ -410,11 +369,11 @@ def identity_instance(fuel: int = 10_000) -> PureInstance:
         comp_type=lambda t: t,
         ret_prog=lambda t, p: p,
         bind_prog=lambda t1, t2, first, rest: e.App(e.Abs(t1, rest), first),
-        after_spec=lambda t, p, body: subst_prog_in_spec(body, 0, p),
+        after_spec=lambda t, p, body: subst(body, PROG, 0, p),
         modi_template=_id_modi,
         mode_template=_id_mode,
         mon_template=_id_mon,
-        untyped_lift="identity",  # resolved by the frame module
+        untyped_lift=True,
         normalize_fuel=fuel,
     )
 
@@ -434,7 +393,7 @@ def orth(tau: e.EffType, expr: e.EffExpr) -> e.EffExpr:
         e.SForallProg(
             tau,
             e.SImp(
-                e.SMemBase(e.PVar(0), shift_expr(expr, dp=2)),
+                e.SMemBase(e.PVar(0), shift(expr, PROG, 2)),
                 e.SMemBase(e.App(e.PVar(1), e.PVar(0)), POLE),
             ),
         ),
@@ -451,12 +410,12 @@ def _cont_comp(tau: e.EffType) -> e.EffType:
 
 
 def _cont_ret(tau: e.EffType, p: e.EffProgram) -> e.EffProgram:
-    return e.Abs(e.neg(tau), e.App(e.PVar(0), shift_prog(p, dp=1)))
+    return e.Abs(e.neg(tau), e.App(e.PVar(0), shift(p, PROG)))
 
 
 def _cont_bind(t1, t2, first, rest) -> e.EffProgram:
-    inner = e.Abs(t1, e.App(shift_prog(rest, dp=1, cp=1), e.PVar(1)))
-    return e.Abs(e.neg(t2), e.App(shift_prog(first, dp=1), inner))
+    inner = e.Abs(t1, e.App(shift(rest, PROG, 1, 1), e.PVar(1)))
+    return e.Abs(e.neg(t2), e.App(shift(first, PROG), inner))
 
 
 def _cont_after(tau: e.EffType, p: e.EffProgram, body: e.EffSpec) -> e.EffSpec:
@@ -471,7 +430,7 @@ def _cont_modi(inst, node, seq, prem):
     application of the interpreted return, and use the continuation's
     orthogonality against the value itself.
     """
-    goal = normalize_spec(node.conclusion.goal)
+    goal = normalize(node.conclusion.goal)
     assert isinstance(goal, e.After) and isinstance(goal.prog, e.Ret)
     k = node.conclusion.ctxs.kinds
     t = node.conclusion.ctxs.types
@@ -485,8 +444,8 @@ def _cont_modi(inst, node, seq, prem):
 
     ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(tau),))
     hyps0 = seq.hyps
-    k_hyp = e.SMemBase(e.PVar(0), shift_expr(ortho, dp=1))
-    hyps1 = tuple(shift_spec(h, dp=1) for h in hyps0) + (k_hyp,)
+    k_hyp = e.SMemBase(e.PVar(0), shift(ortho, PROG))
+    hyps1 = tuple(shift(h, PROG) for h in hyps0) + (k_hyp,)
 
     # membership of the value in the cell, from the premise (weakened
     # under the continuation binder and its orthogonality hypothesis)
@@ -494,23 +453,23 @@ def _cont_modi(inst, node, seq, prem):
     mem_cell = EffDerivation(
         "Mem0I",
         EffSequent(
-            ctx1, hyps1, e.SMemBase(shift_prog(p_i, dp=1), shift_expr(cell, dp=1))
+            ctx1, hyps1, e.SMemBase(shift(p_i, PROG), shift(cell, PROG))
         ),
         (premw,),
     )
 
     # unfold the continuation hypothesis and apply it to the value
     ko = EffDerivation("Id", EffSequent(ctx1, hyps1, k_hyp))
-    ortho_body = shift_expr(ortho, dp=1).body
-    unfolded = subst_prog_in_spec(ortho_body, 0, e.PVar(0))
+    ortho_body = shift(ortho, PROG).body
+    unfolded = subst(ortho_body, PROG, 0, e.PVar(0))
     m0e = EffDerivation("Mem0E", EffSequent(ctx1, hyps1, unfolded), (ko,))
     assert isinstance(unfolded, e.SForallProg)
-    inst_val = subst_prog_in_spec(unfolded.body, 0, shift_prog(p_i, dp=1))
+    inst_val = subst(unfolded.body, PROG, 0, shift(p_i, PROG))
     upe = EffDerivation(
         "UniProgE",
         EffSequent(ctx1, hyps1, inst_val),
         (m0e,),
-        witness_prog=shift_prog(p_i, dp=1),
+        witness_prog=shift(p_i, PROG),
     )
     assert isinstance(inst_val, e.SImp)
     in_pole = EffDerivation(
@@ -518,7 +477,7 @@ def _cont_modi(inst, node, seq, prem):
     )
 
     # anti-reduce (interpreted return applied to the continuation)
-    redex = e.App(shift_prog(ret_i, dp=1), e.PVar(0))
+    redex = e.App(shift(ret_i, PROG), e.PVar(0))
     reduct = root_step(redex, cbv=False)
     anti = EffDerivation(
         "AntiRed",
@@ -535,19 +494,19 @@ def _cont_modi(inst, node, seq, prem):
         "ImpI",
         EffSequent(
             ctx1,
-            tuple(shift_spec(h, dp=1) for h in hyps0),
+            tuple(shift(h, PROG) for h in hyps0),
             e.SImp(k_hyp, e.SMemBase(redex, POLE)),
         ),
         (anti,),
     )
     big_body = bi.body
-    upi_goal = subst_prog_in_spec(big_body, 0, ret_i)
+    upi_goal = subst(big_body, PROG, 0, ret_i)
     upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, hyps0, upi_goal), (impi,))
     return EffDerivation("Mem0I", seq, (upi,))
 
 
 def _cont_mode(inst, node, seq, prem):
-    goal = normalize_spec(node.conclusion.goal)
+    goal = normalize(node.conclusion.goal)
     assert isinstance(goal, e.After) and isinstance(goal.prog, e.Bind)
     b = goal.prog
     k = node.conclusion.ctxs.kinds
@@ -560,7 +519,7 @@ def _cont_mode(inst, node, seq, prem):
     bind_i = _cont_bind(t1, t2, p1, p2)
     cell2 = e.ComprBase(t2, body_i)
     inner_after = instantiate_spec(
-        e.After(b.rest, goal.binder_type, shift_spec(goal.body, dp=1, cp=1)),
+        e.After(b.rest, goal.binder_type, shift(goal.body, PROG, 1, 1)),
         inst,
         k,
         t + (b.binder_type,),
@@ -569,17 +528,17 @@ def _cont_mode(inst, node, seq, prem):
 
     # k2 binder
     ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(t2),))
-    k2_hyp = e.SMemBase(e.PVar(0), shift_expr(orth(t2, cell2), dp=1))
-    hyps1 = tuple(shift_spec(h, dp=1) for h in seq.hyps) + (k2_hyp,)
+    k2_hyp = e.SMemBase(e.PVar(0), shift(orth(t2, cell2), PROG))
+    hyps1 = tuple(shift(h, PROG) for h in seq.hyps) + (k2_hyp,)
 
     # q1 binder on top of k2
     ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (t1,))
-    q1_hyp = e.SMemBase(e.PVar(0), shift_expr(cell1, dp=2))
-    hyps2 = tuple(shift_spec(h, dp=1) for h in hyps1) + (q1_hyp,)
+    q1_hyp = e.SMemBase(e.PVar(0), shift(cell1, PROG, 2))
+    hyps2 = tuple(shift(h, PROG) for h in hyps1) + (q1_hyp,)
 
     # from q1 in cell1: the inner modality holds of p2[x1:=q1]
     idq = EffDerivation("Id", EffSequent(ctx2, hyps2, q1_hyp))
-    inner_at_q1 = subst_prog_in_spec(shift_spec(inner_after, dp=2, cp=1), 0, e.PVar(0))
+    inner_at_q1 = subst(shift(inner_after, PROG, 2, 1), PROG, 0, e.PVar(0))
     m0e_q = EffDerivation("Mem0E", EffSequent(ctx2, hyps2, inner_at_q1), (idq,))
     # inner_at_q1 is membership of p2' (with q1 for its variable) in the
     # biorthogonal of cell2; unfold it and instantiate at k2
@@ -590,13 +549,13 @@ def _cont_mode(inst, node, seq, prem):
         EffSequent(
             ctx2,
             hyps2,
-            subst_prog_in_spec(inner_at_q1.fn.body, 0, p2q),
+            subst(inner_at_q1.fn.body, PROG, 0, p2q),
         ),
         (m0e_q,),
     )
-    forall_k = subst_prog_in_spec(inner_at_q1.fn.body, 0, p2q)
+    forall_k = subst(inner_at_q1.fn.body, PROG, 0, p2q)
     assert isinstance(forall_k, e.SForallProg)
-    at_k2 = subst_prog_in_spec(forall_k.body, 0, e.PVar(1))
+    at_k2 = subst(forall_k.body, PROG, 0, e.PVar(1))
     upe_k = EffDerivation(
         "UniProgE", EffSequent(ctx2, hyps2, at_k2), (m0e_bi,), witness_prog=e.PVar(1)
     )
@@ -607,8 +566,8 @@ def _cont_mode(inst, node, seq, prem):
     )
 
     # anti-reduce the lambda applied to q1
-    lam = e.Abs(t1, e.App(shift_prog(p2, dp=1, cp=1), e.PVar(1)))
-    lam2 = shift_prog(lam, dp=1)  # under q1
+    lam = e.Abs(t1, e.App(shift(p2, PROG, 1, 1), e.PVar(1)))
+    lam2 = shift(lam, PROG)  # under q1
     redex_q = e.App(lam2, e.PVar(0))
     reduct_q = root_step(redex_q, cbv=False)
     anti_q = EffDerivation(
@@ -626,16 +585,16 @@ def _cont_mode(inst, node, seq, prem):
         "ImpI",
         EffSequent(
             ctx2,
-            tuple(shift_spec(h, dp=1) for h in hyps1),
+            tuple(shift(h, PROG) for h in hyps1),
             e.SImp(q1_hyp, e.SMemBase(redex_q, POLE)),
         ),
         (anti_q,),
     )
     lam_orth = orth(t1, cell1)
-    lam_orth1 = shift_expr(lam_orth, dp=1)
+    lam_orth1 = shift(lam_orth, PROG)
     upi_q = EffDerivation(
         "UniProgI",
-        EffSequent(ctx1, hyps1, subst_prog_in_spec(lam_orth1.body, 0, lam)),
+        EffSequent(ctx1, hyps1, subst(lam_orth1.body, PROG, 0, lam)),
         (impi_q,),
     )
     lam_in_orth = EffDerivation(
@@ -644,16 +603,16 @@ def _cont_mode(inst, node, seq, prem):
 
     # from the premise: p1 in biorth(cell1); unfold and apply to lam
     premw = add_hypotheses(weaken_type(prem, len(t), e.neg(t2)), (k2_hyp,))
-    p1u = shift_prog(p1, dp=1)
-    bio1 = shift_expr(biorth(t1, cell1), dp=1)
+    p1u = shift(p1, PROG)
+    bio1 = shift(biorth(t1, cell1), PROG)
     m0e_p1 = EffDerivation(
         "Mem0E",
-        EffSequent(ctx1, hyps1, subst_prog_in_spec(bio1.body, 0, p1u)),
+        EffSequent(ctx1, hyps1, subst(bio1.body, PROG, 0, p1u)),
         (premw,),
     )
-    forall_k1 = subst_prog_in_spec(bio1.body, 0, p1u)
+    forall_k1 = subst(bio1.body, PROG, 0, p1u)
     assert isinstance(forall_k1, e.SForallProg)
-    at_lam = subst_prog_in_spec(forall_k1.body, 0, lam)
+    at_lam = subst(forall_k1.body, PROG, 0, lam)
     upe_lam = EffDerivation(
         "UniProgE", EffSequent(ctx1, hyps1, at_lam), (m0e_p1,), witness_prog=lam
     )
@@ -663,7 +622,7 @@ def _cont_mode(inst, node, seq, prem):
     )
 
     # anti-reduce the interpreted bind applied to k2
-    redex = e.App(shift_prog(bind_i, dp=1), e.PVar(0))
+    redex = e.App(shift(bind_i, PROG), e.PVar(0))
     reduct = root_step(redex, cbv=False)
     anti = EffDerivation(
         "AntiRed",
@@ -680,7 +639,7 @@ def _cont_mode(inst, node, seq, prem):
         "ImpI",
         EffSequent(
             ctx1,
-            tuple(shift_spec(h, dp=1) for h in seq.hyps),
+            tuple(shift(h, PROG) for h in seq.hyps),
             e.SImp(k2_hyp, e.SMemBase(redex, POLE)),
         ),
         (anti,),
@@ -688,20 +647,20 @@ def _cont_mode(inst, node, seq, prem):
     bi2 = biorth(t2, cell2)
     upi = EffDerivation(
         "UniProgI",
-        EffSequent(seq.ctxs, seq.hyps, subst_prog_in_spec(bi2.body, 0, bind_i)),
+        EffSequent(seq.ctxs, seq.hyps, subst(bi2.body, PROG, 0, bind_i)),
         (impi,),
     )
     return EffDerivation("Mem0I", seq, (upi,))
 
 
 def _cont_mon(inst, node, seq, ent, mod):
-    goal = normalize_spec(node.conclusion.goal)
+    goal = normalize(node.conclusion.goal)
     assert isinstance(goal, e.After)
     k = node.conclusion.ctxs.kinds
     t = node.conclusion.ctxs.types
     tau = instantiate_type(goal.binder_type, inst)
     p_i = instantiate_prog(goal.prog, inst, k, t)
-    mod_goal = normalize_spec(node.premises[1].conclusion.goal)
+    mod_goal = normalize(node.premises[1].conclusion.goal)
     assert isinstance(mod_goal, e.After)
     phi1_i = instantiate_spec(mod_goal.body, inst, k, t + (mod_goal.binder_type,))
     phi2_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
@@ -709,23 +668,23 @@ def _cont_mon(inst, node, seq, ent, mod):
     cell2 = e.ComprBase(tau, phi2_i)
 
     ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(tau),))
-    k_hyp = e.SMemBase(e.PVar(0), shift_expr(orth(tau, cell2), dp=1))
-    hyps1 = tuple(shift_spec(h, dp=1) for h in seq.hyps) + (k_hyp,)
+    k_hyp = e.SMemBase(e.PVar(0), shift(orth(tau, cell2), PROG))
+    hyps1 = tuple(shift(h, PROG) for h in seq.hyps) + (k_hyp,)
 
     # subset step: k in orth(cell2) entails k in orth(cell1)
     ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (tau,))
-    q_hyp = e.SMemBase(e.PVar(0), shift_expr(cell1, dp=2))
-    hyps2 = tuple(shift_spec(h, dp=1) for h in hyps1) + (q_hyp,)
+    q_hyp = e.SMemBase(e.PVar(0), shift(cell1, PROG, 2))
+    hyps2 = tuple(shift(h, PROG) for h in hyps1) + (q_hyp,)
     # phi1/phi2 with the innermost variable playing the bound one, under
     # the extra continuation binder
-    phi1_q = subst_prog_in_spec(shift_expr(cell1, dp=2).body, 0, e.PVar(0))
-    phi2_q = subst_prog_in_spec(shift_expr(cell2, dp=2).body, 0, e.PVar(0))
+    phi1_q = subst(shift(cell1, PROG, 2).body, PROG, 0, e.PVar(0))
+    phi2_q = subst(shift(cell2, PROG, 2).body, PROG, 0, e.PVar(0))
 
     # phi2 at q, via the entailment premise weakened under the k binder
     entw = add_hypotheses(
-        weaken_type(ent, len(t), e.neg(tau)), (shift_spec(k_hyp, dp=1),)
+        weaken_type(ent, len(t), e.neg(tau)), (shift(k_hyp, PROG),)
     )
-    ent_hyps_base = tuple(shift_spec(h, dp=1) for h in hyps1)
+    ent_hyps_base = tuple(shift(h, PROG) for h in hyps1)
     impi_ent = EffDerivation(
         "ImpI",
         EffSequent(ctx2, ent_hyps_base, e.SImp(phi1_q, phi2_q)),
@@ -739,17 +698,17 @@ def _cont_mon(inst, node, seq, ent, mod):
     )
     q_in_cell2 = EffDerivation(
         "Mem0I",
-        EffSequent(ctx2, hyps2, e.SMemBase(e.PVar(0), shift_expr(cell2, dp=2))),
+        EffSequent(ctx2, hyps2, e.SMemBase(e.PVar(0), shift(cell2, PROG, 2))),
         (phi2_at_q,),
     )
 
     # apply k (orthogonal to cell2) to q
-    idk = EffDerivation("Id", EffSequent(ctx2, hyps2, shift_spec(k_hyp, dp=1)))
-    orth2_body = shift_expr(orth(tau, cell2), dp=2).body
-    unf_k = subst_prog_in_spec(orth2_body, 0, e.PVar(1))
+    idk = EffDerivation("Id", EffSequent(ctx2, hyps2, shift(k_hyp, PROG)))
+    orth2_body = shift(orth(tau, cell2), PROG, 2).body
+    unf_k = subst(orth2_body, PROG, 0, e.PVar(1))
     m0e_k = EffDerivation("Mem0E", EffSequent(ctx2, hyps2, unf_k), (idk,))
     assert isinstance(unf_k, e.SForallProg)
-    at_q = subst_prog_in_spec(unf_k.body, 0, e.PVar(0))
+    at_q = subst(unf_k.body, PROG, 0, e.PVar(0))
     upe_q = EffDerivation(
         "UniProgE", EffSequent(ctx2, hyps2, at_q), (m0e_k,), witness_prog=e.PVar(0)
     )
@@ -760,14 +719,14 @@ def _cont_mon(inst, node, seq, ent, mod):
 
     impi_q = EffDerivation(
         "ImpI",
-        EffSequent(ctx2, tuple(shift_spec(h, dp=1) for h in hyps1),
+        EffSequent(ctx2, tuple(shift(h, PROG) for h in hyps1),
                    e.SImp(q_hyp, at_q.rhs)),
         (kq_pole,),
     )
-    orth1 = shift_expr(orth(tau, cell1), dp=1)
+    orth1 = shift(orth(tau, cell1), PROG)
     upi_q = EffDerivation(
         "UniProgI",
-        EffSequent(ctx1, hyps1, subst_prog_in_spec(orth1.body, 0, e.PVar(0))),
+        EffSequent(ctx1, hyps1, subst(orth1.body, PROG, 0, e.PVar(0))),
         (impi_q,),
     )
     k_in_orth1 = EffDerivation(
@@ -776,16 +735,16 @@ def _cont_mon(inst, node, seq, ent, mod):
 
     # main chain: p in biorth(cell1) applied to k
     modw = add_hypotheses(weaken_type(mod, len(t), e.neg(tau)), (k_hyp,))
-    pu = shift_prog(p_i, dp=1)
-    bio1 = shift_expr(biorth(tau, cell1), dp=1)
+    pu = shift(p_i, PROG)
+    bio1 = shift(biorth(tau, cell1), PROG)
     m0e_p = EffDerivation(
         "Mem0E",
-        EffSequent(ctx1, hyps1, subst_prog_in_spec(bio1.body, 0, pu)),
+        EffSequent(ctx1, hyps1, subst(bio1.body, PROG, 0, pu)),
         (modw,),
     )
-    fk = subst_prog_in_spec(bio1.body, 0, pu)
+    fk = subst(bio1.body, PROG, 0, pu)
     assert isinstance(fk, e.SForallProg)
-    at_k = subst_prog_in_spec(fk.body, 0, e.PVar(0))
+    at_k = subst(fk.body, PROG, 0, e.PVar(0))
     upe_k = EffDerivation(
         "UniProgE", EffSequent(ctx1, hyps1, at_k), (m0e_p,), witness_prog=e.PVar(0)
     )
@@ -796,14 +755,14 @@ def _cont_mon(inst, node, seq, ent, mod):
 
     impi = EffDerivation(
         "ImpI",
-        EffSequent(ctx1, tuple(shift_spec(h, dp=1) for h in seq.hyps),
+        EffSequent(ctx1, tuple(shift(h, PROG) for h in seq.hyps),
                    e.SImp(k_hyp, at_k.rhs)),
         (pk_pole,),
     )
     bi2 = biorth(tau, cell2)
     upi = EffDerivation(
         "UniProgI",
-        EffSequent(seq.ctxs, seq.hyps, subst_prog_in_spec(bi2.body, 0, p_i)),
+        EffSequent(seq.ctxs, seq.hyps, subst(bi2.body, PROG, 0, p_i)),
         (impi,),
     )
     return EffDerivation("Mem0I", seq, (upi,))
@@ -820,7 +779,6 @@ def continuation_instance(fuel: int = 10_000) -> PureInstance:
         modi_template=_cont_modi,
         mode_template=_cont_mode,
         mon_template=_cont_mon,
-        untyped_lift=None,
         normalize_fuel=fuel,
     )
 
@@ -830,7 +788,7 @@ def continuation_instance(fuel: int = 10_000) -> PureInstance:
 
 def build_throw(ta: e.EffType, tb: e.EffType, k: e.EffProgram) -> e.EffProgram:
     """throw: grabs a value, drops the current continuation, restores k."""
-    return e.Abs(ta, e.Abs(e.neg(tb), e.App(shift_prog(k, dp=2), e.PVar(1))))
+    return e.Abs(ta, e.Abs(e.neg(tb), e.App(shift(k, PROG, 2), e.PVar(1))))
 
 
 def build_cc(ta: e.EffType, tb: e.EffType) -> e.EffProgram:
@@ -876,7 +834,7 @@ def _law_modi_case(rng, inst) -> EffDerivation:
     tau = type_of((), (), p)
     body = random_spec(rng, (), (tau,), 2)
     goal = e.After(e.Ret(p), tau, body)
-    prem_goal = subst_prog_in_spec(body, 0, p)
+    prem_goal = subst(body, PROG, 0, p)
     hyps = (prem_goal,)
     return EffDerivation(
         "ModI",
@@ -895,7 +853,7 @@ def _law_mode_case(rng, inst) -> EffDerivation:
     b = e.Bind(t1, e.Ret(p1v), e.Ret(rest_v))
     body = random_spec(rng, (), (t2,), 2)
     goal = e.After(b, t2, body)
-    inner = e.After(e.Ret(rest_v), t2, shift_spec(body, dp=1, cp=1))
+    inner = e.After(e.Ret(rest_v), t2, shift(body, PROG, 1, 1))
     prem_goal = e.After(e.Ret(p1v), t1, inner)
     hyps = (prem_goal,)
     return EffDerivation(
@@ -915,7 +873,7 @@ def _law_mon_case(rng, inst) -> EffDerivation:
     mod_goal = e.After(e.Ret(p), tau, phi1)
     hyps = (mod_goal,)
     ctx1 = e.EffContexts(types=(tau,))
-    ent_hyps = tuple(shift_spec(h, dp=1) for h in hyps) + (phi1,)
+    ent_hyps = tuple(shift(h, PROG) for h in hyps) + (phi1,)
     ent = EffDerivation(
         "ImpI",
         EffSequent(ctx1, ent_hyps, phi2),
@@ -937,8 +895,8 @@ def _law_antired_case(rng, inst) -> EffDerivation:
     redex = e.Bind(tau, e.Ret(v), e.Ret(e.PVar(0)))
     reduct = e.Ret(v)
     hole = random_spec(rng, (), (e.Comp(tau),), 2)
-    goal = subst_prog_in_spec(hole, 0, redex)
-    prem_goal = subst_prog_in_spec(hole, 0, reduct)
+    goal = subst(hole, PROG, 0, redex)
+    prem_goal = subst(hole, PROG, 0, reduct)
     hyps = (prem_goal,)
     return EffDerivation(
         "AntiRed",
@@ -961,23 +919,30 @@ LAW_CASES = {
 }
 
 
+def law_samples(inst: PureInstance, samples_per_law: int = 50, seed: int = 0):
+    """The sampled law derivations, as (law, derivation) pairs.
+
+    Each law draws from its own generator, seeded from the law's name and
+    ``seed`` only, so the samples are the same in every process.
+    """
+    for law, case in LAW_CASES.items():
+        rng = random.Random(f"{law}:{seed}")
+        for _ in range(samples_per_law):
+            yield law, case(rng, inst)
+
+
 def check_instance_laws(
     inst: PureInstance, samples_per_law: int = 50, seed: int = 0
 ) -> LawReport:
     """Sample-based replay of the modality laws under instantiation."""
-    import random as _random
-
     report = LawReport(inst.name)
-    for law, case in LAW_CASES.items():
-        rng = _random.Random(seed + hash(law) % 1000)
-        for _ in range(samples_per_law):
-            d = case(rng, inst)
-            try:
-                check(d)
-                d2 = instantiate_derivation(d, inst)
-                check(d2)
-                assert_pure(d2.conclusion.goal)
-                report.record(law, True)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                report.record(law, False, f"{type(exc).__name__}: {exc}")
+    for law, d in law_samples(inst, samples_per_law, seed):
+        try:
+            check(d)
+            d2 = instantiate_derivation(d, inst)
+            check(d2)
+            assert_pure(d2.conclusion.goal)
+            report.record(law, True)
+        except KernelError as exc:
+            report.record(law, False, f"{type(exc).__name__}: {exc}")
     return report

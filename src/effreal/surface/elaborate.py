@@ -13,6 +13,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
+from .._astnode import shift
 from ..errors import ScopeError, SurfaceSyntaxError
 from ..hol import checker as hc
 from ..hol import syntax as h
@@ -148,7 +149,7 @@ def elab_hol_prop(doc: SurfaceDoc, env: Env, node) -> h.HolProp:
             return h.Forall(
                 h.STAR,
                 h.Imp(
-                    h.Imp(h.shift_prop(pa, 1), h.Imp(h.shift_prop(pb, 1), u_in)), u_in
+                    h.Imp(shift(pa, h.TERM), h.Imp(shift(pb, h.TERM), u_in)), u_in
                 ),
             )
         case "exists":
@@ -158,7 +159,7 @@ def elab_hol_prop(doc: SurfaceDoc, env: Env, node) -> h.HolProp:
             body = elab_hol_prop(doc, env, node[2])
             env.pop()
             # forall v:*. (forall name:s. body => v in0) => v in0
-            inner = h.Forall(sort, h.Imp(h.shift_prop(body, 1, 1), h.MemBase(h.Var(1))))
+            inner = h.Forall(sort, h.Imp(shift(body, h.TERM, 1, 1), h.MemBase(h.Var(1))))
             return h.Forall(h.STAR, h.Imp(inner, h.MemBase(h.Var(0))))
     raise SurfaceSyntaxError(f"bad proposition form {head(node)!r}", node.line, node.col)
 

@@ -23,10 +23,13 @@ programs, specifications and modality-free derivations instantiate fully.
 
 from __future__ import annotations
 
+from operator import add
+
+from .._astnode import map_children, shift
 from ..errors import SurfaceSyntaxError, TemplateMissing
 from ..effhol import syntax as e
 from ..effhol.reduction import Strategy
-from ..effhol.subst import shift_prog, shift_spec, shift_type
+from ..effhol.syntax import EXPR, PROG, TYPE
 from ..instances import PureInstance
 from .sexp import expect_atom, expect_list, head
 
@@ -51,115 +54,40 @@ class _Plugger:
         self.n_kind = len(kind_holes)
         self.n_prog = len(self.prog_holes) + len(self.rest_holes)
 
-    def type(self, t, dt):
-        match t:
-            case e.TVar(k):
-                if k >= dt:
-                    hole = k - dt
-                    if hole in self.kind_holes:
-                        return shift_type(self.kind_holes[hole], dt)
-                    return e.TVar(k - self.n_kind)
-                return t
-            case e.TApp(fn, arg):
-                return e.TApp(self.type(fn, dt), self.type(arg, dt))
-            case e.TAbs(k, body):
-                return e.TAbs(k, self.type(body, dt + 1))
-            case e.Fun(a, b):
-                return e.Fun(self.type(a, dt), self.type(b, dt))
-            case e.TForall(k, body):
-                return e.TForall(k, self.type(body, dt + 1))
-            case e.Comp(inner):
-                return e.Comp(self.type(inner, dt))
-        raise TypeError(f"unexpected type {t!r}")
-
-    def prog(self, p, dt, dp):
-        match p:
-            case e.PVar(k):
-                if k >= dp:
-                    hole = k - dp
-                    if hole in self.prog_holes:
-                        return shift_prog(self.prog_holes[hole], dt=dt, dp=dp)
-                    if hole in self.rest_holes:
-                        if dp < 1:
-                            raise TemplateMissing(
-                                "template uses the result parameter outside its binder"
-                            )
-                        return shift_prog(
-                            self.rest_holes[hole], dt=dt, dp=dp - 1, ct=0, cp=1
-                        )
-                    return e.PVar(k - self.n_prog)
-                return p
-            case e.TyAbs(k, body):
-                return e.TyAbs(k, self.prog(body, dt + 1, dp))
-            case e.Abs(ty, body):
-                return e.Abs(self.type(ty, dt), self.prog(body, dt, dp + 1))
-            case e.TyApp(fn, arg):
-                return e.TyApp(self.prog(fn, dt, dp), self.type(arg, dt))
-            case e.App(fn, arg):
-                return e.App(self.prog(fn, dt, dp), self.prog(arg, dt, dp))
-            case e.Ret(inner):
-                return e.Ret(self.prog(inner, dt, dp))
-            case e.Bind(ty, first, rest):
-                return e.Bind(
-                    self.type(ty, dt), self.prog(first, dt, dp), self.prog(rest, dt, dp + 1)
-                )
-        raise TypeError(f"unexpected program {p!r}")
-
-    def spec(self, f, dt, dp, de):
-        if f == BODY_SENTINEL:
+    def plug(self, x, depth=(0, 0, 0)):
+        """Plug the template ``x``, found under ``depth`` (type, program,
+        expression) binders of the template."""
+        dt, dp, de = depth
+        if x == BODY_SENTINEL:
             if self.body is None:
                 raise TemplateMissing("template has no body parameter")
             if dp < 1:
                 raise TemplateMissing(
                     "the body parameter must sit under its program binder"
                 )
-            return shift_spec(self.body, dt=dt, dp=dp - 1, de=de, cp=1)
-        match f:
-            case e.SMem(p, fn, arg):
-                return e.SMem(
-                    self.prog(p, dt, dp), self.expr(fn, dt, dp, de), self.expr(arg, dt, dp, de)
-                )
-            case e.SMemBase(p, fn):
-                return e.SMemBase(self.prog(p, dt, dp), self.expr(fn, dt, dp, de))
-            case e.SImp(a, b):
-                return e.SImp(self.spec(a, dt, dp, de), self.spec(b, dt, dp, de))
-            case e.After(p, ty, body):
-                return e.After(
-                    self.prog(p, dt, dp), self.type(ty, dt), self.spec(body, dt, dp + 1, de)
-                )
-            case e.SForallType(k, body):
-                return e.SForallType(k, self.spec(body, dt + 1, dp, de))
-            case e.SForallProg(ty, body):
-                return e.SForallProg(self.type(ty, dt), self.spec(body, dt, dp + 1, de))
-            case e.SForallExpr(idx, body):
-                return e.SForallExpr(self.index(idx, dt), self.spec(body, dt, dp, de + 1))
-        raise TypeError(f"unexpected specification {f!r}")
-
-    def expr(self, x, dt, dp, de):
+            body = shift(shift(self.body, TYPE, dt), PROG, dp - 1, 1)
+            return shift(body, EXPR, de)
         match x:
-            case e.EVar(_):
-                return x
-            case e.Compr(ty, idx, body):
-                return e.Compr(
-                    self.type(ty, dt), self.index(idx, dt), self.spec(body, dt, dp + 1, de + 1)
-                )
-            case e.ComprBase(ty, body):
-                return e.ComprBase(self.type(ty, dt), self.spec(body, dt, dp + 1, de))
-            case e.EForall(k, body):
-                return e.EForall(k, self.expr(body, dt + 1, dp, de))
-            case e.EApp(fn, arg):
-                return e.EApp(self.expr(fn, dt, dp, de), self.type(arg, dt))
-        raise TypeError(f"unexpected expression {x!r}")
+            case e.TVar(k) if k >= dt:
+                if k - dt in self.kind_holes:
+                    return shift(self.kind_holes[k - dt], TYPE, dt)
+                return e.TVar(k - self.n_kind)
+            case e.PVar(k) if k >= dp:
+                hole = k - dp
+                if hole in self.prog_holes:
+                    return shift(shift(self.prog_holes[hole], TYPE, dt), PROG, dp)
+                if hole in self.rest_holes:
+                    if dp < 1:
+                        raise TemplateMissing(
+                            "template uses the result parameter outside its binder"
+                        )
+                    return shift(shift(self.rest_holes[hole], TYPE, dt), PROG, dp - 1, 1)
+                return e.PVar(k - self.n_prog)
 
-    def index(self, s, dt):
-        match s:
-            case e.RefBase(c):
-                return e.RefBase(self.type(c, dt))
-            case e.Ref(c, arg):
-                return e.Ref(self.type(c, dt), self.index(arg, dt))
-            case e.IForall(k, body):
-                return e.IForall(k, self.index(body, dt + 1))
-        raise TypeError(f"unexpected index {s!r}")
+        def child(c, under):
+            return self.plug(c, tuple(map(add, depth, under)) if under else depth)
+
+        return map_children(x, child)
 
 
 def _section(node, tag: str):
@@ -227,20 +155,17 @@ def elab_instance(doc, node) -> PureInstance:
         doc.specs.update(saved)
 
     def comp_type(t):
-        return _Plugger({0: t}, {}).type(comp_body, 0)
+        return _Plugger({0: t}, {}).plug(comp_body)
 
     def ret_prog(t, p):
-        return _Plugger({0: t}, {0: p}).prog(ret_body, 0, 0)
+        return _Plugger({0: t}, {0: p}).plug(ret_body)
 
     def bind_prog(t1, t2, first, rest):
         # the template's program frame is [p1, rest]: rest innermost
-        return _Plugger({0: t2, 1: t1}, {1: first}, rest_holes={0: rest}).prog(
-            bind_body, 0, 0
-        )
+        return _Plugger({0: t2, 1: t1}, {1: first}, rest_holes={0: rest}).plug(bind_body)
 
     def after_spec(t, p, body_spec):
-        plug = _Plugger({0: t}, {0: p}, body=body_spec)
-        return plug.spec(after_body, 0, 0, 0)
+        return _Plugger({0: t}, {0: p}, body=body_spec).plug(after_body)
 
     return PureInstance(
         name=name,
@@ -252,5 +177,4 @@ def elab_instance(doc, node) -> PureInstance:
         modi_template=None,
         mode_template=None,
         mon_template=None,
-        untyped_lift=None,
     )

@@ -21,23 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._astnode import shift, subst
 from .errors import IllSorted, LemmaViolation, TemplateMissing
 from .hol import checker as hc
 from .hol import syntax as h
 from .effhol import syntax as e
 from .effhol.reduction import Strategy, root_step
-from .effhol.subst import (
-    shift_index,
-    shift_prog,
-    shift_spec,
-    shift_type,
-    subst_expr_in_expr,
-    subst_expr_in_spec,
-    subst_prog_in_spec,
-    subst_type_in_expr,
-    subst_type_in_spec,
-    subst_type_in_type,
-)
+from .effhol.syntax import EXPR, PROG, TYPE
 from .effhol.theory import (
     EffDerivation,
     EffSequent,
@@ -45,6 +35,7 @@ from .effhol.theory import (
     make_triple,
     weaken_type,
 )
+from .effhol.typing import shift_ctx
 
 
 def trkind(s: h.Sort) -> e.Kind:
@@ -63,7 +54,7 @@ def trind(tau: e.EffType, s: h.Sort) -> e.EffIndex:
         case h.Pred(inner):
             return e.IForall(
                 trkind(inner),
-                e.Ref(e.TApp(shift_type(tau, 1), e.TVar(0)), trind(e.TVar(0), inner)),
+                e.Ref(e.TApp(shift(tau, TYPE), e.TVar(0)), trind(e.TVar(0), inner)),
             )
     raise TypeError(f"unexpected sort {s!r}")
 
@@ -176,15 +167,15 @@ def subst_lemma_prop_clauses(sctx: hc.SortContext, p: h.HolProp, t: h.HolTerm) -
     hc.prop_wf(inner, p)
     tt = tretype(sctx, t)
     te = trtrm(sctx, t)
-    subst_p = h.subst_prop(p, 0, t)
+    subst_p = subst(p, h.TERM, 0, t)
 
     lhs1 = trtype(sctx, subst_p)
-    rhs1 = subst_type_in_type(trtype(inner, p), 0, tt)
+    rhs1 = subst(trtype(inner, p), TYPE, 0, tt)
     if lhs1 != rhs1:
         raise LemmaViolation(f"type clause fails for {p!r}[0:={t!r}]")
 
     lhs2 = trspec(sctx, subst_p)
-    rhs2 = subst_expr_in_spec(subst_type_in_spec(trspec(inner, p), 0, tt), 0, te)
+    rhs2 = subst(subst(trspec(inner, p), TYPE, 0, tt), EXPR, 0, te)
     if lhs2 != rhs2:
         raise LemmaViolation(f"spec clause fails for {p!r}[0:={t!r}]")
 
@@ -203,13 +194,13 @@ def subst_lemma_term_clauses(sctx: hc.SortContext, tp: h.HolTerm, t: h.HolTerm) 
     tt = tretype(sctx, t)
     te = trtrm(sctx, t)
 
-    lhs3 = trtrm(sctx, h.subst_term(tp, 0, t))
-    rhs3 = subst_expr_in_expr(subst_type_in_expr(trtrm(inner, tp), 0, tt), 0, te)
+    lhs3 = trtrm(sctx, subst(tp, h.TERM, 0, t))
+    rhs3 = subst(subst(trtrm(inner, tp), TYPE, 0, tt), EXPR, 0, te)
     if lhs3 != rhs3:
         raise LemmaViolation(f"expression clause fails for {tp!r}[0:={t!r}]")
 
-    lhs4 = tretype(sctx, h.subst_term(tp, 0, t))
-    rhs4 = subst_type_in_type(tretype(inner, tp), 0, tt)
+    lhs4 = tretype(sctx, subst(tp, h.TERM, 0, t))
+    rhs4 = subst(tretype(inner, tp), TYPE, 0, tt)
     if lhs4 != rhs4:
         raise LemmaViolation(f"type-of-term clause fails for {tp!r}[0:={t!r}]")
 
@@ -284,7 +275,7 @@ def _realizer(d: hc.HolDerivation) -> e.EffProgram:
                 _realizer(fn),
                 e.Bind(
                     t_arg,
-                    shift_prog(_realizer(arg), dp=1),
+                    shift(_realizer(arg), PROG),
                     e.App(e.PVar(1), e.PVar(0)),
                 ),
             )
@@ -308,7 +299,7 @@ def _contexts(seq: hc.Sequent, amb: Ambient) -> EffSequent:
     types = tuple(trtype(seq.ctx, psi) for psi in seq.hyps)
     n = len(seq.hyps)
     pointed = tuple(
-        subst_prog_in_spec(trspec(seq.ctx, psi), 0, e.PVar(_hyp_var(n, i)))
+        subst(trspec(seq.ctx, psi), PROG, 0, e.PVar(_hyp_var(n, i)))
         for i, psi in enumerate(seq.hyps)
     )
     ctxs = e.EffContexts(amb.kinds + kinds, amb.indices + indices, amb.types + types)
@@ -352,9 +343,9 @@ def _shift_ambient(amb: Ambient, dt: int = 0, dp: int = 0, de: int = 0) -> Ambie
     additional innermost binders."""
     return Ambient(
         amb.kinds,
-        tuple(shift_index(s, dt) for s in amb.indices),
-        tuple(shift_type(t, dt) for t in amb.types),
-        tuple(shift_spec(hh, dt=dt, dp=dp, de=de) for hh in amb.hyps),
+        tuple(shift(s, TYPE, dt) for s in amb.indices),
+        tuple(shift(t, TYPE, dt) for t in amb.types),
+        tuple(shift(shift(shift(hh, TYPE, dt), PROG, dp), EXPR, de) for hh in amb.hyps),
     )
 
 
@@ -370,7 +361,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             i = list(c.hyps).index(c.goal)
             assert isinstance(concl.goal, e.After)
             body = concl.goal.body
-            hyp = subst_prog_in_spec(body, 0, e.PVar(_hyp_var(len(c.hyps), i)))
+            hyp = subst(body, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
             prem = EffDerivation("Id", EffSequent(frame.ctxs, frame.hyps, hyp))
             return EffDerivation("ModI", concl, (prem,))
 
@@ -382,11 +373,11 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             s1 = trspec(sctx, goal.lhs)
             s2 = trspec(sctx, goal.rhs)
             lam = e.Abs(tau1, _realizer(d.premises[0]))
-            lam_up = shift_prog(lam, dp=1)
+            lam_up = shift(lam, PROG)
             ctx1 = e.EffContexts(
                 frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (tau1,)
             )
-            hyps1 = tuple(shift_spec(hh, dp=1) for hh in frame.hyps)
+            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps)
             ih = _derive(d.premises[0], _shift_ambient(amb, dp=1))
             red = root_step(e.App(lam_up, e.PVar(0)), cbv=True)
             assert red is not None
@@ -396,7 +387,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                     ctx1, hyps1 + (s1,), e.After(e.App(lam_up, e.PVar(0)), tau2, s2)
                 ),
                 (ih,),
-                hole_spec=e.After(e.PVar(0), tau2, shift_spec(s2, dp=1, cp=1)),
+                hole_spec=e.After(e.PVar(0), tau2, shift(s2, PROG, 1, 1)),
                 hole_type=e.Comp(tau2),
                 prog_before=e.App(lam_up, e.PVar(0)),
                 prog_after=red,
@@ -412,7 +403,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 ),
                 (anti,),
             )
-            body = subst_prog_in_spec(trspec(sctx, goal), 0, lam)
+            body = subst(trspec(sctx, goal), PROG, 0, lam)
             upi = EffDerivation(
                 "UniProgI", EffSequent(frame.ctxs, frame.hyps, body), (impi,)
             )
@@ -428,24 +419,24 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             s0 = trspec(inner, goal.body)
             sig = trind(e.TVar(0), s)
             tyabs = e.TyAbs(kappa, _realizer(d.premises[0]))
-            tyabs_up = shift_prog(tyabs, dt=1)
+            tyabs_up = shift(tyabs, TYPE)
             app = e.TyApp(tyabs_up, e.TVar(0))
             red = root_step(app, cbv=True)
             assert red is not None
             ctx_k = e.EffContexts(
                 frame.ctxs.kinds + (kappa,),
-                tuple(shift_index(x, 1) for x in frame.ctxs.indices),
-                tuple(shift_type(x, 1) for x in frame.ctxs.types),
+                shift_ctx(frame.ctxs.indices),
+                shift_ctx(frame.ctxs.types),
             )
-            hyps_k = tuple(shift_spec(hh, dt=1) for hh in frame.hyps)
+            hyps_k = tuple(shift(hh, TYPE) for hh in frame.hyps)
             ctx_ke = e.EffContexts(ctx_k.kinds, ctx_k.indices + (sig,), ctx_k.types)
-            hyps_ke = tuple(shift_spec(hh, de=1) for hh in hyps_k)
+            hyps_ke = tuple(shift(hh, EXPR) for hh in hyps_k)
             ih = _derive(d.premises[0], _shift_ambient(amb, dt=1, de=1))
             anti = EffDerivation(
                 "AntiRed",
                 EffSequent(ctx_ke, hyps_ke, e.After(app, tau0, s0)),
                 (ih,),
-                hole_spec=e.After(e.PVar(0), tau0, shift_spec(s0, dp=1, cp=1)),
+                hole_spec=e.After(e.PVar(0), tau0, shift(s0, PROG, 1, 1)),
                 hole_type=e.Comp(tau0),
                 prog_before=app,
                 prog_after=red,
@@ -457,7 +448,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 EffSequent(ctx_k, hyps_k, e.SForallExpr(sig, e.After(app, tau0, s0))),
                 (anti,),
             )
-            body = subst_prog_in_spec(trspec(sctx, goal), 0, tyabs)
+            body = subst(trspec(sctx, goal), PROG, 0, tyabs)
             uti = EffDerivation(
                 "UniTypeI", EffSequent(frame.ctxs, frame.hyps, body), (uei,)
             )
@@ -475,7 +466,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             s2 = trspec(sctx, imp.rhs)
             r0 = _realizer(fnp)
             r1 = _realizer(argp)
-            r1_up = shift_prog(r1, dp=1)
+            r1_up = shift(r1, PROG)
             rest = e.Bind(tau1, r1_up, e.App(e.PVar(1), e.PVar(0)))
             app = e.App(e.PVar(1), e.PVar(0))
 
@@ -488,18 +479,18 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             ctx1 = e.EffContexts(
                 frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (t_imp,)
             )
-            hyps1 = tuple(shift_spec(hh, dp=1) for hh in frame.hyps) + (s_imp,)
+            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps) + (s_imp,)
             ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (tau1,))
-            hyps2 = tuple(shift_spec(hh, dp=1) for hh in hyps1) + (s1,)
+            hyps2 = tuple(shift(hh, PROG) for hh in hyps1) + (s1,)
 
-            s_imp_up = shift_spec(s_imp, dp=1)
+            s_imp_up = shift(s_imp, PROG)
             idf = EffDerivation("Id", EffSequent(ctx2, hyps2, s_imp_up))
             upe = EffDerivation(
                 "UniProgE",
                 EffSequent(
                     ctx2,
                     hyps2,
-                    subst_prog_in_spec(_body_of_forall(s_imp_up), 0, e.PVar(0)),
+                    subst(_body_of_forall(s_imp_up), PROG, 0, e.PVar(0)),
                 ),
                 (idf,),
                 witness_prog=e.PVar(0),
@@ -552,10 +543,10 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             ctx1 = e.EffContexts(
                 frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (t_all,)
             )
-            hyps1 = tuple(shift_spec(hh, dp=1) for hh in frame.hyps) + (s_all,)
+            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps) + (s_all,)
             idf = EffDerivation("Id", EffSequent(ctx1, hyps1, s_all))
             assert isinstance(s_all, e.SForallType)
-            after_t = subst_type_in_spec(s_all.body, 0, t_wit)
+            after_t = subst(s_all.body, TYPE, 0, t_wit)
             ute = EffDerivation(
                 "UniTypeE",
                 EffSequent(ctx1, hyps1, after_t),
@@ -563,7 +554,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 witness_type=t_wit,
             )
             assert isinstance(after_t, e.SForallExpr)
-            after_te = subst_expr_in_spec(after_t.body, 0, e_wit)
+            after_te = subst(after_t.body, EXPR, 0, e_wit)
             uee = EffDerivation(
                 "UniExpE",
                 EffSequent(ctx1, hyps1, after_te),

@@ -32,8 +32,8 @@ from effreal.effhol import (
     step,
     type_of,
 )
-from effreal.effhol.conversion import normalize_spec, normalize_type
-from effreal.effhol.subst import shift_prog, subst_prog_in_spec
+from effreal.effhol.conversion import normalize_type
+from effreal.effhol import PROG, subst
 from effreal.errors import KernelError
 from effreal.frame import (
     UApp,
@@ -353,13 +353,13 @@ def _adversarial_eff():
     )
     yield "anti-reduction with a bogus reduction", EffDerivation(
         "AntiRed",
-        seq(bot, (subst_prog_in_spec(SMemBase(PVar(0), ComprBase(tid, bot)), 0, ident),)),
+        seq(bot, (subst(SMemBase(PVar(0), ComprBase(tid, bot)), PROG, 0, ident),)),
         (
             EffDerivation(
                 "Id",
                 seq(
-                    subst_prog_in_spec(SMemBase(PVar(0), ComprBase(tid, bot)), 0, ident),
-                    (subst_prog_in_spec(SMemBase(PVar(0), ComprBase(tid, bot)), 0, ident),),
+                    subst(SMemBase(PVar(0), ComprBase(tid, bot)), PROG, 0, ident),
+                    (subst(SMemBase(PVar(0), ComprBase(tid, bot)), PROG, 0, ident),),
                 ),
             ),
         ),

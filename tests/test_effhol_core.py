@@ -40,25 +40,22 @@ from effreal.effhol import (
     TVar,
     TyAbs,
     TyApp,
-    conv_normalize,
+    EXPR,
+    PROG,
+    TYPE,
     convertible,
     index_of,
     index_wf,
     kind_of,
     multi_step,
+    normalize,
+    shift,
     spec_wf,
     step,
+    subst,
     type_of,
 )
 from effreal.effhol.conversion import normalize_type
-from effreal.effhol.subst import (
-    shift_prog,
-    shift_spec,
-    shift_type,
-    subst_prog_in_prog,
-    subst_prog_in_spec,
-    subst_type_in_type,
-)
 from effreal.errors import (
     FuelExhausted,
     KindMismatch,
@@ -66,12 +63,17 @@ from effreal.errors import (
     TypeMismatch,
     UnboundTypeVariable,
 )
+from effreal.frame import UNTYPED, ULam, UApp, UVar, erase
 from effreal.generators import (
     random_closed_program,
+    random_hol_prop,
     random_kind,
+    random_sort,
     random_type,
     random_typed_program,
 )
+from effreal.translation import trspec
+from tests.test_hol import check_bounds
 
 POLY_ID_TYPE = TForall(KSTAR, Fun(TVar(0), Comp(TVar(0))))
 POLY_ID = TyAbs(KSTAR, Abs(TVar(0), Ret(PVar(0))))
@@ -203,10 +205,10 @@ def test_multi_step_chain_and_fuel():
 
 def test_conv_normalize_axioms():
     tau = Fun(BOT_TYPE, BOT_TYPE)
-    assert conv_normalize(TApp(TAbs(KSTAR, TVar(0)), tau)) == tau
+    assert normalize(TApp(TAbs(KSTAR, TVar(0)), tau)) == tau
     e = EForall(KSTAR, ComprBase(TVar(0), BOT_SPEC))
-    assert conv_normalize(EApp(e, tau)) == ComprBase(tau, BOT_SPEC)
-    assert conv_normalize(tau) == tau
+    assert normalize(EApp(e, tau)) == ComprBase(tau, BOT_SPEC)
+    assert normalize(tau) == tau
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,8 +216,8 @@ def test_conv_normalize_axioms():
 def test_conv_normalize_idempotent(seed):
     rng = random.Random(seed)
     t = random_type(rng, (), KSTAR, 4)
-    n = conv_normalize(t)
-    assert conv_normalize(n) == n
+    n = normalize(t)
+    assert normalize(n) == n
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,7 +225,7 @@ def test_conv_normalize_idempotent(seed):
 def test_convertibility_congruence(seed):
     rng = random.Random(seed)
     t = random_type(rng, (KSTAR,), KSTAR, 3)
-    redex = TApp(TAbs(KSTAR, shift_type(t, 1, 1)), TVar(0))
+    redex = TApp(TAbs(KSTAR, shift(t, TYPE, 1, 1)), TVar(0))
     assert convertible(redex, t)
     assert convertible(Comp(redex), Comp(t))
     assert convertible(t, t)
@@ -238,21 +240,34 @@ def test_type_substitution_composition(seed):
     t = random_type(rng, kctx, KSTAR, 3)
     a = random_type(rng, kctx[:-1], KSTAR, 2)
     b = random_type(rng, (), KSTAR, 2)
-    lhs = subst_type_in_type(subst_type_in_type(t, 0, a), 0, b)
-    rhs = subst_type_in_type(
-        subst_type_in_type(t, 1, shift_type(b, 0)), 0, subst_type_in_type(a, 0, b)
-    )
+    lhs = subst(subst(t, TYPE, 0, a), TYPE, 0, b)
+    rhs = subst(subst(t, TYPE, 1, shift(b, TYPE, 0)), TYPE, 0, subst(a, TYPE, 0, b))
     assert lhs == rhs
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10_000))
-def test_prog_subst_roundtrip(seed):
+@given(st.integers(0, 10_000), st.sampled_from([TYPE, PROG, EXPR, UNTYPED]))
+def test_prog_subst_roundtrip(seed, ns):
+    """In every namespace of the program logic and of the untyped calculus,
+    shifting then substituting the new variable 0 away is the identity, and
+    the cached loose-variable bounds match a recount."""
     rng = random.Random(seed)
-    p = random_typed_program(rng, (), (BOT_TYPE,), 3)
-    sub = Abs(BOT_TYPE, PVar(0))
-    lifted = shift_prog(p, dp=1)
-    assert subst_prog_in_prog(lifted, 0, sub) == p
+    p = random_typed_program(rng, (KSTAR,), (BOT_TYPE, TVar(0)), 3)
+    if ns is UNTYPED:
+        x = erase(p)
+    else:
+        sctx = (random_sort(rng), random_sort(rng))
+        x = After(p, TVar(0), trspec(sctx, random_hol_prop(rng, sctx, 3)))
+    var_cls, sub = {
+        TYPE: (TVar, TApp(TVar(1), TVar(2))),
+        PROG: (PVar, App(Abs(BOT_TYPE, PVar(0)), PVar(2))),
+        EXPR: (EVar, EApp(EVar(2), TVar(1))),
+        UNTYPED: (UVar, ULam(UApp(UVar(0), UVar(2)))),
+    }[ns]
+    lifted = shift(x, ns)
+    assert subst(lifted, ns, 0, sub) == x
+    for y in (x, lifted):
+        check_bounds(y, ns, var_cls)
 
 
 @settings(max_examples=200, deadline=None)

@@ -88,9 +88,9 @@ def test_forget_modality_rules_collapse():
     cell = ComprBase(BOT_TYPE, TOP_SPEC)
     phi = SMemBase(PVar(0), cell)
     ident = PVar(0)
-    from effreal.effhol.subst import subst_prog_in_spec
+    from effreal.effhol import PROG, subst
 
-    prem_goal = subst_prog_in_spec(phi, 0, ident)
+    prem_goal = subst(phi, PROG, 0, ident)
     ctxs = EffContexts(types=(BOT_TYPE,))
     hyps = (prem_goal,)
     d = EffDerivation(

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effreal._astnode import loose_bound, map_children
 from effreal.errors import RuleMismatch, SortMismatch, UnboundVariable
 from effreal.generators import random_hol_prop, random_hol_term, random_sort
 from effreal.hol import (
@@ -20,13 +21,13 @@ from effreal.hol import (
     Pred,
     STAR,
     Sequent,
+    TERM,
     Var,
     check,
     prop_wf,
-    shift_prop,
-    shift_term,
+    shift,
     sort_of,
-    subst_prop,
+    subst,
 )
 
 
@@ -64,26 +65,47 @@ def test_prop_wf_sort_mismatch():
 
 def test_subst_base_cases():
     sub = ComprBase(FALSUM)
-    assert subst_prop(MemBase(Var(0)), 0, sub) == MemBase(sub)
+    assert subst(MemBase(Var(0)), TERM, 0, sub) == MemBase(sub)
 
 
 def test_subst_shifts_under_binder():
     body = Forall(STAR, Mem(Var(0), Var(1)))
     t = Var(3)
-    assert subst_prop(body, 0, t) == Forall(STAR, Mem(Var(0), shift_term(t, 1)))
+    assert subst(body, TERM, 0, t) == Forall(STAR, Mem(Var(0), shift(t, TERM)))
+
+
+def check_bounds(x, ns, var_cls) -> int:
+    """Recount the loose-variable bound of ``x`` in ``ns`` from scratch
+    (``var_cls`` is the variable class of ``ns``), requiring the cached
+    bound of every node to agree; returns the bound."""
+    bound = 0
+    if isinstance(x, var_cls):
+        bound = x.index + 1
+
+    def visit(child, under):
+        nonlocal bound
+        bound = max(bound, check_bounds(child, ns, var_cls) - (under[ns.slot] if under else 0))
+        return child
+
+    map_children(x, visit)
+    assert loose_bound(x, ns) == bound, x
+    return bound
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_subst_roundtrip_fresh_variable(seed, size):
-    """Shifting then substituting the new variable 0 away is the identity."""
+    """Shifting then substituting the new variable 0 away is the identity,
+    and the cached loose-variable bounds match a recount."""
     rng = random.Random(seed)
     ctx = tuple(random_sort(rng) for _ in range(rng.randrange(3)))
     p = random_hol_prop(rng, ctx, size)
     s = random_sort(rng)
-    lifted = shift_prop(p, 1)
+    lifted = shift(p, TERM)
     t = random_hol_term(rng, ctx, s, 2)
-    assert subst_prop(lifted, 0, t) == p
+    assert subst(lifted, TERM, 0, t) == p
+    for x in (p, lifted, t):
+        check_bounds(x, TERM, Var)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +118,7 @@ def test_substitution_admissibility(seed, size):
     p = random_hol_prop(rng, ctx + (s,), size)
     t = random_hol_term(rng, ctx, s, 2)
     prop_wf(ctx + (s,), p)
-    prop_wf(ctx, subst_prop(p, 0, t))
+    prop_wf(ctx, subst(p, TERM, 0, t))
 
 
 @settings(max_examples=200, deadline=None)

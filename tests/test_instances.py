@@ -1,6 +1,10 @@
 """Pure instances: structural interpretation, law replay, call/cc."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +33,7 @@ from effreal.effhol import (
 )
 from effreal.effhol.conversion import convertible, normalize_type
 from effreal.effhol.reduction import Strategy, multi_step
-from effreal.effhol.subst import shift_prog, subst_prog_in_spec
+from effreal.effhol import PROG, shift, subst
 from effreal.generators import random_closed_program
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
@@ -43,7 +47,6 @@ from effreal.instances import (
     check_instance_laws,
     continuation_instance,
     identity_instance,
-    instantiate,
     instantiate_derivation,
     instantiate_prog,
     instantiate_spec,
@@ -71,13 +74,13 @@ def test_identity_after_is_substitution():
     cell = ComprBase(T_ID, TOP_SPEC)
     phi = SMemBase(PVar(0), cell)
     spec = After(Ret(IDENT), T_ID, phi)
-    assert instantiate_spec(spec, ID_INST) == subst_prog_in_spec(phi, 0, IDENT)
+    assert instantiate_spec(spec, ID_INST) == subst(phi, PROG, 0, IDENT)
 
 
 def test_continuation_ret_bind_shapes():
     # ret p = \k: neg tau. k p
     got = instantiate_prog(Ret(IDENT), CONT)
-    assert got == Abs(Fun(T_ID, BOT_TYPE), App(PVar(0), shift_prog(IDENT, dp=1)))
+    assert got == Abs(Fun(T_ID, BOT_TYPE), App(PVar(0), shift(IDENT, PROG)))
     # bind
     b = Bind(T_ID, Ret(IDENT), Ret(PVar(0)))
     got2 = instantiate_prog(b, CONT)
@@ -97,8 +100,8 @@ def test_instantiated_reduction_preserved():
     # the same normal form
     k = PVar(0)
     ctx = (Fun(T_ID, BOT_TYPE),)
-    n1, _ = multi_step(App(shift_prog(lhs, dp=1), k), Strategy.CBN, 100)
-    n2, _ = multi_step(App(shift_prog(rhs, dp=1), k), Strategy.CBN, 100)
+    n1, _ = multi_step(App(shift(lhs, PROG), k), Strategy.CBN, 100)
+    n2, _ = multi_step(App(shift(rhs, PROG), k), Strategy.CBN, 100)
     assert n1 == n2
 
 
@@ -154,6 +157,29 @@ def test_continuation_law_templates_single_cases():
         check(d2)
 
 
+def test_law_samples_do_not_depend_on_hash_seed():
+    """Two processes with different string-hash salts draw the same samples."""
+    code = (
+        "from effreal.instances import identity_instance, law_samples\n"
+        "for law, d in law_samples(identity_instance(), 3, 0):\n"
+        "    print(law, d.conclusion)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=salt),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for salt in ("1", "2")
+    ]
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_check_instance_laws_small():
     rep = check_instance_laws(ID_INST, samples_per_law=5, seed=11)
     assert rep.ok, rep.failures[:2]
@@ -188,7 +214,7 @@ def test_throw_drops_second_continuation():
     # frame: [k, x, k']
     k = PVar(0)
     throw = build_throw(ta, tb, k)
-    applied = App(App(shift_prog(throw, dp=0), PVar(1)), PVar(2))
+    applied = App(App(throw, PVar(1)), PVar(2))
     ctx = (neg(ta), ta, neg(tb))
     # CBN: two beta steps drop k' and deliver k x
     result, steps = multi_step(applied, Strategy.CBN, 10)
@@ -202,7 +228,7 @@ def test_cc_machine_rule_simulation():
 
     cc = build_cc(ta, tb)
     # frame: [z, k]
-    applied = App(App(shift_prog(cc, dp=2), PVar(1)), PVar(0))
+    applied = App(App(shift(cc, PROG, 2), PVar(1)), PVar(0))
     result, _ = multi_step(applied, Strategy.CBN, 10)
     throw = build_throw(ta, tb, PVar(0))
     assert result == App(App(PVar(1), throw), PVar(0))

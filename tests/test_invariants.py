@@ -22,8 +22,8 @@ from effreal.effhol import (
     type_of,
 )
 from effreal.effhol.conversion import normalize_type
-from effreal.effhol.reduction import multi_step, reduces_to, step
-from effreal.effhol.subst import subst_prog_in_prog, subst_type_in_prog, subst_type_in_type
+from effreal.effhol.reduction import count_steps, multi_step, step
+from effreal.effhol import PROG, TYPE, shift, subst
 from effreal.generators import random_type, random_typed_program
 from effreal.instances import (
     continuation_instance,
@@ -45,7 +45,7 @@ def test_judgement_substitution_types(seed):
     kappa = random_kind(rng, 1)
     t = random_type(rng, (kappa,), KSTAR, 3)
     sub = random_type(rng, (), kappa, 2)
-    assert kind_of((), subst_type_in_type(t, 0, sub)) == KSTAR
+    assert kind_of((), subst(t, TYPE, 0, sub)) == KSTAR
 
 
 @settings(max_examples=150, deadline=None)
@@ -57,21 +57,19 @@ def test_judgement_substitution_programs(seed):
     tsub = type_of((), (), sub)
     p = random_typed_program(rng, (), (tsub,), 3)
     tp = type_of((), (tsub,), p)
-    assert type_of((), (), subst_prog_in_prog(p, 0, sub)) == tp
+    assert type_of((), (), subst(p, PROG, 0, sub)) == tp
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_judgement_substitution_type_into_program(seed):
     rng = random.Random(seed)
-    from effreal.effhol.typing import shift_type_ctx
-
     rng = random.Random(seed)
     p = random_typed_program(rng, (KSTAR,), (), 3)
     tp = type_of((KSTAR,), (), p)
     sub = random_type(rng, (), KSTAR, 2)
-    got = type_of((), (), subst_type_in_prog(p, 0, sub))
-    assert got == normalize_type(subst_type_in_type(tp, 0, sub))
+    got = type_of((), (), subst(p, TYPE, 0, sub))
+    assert got == normalize_type(subst(tp, TYPE, 0, sub))
 
 
 def test_emit_soundness_triple_roundtrip():
@@ -88,7 +86,7 @@ def test_continuation_preserves_type_beta_axiom():
     assert q is not None
     pi = instantiate_prog(p, cont)
     qi = instantiate_prog(q, cont)
-    assert reduces_to(pi, qi, cont.strategy, 4)
+    assert count_steps(pi, qi, cont.strategy, 4) is not None
 
 
 def test_continuation_preserves_value_beta_axiom():
@@ -98,9 +96,9 @@ def test_continuation_preserves_value_beta_axiom():
     p = App(Abs(tid, PVar(0)), ident)
     q = step(p, Strategy.BASE)
     assert q == ident
-    assert reduces_to(
+    assert count_steps(
         instantiate_prog(p, cont), instantiate_prog(q, cont), cont.strategy, 4
-    )
+    ) is not None
 
 
 def test_continuation_preserves_bind_ret_applied():
@@ -110,12 +108,11 @@ def test_continuation_preserves_bind_ret_applied():
     tid = Fun(BOT_TYPE, BOT_TYPE)
     p = Bind(tid, Ret(ident), Ret(PVar(0)))
     q = step(p, Strategy.BASE)
-    from effreal.effhol.subst import shift_prog
     from effreal.effhol import neg
 
     k = PVar(0)
-    lhs = App(shift_prog(instantiate_prog(p, cont), dp=1), k)
-    rhs = App(shift_prog(instantiate_prog(q, cont), dp=1), k)
+    lhs = App(shift(instantiate_prog(p, cont), PROG), k)
+    rhs = App(shift(instantiate_prog(q, cont), PROG), k)
     n1, _ = multi_step(lhs, cont.strategy, 100)
     n2, _ = multi_step(rhs, cont.strategy, 100)
     assert n1 == n2
@@ -135,3 +132,37 @@ def test_identity_preserves_all_axioms_exactly(seed):
     n1, _ = multi_step(pi, Strategy.FULL, 10_000)
     n2, _ = multi_step(qi, Strategy.FULL, 10_000)
     assert n1 == n2
+
+
+def test_astnode_rejects_undeclared_fields():
+    """A term class whose fields are not all terms, non-terms (kinds, sorts)
+    or a variable index fails when it is defined."""
+    from effreal._astnode import astnode
+    from effreal.effhol import EffType, Kind
+
+    with pytest.raises(TypeError):
+
+        @astnode
+        class Tagged(EffType):
+            payload: str
+            body: EffType
+
+    with pytest.raises(TypeError):
+
+        @astnode(binds={"kind": (TYPE,)})
+        class BindsKind(EffType):
+            kind: Kind
+            body: EffType
+
+    with pytest.raises(TypeError):
+
+        @astnode(binds={"missing": (TYPE,)})
+        class BindsNothing(EffType):
+            body: EffType
+
+    with pytest.raises(TypeError):
+
+        @astnode(var=TYPE)
+        class TwoIndices(EffType):
+            index: int
+            other: int

@@ -120,7 +120,7 @@ def test_macros():
 
 def test_and_intro_elim_derivable():
     """The conjunction macro supports introduction and elimination."""
-    from effreal.hol import HolDerivation, Sequent, shift_prop, subst_prop
+    from effreal.hol import TERM, HolDerivation, Sequent, shift, subst
     from effreal.hol import ComprBase
 
     a = Imp(FALSUM, FALSUM)
@@ -131,7 +131,7 @@ def test_and_intro_elim_derivable():
     doc.props["B"] = b
     conj = elab_hol_prop(doc, Env(), conj_form)
     # intro: from a and b, derive the encoded conjunction
-    sa, sb = shift_prop(a, 1), shift_prop(b, 1)
+    sa, sb = shift(a, TERM), shift(b, TERM)
     u_in = MemBase(Var(0))
     inner = Imp(sa, Imp(sb, u_in))
     hyps = (a, b)
@@ -166,7 +166,7 @@ def test_and_intro_elim_derivable():
     hol_check(d)
     # elim (first projection): instantiate at {a}0 and apply to the K proof
     t = ComprBase(a)
-    inst = subst_prop(Imp(inner, u_in), 0, t)
+    inst = subst(Imp(inner, u_in), TERM, 0, t)
     d_elim = HolDerivation(
         "UniE", Sequent((), (conj,), inst), (HolDerivation("Id", Sequent((), (conj,), conj)),), witness=t
     )

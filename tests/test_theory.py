@@ -31,8 +31,8 @@ from effreal.effhol import (
     make_triple,
     weaken_type,
 )
-from effreal.effhol.subst import shift_spec, subst_prog_in_spec
-from effreal.errors import IllTyped, ReductionMismatch, RuleMismatch
+from effreal.effhol import PROG, shift, subst
+from effreal.errors import IllTyped, KernelError, ReductionMismatch, RuleMismatch
 
 EMPTY = EffContexts()
 IDENT = Abs(BOT_TYPE, PVar(0))
@@ -65,7 +65,7 @@ def test_modi():
     cell = ComprBase(T_ID, TOP_SPEC)
     phi = SMemBase(PVar(0), cell)  # spec of the bound result variable
     goal = After(Ret(IDENT), T_ID, phi)
-    prem_goal = subst_prog_in_spec(phi, 0, IDENT)
+    prem_goal = subst(phi, PROG, 0, IDENT)
     hyps = (prem_goal,)
     d = EffDerivation(
         "ModI", seq(goal, hyps), (EffDerivation("Id", seq(prem_goal, hyps)),)
@@ -83,7 +83,7 @@ def test_modi_shape_rejected():
 def test_mode_collapses_nested_after():
     b = Bind(T_ID, Ret(IDENT), Ret(PVar(0)))
     goal = After(b, T_ID, TOP_SPEC)
-    inner = After(Ret(PVar(0)), T_ID, shift_spec(TOP_SPEC, dp=1, cp=1))
+    inner = After(Ret(PVar(0)), T_ID, shift(TOP_SPEC, PROG, 1, 1))
     prem_goal = After(Ret(IDENT), T_ID, inner)
     hyps = (prem_goal,)
     d = EffDerivation(
@@ -99,7 +99,7 @@ def test_mon():
     mod_goal = After(Ret(IDENT), T_ID, phi1)
     hyps = (mod_goal,)
     ctx1 = EffContexts(types=(T_ID,))
-    ent_hyps = tuple(shift_spec(h, dp=1) for h in hyps) + (phi1,)
+    ent_hyps = tuple(shift(h, PROG) for h in hyps) + (phi1,)
     ent = EffDerivation(
         "ImpI",
         seq(phi2, ent_hyps, ctx1),
@@ -110,14 +110,15 @@ def test_mon():
     assert check(d).goal == After(Ret(IDENT), T_ID, phi2)
 
 
-def test_antired():
+def _antired_one_step(steps):
+    """Anti-reduction of a one-step beta redex to IDENT, claiming ``steps`` steps."""
     cell = ComprBase(T_ID, TOP_SPEC)
     redex = App(Abs(T_ID, PVar(0)), IDENT)
     hole = SMemBase(PVar(0), cell)
-    goal = subst_prog_in_spec(hole, 0, redex)
-    prem_goal = subst_prog_in_spec(hole, 0, IDENT)
+    goal = subst(hole, PROG, 0, redex)
+    prem_goal = subst(hole, PROG, 0, IDENT)
     hyps = (prem_goal,)
-    d = EffDerivation(
+    return EffDerivation(
         "AntiRed",
         seq(goal, hyps),
         (EffDerivation("Id", seq(prem_goal, hyps)),),
@@ -125,10 +126,19 @@ def test_antired():
         hole_type=T_ID,
         prog_before=redex,
         prog_after=IDENT,
-        steps=1,
+        steps=steps,
         strategy=Strategy.BASE,
     )
-    assert check(d).goal == goal
+
+
+def test_antired():
+    d = _antired_one_step(1)
+    assert check(d).goal == d.conclusion.goal
+
+
+def test_antired_step_bound_is_exact():
+    with pytest.raises(KernelError):
+        check(_antired_one_step(0))
 
 
 def test_antired_bogus_reduction_rejected():
@@ -136,18 +146,18 @@ def test_antired_bogus_reduction_rejected():
     hole = SMemBase(PVar(0), cell)
     # eta-expanded identity at the same type; IDENT does not reduce to it
     other = Abs(BOT_TYPE, App(Abs(BOT_TYPE, PVar(0)), PVar(0)))
-    goal = subst_prog_in_spec(hole, 0, IDENT)
+    goal = subst(hole, PROG, 0, IDENT)
     with pytest.raises((ReductionMismatch, IllTyped)):
         check(
             EffDerivation(
                 "AntiRed",
-                seq(goal, (subst_prog_in_spec(hole, 0, other),)),
+                seq(goal, (subst(hole, PROG, 0, other),)),
                 (
                     EffDerivation(
                         "Id",
                         seq(
-                            subst_prog_in_spec(hole, 0, other),
-                            (subst_prog_in_spec(hole, 0, other),),
+                            subst(hole, PROG, 0, other),
+                            (subst(hole, PROG, 0, other),),
                         ),
                     ),
                 ),
