@@ -94,34 +94,21 @@ def forget_sequent(seq: EffSequent) -> hol_checker.Sequent:
     )
 
 
+# The expression quantifier's rules become the logic's quantifier rules;
+# the other propositional and membership rules keep their names.
+_RENAMED = {"UniExpI": "UniI", "UniExpE": "UniE"}
+
+
 def forget_derivation(d: EffDerivation) -> hol_checker.HolDerivation:
     seq = forget_sequent(d.conclusion)
     match d.rule:
-        case "Id":
-            return hol_checker.HolDerivation("Id", seq)
-        case "ImpI":
-            return hol_checker.HolDerivation("ImpI", seq, (forget_derivation(d.premises[0]),))
-        case "ImpE":
+        case "Id" | "ImpI" | "ImpE" | "UniExpI" | "UniExpE" | "MemI" | "MemE" | "Mem0I" | "Mem0E":
             return hol_checker.HolDerivation(
-                "ImpE", seq, tuple(forget_derivation(p) for p in d.premises)
-            )
-        case "UniExpI":
-            return hol_checker.HolDerivation("UniI", seq, (forget_derivation(d.premises[0]),))
-        case "UniExpE":
-            return hol_checker.HolDerivation(
-                "UniE",
+                _RENAMED.get(d.rule, d.rule),
                 seq,
-                (forget_derivation(d.premises[0]),),
-                witness=forget_expr(d.witness_expr),
+                tuple(forget_derivation(p) for p in d.premises),
+                witness=forget_expr(d.witness_expr) if d.rule == "UniExpE" else None,
             )
-        case "MemI":
-            return hol_checker.HolDerivation("MemI", seq, (forget_derivation(d.premises[0]),))
-        case "MemE":
-            return hol_checker.HolDerivation("MemE", seq, (forget_derivation(d.premises[0]),))
-        case "Mem0I":
-            return hol_checker.HolDerivation("Mem0I", seq, (forget_derivation(d.premises[0]),))
-        case "Mem0E":
-            return hol_checker.HolDerivation("Mem0E", seq, (forget_derivation(d.premises[0]),))
         case "UniProgI" | "UniProgE" | "UniTypeI" | "UniTypeE" | "ModI" | "ModE" | "Conv" | "AntiRed":
             # The conclusion's extra structure vanishes; reuse the premise.
             return forget_derivation(d.premises[0])

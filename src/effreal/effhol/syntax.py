@@ -170,19 +170,19 @@ class EVar(EffExpr):
 
 @astnode(binds={"body": (PROG, EXPR)})
 class Compr(EffExpr):
-    """{x:prog_type ; y:arg_index | body} — binds one program variable and
+    """{x:binder_type ; y:arg_index | body} — binds one program variable and
     one expression variable in body."""
 
-    prog_type: EffType
+    binder_type: EffType
     arg_index: EffIndex
     body: EffSpec
 
 
 @astnode(binds={"body": (PROG,)})
 class ComprBase(EffExpr):
-    """{x:prog_type | body}0 — binds one program variable in body."""
+    """{x:binder_type | body}0 — binds one program variable in body."""
 
-    prog_type: EffType
+    binder_type: EffType
     body: EffSpec
 
 

@@ -53,29 +53,10 @@ class EffSequent:
 
 
 # Rule tags.
-UNIPROG_I = "UniProgI"
-UNIPROG_E = "UniProgE"
-UNIEXP_I = "UniExpI"
-UNIEXP_E = "UniExpE"
-UNITYPE_I = "UniTypeI"
-UNITYPE_E = "UniTypeE"
-IMP_I = "ImpI"
-IMP_E = "ImpE"
-MOD_I = "ModI"
-MOD_E = "ModE"
-MON = "Mon"
-MEM_I = "MemI"
-MEM_E = "MemE"
-MEM0_I = "Mem0I"
-MEM0_E = "Mem0E"
-ID = "Id"
-CONV = "Conv"
-ANTIRED = "AntiRed"
-
 EFF_RULES = frozenset({
-    UNIPROG_I, UNIPROG_E, UNIEXP_I, UNIEXP_E, UNITYPE_I, UNITYPE_E,
-    IMP_I, IMP_E, MOD_I, MOD_E, MON, MEM_I, MEM_E, MEM0_I, MEM0_E,
-    ID, CONV, ANTIRED,
+    "UniProgI", "UniProgE", "UniExpI", "UniExpE", "UniTypeI", "UniTypeE",
+    "ImpI", "ImpE", "ModI", "ModE", "Mon", "MemI", "MemE", "Mem0I", "Mem0E",
+    "Id", "Conv", "AntiRed",
 })
 
 
@@ -339,8 +320,8 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
             comp = goal.fn
             tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
-            if tp != normalize(comp.prog_type):
-                raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.prog_type!r}", path)
+            if tp != normalize(comp.binder_type):
+                raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.binder_type!r}", path)
             sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path)
             if sa != normalize(comp.arg_index):
                 raise IllTyped(
@@ -369,8 +350,8 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0I: goal is not base membership in a comprehension", path)
             comp = goal.fn
             tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
-            if tp != normalize(comp.prog_type):
-                raise IllTyped(f"Mem0I: member has type {tp!r}, expected {comp.prog_type!r}", path)
+            if tp != normalize(comp.binder_type):
+                raise IllTyped(f"Mem0I: member has type {tp!r}, expected {comp.binder_type!r}", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             want = subst(comp.body, PROG, 0, goal.prog)

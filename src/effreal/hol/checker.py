@@ -102,17 +102,7 @@ def sequent_wf(seq: Sequent, path=None) -> None:
 
 
 # Rule tags.
-IMP_I = "ImpI"
-IMP_E = "ImpE"
-UNI_I = "UniI"
-UNI_E = "UniE"
-MEM_I = "MemI"
-MEM_E = "MemE"
-MEM0_I = "Mem0I"
-MEM0_E = "Mem0E"
-ID = "Id"
-
-HOL_RULES = frozenset({IMP_I, IMP_E, UNI_I, UNI_E, MEM_I, MEM_E, MEM0_I, MEM0_E, ID})
+HOL_RULES = frozenset({"ImpI", "ImpE", "UniI", "UniE", "MemI", "MemE", "Mem0I", "Mem0E", "Id"})
 
 
 @dataclass(frozen=True)

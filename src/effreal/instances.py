@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Mapping
 
-from ._astnode import shift, subst
+from ._astnode import map_children, shift, subst
 from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
@@ -36,8 +36,12 @@ from .effhol.theory import (
     check,
     weaken_type,
 )
-from .effhol.syntax import PROG
+from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
+
+
+# Fuel for replaying instantiated anti-reductions under the instance strategy.
+REPLAY_FUEL = 10_000
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,10 @@ class PureInstance:
     """A five-part interpretation into the effect-free fragment.
 
     Program-building callables receive already-instantiated pieces; element
-    types are the instantiated types of the inner values.
+    types are the instantiated types of the inner values.  ``templates``
+    maps each modality rule the instance can replay to its derivation
+    template, called as ``template(inst, node, seq, *premises)`` with the
+    instantiated conclusion and premises.
     """
 
     name: str
@@ -54,240 +61,156 @@ class PureInstance:
     ret_prog: Callable[[e.EffType, e.EffProgram], e.EffProgram]
     bind_prog: Callable[[e.EffType, e.EffType, e.EffProgram, e.EffProgram], e.EffProgram]
     after_spec: Callable[[e.EffType, e.EffProgram, e.EffSpec], e.EffSpec]
-    modi_template: Callable = None
-    mode_template: Callable = None
-    mon_template: Callable = None
+    templates: Mapping[str, Callable] = field(default_factory=dict)
     # Whether the erased computations run under the frame's untyped
     # normalizer (the instance has an executable untyped semantics).
     untyped_lift: bool = False
-    normalize_fuel: int = 10_000
 
 
-def instantiate_type(t: e.EffType, inst: PureInstance) -> e.EffType:
-    match t:
-        case e.TVar(_):
-            return t
-        case e.TApp(fn, arg):
-            return e.TApp(instantiate_type(fn, inst), instantiate_type(arg, inst))
-        case e.TAbs(k, body):
-            return e.TAbs(k, instantiate_type(body, inst))
-        case e.Fun(dom, cod):
-            return e.Fun(instantiate_type(dom, inst), instantiate_type(cod, inst))
-        case e.TForall(k, body):
-            return e.TForall(k, instantiate_type(body, inst))
+def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
+    """Interpret the computation type, return, bind and the modality in the
+    type, index, program, expression or specification ``x``.
+
+    ``kctx``/``tctx`` are the *original* kind and type contexts of ``x``
+    (element types of returns and binds are computed there); they grow
+    with the binders crossed.  Types and indices hold no return or bind, so
+    they are walked without contexts.  A subtree with nothing to interpret
+    comes back as the same object.
+    """
+    match x:
         case e.Comp(inner):
-            return inst.comp_type(instantiate_type(inner, inst))
-    raise TypeError(f"unexpected type {t!r}")
-
-
-def instantiate_index(s: e.EffIndex, inst: PureInstance) -> e.EffIndex:
-    match s:
-        case e.RefBase(carrier):
-            return e.RefBase(instantiate_type(carrier, inst))
-        case e.Ref(carrier, arg):
-            return e.Ref(instantiate_type(carrier, inst), instantiate_index(arg, inst))
-        case e.IForall(k, body):
-            return e.IForall(k, instantiate_index(body, inst))
-    raise TypeError(f"unexpected index {s!r}")
-
-
-def instantiate_prog(
-    p: e.EffProgram, inst: PureInstance, kctx=(), tctx=()
-) -> e.EffProgram:
-    """Structural interpretation; ``kctx``/``tctx`` are the *original*
-    contexts (element types of returns and binds are computed there)."""
-    match p:
-        case e.PVar(_):
-            return p
-        case e.TyAbs(k, body):
-            return e.TyAbs(k, instantiate_prog(body, inst, kctx + (k,), shift_ctx(tctx)))
-        case e.Abs(ty, body):
-            return e.Abs(
-                instantiate_type(ty, inst),
-                instantiate_prog(body, inst, kctx, tctx + (ty,)),
-            )
-        case e.TyApp(fn, arg):
-            return e.TyApp(instantiate_prog(fn, inst, kctx, tctx), instantiate_type(arg, inst))
-        case e.App(fn, arg):
-            return e.App(
-                instantiate_prog(fn, inst, kctx, tctx),
-                instantiate_prog(arg, inst, kctx, tctx),
-            )
+            return inst.comp_type(instantiate(inner, inst))
         case e.Ret(inner):
             ty = type_of(kctx, tctx, inner)
-            return inst.ret_prog(
-                instantiate_type(ty, inst), instantiate_prog(inner, inst, kctx, tctx)
-            )
+            return inst.ret_prog(instantiate(ty, inst), instantiate(inner, inst, kctx, tctx))
         case e.Bind(ty, first, rest):
             t2 = type_of(kctx, tctx + (ty,), rest)
             assert isinstance(t2, e.Comp)
             return inst.bind_prog(
-                instantiate_type(ty, inst),
-                instantiate_type(t2.inner, inst),
-                instantiate_prog(first, inst, kctx, tctx),
-                instantiate_prog(rest, inst, kctx, tctx + (ty,)),
-            )
-    raise TypeError(f"unexpected program {p!r}")
-
-
-def instantiate_expr(x: e.EffExpr, inst: PureInstance, kctx=(), tctx=()) -> e.EffExpr:
-    match x:
-        case e.EVar(_):
-            return x
-        case e.Compr(ty, idx, body):
-            return e.Compr(
-                instantiate_type(ty, inst),
-                instantiate_index(idx, inst),
-                instantiate_spec(body, inst, kctx, tctx + (ty,)),
-            )
-        case e.ComprBase(ty, body):
-            return e.ComprBase(
-                instantiate_type(ty, inst),
-                instantiate_spec(body, inst, kctx, tctx + (ty,)),
-            )
-        case e.EForall(k, body):
-            return e.EForall(k, instantiate_expr(body, inst, kctx + (k,), shift_ctx(tctx)))
-        case e.EApp(fn, arg):
-            return e.EApp(instantiate_expr(fn, inst, kctx, tctx), instantiate_type(arg, inst))
-    raise TypeError(f"unexpected expression {x!r}")
-
-
-def instantiate_spec(f: e.EffSpec, inst: PureInstance, kctx=(), tctx=()) -> e.EffSpec:
-    match f:
-        case e.SMem(p, fn, arg):
-            return e.SMem(
-                instantiate_prog(p, inst, kctx, tctx),
-                instantiate_expr(fn, inst, kctx, tctx),
-                instantiate_expr(arg, inst, kctx, tctx),
-            )
-        case e.SMemBase(p, fn):
-            return e.SMemBase(
-                instantiate_prog(p, inst, kctx, tctx),
-                instantiate_expr(fn, inst, kctx, tctx),
-            )
-        case e.SImp(a, b):
-            return e.SImp(
-                instantiate_spec(a, inst, kctx, tctx),
-                instantiate_spec(b, inst, kctx, tctx),
+                instantiate(ty, inst),
+                instantiate(t2.inner, inst),
+                instantiate(first, inst, kctx, tctx),
+                instantiate(rest, inst, kctx, tctx + (ty,)),
             )
         case e.After(p, ty, body):
             return inst.after_spec(
-                instantiate_type(ty, inst),
-                instantiate_prog(p, inst, kctx, tctx),
-                instantiate_spec(body, inst, kctx, tctx + (ty,)),
+                instantiate(ty, inst),
+                instantiate(p, inst, kctx, tctx),
+                instantiate(body, inst, kctx, tctx + (ty,)),
             )
-        case e.SForallType(k, body):
-            return e.SForallType(
-                k, instantiate_spec(body, inst, kctx + (k,), shift_ctx(tctx))
-            )
-        case e.SForallProg(ty, body):
-            return e.SForallProg(
-                instantiate_type(ty, inst),
-                instantiate_spec(body, inst, kctx, tctx + (ty,)),
-            )
-        case e.SForallExpr(idx, body):
-            return e.SForallExpr(
-                instantiate_index(idx, inst),
-                instantiate_spec(body, inst, kctx, tctx),
-            )
-    raise TypeError(f"unexpected specification {f!r}")
+
+    def child(c, under):
+        if isinstance(c, (e.EffType, e.EffIndex)):
+            return instantiate(c, inst)
+        if under and under[TYPE.slot]:
+            return instantiate(c, inst, kctx + (x.binder_kind,), shift_ctx(tctx))
+        if under and under[PROG.slot]:
+            return instantiate(c, inst, kctx, tctx + (x.binder_type,))
+        return instantiate(c, inst, kctx, tctx)
+
+    return map_children(x, child)
 
 
-def instantiate_sequent(seq: EffSequent, inst: PureInstance) -> EffSequent:
-    k, i, t = seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types
-    ctxs = e.EffContexts(
-        k,
-        tuple(instantiate_index(s, inst) for s in i),
-        tuple(instantiate_type(ty, inst) for ty in t),
-    )
-    return EffSequent(
-        ctxs,
-        tuple(instantiate_spec(h, inst, k, t) for h in seq.hyps),
-        instantiate_spec(seq.goal, inst, k, t),
-    )
+# The names the benchmark harness (perfbench/) imports.
+instantiate_type = instantiate_prog = instantiate
 
 
 def assert_pure(x) -> None:
     """Syntactic scan: no computational construct survives instantiation."""
-    forbidden = (e.Comp, e.Ret, e.Bind, e.After)
     stack = [x]
+
+    def push(child, _under):
+        stack.append(child)
+        return child
+
     while stack:
         node = stack.pop()
-        if isinstance(node, forbidden):
+        if isinstance(node, (e.Comp, e.Ret, e.Bind, e.After)):
             raise RecheckFailed(f"impure construct {type(node).__name__} in instance image")
-        if hasattr(node, "__dataclass_fields__"):
-            for name in node.__dataclass_fields__:
-                v = getattr(node, name)
-                if isinstance(v, (e.EffType, e.EffProgram, e.EffSpec, e.EffExpr, e.EffIndex)):
-                    stack.append(v)
+        map_children(node, push)
 
 
 def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivation:
     """Interpret a derivation; the result lies in the effect-free fragment
     and is re-checked by the caller (or by check_instance_laws)."""
-    seq = instantiate_sequent(d.conclusion, inst)
-    k = d.conclusion.ctxs.kinds
-    t = d.conclusion.ctxs.types
+    c = d.conclusion
+    k, t = c.ctxs.kinds, c.ctxs.types
+
+    def here(x, *binders):
+        return None if x is None else instantiate(x, inst, k, t + binders)
+
+    seq = EffSequent(
+        e.EffContexts(k, tuple(map(here, c.ctxs.indices)), tuple(map(here, t))),
+        tuple(map(here, c.hyps)),
+        here(c.goal),
+    )
     prems = tuple(instantiate_derivation(p, inst) for p in d.premises)
 
-    match d.rule:
-        case "ModI":
-            goal = normalize(d.conclusion.goal)
-            assert isinstance(goal, e.After) and isinstance(goal.prog, e.Ret)
-            if inst.modi_template is None:
-                raise TemplateMissing(f"instance {inst.name} has no ModI template")
-            return inst.modi_template(inst, d, seq, prems[0])
-        case "ModE":
-            if inst.mode_template is None:
-                raise TemplateMissing(f"instance {inst.name} has no ModE template")
-            return inst.mode_template(inst, d, seq, prems[0])
-        case "Mon":
-            if inst.mon_template is None:
-                raise TemplateMissing(f"instance {inst.name} has no Mon template")
-            return inst.mon_template(inst, d, seq, prems[0], prems[1])
-        case "AntiRed":
-            p1 = instantiate_prog(d.prog_before, inst, k, t)
-            p2 = instantiate_prog(d.prog_after, inst, k, t)
-            hole = instantiate_spec(d.hole_spec, inst, k, t + (d.hole_type,))
-            ty = instantiate_type(d.hole_type, inst)
-            if p1 == p2:
-                # the instantiated sides coincide; splice the premise
-                return prems[0]
-            n = count_steps(p1, p2, inst.strategy, inst.normalize_fuel)
-            if n is None:
-                raise RecheckFailed(
-                    f"instance {inst.name}: anti-reduction does not replay"
-                )
-            return replace(
-                d,
-                conclusion=seq,
-                premises=prems,
-                hole_spec=hole,
-                hole_type=ty,
-                prog_before=p1,
-                prog_after=p2,
-                steps=n,
-                strategy=inst.strategy,
-            )
-        case _:
-            return replace(
-                d,
-                conclusion=seq,
-                premises=prems,
-                witness_prog=None
-                if d.witness_prog is None
-                else instantiate_prog(d.witness_prog, inst, k, t),
-                witness_expr=None
-                if d.witness_expr is None
-                else instantiate_expr(d.witness_expr, inst, k, t),
-                witness_type=None
-                if d.witness_type is None
-                else instantiate_type(d.witness_type, inst),
-                hole_spec=None,
-                hole_type=None,
-                prog_before=None,
-                prog_after=None,
-            )
+    if d.rule in ("ModI", "ModE", "Mon"):
+        template = inst.templates.get(d.rule)
+        if template is None:
+            raise TemplateMissing(f"instance {inst.name} has no {d.rule} template")
+        return template(inst, d, seq, *prems)
+    if d.rule == "AntiRed":
+        p1 = here(d.prog_before)
+        p2 = here(d.prog_after)
+        hole = here(d.hole_spec, d.hole_type)
+        ty = here(d.hole_type)
+        if p1 == p2:
+            # the instantiated sides coincide; splice the premise
+            return prems[0]
+        n = count_steps(p1, p2, inst.strategy, REPLAY_FUEL)
+        if n is None:
+            raise RecheckFailed(f"instance {inst.name}: anti-reduction does not replay")
+        return replace(
+            d,
+            conclusion=seq,
+            premises=prems,
+            hole_spec=hole,
+            hole_type=ty,
+            prog_before=p1,
+            prog_after=p2,
+            steps=n,
+            strategy=inst.strategy,
+        )
+    return replace(
+        d,
+        conclusion=seq,
+        premises=prems,
+        witness_prog=here(d.witness_prog),
+        witness_expr=here(d.witness_expr),
+        witness_type=here(d.witness_type),
+        hole_spec=None,
+        hole_type=None,
+        prog_before=None,
+        prog_after=None,
+    )
+
+
+def _parts(inst, node):
+    """The instantiated parts of a ModI, ModE or Mon node, in its contexts.
+
+    ModI, goal ``after (ret p) (x:t) body``: ``(t, p, body)``.
+    ModE, goal ``after (bind x1:t1 <- p1; p2) (x:t2) body``: ``(t1, t2, p1, p2, body)``.
+    Mon, goal ``after p (x:t) phi2`` from ``after p (x:t) phi1``: ``(t, p, phi1, phi2)``.
+    """
+    goal = normalize(node.conclusion.goal)
+    assert isinstance(goal, e.After)
+    c = node.conclusion.ctxs
+
+    def here(x, *binders):
+        return instantiate(x, inst, c.kinds, c.types + binders)
+
+    t2, body, p = here(goal.binder_type), here(goal.body, goal.binder_type), goal.prog
+    if node.rule == "ModI":
+        assert isinstance(p, e.Ret)
+        return t2, here(p.inner), body
+    if node.rule == "ModE":
+        assert isinstance(p, e.Bind)
+        return here(p.binder_type), t2, here(p.first), here(p.rest, p.binder_type), body
+    mod = normalize(node.premises[1].conclusion.goal)
+    assert isinstance(mod, e.After)
+    return t2, here(p), here(mod.body, mod.binder_type), body
 
 
 # The identity instance.
@@ -299,27 +222,18 @@ def _id_modi(inst, node, seq, prem):
 
 
 def _id_mode(inst, node, seq, prem):
-    goal = normalize(node.conclusion.goal)
-    b = goal.prog
-    assert isinstance(goal, e.After) and isinstance(b, e.Bind)
-    k = node.conclusion.ctxs.kinds
-    t = node.conclusion.ctxs.types
-    body_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
-    first_i = instantiate_prog(b.first, inst, k, t)
-    rest_i = instantiate_prog(b.rest, inst, k, t + (b.binder_type,))
-    t1_i = instantiate_type(b.binder_type, inst)
-    t2_i = instantiate_type(goal.binder_type, inst)
-    redex = e.App(e.Abs(t1_i, rest_i), first_i)
-    reduct = subst(rest_i, PROG, 0, first_i)
-    n = count_steps(redex, reduct, inst.strategy, inst.normalize_fuel)
+    t1, t2, p1, p2, body = _parts(inst, node)
+    redex = e.App(e.Abs(t1, p2), p1)
+    reduct = subst(p2, PROG, 0, p1)
+    n = count_steps(redex, reduct, inst.strategy, REPLAY_FUEL)
     if n is None:
         raise RecheckFailed("identity ModE: let-beta does not replay")
     return EffDerivation(
         "AntiRed",
         seq,
         (prem,),
-        hole_spec=body_i,
-        hole_type=t2_i,
+        hole_spec=body,
+        hole_type=t2,
         prog_before=redex,
         prog_after=reduct,
         steps=n,
@@ -328,41 +242,26 @@ def _id_mode(inst, node, seq, prem):
 
 
 def _id_mon(inst, node, seq, ent, mod):
-    goal = normalize(node.conclusion.goal)
-    assert isinstance(goal, e.After)
-    k = node.conclusion.ctxs.kinds
-    t = node.conclusion.ctxs.types
-    mod_goal = normalize(node.premises[1].conclusion.goal)
-    assert isinstance(mod_goal, e.After)
-    tau_i = instantiate_type(goal.binder_type, inst)
-    p_i = instantiate_prog(goal.prog, inst, k, t)
-    phi1_i = instantiate_spec(mod_goal.body, inst, k, t + (mod_goal.binder_type,))
-    phi2_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
+    tau, p, phi1, phi2 = _parts(inst, node)
+    imp = e.SImp(phi1, phi2)
     impi = EffDerivation(
         "ImpI",
-        EffSequent(ent.conclusion.ctxs, tuple(shift(h, PROG) for h in seq.hyps),
-                   e.SImp(phi1_i, phi2_i)),
+        EffSequent(ent.conclusion.ctxs, tuple(shift(h, PROG) for h in seq.hyps), imp),
         (ent,),
     )
     upi = EffDerivation(
-        "UniProgI",
-        EffSequent(seq.ctxs, seq.hyps, e.SForallProg(tau_i, e.SImp(phi1_i, phi2_i))),
-        (impi,),
+        "UniProgI", EffSequent(seq.ctxs, seq.hyps, e.SForallProg(tau, imp)), (impi,)
     )
     upe = EffDerivation(
         "UniProgE",
-        EffSequent(
-            seq.ctxs,
-            seq.hyps,
-            subst(e.SImp(phi1_i, phi2_i), PROG, 0, p_i),
-        ),
+        EffSequent(seq.ctxs, seq.hyps, subst(imp, PROG, 0, p)),
         (upi,),
-        witness_prog=p_i,
+        witness_prog=p,
     )
     return EffDerivation("ImpE", seq, (upe, mod))
 
 
-def identity_instance(fuel: int = 10_000) -> PureInstance:
+def identity_instance() -> PureInstance:
     return PureInstance(
         name="identity",
         strategy=Strategy.FULL,
@@ -370,11 +269,8 @@ def identity_instance(fuel: int = 10_000) -> PureInstance:
         ret_prog=lambda t, p: p,
         bind_prog=lambda t1, t2, first, rest: e.App(e.Abs(t1, rest), first),
         after_spec=lambda t, p, body: subst(body, PROG, 0, p),
-        modi_template=_id_modi,
-        mode_template=_id_mode,
-        mon_template=_id_mon,
+        templates={"ModI": _id_modi, "ModE": _id_mode, "Mon": _id_mon},
         untyped_lift=True,
-        normalize_fuel=fuel,
     )
 
 
@@ -422,6 +318,73 @@ def _cont_after(tau: e.EffType, p: e.EffProgram, body: e.EffSpec) -> e.EffSpec:
     return e.SMemBase(p, biorth(tau, e.ComprBase(tau, body)))
 
 
+# The continuation templates replay the modality rules by biorthogonality
+# (Krivine, "Realizability in classical logic", 2009): a membership
+# ``q ∈ orth(t, X)`` is introduced by sending a fresh ``v ∈ X`` into the
+# pole and eliminated against the pole by a member of ``X``.  Applications
+# enter the pole by one call-by-name anti-reduction step.
+
+
+def _orth_intro(seq, q, o, inner):
+    """Prove ``seq``, whose goal is ``q ∈ o`` for an orthogonal set ``o``:
+    Mem0I ∘ UniProgI ∘ ImpI under a fresh variable ``v``.
+    ``inner(ctxs, hyps)`` proves ``q v ∈ pole`` in the extended contexts,
+    whose last hypothesis is the orthogonality hypothesis ``v ∈ X``."""
+    forall = subst(o.body, PROG, 0, q)
+    imp = forall.body
+    c = seq.ctxs
+    ctxs = e.EffContexts(c.kinds, c.indices, c.types + (forall.binder_type,))
+    hyps = tuple(shift(h, PROG) for h in seq.hyps)
+    impi = EffDerivation(
+        "ImpI", EffSequent(ctxs, hyps, imp), (inner(ctxs, hyps + (imp.lhs,)),)
+    )
+    upi = EffDerivation("UniProgI", EffSequent(c, seq.hyps, forall), (impi,))
+    return EffDerivation("Mem0I", seq, (upi,))
+
+
+def _orth_elim(ctxs, hyps, q, o, mem, arg, arg_mem):
+    """From ``mem`` proving ``q ∈ o`` for an orthogonal set ``o`` and
+    ``arg_mem`` proving ``arg`` a member of its base set: ``q arg ∈ pole``,
+    by Mem0E ∘ UniProgE ∘ ImpE."""
+    forall = subst(o.body, PROG, 0, q)
+    at = subst(forall.body, PROG, 0, arg)
+    m0e = EffDerivation("Mem0E", EffSequent(ctxs, hyps, forall), (mem,))
+    upe = EffDerivation("UniProgE", EffSequent(ctxs, hyps, at), (m0e,), witness_prog=arg)
+    return EffDerivation("ImpE", EffSequent(ctxs, hyps, at.rhs), (upe, arg_mem))
+
+
+def _pole(ctxs, hyps, redex, strategy, prem):
+    """``redex ∈ pole`` from ``prem`` proving its one-step call-by-name
+    reduct in the pole: AntiRed."""
+    return EffDerivation(
+        "AntiRed",
+        EffSequent(ctxs, hyps, e.SMemBase(redex, POLE)),
+        (prem,),
+        hole_spec=e.SMemBase(e.PVar(0), POLE),
+        hole_type=e.BOT_TYPE,
+        prog_before=redex,
+        prog_after=root_step(redex, cbv=False),
+        steps=1,
+        strategy=strategy,
+    )
+
+
+def _hyp(ctxs, hyps, h):
+    return EffDerivation("Id", EffSequent(ctxs, hyps, h))
+
+
+def _unfold(ctxs, hyps, mem, x):
+    """``mem`` proves ``v ∈ x`` for the innermost variable ``v`` (Mem0E)."""
+    return EffDerivation(
+        "Mem0E", EffSequent(ctxs, hyps, subst(x.body, PROG, 0, e.PVar(0))), (mem,)
+    )
+
+
+def _weakened(prem, seq, tau, hyp):
+    """``prem`` under one more program binder of type ``tau``, with ``hyp``."""
+    return add_hypotheses(weaken_type(prem, len(seq.ctxs.types), tau), (hyp,))
+
+
 def _cont_modi(inst, node, seq, prem):
     """Replay: membership in the biorthogonal from a proof of the body.
 
@@ -430,345 +393,102 @@ def _cont_modi(inst, node, seq, prem):
     application of the interpreted return, and use the continuation's
     orthogonality against the value itself.
     """
-    goal = normalize(node.conclusion.goal)
-    assert isinstance(goal, e.After) and isinstance(goal.prog, e.Ret)
-    k = node.conclusion.ctxs.kinds
-    t = node.conclusion.ctxs.types
-    tau = instantiate_type(goal.binder_type, inst)
-    p_i = instantiate_prog(goal.prog.inner, inst, k, t)
-    body_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
-    cell = e.ComprBase(tau, body_i)
-    ret_i = _cont_ret(tau, p_i)
-    bi = biorth(tau, cell)
-    ortho = orth(tau, cell)
+    tau, p, body = _parts(inst, node)
+    cell = e.ComprBase(tau, body)
+    ret = _cont_ret(tau, p)
 
-    ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(tau),))
-    hyps0 = seq.hyps
-    k_hyp = e.SMemBase(e.PVar(0), shift(ortho, PROG))
-    hyps1 = tuple(shift(h, PROG) for h in hyps0) + (k_hyp,)
+    def k_pole(ctxs, hyps):
+        pk = shift(p, PROG)
+        p_in_cell = EffDerivation(
+            "Mem0I",
+            EffSequent(ctxs, hyps, e.SMemBase(pk, shift(cell, PROG))),
+            (_weakened(prem, seq, e.neg(tau), hyps[-1]),),
+        )
+        k = _hyp(ctxs, hyps, hyps[-1])
+        app = _orth_elim(ctxs, hyps, e.PVar(0), shift(orth(tau, cell), PROG), k, pk, p_in_cell)
+        return _pole(ctxs, hyps, e.App(shift(ret, PROG), e.PVar(0)), inst.strategy, app)
 
-    # membership of the value in the cell, from the premise (weakened
-    # under the continuation binder and its orthogonality hypothesis)
-    premw = add_hypotheses(weaken_type(prem, len(t), e.neg(tau)), (k_hyp,))
-    mem_cell = EffDerivation(
-        "Mem0I",
-        EffSequent(
-            ctx1, hyps1, e.SMemBase(shift(p_i, PROG), shift(cell, PROG))
-        ),
-        (premw,),
-    )
-
-    # unfold the continuation hypothesis and apply it to the value
-    ko = EffDerivation("Id", EffSequent(ctx1, hyps1, k_hyp))
-    ortho_body = shift(ortho, PROG).body
-    unfolded = subst(ortho_body, PROG, 0, e.PVar(0))
-    m0e = EffDerivation("Mem0E", EffSequent(ctx1, hyps1, unfolded), (ko,))
-    assert isinstance(unfolded, e.SForallProg)
-    inst_val = subst(unfolded.body, PROG, 0, shift(p_i, PROG))
-    upe = EffDerivation(
-        "UniProgE",
-        EffSequent(ctx1, hyps1, inst_val),
-        (m0e,),
-        witness_prog=shift(p_i, PROG),
-    )
-    assert isinstance(inst_val, e.SImp)
-    in_pole = EffDerivation(
-        "ImpE", EffSequent(ctx1, hyps1, inst_val.rhs), (upe, mem_cell)
-    )
-
-    # anti-reduce (interpreted return applied to the continuation)
-    redex = e.App(shift(ret_i, PROG), e.PVar(0))
-    reduct = root_step(redex, cbv=False)
-    anti = EffDerivation(
-        "AntiRed",
-        EffSequent(ctx1, hyps1, e.SMemBase(redex, POLE)),
-        (in_pole,),
-        hole_spec=e.SMemBase(e.PVar(0), POLE),
-        hole_type=e.BOT_TYPE,
-        prog_before=redex,
-        prog_after=reduct,
-        steps=1,
-        strategy=inst.strategy,
-    )
-    impi = EffDerivation(
-        "ImpI",
-        EffSequent(
-            ctx1,
-            tuple(shift(h, PROG) for h in hyps0),
-            e.SImp(k_hyp, e.SMemBase(redex, POLE)),
-        ),
-        (anti,),
-    )
-    big_body = bi.body
-    upi_goal = subst(big_body, PROG, 0, ret_i)
-    upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, hyps0, upi_goal), (impi,))
-    return EffDerivation("Mem0I", seq, (upi,))
+    return _orth_intro(seq, ret, biorth(tau, cell), k_pole)
 
 
 def _cont_mode(inst, node, seq, prem):
-    goal = normalize(node.conclusion.goal)
-    assert isinstance(goal, e.After) and isinstance(goal.prog, e.Bind)
-    b = goal.prog
-    k = node.conclusion.ctxs.kinds
-    t = node.conclusion.ctxs.types
-    t1 = instantiate_type(b.binder_type, inst)
-    t2 = instantiate_type(goal.binder_type, inst)
-    p1 = instantiate_prog(b.first, inst, k, t)
-    p2 = instantiate_prog(b.rest, inst, k, t + (b.binder_type,))
-    body_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
-    bind_i = _cont_bind(t1, t2, p1, p2)
-    cell2 = e.ComprBase(t2, body_i)
-    inner_after = instantiate_spec(
-        e.After(b.rest, goal.binder_type, shift(goal.body, PROG, 1, 1)),
-        inst,
-        k,
-        t + (b.binder_type,),
-    )
-    cell1 = e.ComprBase(t1, inner_after)
+    """Replay: the bind's continuation ``lam`` is orthogonal to the first
+    computation's value set, so the first computation sends it into the pole."""
+    t1, t2, p1, p2, body = _parts(inst, node)
+    cell2 = e.ComprBase(t2, body)
+    cell1 = e.ComprBase(t1, _cont_after(t2, p2, shift(body, PROG, 1, 1)))
+    bind = _cont_bind(t1, t2, p1, p2)
+    lam = e.Abs(t1, e.App(shift(p2, PROG, 1, 1), e.PVar(1)))  # under k2
 
-    # k2 binder
-    ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(t2),))
-    k2_hyp = e.SMemBase(e.PVar(0), shift(orth(t2, cell2), PROG))
-    hyps1 = tuple(shift(h, PROG) for h in seq.hyps) + (k2_hyp,)
+    def q_pole(ctxs, hyps):
+        # q1 ∈ cell1: the rest's modality holds of p2[x1:=q1]; apply it to k2
+        inner = _unfold(ctxs, hyps, _hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
+        after = inner.conclusion.goal
+        k2 = _hyp(ctxs, hyps, hyps[-2])
+        app = _orth_elim(ctxs, hyps, after.prog, after.fn, inner, e.PVar(1), k2)
+        return _pole(ctxs, hyps, e.App(shift(lam, PROG), e.PVar(0)), inst.strategy, app)
 
-    # q1 binder on top of k2
-    ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (t1,))
-    q1_hyp = e.SMemBase(e.PVar(0), shift(cell1, PROG, 2))
-    hyps2 = tuple(shift(h, PROG) for h in hyps1) + (q1_hyp,)
+    def k_pole(ctxs, hyps):
+        # p1 ∈ biorth(cell1), applied to lam ∈ orth(cell1)
+        lam_orth = shift(orth(t1, cell1), PROG)
+        lam_in = _orth_intro(
+            EffSequent(ctxs, hyps, e.SMemBase(lam, lam_orth)), lam, lam_orth, q_pole
+        )
+        p1_in = _weakened(prem, seq, e.neg(t2), hyps[-1])
+        bio1 = shift(biorth(t1, cell1), PROG)
+        app = _orth_elim(ctxs, hyps, shift(p1, PROG), bio1, p1_in, lam, lam_in)
+        return _pole(ctxs, hyps, e.App(shift(bind, PROG), e.PVar(0)), inst.strategy, app)
 
-    # from q1 in cell1: the inner modality holds of p2[x1:=q1]
-    idq = EffDerivation("Id", EffSequent(ctx2, hyps2, q1_hyp))
-    inner_at_q1 = subst(shift(inner_after, PROG, 2, 1), PROG, 0, e.PVar(0))
-    m0e_q = EffDerivation("Mem0E", EffSequent(ctx2, hyps2, inner_at_q1), (idq,))
-    # inner_at_q1 is membership of p2' (with q1 for its variable) in the
-    # biorthogonal of cell2; unfold it and instantiate at k2
-    assert isinstance(inner_at_q1, e.SMemBase)
-    p2q = inner_at_q1.prog
-    m0e_bi = EffDerivation(
-        "Mem0E",
-        EffSequent(
-            ctx2,
-            hyps2,
-            subst(inner_at_q1.fn.body, PROG, 0, p2q),
-        ),
-        (m0e_q,),
-    )
-    forall_k = subst(inner_at_q1.fn.body, PROG, 0, p2q)
-    assert isinstance(forall_k, e.SForallProg)
-    at_k2 = subst(forall_k.body, PROG, 0, e.PVar(1))
-    upe_k = EffDerivation(
-        "UniProgE", EffSequent(ctx2, hyps2, at_k2), (m0e_bi,), witness_prog=e.PVar(1)
-    )
-    assert isinstance(at_k2, e.SImp)
-    idk2 = EffDerivation("Id", EffSequent(ctx2, hyps2, at_k2.lhs))
-    app_pole = EffDerivation(
-        "ImpE", EffSequent(ctx2, hyps2, at_k2.rhs), (upe_k, idk2)
-    )
-
-    # anti-reduce the lambda applied to q1
-    lam = e.Abs(t1, e.App(shift(p2, PROG, 1, 1), e.PVar(1)))
-    lam2 = shift(lam, PROG)  # under q1
-    redex_q = e.App(lam2, e.PVar(0))
-    reduct_q = root_step(redex_q, cbv=False)
-    anti_q = EffDerivation(
-        "AntiRed",
-        EffSequent(ctx2, hyps2, e.SMemBase(redex_q, POLE)),
-        (app_pole,),
-        hole_spec=e.SMemBase(e.PVar(0), POLE),
-        hole_type=e.BOT_TYPE,
-        prog_before=redex_q,
-        prog_after=reduct_q,
-        steps=1,
-        strategy=inst.strategy,
-    )
-    impi_q = EffDerivation(
-        "ImpI",
-        EffSequent(
-            ctx2,
-            tuple(shift(h, PROG) for h in hyps1),
-            e.SImp(q1_hyp, e.SMemBase(redex_q, POLE)),
-        ),
-        (anti_q,),
-    )
-    lam_orth = orth(t1, cell1)
-    lam_orth1 = shift(lam_orth, PROG)
-    upi_q = EffDerivation(
-        "UniProgI",
-        EffSequent(ctx1, hyps1, subst(lam_orth1.body, PROG, 0, lam)),
-        (impi_q,),
-    )
-    lam_in_orth = EffDerivation(
-        "Mem0I", EffSequent(ctx1, hyps1, e.SMemBase(lam, lam_orth1)), (upi_q,)
-    )
-
-    # from the premise: p1 in biorth(cell1); unfold and apply to lam
-    premw = add_hypotheses(weaken_type(prem, len(t), e.neg(t2)), (k2_hyp,))
-    p1u = shift(p1, PROG)
-    bio1 = shift(biorth(t1, cell1), PROG)
-    m0e_p1 = EffDerivation(
-        "Mem0E",
-        EffSequent(ctx1, hyps1, subst(bio1.body, PROG, 0, p1u)),
-        (premw,),
-    )
-    forall_k1 = subst(bio1.body, PROG, 0, p1u)
-    assert isinstance(forall_k1, e.SForallProg)
-    at_lam = subst(forall_k1.body, PROG, 0, lam)
-    upe_lam = EffDerivation(
-        "UniProgE", EffSequent(ctx1, hyps1, at_lam), (m0e_p1,), witness_prog=lam
-    )
-    assert isinstance(at_lam, e.SImp)
-    main_pole = EffDerivation(
-        "ImpE", EffSequent(ctx1, hyps1, at_lam.rhs), (upe_lam, lam_in_orth)
-    )
-
-    # anti-reduce the interpreted bind applied to k2
-    redex = e.App(shift(bind_i, PROG), e.PVar(0))
-    reduct = root_step(redex, cbv=False)
-    anti = EffDerivation(
-        "AntiRed",
-        EffSequent(ctx1, hyps1, e.SMemBase(redex, POLE)),
-        (main_pole,),
-        hole_spec=e.SMemBase(e.PVar(0), POLE),
-        hole_type=e.BOT_TYPE,
-        prog_before=redex,
-        prog_after=reduct,
-        steps=1,
-        strategy=inst.strategy,
-    )
-    impi = EffDerivation(
-        "ImpI",
-        EffSequent(
-            ctx1,
-            tuple(shift(h, PROG) for h in seq.hyps),
-            e.SImp(k2_hyp, e.SMemBase(redex, POLE)),
-        ),
-        (anti,),
-    )
-    bi2 = biorth(t2, cell2)
-    upi = EffDerivation(
-        "UniProgI",
-        EffSequent(seq.ctxs, seq.hyps, subst(bi2.body, PROG, 0, bind_i)),
-        (impi,),
-    )
-    return EffDerivation("Mem0I", seq, (upi,))
+    return _orth_intro(seq, bind, biorth(t2, cell2), k_pole)
 
 
 def _cont_mon(inst, node, seq, ent, mod):
-    goal = normalize(node.conclusion.goal)
-    assert isinstance(goal, e.After)
-    k = node.conclusion.ctxs.kinds
-    t = node.conclusion.ctxs.types
-    tau = instantiate_type(goal.binder_type, inst)
-    p_i = instantiate_prog(goal.prog, inst, k, t)
-    mod_goal = normalize(node.premises[1].conclusion.goal)
-    assert isinstance(mod_goal, e.After)
-    phi1_i = instantiate_spec(mod_goal.body, inst, k, t + (mod_goal.binder_type,))
-    phi2_i = instantiate_spec(goal.body, inst, k, t + (goal.binder_type,))
-    cell1 = e.ComprBase(tau, phi1_i)
-    cell2 = e.ComprBase(tau, phi2_i)
+    """Replay: every continuation orthogonal to the weaker cell is
+    orthogonal to the stronger one, so membership in the biorthogonal is
+    monotone."""
+    tau, p, phi1, phi2 = _parts(inst, node)
+    cell1 = e.ComprBase(tau, phi1)
+    cell2 = e.ComprBase(tau, phi2)
 
-    ctx1 = e.EffContexts(seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types + (e.neg(tau),))
-    k_hyp = e.SMemBase(e.PVar(0), shift(orth(tau, cell2), PROG))
-    hyps1 = tuple(shift(h, PROG) for h in seq.hyps) + (k_hyp,)
+    def q_pole(ctxs, hyps):
+        # q ∈ cell1 gives phi1 at q, the entailment phi2 at q, so q ∈ cell2
+        phi1_at = _unfold(ctxs, hyps, _hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
+        phi2_q = subst(shift(cell2, PROG, 2).body, PROG, 0, e.PVar(0))
+        entw = _weakened(ent, seq, e.neg(tau), hyps[-2])
+        impi = EffDerivation(
+            "ImpI",
+            EffSequent(ctxs, hyps[:-1], e.SImp(phi1_at.conclusion.goal, phi2_q)),
+            (entw,),
+        )
+        phi2_at = EffDerivation(
+            "ImpE",
+            EffSequent(ctxs, hyps, phi2_q),
+            (add_hypotheses(impi, hyps[-1:]), phi1_at),
+        )
+        q_in = EffDerivation(
+            "Mem0I",
+            EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), shift(cell2, PROG, 2))),
+            (phi2_at,),
+        )
+        k = _hyp(ctxs, hyps, hyps[-2])
+        return _orth_elim(
+            ctxs, hyps, e.PVar(1), shift(orth(tau, cell2), PROG, 2), k, e.PVar(0), q_in
+        )
 
-    # subset step: k in orth(cell2) entails k in orth(cell1)
-    ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (tau,))
-    q_hyp = e.SMemBase(e.PVar(0), shift(cell1, PROG, 2))
-    hyps2 = tuple(shift(h, PROG) for h in hyps1) + (q_hyp,)
-    # phi1/phi2 with the innermost variable playing the bound one, under
-    # the extra continuation binder
-    phi1_q = subst(shift(cell1, PROG, 2).body, PROG, 0, e.PVar(0))
-    phi2_q = subst(shift(cell2, PROG, 2).body, PROG, 0, e.PVar(0))
+    def k_pole(ctxs, hyps):
+        # k ∈ orth(cell1), and p ∈ biorth(cell1) sends it into the pole
+        orth1 = shift(orth(tau, cell1), PROG)
+        k_in = _orth_intro(
+            EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), orth1)), e.PVar(0), orth1, q_pole
+        )
+        p_in = _weakened(mod, seq, e.neg(tau), hyps[-1])
+        bio1 = shift(biorth(tau, cell1), PROG)
+        return _orth_elim(ctxs, hyps, shift(p, PROG), bio1, p_in, e.PVar(0), k_in)
 
-    # phi2 at q, via the entailment premise weakened under the k binder
-    entw = add_hypotheses(
-        weaken_type(ent, len(t), e.neg(tau)), (shift(k_hyp, PROG),)
-    )
-    ent_hyps_base = tuple(shift(h, PROG) for h in hyps1)
-    impi_ent = EffDerivation(
-        "ImpI",
-        EffSequent(ctx2, ent_hyps_base, e.SImp(phi1_q, phi2_q)),
-        (entw,),
-    )
-    idq = EffDerivation("Id", EffSequent(ctx2, hyps2, q_hyp))
-    phi1_at_q = EffDerivation("Mem0E", EffSequent(ctx2, hyps2, phi1_q), (idq,))
-    impi_ent2 = add_hypotheses(impi_ent, (q_hyp,))
-    phi2_at_q = EffDerivation(
-        "ImpE", EffSequent(ctx2, hyps2, phi2_q), (impi_ent2, phi1_at_q)
-    )
-    q_in_cell2 = EffDerivation(
-        "Mem0I",
-        EffSequent(ctx2, hyps2, e.SMemBase(e.PVar(0), shift(cell2, PROG, 2))),
-        (phi2_at_q,),
-    )
-
-    # apply k (orthogonal to cell2) to q
-    idk = EffDerivation("Id", EffSequent(ctx2, hyps2, shift(k_hyp, PROG)))
-    orth2_body = shift(orth(tau, cell2), PROG, 2).body
-    unf_k = subst(orth2_body, PROG, 0, e.PVar(1))
-    m0e_k = EffDerivation("Mem0E", EffSequent(ctx2, hyps2, unf_k), (idk,))
-    assert isinstance(unf_k, e.SForallProg)
-    at_q = subst(unf_k.body, PROG, 0, e.PVar(0))
-    upe_q = EffDerivation(
-        "UniProgE", EffSequent(ctx2, hyps2, at_q), (m0e_k,), witness_prog=e.PVar(0)
-    )
-    assert isinstance(at_q, e.SImp)
-    kq_pole = EffDerivation(
-        "ImpE", EffSequent(ctx2, hyps2, at_q.rhs), (upe_q, q_in_cell2)
-    )
-
-    impi_q = EffDerivation(
-        "ImpI",
-        EffSequent(ctx2, tuple(shift(h, PROG) for h in hyps1),
-                   e.SImp(q_hyp, at_q.rhs)),
-        (kq_pole,),
-    )
-    orth1 = shift(orth(tau, cell1), PROG)
-    upi_q = EffDerivation(
-        "UniProgI",
-        EffSequent(ctx1, hyps1, subst(orth1.body, PROG, 0, e.PVar(0))),
-        (impi_q,),
-    )
-    k_in_orth1 = EffDerivation(
-        "Mem0I", EffSequent(ctx1, hyps1, e.SMemBase(e.PVar(0), orth1)), (upi_q,)
-    )
-
-    # main chain: p in biorth(cell1) applied to k
-    modw = add_hypotheses(weaken_type(mod, len(t), e.neg(tau)), (k_hyp,))
-    pu = shift(p_i, PROG)
-    bio1 = shift(biorth(tau, cell1), PROG)
-    m0e_p = EffDerivation(
-        "Mem0E",
-        EffSequent(ctx1, hyps1, subst(bio1.body, PROG, 0, pu)),
-        (modw,),
-    )
-    fk = subst(bio1.body, PROG, 0, pu)
-    assert isinstance(fk, e.SForallProg)
-    at_k = subst(fk.body, PROG, 0, e.PVar(0))
-    upe_k = EffDerivation(
-        "UniProgE", EffSequent(ctx1, hyps1, at_k), (m0e_p,), witness_prog=e.PVar(0)
-    )
-    assert isinstance(at_k, e.SImp)
-    pk_pole = EffDerivation(
-        "ImpE", EffSequent(ctx1, hyps1, at_k.rhs), (upe_k, k_in_orth1)
-    )
-
-    impi = EffDerivation(
-        "ImpI",
-        EffSequent(ctx1, tuple(shift(h, PROG) for h in seq.hyps),
-                   e.SImp(k_hyp, at_k.rhs)),
-        (pk_pole,),
-    )
-    bi2 = biorth(tau, cell2)
-    upi = EffDerivation(
-        "UniProgI",
-        EffSequent(seq.ctxs, seq.hyps, subst(bi2.body, PROG, 0, p_i)),
-        (impi,),
-    )
-    return EffDerivation("Mem0I", seq, (upi,))
+    return _orth_intro(seq, p, biorth(tau, cell2), k_pole)
 
 
-def continuation_instance(fuel: int = 10_000) -> PureInstance:
+def continuation_instance() -> PureInstance:
     return PureInstance(
         name="continuation",
         strategy=Strategy.CBN,
@@ -776,10 +496,7 @@ def continuation_instance(fuel: int = 10_000) -> PureInstance:
         ret_prog=_cont_ret,
         bind_prog=_cont_bind,
         after_spec=_cont_after,
-        modi_template=_cont_modi,
-        mode_template=_cont_mode,
-        mon_template=_cont_mon,
-        normalize_fuel=fuel,
+        templates={"ModI": _cont_modi, "ModE": _cont_mode, "Mon": _cont_mon},
     )
 
 

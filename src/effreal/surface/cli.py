@@ -22,10 +22,8 @@ from ..instances import (
     check_instance_laws,
     continuation_instance,
     identity_instance,
+    instantiate,
     instantiate_derivation,
-    instantiate_prog,
-    instantiate_spec,
-    instantiate_type,
 )
 from ..translation import extract_realizer, translate_prop
 from . import jsonio, printer as pr
@@ -175,13 +173,13 @@ def cmd_instantiate(args) -> int:
     results = {}
     ok = True
     for name, t in doc.types.items():
-        results[f"type {name}"] = pr.print_type(instantiate_type(t, inst))
+        results[f"type {name}"] = pr.print_type(instantiate(t, inst))
     for name, p in doc.programs.items():
-        got = instantiate_prog(p, inst)
+        got = instantiate(p, inst)
         assert_pure(got)
         results[f"program {name}"] = pr.print_program(got)
     for name, s in doc.specs.items():
-        got = instantiate_spec(s, inst)
+        got = instantiate(s, inst)
         assert_pure(got)
         results[f"spec {name}"] = pr.print_spec(got)
     for name, d in doc.eff_derivations.items():

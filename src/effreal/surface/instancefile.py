@@ -16,9 +16,10 @@ as the innermost program binder — both shipped instances have this shape.
 ``body`` is spliced wherever the atom ``body`` appears in specification
 position.
 
-File instances carry no modality-law derivation templates: instantiating
-a derivation that uses ModI/ModE/Mon reports TemplateMissing, while types,
-programs, specifications and modality-free derivations instantiate fully.
+File instances leave the instance's ``templates`` mapping empty: they
+carry no modality-law derivation templates, so instantiating a derivation
+that uses ModI/ModE/Mon reports TemplateMissing, while types, programs,
+specifications and modality-free derivations instantiate fully.
 """
 
 from __future__ import annotations
@@ -174,7 +175,4 @@ def elab_instance(doc, node) -> PureInstance:
         ret_prog=ret_prog,
         bind_prog=bind_prog,
         after_spec=after_spec,
-        modi_template=None,
-        mode_template=None,
-        mon_template=None,
     )

@@ -26,14 +26,19 @@ from effreal.effhol import (
     Ret,
     SMemBase,
     TForall,
+    SForallProg,
+    SForallType,
     TVar,
     TOP_SPEC,
+    TyAbs,
+    TyApp,
     check,
     type_of,
 )
 from effreal.effhol.conversion import convertible, normalize_type
 from effreal.effhol.reduction import Strategy, multi_step
 from effreal.effhol import PROG, shift, subst
+from effreal.errors import TemplateMissing
 from effreal.generators import random_closed_program
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
@@ -47,13 +52,16 @@ from effreal.instances import (
     check_instance_laws,
     continuation_instance,
     identity_instance,
+    instantiate,
     instantiate_derivation,
     instantiate_prog,
-    instantiate_spec,
     instantiate_type,
     orth,
 )
+from effreal.surface.elaborate import parse_document
 from effreal.translation import trtype
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 ID_INST = identity_instance()
 CONT = continuation_instance()
@@ -74,7 +82,38 @@ def test_identity_after_is_substitution():
     cell = ComprBase(T_ID, TOP_SPEC)
     phi = SMemBase(PVar(0), cell)
     spec = After(Ret(IDENT), T_ID, phi)
-    assert instantiate_spec(spec, ID_INST) == subst(phi, PROG, 0, IDENT)
+    assert instantiate(spec, ID_INST) == subst(phi, PROG, 0, IDENT)
+
+
+def test_instantiate_returns_pure_input_itself():
+    """Nothing to interpret under type, program and expression binders:
+    the input comes back as the same object."""
+    poly = TyApp(TyAbs(KSTAR, Abs(TVar(0), PVar(0))), TVar(0))
+    x = SForallType(
+        KSTAR,
+        SForallProg(TVar(0), SMemBase(App(poly, PVar(0)), ComprBase(TVar(0), TOP_SPEC))),
+    )
+    for inst in (ID_INST, CONT):
+        assert instantiate(x, inst) is x
+        assert instantiate(T_ID, inst) is T_ID
+
+
+def test_file_instance_has_no_modality_templates():
+    """The instance file reproduces the continuation instance on every
+    construct but carries no derivation templates."""
+    doc = parse_document((CORPUS / "instance_cont.inst").read_text())
+    (inst,) = doc.instances.values()
+    assert not inst.templates
+    rng = random.Random(0)
+    for law in ("ModI", "ModE", "Mon"):
+        d = LAW_CASES[law](rng, inst)
+        check(d)
+        with pytest.raises(TemplateMissing, match=law):
+            instantiate_derivation(d, inst)
+    d = LAW_CASES["AntiRed"](rng, inst)
+    d2 = instantiate_derivation(d, inst)
+    check(d2)
+    assert d2 == instantiate_derivation(d, CONT)
 
 
 def test_continuation_ret_bind_shapes():

@@ -26,6 +26,25 @@ from effreal.translation import extract_realizer, trtype
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 INSTANCES = (identity_instance(), continuation_instance())
 
+# Node counts of each replayed derivation after instantiation under
+# (identity, continuation): a template change that alters the shape of its
+# output shows here.
+INSTANTIATED_NODES = {
+    "i-combinator": (4, 22),
+    "k-combinator": (7, 34),
+    "b-combinator": (40, 214),
+    "c-combinator": (40, 214),
+    "w-combinator": (37, 202),
+    "s-combinator": (55, 298),
+    "uni-intro": (7, 34),
+    "uni-elim-chain": (20, 98),
+    "double-negation-intro": (22, 118),
+}
+
+
+def _nodes(d) -> int:
+    return 1 + sum(_nodes(p) for p in d.premises)
+
 
 def _corpus_derivations():
     doc = parse_document((CORPUS / "hol_basic.hol").read_text())
@@ -48,9 +67,10 @@ def test_full_pipeline(name, d):
         return
     eff_check(res.derivation)
     hol_check(forget_derivation(res.derivation))
-    for inst in INSTANCES:
+    for inst, nodes in zip(INSTANCES, INSTANTIATED_NODES[name]):
         d2 = instantiate_derivation(res.derivation, inst)
         eff_check(d2)
+        assert _nodes(d2) == nodes, inst.name
 
 
 def test_pipeline_covers_replayable_rules():

@@ -309,7 +309,7 @@ def test_instance_file_matches_continuation():
     """
     doc = parse_document(text)
     inst = doc.instances["cont-file"]
-    from effreal.instances import continuation_instance, instantiate_prog, instantiate_spec
+    from effreal.instances import continuation_instance, instantiate, instantiate_prog
     from effreal.effhol import Abs, BOT_TYPE, PVar, Ret, Comp, After, SMemBase, ComprBase, TOP_SPEC
 
     cont = continuation_instance()
@@ -320,7 +320,7 @@ def test_instance_file_matches_continuation():
 
     tid = Fun(BOT_TYPE, BOT_TYPE)
     spec = After(Ret(ident), tid, SMemBase(PVar(0), ComprBase(tid, TOP_SPEC)))
-    assert instantiate_spec(spec, inst) == instantiate_spec(spec, cont)
+    assert instantiate(spec, inst) == instantiate(spec, cont)
     from effreal.effhol import Bind
 
     b = Bind(tid, Ret(ident), Ret(PVar(0)))
