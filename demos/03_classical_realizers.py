@@ -7,7 +7,7 @@ against a pole, which is exactly the classical-realizability recipe; the
 control operator then realizes the classical principle.
 """
 
-from effreal.effhol import PROG, Abs, App, BOT_TYPE, PVar, Strategy, multi_step, shift, type_of
+from effreal.effhol import PROG, App, BOT_TYPE, PVar, Strategy, multi_step, shift, type_of
 from effreal.effhol.conversion import normalize_type
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
@@ -19,7 +19,7 @@ from effreal.instances import (
     identity_instance,
     instantiate_type,
 )
-from effreal.surface import print_program, print_type
+from effreal.surface import print_program
 from effreal.translation import trtype
 
 cont = continuation_instance()

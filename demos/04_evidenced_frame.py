@@ -15,7 +15,6 @@ from effreal.frame import (
     E_ID,
     UApp,
     ULam,
-    UPair,
     URet,
     UVar,
     compose,

@@ -100,12 +100,11 @@ _RENAMED = {"UniExpI": "UniI", "UniExpE": "UniE"}
 
 
 def forget_derivation(d: EffDerivation) -> hol_checker.HolDerivation:
-    seq = forget_sequent(d.conclusion)
     match d.rule:
         case "Id" | "ImpI" | "ImpE" | "UniExpI" | "UniExpE" | "MemI" | "MemE" | "Mem0I" | "Mem0E":
             return hol_checker.HolDerivation(
                 _RENAMED.get(d.rule, d.rule),
-                seq,
+                forget_sequent(d.conclusion),
                 tuple(forget_derivation(p) for p in d.premises),
                 witness=forget_expr(d.witness_expr) if d.rule == "UniExpE" else None,
             )
@@ -116,6 +115,7 @@ def forget_derivation(d: EffDerivation) -> hol_checker.HolDerivation:
             # after-p bodies lose the modality, so Mon is a cut:
             # from (Phi, phi1 => phi2) and (Phi => phi1) conclude (Phi => phi2).
             ent, mod = d.premises
+            seq = forget_sequent(d.conclusion)
             dent = forget_derivation(ent)
             dmod = forget_derivation(mod)
             phi1 = dmod.conclusion.goal

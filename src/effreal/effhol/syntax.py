@@ -170,11 +170,11 @@ class EVar(EffExpr):
 
 @astnode(binds={"body": (PROG, EXPR)})
 class Compr(EffExpr):
-    """{x:binder_type ; y:arg_index | body} — binds one program variable and
+    """{x:binder_type ; y:binder_index | body} — binds one program variable and
     one expression variable in body."""
 
     binder_type: EffType
-    arg_index: EffIndex
+    binder_index: EffIndex
     body: EffSpec
 
 

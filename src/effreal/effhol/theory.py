@@ -323,9 +323,9 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if tp != normalize(comp.binder_type):
                 raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.binder_type!r}", path)
             sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path)
-            if sa != normalize(comp.arg_index):
+            if sa != normalize(comp.binder_index):
                 raise IllTyped(
-                    f"MemI: argument has index {sa!r}, expected {comp.arg_index!r}", path
+                    f"MemI: argument has index {sa!r}, expected {comp.binder_index!r}", path
                 )
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)

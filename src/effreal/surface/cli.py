@@ -8,7 +8,6 @@ default reduction fuel.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -326,6 +325,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except KernelError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("input is nested too deeply", file=sys.stderr)
         return 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,0 +1,302 @@
+"""The surface grammar of both logics and of the erasure target, as one table.
+
+``CATEGORIES`` maps each syntax category's surface tags to its node
+classes.  Everything else about a form is derived from the node class, its
+dataclass fields and the binder layout ``@astnode`` records, by one rule:
+
+* a node prints as ``(tag field ...)`` in field order, and a node without
+  fields as its bare tag;
+* a ``binder_*`` field prints as ``(NAME annotation)`` and binds NAME in
+  the namespace that its annotation's category annotates: a kind binds a
+  type variable, a type a program variable, an index an expression
+  variable and a sort a term variable (``ANNOTATES``);
+* a binder without an annotation field (the untyped ``lam`` and ``bind``)
+  prints as ``(NAME)`` right after the tag;
+* binder names are the namespace's prefix followed by the number of
+  enclosing binders of that namespace, so a variable prints as the prefix
+  followed by ``depth - 1 - index`` and parse(print(x)) == x.
+
+Sequent contexts follow the same binder rule, entry by entry.  ``HOL`` and
+``EFF`` describe each calculus's sequents and, per derivation rule, its
+surface tag, premise count and witnesses; the text and JSON forms of
+derivations are both read from them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import typing
+from dataclasses import dataclass, field
+from operator import attrgetter
+
+from .. import frame as ef
+from .._astnode import Namespace
+from ..errors import SurfaceSyntaxError
+from ..effhol import syntax as e
+from ..effhol.reduction import Strategy
+from ..effhol.theory import EffDerivation, EffSequent
+from ..hol import checker as hc
+from ..hol import syntax as h
+
+# The binder-name prefix of each namespace.
+PREFIX = {h.TERM: "u", e.TYPE: "X", e.PROG: "x", e.EXPR: "y", ef.UNTYPED: "v"}
+
+
+def binder_name(ns: Namespace, depth: int) -> str:
+    """The name of a binder of ``ns`` found under ``depth`` binders of ``ns``."""
+    return f"{PREFIX[ns]}{depth}"
+
+
+class Item(typing.NamedTuple):
+    """One argument of a form: a child (``binds`` None, ``under`` counting
+    the node's binders above it per namespace slot), an annotated binder
+    (``field`` holds the annotation) or an unannotated binder (``field``
+    None)."""
+
+    field: str | None
+    category: Category | None
+    binds: Namespace | None = None
+    under: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class Form:
+    tag: str
+    cls: type
+    var: Namespace | None  # set for variable classes
+    items: tuple[Item, ...]
+
+
+@dataclass(eq=False)
+class Category:
+    noun: str  # in messages, and the JSON key of a witness of this category
+    base: type
+    tags: dict  # surface tag -> node class
+    var: type | None = None  # the variable class
+    family: tuple[Namespace, ...] = ()  # the namespaces of its calculus
+    decl: str | None = None  # declaration keyword of named members
+    store: str | None = None  # the SurfaceDoc table holding them
+    forms: dict = field(default_factory=dict)  # tag -> Form, derived
+    atoms: dict = field(default_factory=dict)  # tag -> node of a bare-tag form
+
+
+_HOL, _EFF = h.TERM.family, e.TYPE.family
+
+SORTS = Category("sort", h.Sort, {"*": h.Base, "P": h.Pred}, decl="sort", store="sorts")
+TERMS = Category("term", h.HolTerm, {"compr": h.Compr, "compr0": h.ComprBase}, h.Var, _HOL)
+PROPS = Category(
+    "proposition",
+    h.HolProp,
+    {"member0": h.MemBase, "member": h.Mem, "imp": h.Imp, "forall": h.Forall},
+    None, _HOL, "prop", "props",
+)
+KINDS = Category("kind", e.Kind, {"*": e.KBase, "con": e.KCon}, decl="kind", store="kinds")
+TYPES = Category(
+    "type",
+    e.EffType,
+    {"app": e.TApp, "tabs": e.TAbs, "fun": e.Fun, "all": e.TForall, "M": e.Comp},
+    e.TVar, _EFF, "type", "types",
+)
+PROGRAMS = Category(
+    "program",
+    e.EffProgram,
+    {"tyabs": e.TyAbs, "lam": e.Abs, "tyapp": e.TyApp, "app": e.App, "ret": e.Ret, "bind": e.Bind},
+    e.PVar, _EFF, "program", "programs",
+)
+INDICES = Category(
+    "index",
+    e.EffIndex,
+    {"ref0": e.RefBase, "ref": e.Ref, "iall": e.IForall},
+    None, _EFF, "index", "indices",
+)
+EXPRS = Category(
+    "expression",
+    e.EffExpr,
+    {"compr": e.Compr, "compr0": e.ComprBase, "eall": e.EForall, "eapp": e.EApp},
+    e.EVar, _EFF, "expr", "exprs",
+)
+SPECS = Category(
+    "specification",
+    e.EffSpec,
+    {
+        "member": e.SMem, "member0": e.SMemBase, "imp": e.SImp, "after": e.After,
+        "allk": e.SForallType, "allp": e.SForallProg, "alle": e.SForallExpr,
+    },
+    None, _EFF, "spec", "specs",
+)
+UNTYPED = Category(
+    "untyped term",
+    ef.UntypedTerm,
+    {
+        "lam": ef.ULam, "app": ef.UApp, "ret": ef.URet, "bind": ef.UBind,
+        "pair": ef.UPair, "fst": ef.UProj1, "snd": ef.UProj2,
+    },
+    ef.UVar, ef.UNTYPED.family, "ef-evidence", "ef_evidence",
+)
+
+CATEGORIES = (SORTS, TERMS, PROPS, KINDS, TYPES, PROGRAMS, INDICES, EXPRS, SPECS, UNTYPED)
+
+# The namespace a binder annotated with a member of the category binds.
+ANNOTATES = {SORTS: h.TERM, KINDS: e.TYPE, TYPES: e.PROG, INDICES: e.EXPR}
+
+_CATEGORY_OF = {c.base: c for c in CATEGORIES}
+FORMS: dict[type, Form] = {}
+
+
+def _derive(tag: str, cls: type, cat: Category) -> Form:
+    binding = getattr(cls, "_binding", None)
+    if binding is not None and binding.var is not None:
+        return Form(tag, cls, binding.var, ())
+    hints = typing.get_type_hints(cls)
+    under = dict(binding.fields) if binding is not None else {}
+    items = []
+    for f in dataclasses.fields(cls):
+        c = _CATEGORY_OF[hints[f.name]]
+        if f.name.startswith("binder_"):
+            items.append(Item(f.name, c, binds=ANNOTATES[c]))
+        else:
+            items.append(Item(f.name, c, under=under.get(f.name) or ()))
+    # per namespace: the binders some child sits under, and the annotated ones
+    need = [max((i.under[s] for i in items if i.under), default=0) for s in range(len(cat.family))]
+    have = [sum(i.binds is ns for i in items) for ns in cat.family]
+    items[:0] = [Item(None, None, binds=ns) for ns, n, a in zip(cat.family, need, have) if n > a]
+    bad = max(need, default=0) > 1 or any(a > n for n, a in zip(need, have))
+    seen = set()
+    for i in items:  # a child comes after the binders it sits under
+        seen.add(i.binds)
+        bad = bad or any(n and ns not in seen for ns, n in zip(cat.family, i.under))
+    if bad:
+        raise TypeError(f"{cls.__name__}: its binders do not follow the layout rule")
+    return Form(tag, cls, None, tuple(items))
+
+
+for _cat in CATEGORIES:
+    if _cat.var is not None:
+        FORMS[_cat.var] = _derive("", _cat.var, _cat)
+    for _tag, _cls in _cat.tags.items():
+        _form = FORMS[_cls] = _derive(_tag, _cls, _cat)
+        if _form.items:
+            _cat.forms[_tag] = _form
+        else:
+            _cat.atoms[_tag] = _cls()
+
+
+@dataclass(frozen=True)
+class Literal:
+    """A witness written as a bare atom: its value read from text or JSON,
+    and the JSON value written for it."""
+
+    noun: str
+    parse: typing.Callable
+    dump: typing.Callable
+
+    def read(self, value, line: int = 1, col: int = 1):
+        try:
+            return self.parse(value)
+        except (TypeError, ValueError):
+            raise SurfaceSyntaxError(f"bad {self.noun} {value!r}", line, col) from None
+
+
+STEPS = Literal("step count", int, int)
+STRATEGY = Literal("strategy", Strategy, attrgetter("value"))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A derivation node's witness: JSON key, node attribute and category.
+    ``binds`` marks a binder annotation: the witness after it sits under
+    the name it binds, and the two print as ``(binds (NAME this) next)``."""
+
+    key: str
+    field: str
+    category: Category | Literal
+    binds: str | None = None
+
+
+@dataclass(frozen=True)
+class Rule:
+    tag: str
+    premises: int = 1
+    witnesses: tuple[Witness, ...] = ()
+
+    @property
+    def arity(self) -> int:
+        """Arguments of the text form after the sequent."""
+        grouped = sum(1 for w in self.witnesses if w.binds)
+        return len(self.witnesses) - grouped + self.premises
+
+
+@dataclass(frozen=True, eq=False)
+class Calculus:
+    """Sequents and derivation rules of one logic.  A sequent prints as
+    ``(sequent SECTION... (hyps FORMULA...) FORMULA)``; each section lists
+    one context's entries as binders, under its tag (or none)."""
+
+    name: str
+    decl: str
+    store: str
+    sections: tuple[tuple[str | None, Category], ...]
+    formula: Category
+    rules: dict[str, Rule]
+    contexts: typing.Callable  # sequent -> tuple of contexts, one per section
+    sequent: typing.Callable  # (contexts, hyps, goal) -> sequent
+    derivation: type
+
+    def depth(self, contexts) -> tuple[int, ...]:
+        """The binder depths at a sequent's formulas."""
+        depth = [0] * len(self.formula.family)
+        for (_, cat), entries in zip(self.sections, contexts):
+            depth[ANNOTATES[cat].slot] = len(entries)
+        return tuple(depth)
+
+
+HOL = Calculus(
+    "hol",
+    "hol-derivation",
+    "hol_derivations",
+    ((None, SORTS),),
+    PROPS,
+    {
+        "Id": Rule("id", 0), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e", 2),
+        "UniI": Rule("uni-i"), "UniE": Rule("uni-e", 1, (Witness("term", "witness", TERMS),)),
+        "MemI": Rule("mem-i"), "MemE": Rule("mem-e"),
+        "Mem0I": Rule("mem0-i"), "Mem0E": Rule("mem0-e"),
+    },
+    lambda seq: (seq.ctx,),
+    lambda ctxs, hyps, goal: hc.Sequent(ctxs[0], hyps, goal),
+    hc.HolDerivation,
+)
+
+EFF = Calculus(
+    "effhol",
+    "eff-derivation",
+    "eff_derivations",
+    (("kinds", KINDS), ("indices", INDICES), ("types", TYPES)),
+    SPECS,
+    {
+        "Id": Rule("id", 0), "Conv": Rule("conv"), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e", 2),
+        "UniProgI": Rule("uniprog-i"),
+        "UniProgE": Rule("uniprog-e", 1, (Witness("program", "witness_prog", PROGRAMS),)),
+        "UniExpI": Rule("uniexp-i"),
+        "UniExpE": Rule("uniexp-e", 1, (Witness("expression", "witness_expr", EXPRS),)),
+        "UniTypeI": Rule("unitype-i"),
+        "UniTypeE": Rule("unitype-e", 1, (Witness("type", "witness_type", TYPES),)),
+        "ModI": Rule("mod-i"), "ModE": Rule("mod-e"), "Mon": Rule("mon", 2),
+        "MemI": Rule("mem-i"), "MemE": Rule("mem-e"),
+        "Mem0I": Rule("mem0-i"), "Mem0E": Rule("mem0-e"),
+        # (antired SEQ (hole (x T) S) BEFORE AFTER STEPS STRATEGY PREMISE)
+        "AntiRed": Rule("antired", 1, (
+            Witness("hole_type", "hole_type", TYPES, binds="hole"),
+            Witness("hole_spec", "hole_spec", SPECS),
+            Witness("before", "prog_before", PROGRAMS),
+            Witness("after", "prog_after", PROGRAMS),
+            Witness("steps", "steps", STEPS),
+            Witness("strategy", "strategy", STRATEGY),
+        )),
+    },
+    lambda seq: (seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types),
+    lambda ctxs, hyps, goal: EffSequent(e.EffContexts(*ctxs), hyps, goal),
+    EffDerivation,
+)
+
+CALCULI = (HOL, EFF)

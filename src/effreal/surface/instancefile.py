@@ -29,10 +29,10 @@ from operator import add
 from .._astnode import map_children, shift
 from ..errors import SurfaceSyntaxError, TemplateMissing
 from ..effhol import syntax as e
-from ..effhol.reduction import Strategy
 from ..effhol.syntax import EXPR, PROG, TYPE
 from ..instances import PureInstance
-from .sexp import expect_atom, expect_list, head
+from .grammar import STRATEGY
+from .sexp import expect_args, expect_atom, expect_list, head
 
 # A recognizable spec leaf standing for the body parameter; indices far
 # beyond anything desk-scale files produce.
@@ -91,11 +91,12 @@ class _Plugger:
         return map_children(x, child)
 
 
-def _section(node, tag: str):
+def _section(node, tag: str, n: int = 2):
+    """The ``(tag ...)`` section of an instance, with its ``n`` arguments."""
     for item in node.items[2:]:
         s = expect_list(item, "instance section")
         if head(s) == tag:
-            return s
+            return expect_args(s, n)
     raise SurfaceSyntaxError(
         f"instance is missing the ({tag} ...) section", node.line, node.col
     )
@@ -118,7 +119,8 @@ def elab_instance(doc, node) -> PureInstance:
     from .elaborate import EffEnv, elab_program, elab_spec, elab_type
 
     name = expect_atom(node[1], "name").text
-    strat = Strategy(expect_atom(_section(node, "strategy")[1], "strategy").text)
+    strat_s = _section(node, "strategy", 1)
+    strat = STRATEGY.read(expect_atom(strat_s[1], "strategy").text, strat_s.line, strat_s.col)
 
     comp_s = _section(node, "comp")
     _params(comp_s, ("T",))

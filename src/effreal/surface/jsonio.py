@@ -2,8 +2,9 @@
 
 Terms are embedded as canonical surface-syntax strings, so the JSON tree
 mirrors the derivation structure ({rule, conclusion, witnesses, premises})
-while staying human-readable.  Loading validates the schema version,
-rejects unknown rule tags, and re-elaborates every embedded term.
+while staying human-readable.  The witnesses of each rule are those of
+its text form (``grammar``), keyed by name.  Loading validates the schema
+version, rejects unknown rule tags, and re-elaborates every embedded term.
 """
 
 from __future__ import annotations
@@ -11,61 +12,34 @@ from __future__ import annotations
 import json
 
 from ..errors import SurfaceSyntaxError
-from ..hol import checker as hc
-from ..effhol.reduction import Strategy
-from ..effhol.theory import EFF_RULES, EffDerivation
 from . import elaborate as el
 from . import printer as pr
+from .grammar import ANNOTATES, EFF, HOL, Literal, binder_name
 from .sexp import parse_all
 
 SCHEMA = "effreal/derivation/1"
 
 
-def hol_to_json(d: hc.HolDerivation) -> dict:
-    node = _hol_node(d)
-    return {"schema": SCHEMA, "calculus": "hol", "derivation": node}
+def _to_json(calc, d) -> dict:
+    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d)}
 
 
-def _hol_node(d: hc.HolDerivation) -> dict:
-    out = {
-        "rule": d.rule,
-        "conclusion": pr.print_hol_sequent(d.conclusion),
-        "witnesses": {},
-        "premises": [_hol_node(p) for p in d.premises],
-    }
-    if d.witness is not None:
-        out["witnesses"]["term"] = pr.print_hol_term(d.witness, len(d.conclusion.ctx))
-    return out
-
-
-def eff_to_json(d: EffDerivation) -> dict:
-    return {"schema": SCHEMA, "calculus": "effhol", "derivation": _eff_node(d)}
-
-
-def _eff_node(d: EffDerivation) -> dict:
-    kd = len(d.conclusion.ctxs.kinds)
-    pd = len(d.conclusion.ctxs.types)
-    ed = len(d.conclusion.ctxs.indices)
-    w = {}
-    if d.witness_prog is not None:
-        w["program"] = pr.print_program(d.witness_prog, kd, pd)
-    if d.witness_expr is not None:
-        w["expression"] = pr.print_expr(d.witness_expr, kd, pd, ed)
-    if d.witness_type is not None:
-        w["type"] = pr.print_type(d.witness_type, kd)
-    if d.rule == "AntiRed":
-        w["hole_type"] = pr.print_type(d.hole_type, kd)
-        w["hole_spec"] = pr.print_spec(d.hole_spec, kd, pd + 1, ed)
-        w["before"] = pr.print_program(d.prog_before, kd, pd)
-        w["after"] = pr.print_program(d.prog_after, kd, pd)
-        w["steps"] = d.steps
-        w["strategy"] = d.strategy.value
+def _node(calc, d) -> dict:
+    depth = calc.depth(calc.contexts(d.conclusion))
     return {
         "rule": d.rule,
-        "conclusion": pr.print_eff_sequent(d.conclusion),
-        "witnesses": w,
-        "premises": [_eff_node(p) for p in d.premises],
+        "conclusion": pr.print_sequent(calc, d.conclusion),
+        "witnesses": pr.witness_texts(calc, d, depth),
+        "premises": [_node(calc, p) for p in d.premises],
     }
+
+
+def hol_to_json(d) -> dict:
+    return _to_json(HOL, d)
+
+
+def eff_to_json(d) -> dict:
+    return _to_json(EFF, d)
 
 
 def _one(text: str):
@@ -75,76 +49,49 @@ def _one(text: str):
     return forms[0]
 
 
-def hol_from_json(data: dict, doc: el.SurfaceDoc | None = None) -> hc.HolDerivation:
+def _from_json(calc, data: dict, doc):
     if data.get("schema") != SCHEMA:
         raise SurfaceSyntaxError(f"unknown schema {data.get('schema')!r}", 1, 1)
-    if data.get("calculus") != "hol":
-        raise SurfaceSyntaxError("not a hol derivation", 1, 1)
-    return _hol_from(data["derivation"], doc or el.SurfaceDoc())
+    if data.get("calculus") != calc.name:
+        raise SurfaceSyntaxError(f"not a {calc.name} derivation", 1, 1)
+    return _from(calc, data["derivation"], doc or el.SurfaceDoc())
 
 
-def _hol_from(node: dict, doc) -> hc.HolDerivation:
-    if node["rule"] not in hc.HOL_RULES:
-        raise SurfaceSyntaxError(f"unknown rule tag {node['rule']!r}", 1, 1)
-    seq, env = el.elab_hol_sequent(doc, _one(node["conclusion"]))
-    witness = None
-    if node["rule"] == "UniE":
-        if "term" not in node.get("witnesses", {}):
-            raise SurfaceSyntaxError("UniE node is missing its term witness", 1, 1)
-        witness = el.elab_hol_term(doc, env, _one(node["witnesses"]["term"]))
-    return hc.HolDerivation(
-        node["rule"],
-        seq,
-        tuple(_hol_from(p, doc) for p in node.get("premises", [])),
-        witness=witness,
-    )
-
-
-def eff_from_json(data: dict, doc: el.SurfaceDoc | None = None) -> EffDerivation:
-    if data.get("schema") != SCHEMA:
-        raise SurfaceSyntaxError(f"unknown schema {data.get('schema')!r}", 1, 1)
-    if data.get("calculus") != "effhol":
-        raise SurfaceSyntaxError("not an effhol derivation", 1, 1)
-    return _eff_from(data["derivation"], doc or el.SurfaceDoc())
-
-
-def _eff_from(node: dict, doc) -> EffDerivation:
+def _from(calc, node: dict, doc):
     rule = node["rule"]
-    if rule not in EFF_RULES:
+    if rule not in calc.rules:
         raise SurfaceSyntaxError(f"unknown rule tag {rule!r}", 1, 1)
-    seq, env = el.elab_eff_sequent(doc, _one(node["conclusion"]))
-    w = node.get("witnesses", {})
-    kwargs = {}
-    if rule == "UniProgE":
-        if "program" not in w:
-            raise SurfaceSyntaxError("UniProgE node is missing its witness", 1, 1)
-        kwargs["witness_prog"] = el.elab_program(doc, env, _one(w["program"]))
-    if rule == "UniExpE":
-        if "expression" not in w:
-            raise SurfaceSyntaxError("UniExpE node is missing its witness", 1, 1)
-        kwargs["witness_expr"] = el.elab_expr(doc, env, _one(w["expression"]))
-    if rule == "UniTypeE":
-        if "type" not in w:
-            raise SurfaceSyntaxError("UniTypeE node is missing its witness", 1, 1)
-        kwargs["witness_type"] = el.elab_type(doc, env, _one(w["type"]))
-    if rule == "AntiRed":
-        for key in ("hole_type", "hole_spec", "before", "after", "steps", "strategy"):
-            if key not in w:
-                raise SurfaceSyntaxError(f"AntiRed node is missing {key!r}", 1, 1)
-        kwargs["hole_type"] = el.elab_type(doc, env, _one(w["hole_type"]))
-        env.progs.push(f"x{len(seq.ctxs.types)}")  # the printer's hole name
-        kwargs["hole_spec"] = el.elab_spec(doc, env, _one(w["hole_spec"]))
-        env.progs.pop()
-        kwargs["prog_before"] = el.elab_program(doc, env, _one(w["before"]))
-        kwargs["prog_after"] = el.elab_program(doc, env, _one(w["after"]))
-        kwargs["steps"] = int(w["steps"])
-        kwargs["strategy"] = Strategy(w["strategy"])
-    return EffDerivation(
-        rule,
-        seq,
-        tuple(_eff_from(p, doc) for p in node.get("premises", [])),
-        **kwargs,
-    )
+    seq, env = el.elab_sequent(doc, calc, _one(node["conclusion"]))
+    given = node.get("witnesses", {})
+    found = {}
+    witnesses = iter(calc.rules[rule].witnesses)
+    for w in witnesses:
+        if w.key not in given:
+            raise SurfaceSyntaxError(f"{rule} node is missing its {w.key!r} witness", 1, 1)
+        if isinstance(w.category, Literal):
+            found[w.field] = w.category.read(given[w.key])
+            continue
+        found[w.field] = el.elaborate(doc, w.category, env, _one(given[w.key]))
+        if w.binds:
+            # the body names the bound variable as the printer does
+            body = next(witnesses)
+            if body.key not in given:
+                raise SurfaceSyntaxError(f"{rule} node is missing its {body.key!r} witness", 1, 1)
+            ns = ANNOTATES[w.category]
+            names = env.slots[ns.slot]
+            names.push(binder_name(ns, len(names.names)))
+            found[body.field] = el.elaborate(doc, body.category, env, _one(given[body.key]))
+            names.pop()
+    premises = tuple(_from(calc, p, doc) for p in node.get("premises", []))
+    return calc.derivation(rule, seq, premises, **found)
+
+
+def hol_from_json(data: dict, doc: el.SurfaceDoc | None = None):
+    return _from_json(HOL, data, doc)
+
+
+def eff_from_json(data: dict, doc: el.SurfaceDoc | None = None):
+    return _from_json(EFF, data, doc)
 
 
 def dumps(data: dict) -> str:

@@ -1,269 +1,152 @@
 """Canonical printing: de Bruijn core back to the named surface syntax.
 
-Binder names are regenerated deterministically per namespace (u0, u1, ...
-for logic variables; X, x, y prefixes on the effectful side), innermost
-binders getting the highest number, so parse(print(x)) == x.
+One printer serves every category, reading each node's layout from
+``grammar``.  Binder names are regenerated per namespace from the binder
+depth (u0, u1, ... for logic variables; X, x, y prefixes on the effectful
+side, v for untyped terms), innermost binders getting the highest number,
+so parse(print(x)) == x.
 """
 
 from __future__ import annotations
 
-from ..hol import checker as hc
-from ..hol import syntax as h
-from ..effhol import syntax as e
-from ..effhol.theory import EffDerivation, EffSequent
-from .. import frame as ef
+from operator import add
+
+from .grammar import ANNOTATES, EFF, FORMS, HOL, Literal, binder_name
 
 
-def _name(prefix: str, depth: int, index: int) -> str:
-    return f"{prefix}{depth - 1 - index}"
+def _emit(x, depth: tuple[int, ...], out: list[str]) -> None:
+    """Append the parts of ``x``, found under ``depth`` binders per
+    namespace slot, to ``out``."""
+    form = FORMS.get(type(x))
+    if form is None:
+        raise TypeError(f"not a surface node: {x!r}")
+    ns = form.var
+    if ns is not None:
+        out.append(binder_name(ns, depth[ns.slot] - 1 - x.index))
+        return
+    if not form.items:
+        out.append(form.tag)
+        return
+    out.append("(" + form.tag)
+    for name, _, binds, under in form.items:
+        if binds is None:
+            out.append(" ")
+            _emit(getattr(x, name), tuple(map(add, depth, under)) if under else depth, out)
+            continue
+        out.append(f" ({binder_name(binds, depth[binds.slot])}")
+        if name is not None:
+            out.append(" ")
+            _emit(getattr(x, name), depth, out)
+        out.append(")")
+    out.append(")")
 
 
-def print_sort(s: h.Sort) -> str:
-    match s:
-        case h.Base():
-            return "*"
-        case h.Pred(inner):
-            return f"(P {print_sort(inner)})"
-    raise TypeError(f"unexpected sort {s!r}")
+def print_term(x, *depth: int) -> str:
+    """Print a node of any category; ``depth`` counts the enclosing binders
+    per namespace of its calculus, in slot order (type, program,
+    expression on the effectful side), missing counts being 0."""
+    out: list[str] = []
+    # padding is harmless: crossing a binder keeps only the family's slots
+    _emit(x, depth + (0, 0, 0), out)
+    return "".join(out)
 
 
-def print_hol_term(t: h.HolTerm, depth: int = 0) -> str:
-    match t:
-        case h.Var(k):
-            return _name("u", depth, k)
-        case h.Compr(s, body):
-            return f"(compr (u{depth} {print_sort(s)}) {print_hol_prop(body, depth + 1)})"
-        case h.ComprBase(body):
-            return f"(compr0 {print_hol_prop(body, depth)})"
-    raise TypeError(f"unexpected term {t!r}")
+print_hol_prop = print_type = print_program = print_spec = print_untyped = print_term
 
 
-def print_hol_prop(p: h.HolProp, depth: int = 0) -> str:
-    match p:
-        case h.MemBase(t):
-            return f"(member0 {print_hol_term(t, depth)})"
-        case h.Mem(el, st):
-            return f"(member {print_hol_term(el, depth)} {print_hol_term(st, depth)})"
-        case h.Imp(a, b):
-            return f"(imp {print_hol_prop(a, depth)} {print_hol_prop(b, depth)})"
-        case h.Forall(s, body):
-            return f"(forall (u{depth} {print_sort(s)}) {print_hol_prop(body, depth + 1)})"
-    raise TypeError(f"unexpected proposition {p!r}")
+def _under(depth: tuple[int, ...], ns) -> tuple[int, ...]:
+    return depth[: ns.slot] + (depth[ns.slot] + 1,) + depth[ns.slot + 1 :]
 
 
-def print_hol_sequent(seq: hc.Sequent) -> str:
-    ctx = " ".join(f"(u{i} {print_sort(s)})" for i, s in enumerate(seq.ctx))
-    d = len(seq.ctx)
-    hyps = " ".join(print_hol_prop(p, d) for p in seq.hyps)
-    return f"(sequent ({ctx}) (hyps {hyps}) {print_hol_prop(seq.goal, d)})".replace(
-        "(hyps )", "(hyps)"
-    )
+def _sequent(calc, seq, out: list[str]) -> tuple[int, ...]:
+    contexts = calc.contexts(seq)
+    depth = calc.depth(contexts)
+    out.append("(sequent")
+    for (tag, cat), entries in zip(calc.sections, contexts):
+        ns = ANNOTATES[cat]
+        out.append(f" ({tag}" if tag else " (")
+        for i, ann in enumerate(entries):
+            out.append(f"{' ' if tag or i else ''}({binder_name(ns, i)} ")
+            _emit(ann, depth, out)
+            out.append(")")
+        out.append(")")
+    out.append(" (hyps")
+    for p in seq.hyps:
+        out.append(" ")
+        _emit(p, depth, out)
+    out.append(") ")
+    _emit(seq.goal, depth, out)
+    out.append(")")
+    return depth
 
 
-_HOL_TAGS = {
-    "Id": "id",
-    "ImpI": "imp-i",
-    "ImpE": "imp-e",
-    "UniI": "uni-i",
-    "UniE": "uni-e",
-    "MemI": "mem-i",
-    "MemE": "mem-e",
-    "Mem0I": "mem0-i",
-    "Mem0E": "mem0-e",
-}
+def witness_texts(calc, d, depth: tuple[int, ...]) -> dict:
+    """The witnesses of ``d``, whose conclusion sits under ``depth``
+    binders, by JSON key: terms as surface text, step counts and
+    strategies as their JSON values."""
+    out = {}
+    witnesses = iter(calc.rules[d.rule].witnesses)
+    for w in witnesses:
+        v = getattr(d, w.field)
+        if v is None:
+            continue
+        if isinstance(w.category, Literal):
+            out[w.key] = w.category.dump(v)
+            continue
+        out[w.key] = print_term(v, *depth)
+        if w.binds:
+            body = next(witnesses)
+            inner = _under(depth, ANNOTATES[w.category])
+            out[body.key] = print_term(getattr(d, body.field), *inner)
+    return out
 
 
-def print_hol_derivation(d: hc.HolDerivation) -> str:
-    parts = [_HOL_TAGS[d.rule], print_hol_sequent(d.conclusion)]
-    if d.witness is not None:
-        parts.append(print_hol_term(d.witness, len(d.conclusion.ctx)))
-    parts.extend(print_hol_derivation(p) for p in d.premises)
-    return "(" + " ".join(parts) + ")"
-
-
-def print_kind(k: e.Kind) -> str:
-    match k:
-        case e.KBase():
-            return "*"
-        case e.KCon(inner):
-            return f"(con {print_kind(inner)})"
-    raise TypeError(f"unexpected kind {k!r}")
-
-
-def print_type(t: e.EffType, kd: int = 0) -> str:
-    match t:
-        case e.TVar(k):
-            return _name("X", kd, k)
-        case e.TApp(fn, arg):
-            return f"(app {print_type(fn, kd)} {print_type(arg, kd)})"
-        case e.TAbs(k, body):
-            return f"(tabs (X{kd} {print_kind(k)}) {print_type(body, kd + 1)})"
-        case e.Fun(dom, cod):
-            return f"(fun {print_type(dom, kd)} {print_type(cod, kd)})"
-        case e.TForall(k, body):
-            return f"(all (X{kd} {print_kind(k)}) {print_type(body, kd + 1)})"
-        case e.Comp(inner):
-            return f"(M {print_type(inner, kd)})"
-    raise TypeError(f"unexpected type {t!r}")
-
-
-def print_program(p: e.EffProgram, kd: int = 0, pd: int = 0) -> str:
-    match p:
-        case e.PVar(k):
-            return _name("x", pd, k)
-        case e.TyAbs(k, body):
-            return f"(tyabs (X{kd} {print_kind(k)}) {print_program(body, kd + 1, pd)})"
-        case e.Abs(ty, body):
-            return f"(lam (x{pd} {print_type(ty, kd)}) {print_program(body, kd, pd + 1)})"
-        case e.TyApp(fn, arg):
-            return f"(tyapp {print_program(fn, kd, pd)} {print_type(arg, kd)})"
-        case e.App(fn, arg):
-            return f"(app {print_program(fn, kd, pd)} {print_program(arg, kd, pd)})"
-        case e.Ret(inner):
-            return f"(ret {print_program(inner, kd, pd)})"
-        case e.Bind(ty, first, rest):
-            return (
-                f"(bind (x{pd} {print_type(ty, kd)}) {print_program(first, kd, pd)} "
-                f"{print_program(rest, kd, pd + 1)})"
+def _derivation(calc, d, out: list[str]) -> None:
+    rule = calc.rules[d.rule]
+    out.append(f"({rule.tag} ")
+    depth = _sequent(calc, d.conclusion, out)
+    texts = witness_texts(calc, d, depth)
+    witnesses = iter(rule.witnesses)
+    for w in witnesses:
+        if w.key not in texts:
+            continue
+        if w.binds:
+            ns = ANNOTATES[w.category]
+            body = next(witnesses)
+            out.append(
+                f" ({w.binds} ({binder_name(ns, depth[ns.slot])} {texts[w.key]}) {texts[body.key]})"
             )
-    raise TypeError(f"unexpected program {p!r}")
+        else:
+            out.append(f" {texts[w.key]}")
+    for p in d.premises:
+        out.append(" ")
+        _derivation(calc, p, out)
+    out.append(")")
 
 
-def print_index(s: e.EffIndex, kd: int = 0) -> str:
-    match s:
-        case e.RefBase(carrier):
-            return f"(ref0 {print_type(carrier, kd)})"
-        case e.Ref(carrier, arg):
-            return f"(ref {print_type(carrier, kd)} {print_index(arg, kd)})"
-        case e.IForall(k, body):
-            return f"(iall (X{kd} {print_kind(k)}) {print_index(body, kd + 1)})"
-    raise TypeError(f"unexpected index {s!r}")
+def print_sequent(calc, seq) -> str:
+    out: list[str] = []
+    _sequent(calc, seq, out)
+    return "".join(out)
 
 
-def print_expr(x: e.EffExpr, kd: int = 0, pd: int = 0, ed: int = 0) -> str:
-    match x:
-        case e.EVar(k):
-            return _name("y", ed, k)
-        case e.Compr(ty, idx, body):
-            return (
-                f"(compr (x{pd} {print_type(ty, kd)}) (y{ed} {print_index(idx, kd)}) "
-                f"{print_spec(body, kd, pd + 1, ed + 1)})"
-            )
-        case e.ComprBase(ty, body):
-            return f"(compr0 (x{pd} {print_type(ty, kd)}) {print_spec(body, kd, pd + 1, ed)})"
-        case e.EForall(k, body):
-            return f"(eall (X{kd} {print_kind(k)}) {print_expr(body, kd + 1, pd, ed)})"
-        case e.EApp(fn, arg):
-            return f"(eapp {print_expr(fn, kd, pd, ed)} {print_type(arg, kd)})"
-    raise TypeError(f"unexpected expression {x!r}")
+def print_derivation(calc, d) -> str:
+    out: list[str] = []
+    _derivation(calc, d, out)
+    return "".join(out)
 
 
-def print_spec(f: e.EffSpec, kd: int = 0, pd: int = 0, ed: int = 0) -> str:
-    match f:
-        case e.SMem(p, fn, arg):
-            return (
-                f"(member {print_program(p, kd, pd)} {print_expr(fn, kd, pd, ed)} "
-                f"{print_expr(arg, kd, pd, ed)})"
-            )
-        case e.SMemBase(p, fn):
-            return f"(member0 {print_program(p, kd, pd)} {print_expr(fn, kd, pd, ed)})"
-        case e.SImp(a, b):
-            return f"(imp {print_spec(a, kd, pd, ed)} {print_spec(b, kd, pd, ed)})"
-        case e.After(p, ty, body):
-            return (
-                f"(after {print_program(p, kd, pd)} (x{pd} {print_type(ty, kd)}) "
-                f"{print_spec(body, kd, pd + 1, ed)})"
-            )
-        case e.SForallType(k, body):
-            return f"(allk (X{kd} {print_kind(k)}) {print_spec(body, kd + 1, pd, ed)})"
-        case e.SForallProg(ty, body):
-            return f"(allp (x{pd} {print_type(ty, kd)}) {print_spec(body, kd, pd + 1, ed)})"
-        case e.SForallExpr(idx, body):
-            return f"(alle (y{ed} {print_index(idx, kd)}) {print_spec(body, kd, pd, ed + 1)})"
-    raise TypeError(f"unexpected specification {f!r}")
+def print_hol_sequent(seq) -> str:
+    return print_sequent(HOL, seq)
 
 
-def print_eff_sequent(seq: EffSequent) -> str:
-    k = " ".join(f"(X{i} {print_kind(x)})" for i, x in enumerate(seq.ctxs.kinds))
-    kd = len(seq.ctxs.kinds)
-    idx = " ".join(
-        f"(y{i} {print_index(x, kd)})" for i, x in enumerate(seq.ctxs.indices)
-    )
-    ed = len(seq.ctxs.indices)
-    tys = " ".join(f"(x{i} {print_type(x, kd)})" for i, x in enumerate(seq.ctxs.types))
-    pd = len(seq.ctxs.types)
-    hyps = " ".join(print_spec(p, kd, pd, ed) for p in seq.hyps)
-    return (
-        f"(sequent (kinds {k}) (indices {idx}) (types {tys}) "
-        f"(hyps {hyps}) {print_spec(seq.goal, kd, pd, ed)}"
-        ")"
-    ).replace("(kinds )", "(kinds)").replace("(indices )", "(indices)").replace(
-        "(types )", "(types)"
-    ).replace("(hyps )", "(hyps)")
+def print_eff_sequent(seq) -> str:
+    return print_sequent(EFF, seq)
 
 
-_EFF_TAGS = {
-    "Id": "id",
-    "Conv": "conv",
-    "ImpI": "imp-i",
-    "ImpE": "imp-e",
-    "UniProgI": "uniprog-i",
-    "UniProgE": "uniprog-e",
-    "UniExpI": "uniexp-i",
-    "UniExpE": "uniexp-e",
-    "UniTypeI": "unitype-i",
-    "UniTypeE": "unitype-e",
-    "ModI": "mod-i",
-    "ModE": "mod-e",
-    "Mon": "mon",
-    "MemI": "mem-i",
-    "MemE": "mem-e",
-    "Mem0I": "mem0-i",
-    "Mem0E": "mem0-e",
-}
+def print_hol_derivation(d) -> str:
+    return print_derivation(HOL, d)
 
 
-def print_eff_derivation(d: EffDerivation) -> str:
-    kd = len(d.conclusion.ctxs.kinds)
-    pd = len(d.conclusion.ctxs.types)
-    ed = len(d.conclusion.ctxs.indices)
-    if d.rule == "AntiRed":
-        return (
-            f"(antired {print_eff_sequent(d.conclusion)} "
-            f"(hole (x{pd} {print_type(d.hole_type, kd)}) "
-            f"{print_spec(d.hole_spec, kd, pd + 1, ed)}) "
-            f"{print_program(d.prog_before, kd, pd)} "
-            f"{print_program(d.prog_after, kd, pd)} "
-            f"{d.steps} {d.strategy.value} "
-            f"{print_eff_derivation(d.premises[0])})"
-        )
-    parts = [_EFF_TAGS[d.rule], print_eff_sequent(d.conclusion)]
-    if d.witness_prog is not None:
-        parts.append(print_program(d.witness_prog, kd, pd))
-    if d.witness_expr is not None:
-        parts.append(print_expr(d.witness_expr, kd, pd, ed))
-    if d.witness_type is not None:
-        parts.append(print_type(d.witness_type, kd))
-    parts.extend(print_eff_derivation(p) for p in d.premises)
-    return "(" + " ".join(parts) + ")"
-
-
-def print_untyped(t: ef.UntypedTerm, depth: int = 0) -> str:
-    match t:
-        case ef.UVar(k):
-            return _name("v", depth, k)
-        case ef.ULam(body):
-            return f"(lam (v{depth}) {print_untyped(body, depth + 1)})"
-        case ef.UApp(fn, arg):
-            return f"(app {print_untyped(fn, depth)} {print_untyped(arg, depth)})"
-        case ef.URet(inner):
-            return f"(ret {print_untyped(inner, depth)})"
-        case ef.UBind(first, rest):
-            return f"(bind (v{depth}) {print_untyped(first, depth)} {print_untyped(rest, depth + 1)})"
-        case ef.UPair(a, b):
-            return f"(pair {print_untyped(a, depth)} {print_untyped(b, depth)})"
-        case ef.UProj1(x):
-            return f"(fst {print_untyped(x, depth)})"
-        case ef.UProj2(x):
-            return f"(snd {print_untyped(x, depth)})"
-    raise TypeError(f"unexpected untyped term {t!r}")
+def print_eff_derivation(d) -> str:
+    return print_derivation(EFF, d)

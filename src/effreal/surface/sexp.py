@@ -111,7 +111,17 @@ def expect_atom(node, what: str) -> Atom:
     return node
 
 
+def expect_args(node: SList, n: int) -> SList:
+    """``node``, if it has exactly ``n`` arguments after its head."""
+    if len(node.items) != n + 1:
+        raise SurfaceSyntaxError(
+            f"{head(node)} takes {n} argument(s), got {len(node.items) - 1}", node.line, node.col
+        )
+    return node
+
+
 def head(node: SList) -> str:
-    if len(node) == 0 or not isinstance(node[0], Atom):
+    items = node.items
+    if not items or not isinstance(items[0], Atom):
         raise SurfaceSyntaxError("expected a keyword form", node.line, node.col)
-    return node[0].text
+    return items[0].text

@@ -42,11 +42,9 @@ from effreal.frame import (
     URet,
     UVar,
     ef_law_suite,
-    erase,
     lift_member,
     make_prop,
     untyped_step,
-    ushift,
 )
 from effreal.generators import (
     random_closed_program,

@@ -1,10 +1,8 @@
 """The command-line surface: exit codes, JSON output, environment fuel."""
 
 import json
-import os
 from pathlib import Path
 
-import pytest
 
 from effreal.surface.cli import main
 

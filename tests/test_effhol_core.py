@@ -20,15 +20,11 @@ from effreal.effhol import (
     EVar,
     Fun,
     IForall,
-    KCon,
     KSTAR,
     PVar,
-    Ref,
     RefBase,
     Ret,
-    SForallExpr,
     SForallProg,
-    SForallType,
     SImp,
     SMem,
     SMemBase,
@@ -39,13 +35,11 @@ from effreal.effhol import (
     TOP_SPEC,
     TVar,
     TyAbs,
-    TyApp,
     EXPR,
     PROG,
     TYPE,
     convertible,
     index_of,
-    index_wf,
     kind_of,
     multi_step,
     normalize,
@@ -58,7 +52,6 @@ from effreal.effhol import (
 from effreal.effhol.conversion import normalize_type
 from effreal.errors import (
     FuelExhausted,
-    KindMismatch,
     SpecIllFormed,
     TypeMismatch,
     UnboundTypeVariable,
@@ -67,7 +60,6 @@ from effreal.frame import UNTYPED, ULam, UApp, UVar, erase
 from effreal.generators import (
     random_closed_program,
     random_hol_prop,
-    random_kind,
     random_sort,
     random_type,
     random_typed_program,

@@ -16,10 +16,8 @@ from effreal.effhol import (
     PVar,
     RefBase,
     Ret,
-    SForallExpr,
     SForallProg,
     SForallType,
-    SImp,
     SMemBase,
     TVar,
     TOP_SPEC,
@@ -29,9 +27,9 @@ from effreal.effhol import (
     forget_spec,
 )
 from effreal.generators import random_hol_prop, random_sort
-from effreal.hol import FALSUM, Forall, MemBase, Pred, STAR, Var, check as hol_check, prop_wf
+from effreal.hol import FALSUM, Pred, STAR, check as hol_check, prop_wf
 from effreal.translation import extract_realizer, translate_prop
-from tests.test_translation import _id, k_combinator_derivation
+from tests.test_translation import k_combinator_derivation
 
 
 def test_forget_index_rows():
@@ -73,7 +71,6 @@ def test_translated_props_forget_to_wf(seed, size):
 
 def test_forget_extraction_derivations_recheck():
     """Soundness derivations map to accepted logic derivations."""
-    from effreal.hol import Imp
 
     res = extract_realizer(k_combinator_derivation(), derive=True)
     eff_check(res.derivation)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from effreal.effhol import (
     Abs,
-    App,
     Bind,
     BOT_TYPE,
     KSTAR,
@@ -40,13 +39,11 @@ from effreal.frame import (
     ef_law_suite,
     erase,
     evidence_check,
-    is_uvalue,
     lift_member,
     make_prop,
     pair_evidence,
     ushift,
     univ_impl,
-    untyped_normalize,
     untyped_step,
 )
 from effreal.generators import random_closed_program

@@ -13,19 +13,14 @@ from effreal.effhol import (
     After,
     App,
     Bind,
-    BOT_SPEC,
     BOT_TYPE,
     Comp,
     ComprBase,
-    EffContexts,
-    EffDerivation,
-    EffSequent,
     Fun,
     KSTAR,
     PVar,
     Ret,
     SMemBase,
-    TForall,
     SForallProg,
     SForallType,
     TVar,
@@ -35,7 +30,7 @@ from effreal.effhol import (
     check,
     type_of,
 )
-from effreal.effhol.conversion import convertible, normalize_type
+from effreal.effhol.conversion import normalize_type
 from effreal.effhol.reduction import Strategy, multi_step
 from effreal.effhol import PROG, shift, subst
 from effreal.errors import TemplateMissing
@@ -43,7 +38,6 @@ from effreal.generators import random_closed_program
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
     LAW_CASES,
-    POLE,
     assert_pure,
     biorth,
     build_callcc,

@@ -1,7 +1,9 @@
 """Cross-cutting invariants: judgement substitution, triple emission,
 instantiated reduction axioms."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,7 +110,6 @@ def test_continuation_preserves_bind_ret_applied():
     tid = Fun(BOT_TYPE, BOT_TYPE)
     p = Bind(tid, Ret(ident), Ret(PVar(0)))
     q = step(p, Strategy.BASE)
-    from effreal.effhol import neg
 
     k = PVar(0)
     lhs = App(shift(instantiate_prog(p, cont), PROG), k)
@@ -166,3 +167,24 @@ def test_astnode_rejects_undeclared_fields():
         class TwoIndices(EffType):
             index: int
             other: int
+
+
+def test_no_unused_imports():
+    """Every imported name is used in its module (``__future__`` imports
+    and the re-exports of ``__init__.py`` files aside)."""
+    root = Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted(p for d in ("src", "tests", "demos") for p in (root / d).rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert unused == []

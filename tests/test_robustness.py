@@ -1,6 +1,9 @@
 """Robustness: weakening stability and checker behavior under mutation."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -94,3 +97,50 @@ def test_checker_rejects_goal_mutations_cleanly():
             assert exc.path is not None
     # replacing a goal with an unrelated tautology must never go unnoticed
     assert mutated_accepts == 0
+
+
+def _cli(*argv):
+    """Run the command line in a fresh process: (exit code, stderr)."""
+    path = os.pathsep.join(filter(None, (str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH"))))
+    r = subprocess.run(
+        [sys.executable, "-m", "effreal.surface.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return r.returncode, r.stderr
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check-hol", "(prop p (imp bot))"),
+        ("check-hol", "(prop q (member0))"),
+        ("check-hol", "(prop p)"),
+        ("check-hol", "(prop p (imp bot bot bot))"),
+        ("check-hol", "(hol-derivation d (id (sequent () (hyps) bot) bot))"),
+        ("check-effhol", "(type t (M))"),
+        ("check-effhol", "(program p (lam (x) x))"),
+        ("check-effhol", "(eff-derivation d (id (sequent (kinds) (types) (hyps) top-spec)))"),
+        ("check-effhol", "(instance i (strategy base) (comp))"),
+        ("check-effhol", "(instance i (strategy fast) (comp (T) T))"),
+    ],
+)
+def test_surface_arity_is_a_located_error(tmp_path, command, text):
+    """A form with fewer or more arguments than its layout is a syntax
+    error with a position, never a traceback or a silent acceptance."""
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code, err = _cli(command, str(f))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("1:")
+
+
+@pytest.mark.parametrize("argv", [("check-hol",), ("translate", "--prop", "p")])
+def test_deep_nesting_keeps_the_exit_code_contract(tmp_path, argv):
+    f = tmp_path / "deep.hol"
+    f.write_text("(prop p " + "(imp bot " * 3000 + "bot" + ")" * 3000 + ")")
+    code, err = _cli(argv[0], str(f), *argv[1:])
+    assert (code, err) == (1, "input is nested too deeply\n")

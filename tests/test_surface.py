@@ -262,7 +262,6 @@ def test_corpus_documents_roundtrip():
     from pathlib import Path
 
     corpus = Path(__file__).resolve().parent.parent / "corpus"
-    from effreal.surface.elaborate import elab_index, elab_expr
 
     for fname in ("hol_basic.hol", "effhol_basic.eff", "programs.eff"):
         doc = parse_document((corpus / fname).read_text())
@@ -310,13 +309,13 @@ def test_instance_file_matches_continuation():
     doc = parse_document(text)
     inst = doc.instances["cont-file"]
     from effreal.instances import continuation_instance, instantiate, instantiate_prog
-    from effreal.effhol import Abs, BOT_TYPE, PVar, Ret, Comp, After, SMemBase, ComprBase, TOP_SPEC
+    from effreal.effhol import Abs, BOT_TYPE, PVar, Ret, After, SMemBase, ComprBase, TOP_SPEC
 
     cont = continuation_instance()
     ident = Abs(BOT_TYPE, PVar(0))
     assert instantiate_prog(Ret(ident), inst) == instantiate_prog(Ret(ident), cont)
     assert inst.comp_type(BOT_TYPE) == cont.comp_type(BOT_TYPE)
-    from effreal.effhol import Fun, type_of
+    from effreal.effhol import Fun
 
     tid = Fun(BOT_TYPE, BOT_TYPE)
     spec = After(Ret(ident), tid, SMemBase(PVar(0), ComprBase(tid, TOP_SPEC)))
@@ -325,3 +324,16 @@ def test_instance_file_matches_continuation():
 
     b = Bind(tid, Ret(ident), Ret(PVar(0)))
     assert instantiate_prog(b, inst) == instantiate_prog(b, cont)
+
+
+def test_grammar_covers_every_node_class_and_rule():
+    """The grammar table names every node class of each category and
+    every rule the kernels check."""
+    from effreal.effhol import EFF_RULES
+    from effreal.hol import HOL_RULES
+    from effreal.surface.grammar import CATEGORIES, EFF, FORMS, HOL
+
+    for cat in CATEGORIES:
+        assert set(cat.base.__subclasses__()) <= set(FORMS), cat.noun
+    assert set(HOL.rules) == HOL_RULES
+    assert set(EFF.rules) == EFF_RULES

@@ -18,9 +18,7 @@ from effreal.effhol import (
     Fun,
     KSTAR,
     PVar,
-    RefBase,
     Ret,
-    SForallProg,
     SImp,
     SMemBase,
     Strategy,

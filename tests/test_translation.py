@@ -13,7 +13,6 @@ from effreal.effhol import (
     Bind,
     Comp,
     Compr,
-    ComprBase,
     EApp,
     EForall,
     EVar,
@@ -42,8 +41,8 @@ from effreal.effhol import (
     spec_wf,
     type_of,
 )
-from effreal.effhol.conversion import convertible, normalize_type
-from effreal.errors import LemmaViolation, TemplateMissing
+from effreal.effhol.conversion import normalize_type
+from effreal.errors import TemplateMissing
 from effreal.generators import random_hol_prop, random_hol_term, random_sort
 from effreal.hol import (
     Compr as HCompr,
@@ -58,7 +57,6 @@ from effreal.hol import (
     STAR,
     Sequent,
     Var,
-    check as hol_check,
     prop_wf,
     sort_of,
 )
