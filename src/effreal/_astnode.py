@@ -1,10 +1,17 @@
 """AST node classes, their binding structure, and the binder-aware
 operations derived from it.
 
-Nodes are frozen dataclasses whose hash is computed once and cached on the
-instance: the trees are immutable and deep, and the checkers hash the same
-subtrees constantly (memoized normalization, hypothesis sets), so the
-recursive re-hashing would otherwise dominate checking time.
+Nodes are hash-consed.  Every node of a ``Term`` or ``NonTerm`` category
+is built through one intern table keyed by its class and field values, so
+building a node that is already alive returns that node: two equal trees
+are one object.  Equality and hashing are therefore object identity, O(1)
+however deep the trees, and a result kept on a node (its loose-variable
+bound, its normal form) serves every occurrence of it.  This holds for
+every way a node is made: positional and keyword calls, ``map_children``,
+``dataclasses.replace``, copying and unpickling.  The table holds its nodes
+weakly, so memory is bounded by the live nodes; its keys hold a node's
+children, so a node leaves the table only after its parents.  See
+Filliâtre and Conchon, "Type-Safe Modular Hash-Consing" (2006).
 
 Binding structure is declared once, on the node classes of all three
 calculi.  Every syntax category derives from ``Term`` (it can contain
@@ -19,29 +26,59 @@ category; anything else is rejected when the class is defined.
 
 From that declaration this module derives ``shift``, ``subst`` and the
 child rebuild ``map_children`` for every calculus.  Each term node also
-records, at construction, its loose-variable bound per namespace (one more
-than the largest free index, 0 when closed), so that shifting and
-substitution return subtrees without the affected variables unchanged.
+records, when it is first built, its loose-variable bound per namespace
+(one more than the largest free index, 0 when closed), so that shifting
+and substitution return subtrees without the affected variables unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Every live node, keyed by (class, *field values).
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-class Term:
+
+class _Interned(type):
+    """Metaclass of the node categories: calling a node class returns the
+    one live node with that class and those fields, building it only if
+    there is none."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._names):
+            # the dataclass __init__ checks the arguments and fills defaults
+            blank = object.__new__(cls)
+            cls.__init__(blank, *args, **kwargs)
+            args = tuple(blank.__dict__[n] for n in cls._names)
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls._names, args))
+            if cls._binding is not None:
+                _set_bound(node)
+            _TABLE[key] = node
+        return node
+
+
+class Term(metaclass=_Interned):
     """Base of the syntax categories whose nodes can contain variables."""
 
     __slots__ = ()
+    # The node's normal form under conversion once computed (see
+    # ``effhol.conversion``); never the node itself, so no node refers to itself.
+    _nf = None
 
 
-class NonTerm:
+class NonTerm(metaclass=_Interned):
     """Base of the syntax categories without variables (kinds, sorts)."""
 
     __slots__ = ()
+    _binding = None
 
 
 class Namespace:
@@ -94,27 +131,21 @@ class _Binding:
 def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None):
     if cls is None:
         return lambda c: astnode(c, var=var, binds=binds)
-    is_term = issubclass(cls, Term)
-    if is_term:
-        cls.__post_init__ = _set_bound
-    elif var is not None or binds:
+    if not issubclass(cls, (Term, NonTerm)):
+        raise TypeError(f"{cls.__name__}: a node class derives from Term or NonTerm")
+    if not issubclass(cls, Term) and (var is not None or binds):
         raise TypeError(f"{cls.__name__}: only Term classes declare binders")
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    tag = cls.__qualname__
-
-    def __hash__(self, _names=names, _tag=tag):
-        try:
-            return object.__getattribute__(self, "_cached_hash")
-        except AttributeError:
-            h = hash((_tag,) + tuple(getattr(self, n) for n in _names))
-            object.__setattr__(self, "_cached_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    if is_term:
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._names = tuple(f.name for f in dataclasses.fields(cls))
+    cls.__reduce__ = _reduce
+    if issubclass(cls, Term):
         cls._binding = _layout(cls, var, binds or {})
     return cls
+
+
+def _reduce(node):
+    # copies and unpickled nodes are rebuilt through the table
+    return type(node), tuple(getattr(node, n) for n in node._names)
 
 
 def _layout(cls, var, binds) -> _Binding:
@@ -150,21 +181,21 @@ def _layout(cls, var, binds) -> _Binding:
     return binding
 
 
-def _set_bound(self) -> None:
-    binding = self._binding
+def _set_bound(node) -> None:
+    binding = node._binding
     if binding.var is not None:
-        bound = _var_bound(binding.var, self.index)
+        bound = _var_bound(binding.var, node.index)
     else:
         bound = None
         for name, under in binding.terms:
-            b = getattr(self, name)._loose
+            b = getattr(node, name)._loose
             if under:
                 b = _intern(tuple(x - u if x > u else 0 for x, u in zip(b, under)))
             if bound is None:
                 bound = b
             elif b is not bound:
                 bound = _intern(tuple(map(max, bound, b)))
-    object.__setattr__(self, "_loose", bound)
+    node.__dict__["_loose"] = bound
 
 
 @lru_cache(maxsize=None)

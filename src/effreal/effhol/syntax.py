@@ -11,10 +11,13 @@ substitution and conversion are derived from those declarations
 (``shift``/``subst`` in ``effreal._astnode``, ``normalize`` in
 ``conversion``); kinds hold no variables and are never traversed.
 
-Everything is immutable; structural equality is alpha-equality.
+Everything is immutable and hash-consed: equal terms are one object, so
+alpha-equality is identity.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .._astnode import NonTerm, Term, astnode, namespaces
 
@@ -246,7 +249,7 @@ class SForallExpr(EffSpec):
     body: EffSpec
 
 
-@astnode
+@dataclass(frozen=True)
 class EffContexts:
     """Kind, index and type contexts; innermost entry last.
 

@@ -5,16 +5,11 @@ witnesses, so checking is search-free.  The checker compares formulas up
 to conversion (normal forms), which soundly absorbs the conversion rule;
 an explicit Conv node is still accepted.  Well-formedness of the whole
 sequent is enforced once at the root.
-
-``weaken_*`` implement context weakening on checked derivations: they
-insert a fresh entry at a root position (or add hypotheses) and rebuild
-every node.  They are used to replay the soundness and instance-law
-derivations, and their output is always re-checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import IllTyped, ReductionMismatch, RuleMismatch
 from .._astnode import shift, subst
@@ -33,7 +28,6 @@ from .syntax import (
     EffProgram,
     EffSpec,
     EffType,
-    Kind,
     Ret,
     SForallExpr,
     SForallProg,
@@ -414,98 +408,3 @@ def make_triple(
     if tp != normalize(Comp(binder_type)):
         raise IllTyped(f"triple program has type {tp!r}, expected M {binder_type!r}")
     return EffSequent(ctxs, hyps, After(prog, binder_type, body))
-
-
-# Context weakening on derivations.  Positions are list positions in the
-# ROOT conclusion's contexts (0 = outermost); every rebuilt derivation must
-# be re-checked by the caller.
-
-
-def _map_node(d: EffDerivation, fn) -> EffDerivation:
-    def term(x, hole=False):
-        return None if x is None else fn.term(d.conclusion, x, hole)
-
-    return replace(
-        d,
-        conclusion=fn(d.conclusion),
-        premises=tuple(_map_node(p, fn) for p in d.premises),
-        witness_prog=term(d.witness_prog),
-        witness_expr=term(d.witness_expr),
-        witness_type=term(d.witness_type),
-        hole_spec=term(d.hole_spec, hole=True),
-        hole_type=term(d.hole_type),
-        prog_before=term(d.prog_before),
-        prog_after=term(d.prog_after),
-    )
-
-
-class _Weaken:
-    """One insertion into the context of one namespace, applied node by node.
-
-    ``ns`` is the namespace whose context grows (``TYPE``: kinds, ``PROG``:
-    types, ``EXPR``: indices); ``pos`` is the root-context list position
-    at which ``entry`` (expressed in the root context) is inserted.
-    """
-
-    _CTX = {TYPE: "kinds", PROG: "types", EXPR: "indices"}
-
-    def __init__(self, ns, pos: int, entry, root: EffSequent):
-        self.ns = ns
-        self.pos = pos
-        self.entry = entry
-        self.root = root
-
-    def term(self, seq: EffSequent, x, hole: bool = False):
-        # The hole variable of an anti-reduction occupies program index 0.
-        cutoff = len(getattr(seq.ctxs, self._CTX[self.ns])) - self.pos
-        return shift(x, self.ns, 1, cutoff + (hole and self.ns is PROG))
-
-    def __call__(self, seq: EffSequent) -> EffSequent:
-        c = seq.ctxs
-        ctx = {
-            "kinds": list(c.kinds),
-            "indices": [self.term(seq, s) for s in c.indices],
-            "types": [self.term(seq, t) for t in c.types],
-        }
-        entry = self.entry
-        if self.ns is not TYPE:
-            entry = shift(entry, TYPE, len(c.kinds) - len(self.root.ctxs.kinds))
-        ctx[self._CTX[self.ns]].insert(self.pos, entry)
-        return EffSequent(
-            EffContexts(tuple(ctx["kinds"]), tuple(ctx["indices"]), tuple(ctx["types"])),
-            tuple(self.term(seq, h) for h in seq.hyps),
-            self.term(seq, seq.goal),
-        )
-
-
-def weaken_kind(d: EffDerivation, pos: int, kind: Kind) -> EffDerivation:
-    return _map_node(d, _Weaken(TYPE, pos, kind, d.conclusion))
-
-
-def weaken_type(d: EffDerivation, pos: int, ty: EffType) -> EffDerivation:
-    return _map_node(d, _Weaken(PROG, pos, ty, d.conclusion))
-
-
-class _AddHyps:
-    """Add hypotheses (expressed in the root context) at every node."""
-
-    def __init__(self, hyps: tuple[EffSpec, ...], root: EffSequent):
-        self.hyps = hyps
-        self.root = root
-
-    def _shift(self, seq: EffSequent, h: EffSpec) -> EffSpec:
-        c, r = seq.ctxs, self.root.ctxs
-        h = shift(h, TYPE, len(c.kinds) - len(r.kinds))
-        h = shift(h, PROG, len(c.types) - len(r.types))
-        return shift(h, EXPR, len(c.indices) - len(r.indices))
-
-    def term(self, seq, x, hole=False):
-        return x
-
-    def __call__(self, seq: EffSequent) -> EffSequent:
-        extra = tuple(self._shift(seq, h) for h in self.hyps)
-        return EffSequent(seq.ctxs, seq.hyps + extra, seq.goal)
-
-
-def add_hypotheses(d: EffDerivation, hyps: tuple[EffSpec, ...]) -> EffDerivation:
-    return _map_node(d, _AddHyps(hyps, d.conclusion))

@@ -1,8 +1,8 @@
 """Kinding, typing, indexing and well-formedness judgments.
 
 All four judgments are syntax-directed; the conversion rule is absorbed by
-returning normal forms, so callers compare results with structural
-equality.  Context entries are kept expressed in the current kind context:
+returning normal forms, compared with ``==`` (identity: nodes are
+hash-consed).  Context entries are kept in the current kind context:
 descending under a kind binder shifts every stored type and index.
 """
 

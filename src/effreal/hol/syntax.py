@@ -4,7 +4,7 @@ Terms and propositions use de Bruijn indices over a single namespace,
 ``TERM``, of sorted term variables; index 0 is the innermost binder.  The
 binders are declared on the node classes, and shifting and substitution
 are the generic ``shift``/``subst`` derived from those declarations.  All
-nodes are immutable, so structural equality is exactly alpha-equality.
+nodes are immutable and hash-consed, so alpha-equality is identity.
 """
 
 from __future__ import annotations

@@ -29,15 +29,10 @@ from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
 from .effhol.reduction import Strategy, count_steps, root_step
-from .effhol.theory import (
-    EffDerivation,
-    EffSequent,
-    add_hypotheses,
-    check,
-    weaken_type,
-)
+from .effhol.theory import EffDerivation, EffSequent, check
 from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
+from .effhol.weakening import add_hypotheses, weaken_type
 
 
 # Fuel for replaying instantiated anti-reductions under the instance strategy.
@@ -51,8 +46,9 @@ class PureInstance:
     Program-building callables receive already-instantiated pieces; element
     types are the instantiated types of the inner values.  ``templates``
     maps each modality rule the instance can replay to its derivation
-    template, called as ``template(inst, node, seq, *premises)`` with the
-    instantiated conclusion and premises.
+    template, called as ``template(inst, parts, seq, *premises)`` with the
+    instantiated parts of the node's goal (see ``_parts``), conclusion and
+    premises.
     """
 
     name: str
@@ -77,36 +73,53 @@ def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
     they are walked without contexts.  A subtree with nothing to interpret
     comes back as the same object.
     """
+    return _instantiate(x, inst, kctx, tctx, {})
+
+
+def _instantiate(x, inst, kctx, tctx, memo):
+    """``instantiate``, looking ``(x, kctx, tctx)`` up in ``memo`` first.
+    Each memo is made for one call of ``instantiate`` or
+    ``instantiate_derivation``, so it serves one instance only."""
+    key = (x, kctx, tctx)
+    y = memo.get(key)
+    if y is None:
+        y = memo[key] = _interpret(x, inst, kctx, tctx, memo)
+    return y
+
+
+def _interpret(x, inst, kctx, tctx, memo):
     match x:
         case e.Comp(inner):
-            return inst.comp_type(instantiate(inner, inst))
+            return inst.comp_type(_instantiate(inner, inst, (), (), memo))
         case e.Ret(inner):
             ty = type_of(kctx, tctx, inner)
-            return inst.ret_prog(instantiate(ty, inst), instantiate(inner, inst, kctx, tctx))
+            return inst.ret_prog(
+                _instantiate(ty, inst, (), (), memo), _instantiate(inner, inst, kctx, tctx, memo)
+            )
         case e.Bind(ty, first, rest):
             t2 = type_of(kctx, tctx + (ty,), rest)
             assert isinstance(t2, e.Comp)
             return inst.bind_prog(
-                instantiate(ty, inst),
-                instantiate(t2.inner, inst),
-                instantiate(first, inst, kctx, tctx),
-                instantiate(rest, inst, kctx, tctx + (ty,)),
+                _instantiate(ty, inst, (), (), memo),
+                _instantiate(t2.inner, inst, (), (), memo),
+                _instantiate(first, inst, kctx, tctx, memo),
+                _instantiate(rest, inst, kctx, tctx + (ty,), memo),
             )
         case e.After(p, ty, body):
             return inst.after_spec(
-                instantiate(ty, inst),
-                instantiate(p, inst, kctx, tctx),
-                instantiate(body, inst, kctx, tctx + (ty,)),
+                _instantiate(ty, inst, (), (), memo),
+                _instantiate(p, inst, kctx, tctx, memo),
+                _instantiate(body, inst, kctx, tctx + (ty,), memo),
             )
 
     def child(c, under):
         if isinstance(c, (e.EffType, e.EffIndex)):
-            return instantiate(c, inst)
+            return _instantiate(c, inst, (), (), memo)
         if under and under[TYPE.slot]:
-            return instantiate(c, inst, kctx + (x.binder_kind,), shift_ctx(tctx))
+            return _instantiate(c, inst, kctx + (x.binder_kind,), shift_ctx(tctx), memo)
         if under and under[PROG.slot]:
-            return instantiate(c, inst, kctx, tctx + (x.binder_type,))
-        return instantiate(c, inst, kctx, tctx)
+            return _instantiate(c, inst, kctx, tctx + (x.binder_type,), memo)
+        return _instantiate(c, inst, kctx, tctx, memo)
 
     return map_children(x, child)
 
@@ -132,25 +145,30 @@ def assert_pure(x) -> None:
 
 def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivation:
     """Interpret a derivation; the result lies in the effect-free fragment
-    and is re-checked by the caller (or by check_instance_laws)."""
+    and is re-checked by the caller (or by check_instance_laws).  Every
+    node shares one ``instantiate`` memo."""
+    return _instantiate_derivation(d, inst, {})
+
+
+def _instantiate_derivation(d, inst, memo):
     c = d.conclusion
     k, t = c.ctxs.kinds, c.ctxs.types
 
     def here(x, *binders):
-        return None if x is None else instantiate(x, inst, k, t + binders)
+        return None if x is None else _instantiate(x, inst, k, t + binders, memo)
 
     seq = EffSequent(
         e.EffContexts(k, tuple(map(here, c.ctxs.indices)), tuple(map(here, t))),
         tuple(map(here, c.hyps)),
         here(c.goal),
     )
-    prems = tuple(instantiate_derivation(p, inst) for p in d.premises)
+    prems = tuple(_instantiate_derivation(p, inst, memo) for p in d.premises)
 
     if d.rule in ("ModI", "ModE", "Mon"):
         template = inst.templates.get(d.rule)
         if template is None:
             raise TemplateMissing(f"instance {inst.name} has no {d.rule} template")
-        return template(inst, d, seq, *prems)
+        return template(inst, _parts(d, here), seq, *prems)
     if d.rule == "AntiRed":
         p1 = here(d.prog_before)
         p2 = here(d.prog_after)
@@ -187,8 +205,9 @@ def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivatio
     )
 
 
-def _parts(inst, node):
-    """The instantiated parts of a ModI, ModE or Mon node, in its contexts.
+def _parts(node, here):
+    """The instantiated parts of a ModI, ModE or Mon node; ``here(x,
+    *binders)`` instantiates ``x`` in the node's contexts.
 
     ModI, goal ``after (ret p) (x:t) body``: ``(t, p, body)``.
     ModE, goal ``after (bind x1:t1 <- p1; p2) (x:t2) body``: ``(t1, t2, p1, p2, body)``.
@@ -196,11 +215,6 @@ def _parts(inst, node):
     """
     goal = normalize(node.conclusion.goal)
     assert isinstance(goal, e.After)
-    c = node.conclusion.ctxs
-
-    def here(x, *binders):
-        return instantiate(x, inst, c.kinds, c.types + binders)
-
     t2, body, p = here(goal.binder_type), here(goal.body, goal.binder_type), goal.prog
     if node.rule == "ModI":
         assert isinstance(p, e.Ret)
@@ -216,13 +230,13 @@ def _parts(inst, node):
 # The identity instance.
 
 
-def _id_modi(inst, node, seq, prem):
+def _id_modi(inst, parts, seq, prem):
     # after (ret p) x phi  and  phi[x:=p]  have the same interpretation
     return prem
 
 
-def _id_mode(inst, node, seq, prem):
-    t1, t2, p1, p2, body = _parts(inst, node)
+def _id_mode(inst, parts, seq, prem):
+    t1, t2, p1, p2, body = parts
     redex = e.App(e.Abs(t1, p2), p1)
     reduct = subst(p2, PROG, 0, p1)
     n = count_steps(redex, reduct, inst.strategy, REPLAY_FUEL)
@@ -241,8 +255,8 @@ def _id_mode(inst, node, seq, prem):
     )
 
 
-def _id_mon(inst, node, seq, ent, mod):
-    tau, p, phi1, phi2 = _parts(inst, node)
+def _id_mon(inst, parts, seq, ent, mod):
+    tau, p, phi1, phi2 = parts
     imp = e.SImp(phi1, phi2)
     impi = EffDerivation(
         "ImpI",
@@ -385,7 +399,7 @@ def _weakened(prem, seq, tau, hyp):
     return add_hypotheses(weaken_type(prem, len(seq.ctxs.types), tau), (hyp,))
 
 
-def _cont_modi(inst, node, seq, prem):
+def _cont_modi(inst, parts, seq, prem):
     """Replay: membership in the biorthogonal from a proof of the body.
 
     The shape follows the classical-realizability inclusion of a value set
@@ -393,7 +407,7 @@ def _cont_modi(inst, node, seq, prem):
     application of the interpreted return, and use the continuation's
     orthogonality against the value itself.
     """
-    tau, p, body = _parts(inst, node)
+    tau, p, body = parts
     cell = e.ComprBase(tau, body)
     ret = _cont_ret(tau, p)
 
@@ -411,10 +425,10 @@ def _cont_modi(inst, node, seq, prem):
     return _orth_intro(seq, ret, biorth(tau, cell), k_pole)
 
 
-def _cont_mode(inst, node, seq, prem):
+def _cont_mode(inst, parts, seq, prem):
     """Replay: the bind's continuation ``lam`` is orthogonal to the first
     computation's value set, so the first computation sends it into the pole."""
-    t1, t2, p1, p2, body = _parts(inst, node)
+    t1, t2, p1, p2, body = parts
     cell2 = e.ComprBase(t2, body)
     cell1 = e.ComprBase(t1, _cont_after(t2, p2, shift(body, PROG, 1, 1)))
     bind = _cont_bind(t1, t2, p1, p2)
@@ -442,11 +456,11 @@ def _cont_mode(inst, node, seq, prem):
     return _orth_intro(seq, bind, biorth(t2, cell2), k_pole)
 
 
-def _cont_mon(inst, node, seq, ent, mod):
+def _cont_mon(inst, parts, seq, ent, mod):
     """Replay: every continuation orthogonal to the weaker cell is
     orthogonal to the stronger one, so membership in the biorthogonal is
     monotone."""
-    tau, p, phi1, phi2 = _parts(inst, node)
+    tau, p, phi1, phi2 = parts
     cell1 = e.ComprBase(tau, phi1)
     cell2 = e.ComprBase(tau, phi2)
 

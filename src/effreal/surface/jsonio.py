@@ -42,7 +42,15 @@ def eff_to_json(d) -> dict:
     return _to_json(EFF, d)
 
 
-def _one(text: str):
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SurfaceSyntaxError(f"{what}: not a JSON object", 1, 1)
+    return value
+
+
+def _one(text, what: str):
+    if not isinstance(text, str):
+        raise SurfaceSyntaxError(f"{what}: not a string", 1, 1)
     forms = parse_all(text)
     if len(forms) != 1:
         raise SurfaceSyntaxError("expected exactly one form", 1, 1)
@@ -50,19 +58,21 @@ def _one(text: str):
 
 
 def _from_json(calc, data: dict, doc):
+    data = _object(data, "derivation document")
     if data.get("schema") != SCHEMA:
         raise SurfaceSyntaxError(f"unknown schema {data.get('schema')!r}", 1, 1)
     if data.get("calculus") != calc.name:
         raise SurfaceSyntaxError(f"not a {calc.name} derivation", 1, 1)
-    return _from(calc, data["derivation"], doc or el.SurfaceDoc())
+    return _from(calc, data.get("derivation"), doc or el.SurfaceDoc())
 
 
 def _from(calc, node: dict, doc):
-    rule = node["rule"]
-    if rule not in calc.rules:
+    node = _object(node, "derivation node")
+    rule = node.get("rule")
+    if not isinstance(rule, str) or rule not in calc.rules:
         raise SurfaceSyntaxError(f"unknown rule tag {rule!r}", 1, 1)
-    seq, env = el.elab_sequent(doc, calc, _one(node["conclusion"]))
-    given = node.get("witnesses", {})
+    seq, env = el.elab_sequent(doc, calc, _one(node.get("conclusion"), f"{rule} conclusion"))
+    given = _object(node.get("witnesses", {}), f"{rule} witnesses")
     found = {}
     witnesses = iter(calc.rules[rule].witnesses)
     for w in witnesses:
@@ -71,7 +81,7 @@ def _from(calc, node: dict, doc):
         if isinstance(w.category, Literal):
             found[w.field] = w.category.read(given[w.key])
             continue
-        found[w.field] = el.elaborate(doc, w.category, env, _one(given[w.key]))
+        found[w.field] = el.elaborate(doc, w.category, env, _one(given[w.key], w.key))
         if w.binds:
             # the body names the bound variable as the printer does
             body = next(witnesses)
@@ -80,9 +90,14 @@ def _from(calc, node: dict, doc):
             ns = ANNOTATES[w.category]
             names = env.slots[ns.slot]
             names.push(binder_name(ns, len(names.names)))
-            found[body.field] = el.elaborate(doc, body.category, env, _one(given[body.key]))
+            found[body.field] = el.elaborate(
+                doc, body.category, env, _one(given[body.key], body.key)
+            )
             names.pop()
-    premises = tuple(_from(calc, p, doc) for p in node.get("premises", []))
+    premises = node.get("premises", [])
+    if not isinstance(premises, list):
+        raise SurfaceSyntaxError(f"{rule} premises: not a JSON list", 1, 1)
+    premises = tuple(_from(calc, p, doc) for p in premises)
     return calc.derivation(rule, seq, premises, **found)
 
 

@@ -28,14 +28,9 @@ from .hol import syntax as h
 from .effhol import syntax as e
 from .effhol.reduction import Strategy, root_step
 from .effhol.syntax import EXPR, PROG, TYPE
-from .effhol.theory import (
-    EffDerivation,
-    EffSequent,
-    add_hypotheses,
-    make_triple,
-    weaken_type,
-)
+from .effhol.theory import EffDerivation, EffSequent, make_triple
 from .effhol.typing import shift_ctx
+from .effhol.weakening import add_hypotheses, weaken_type
 
 
 def trkind(s: h.Sort) -> e.Kind:

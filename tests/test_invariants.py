@@ -1,37 +1,59 @@
 """Cross-cutting invariants: judgement substitution, triple emission,
-instantiated reduction axioms."""
+instantiated reduction axioms, hash-consing, and the trusted base's size."""
 
 import ast
+import copy
+import dataclasses
+import gc
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effreal._astnode import _TABLE, NonTerm, astnode
 from effreal.effhol import (
     Abs,
     App,
+    BOT_SPEC,
     BOT_TYPE,
     Bind,
+    ComprBase,
     Fun,
     KSTAR,
     PVar,
     Ret,
+    SForallProg,
+    SImp,
+    SMemBase,
     Strategy,
+    TAbs,
+    TApp,
+    TOP_SPEC,
     TVar,
     TyAbs,
     TyApp,
     type_of,
 )
-from effreal.effhol.conversion import normalize_type
+from effreal.effhol.conversion import normalize, normalize_type
 from effreal.effhol.reduction import count_steps, multi_step, step
 from effreal.effhol import PROG, TYPE, shift, subst
-from effreal.generators import random_type, random_typed_program
+from effreal.generators import (
+    random_closed_program,
+    random_kind,
+    random_spec,
+    random_type,
+    random_typed_program,
+)
 from effreal.instances import (
     continuation_instance,
     identity_instance,
     instantiate_prog,
 )
+from effreal.surface import print_program, print_spec
+from effreal.surface.elaborate import EffEnv, SurfaceDoc, elab_program, elab_spec
+from effreal.surface.sexp import parse_all
 from effreal.translation import emit_soundness_triple, extract_realizer
 from tests.test_translation import k_combinator_derivation
 
@@ -188,3 +210,93 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert unused == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_equal_trees_are_one_object(seed):
+    """Equal trees built independently, reparsed from their printed text,
+    copied or unpickled are the same object."""
+
+    def build():
+        rng = random.Random(seed)
+        return random_closed_program(rng, size=4), random_spec(rng, (), (), 3)
+
+    (p, tp), s = build()
+    (p2, tp2), s2 = build()
+    assert p is p2 and tp is tp2 and s is s2
+    (form,) = parse_all(print_program(p))
+    assert elab_program(SurfaceDoc(), EffEnv(), form) is p
+    (form,) = parse_all(print_spec(s))
+    assert elab_spec(SurfaceDoc(), EffEnv(), form) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(p)) is p
+
+
+class _Shade(NonTerm):
+    __slots__ = ()
+
+
+@astnode
+class _Grey(_Shade):
+    depth: int = 0
+
+
+def test_keyword_calls_and_replace_are_interned():
+    node = SForallProg(BOT_TYPE, SImp(BOT_SPEC, TOP_SPEC))
+    assert SForallProg(binder_type=BOT_TYPE, body=SImp(lhs=BOT_SPEC, rhs=TOP_SPEC)) is node
+    assert SForallProg(BOT_TYPE, body=node.body) is node
+    assert dataclasses.replace(node) is node
+    assert dataclasses.replace(node, body=BOT_SPEC) is SForallProg(BOT_TYPE, BOT_SPEC)
+    assert _Grey() is _Grey(0) is _Grey(depth=0) is dataclasses.replace(_Grey(3), depth=0)
+    with pytest.raises(TypeError):
+        SImp(BOT_SPEC)
+    with pytest.raises(TypeError):
+        SImp(BOT_SPEC, TOP_SPEC, lhs=BOT_SPEC)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_normal_forms_are_kept_on_the_node(seed):
+    """``normalize`` is idempotent up to identity, and a normal node is
+    marked as such rather than referring to itself."""
+    rng = random.Random(seed)
+    kappa = random_kind(rng, 1)
+    redex = TApp(TAbs(kappa, random_type(rng, (kappa,), KSTAR, 3)), random_type(rng, (), kappa, 2))
+    spec = random_spec(rng, (), (), 3)
+    for x in (redex, spec):
+        n = normalize(x)
+        assert normalize(n) is n and normalize(x) is n
+        assert n._nf is not n
+
+
+def test_intern_table_releases_dropped_trees():
+    """The table holds nodes weakly: a dropped tree leaves it, however
+    deep, without overflowing the stack."""
+    gc.collect()
+    before = len(_TABLE)
+    for depth in (3_000, 100_000):
+        x = SMemBase(PVar(987_654), ComprBase(BOT_TYPE, BOT_SPEC))
+        for _ in range(depth):
+            x = SImp(x, TOP_SPEC)
+        assert len(_TABLE) >= before + depth
+        del x
+        assert len(_TABLE) == before
+
+
+# hol/checker.py, effhol/{theory,typing,conversion}.py and _astnode.py
+# (which holds shift and substitution) may shrink but not grow.
+TRUSTED_BASE = (
+    "hol/checker.py",
+    "effhol/theory.py",
+    "effhol/typing.py",
+    "effhol/conversion.py",
+    "_astnode.py",
+)
+TRUSTED_BASE_LINES = 1240
+
+
+def test_trusted_base_does_not_grow():
+    src = Path(__file__).resolve().parent.parent / "src" / "effreal"
+    lines = sum(len((src / f).read_text(encoding="utf-8").splitlines()) for f in TRUSTED_BASE)
+    assert lines <= TRUSTED_BASE_LINES

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from effreal.errors import KernelError
+from effreal.errors import KernelError, SurfaceSyntaxError
 from effreal.hol import (
     HolDerivation,
     STAR,
@@ -22,6 +22,7 @@ from effreal.effhol import (
     check as eff_check,
     weaken_type,
 )
+from effreal.surface import jsonio
 from effreal.surface.elaborate import parse_document
 from effreal.translation import extract_realizer
 
@@ -144,3 +145,44 @@ def test_deep_nesting_keeps_the_exit_code_contract(tmp_path, argv):
     f.write_text("(prop p " + "(imp bot " * 3000 + "bot" + ")" * 3000 + ")")
     code, err = _cli(argv[0], str(f), *argv[1:])
     assert (code, err) == (1, "input is nested too deeply\n")
+
+
+def _bad_witness(node):
+    """``node`` with its first witness, in premise order, made a list."""
+    if node["witnesses"]:
+        key = next(iter(node["witnesses"]))
+        return {**node, "witnesses": {**node["witnesses"], key: []}}
+    for i, p in enumerate(node["premises"]):
+        q = _bad_witness(p)
+        if q is not None:
+            return {**node, "premises": node["premises"][:i] + [q] + node["premises"][i + 1:]}
+    return None
+
+
+@pytest.mark.parametrize("calculus", ["hol", "effhol"])
+def test_json_loading_is_total(calculus):
+    """A derivation document of the wrong shape is a syntax error, never a
+    KeyError, TypeError or AttributeError."""
+    doc = parse_document((CORPUS / "hol_basic.hol").read_text())
+    d = doc.hol_derivations["uni-elim-chain"]
+    if calculus == "hol":
+        data, load = jsonio.hol_to_json(d), jsonio.hol_from_json
+    else:
+        data = jsonio.eff_to_json(extract_realizer(d, derive=True).derivation)
+        load = jsonio.eff_from_json
+    load(data)
+    node = data["derivation"]
+    bad = [
+        {**data, "derivation": {}},
+        {k: v for k, v in data.items() if k != "derivation"},
+        {**data, "derivation": {k: v for k, v in node.items() if k != "conclusion"}},
+        {**data, "derivation": {**node, "conclusion": 3}},
+        {**data, "derivation": {**node, "rule": []}},
+        {**data, "derivation": {**node, "premises": [3]}},
+        {**data, "derivation": _bad_witness(node)},
+        {**data, "derivation": [node]},
+        [data],
+    ]
+    for case in bad:
+        with pytest.raises(SurfaceSyntaxError):
+            load(case)
