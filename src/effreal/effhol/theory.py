@@ -5,11 +5,15 @@ witnesses, so checking is search-free.  The checker compares formulas up
 to conversion (normal forms), which soundly absorbs the conversion rule;
 an explicit Conv node is still accepted.  Well-formedness of the whole
 sequent is enforced once at the root.
+
+``EFF_PREMISES`` holds each rule's premise count, checked once per node
+before the rule's own checks.  ``extend`` puts contexts and hypotheses
+under one more binder, for the checker and for every derivation builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import IllTyped, ReductionMismatch, RuleMismatch
 from .._astnode import shift, subst
@@ -21,6 +25,7 @@ from .syntax import (
     TYPE,
     After,
     Bind,
+    Comp,
     Compr,
     ComprBase,
     EffContexts,
@@ -36,7 +41,7 @@ from .syntax import (
     SMem,
     SMemBase,
 )
-from .typing import index_of, index_wf, kind_of, shift_ctx, spec_wf, type_of
+from .typing import index_of, index_wf, kind_of, spec_wf, type_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +51,25 @@ class EffSequent:
     goal: EffSpec
 
 
-# Rule tags.
-EFF_RULES = frozenset({
-    "UniProgI", "UniProgE", "UniExpI", "UniExpE", "UniTypeI", "UniTypeE",
-    "ImpI", "ImpE", "ModI", "ModE", "Mon", "MemI", "MemE", "Mem0I", "Mem0E",
-    "Id", "Conv", "AntiRed",
-})
+# Each rule's premise count.
+EFF_PREMISES = {
+    "Id": 0, "Conv": 1, "ImpI": 1, "ImpE": 2,
+    "UniProgI": 1, "UniProgE": 1, "UniExpI": 1, "UniExpE": 1, "UniTypeI": 1, "UniTypeE": 1,
+    "ModI": 1, "ModE": 1, "Mon": 2, "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
+    "AntiRed": 1,
+}
+EFF_RULES = frozenset(EFF_PREMISES)
+
+# The context of each namespace's binders.
+CONTEXT = {TYPE: "kinds", EXPR: "indices", PROG: "types"}
+
+# Each universal introduction: its goal class, noun, namespace and the
+# goal's binder annotation.
+_UNI_I = {
+    "UniProgI": (SForallProg, "a program universal", PROG, "binder_type"),
+    "UniExpI": (SForallExpr, "an expression universal", EXPR, "binder_index"),
+    "UniTypeI": (SForallType, "a type universal", TYPE, "binder_kind"),
+}
 
 
 @dataclass(frozen=True)
@@ -103,9 +121,20 @@ def _same_frame(d: EffDerivation, p: EffSequent, path) -> None:
         raise RuleMismatch(f"{d.rule}: premise hypotheses differ from conclusion", path)
 
 
-def _expect(d: EffDerivation, n: int, path) -> None:
-    if len(d.premises) != n:
-        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
+def extend(ctxs: EffContexts, hyps: tuple, ns, entry, pos: int | None = None):
+    """``ctxs`` with one more ``ns`` binder annotated ``entry`` at list position
+    ``pos`` (innermost by default), and ``hyps`` shifted past it; a kind
+    binder shifts the index and type entries too."""
+    ctx = getattr(ctxs, CONTEXT[ns])
+    pos = len(ctx) if pos is None else pos
+
+    def up(x):
+        return shift(x, ns, 1, len(ctx) - pos)
+
+    if ns is TYPE:
+        ctxs = EffContexts(ctxs.kinds, tuple(map(up, ctxs.indices)), tuple(map(up, ctxs.types)))
+    ctxs = replace(ctxs, **{CONTEXT[ns]: ctx[:pos] + (entry,) + ctx[pos:]})
+    return ctxs, tuple(map(up, hyps))
 
 
 def check(d: EffDerivation) -> EffSequent:
@@ -119,22 +148,24 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
     c = d.conclusion
     ctxs = c.ctxs
     goal = normalize(c.goal)
+    n = EFF_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
+    if n is None:
+        raise RuleMismatch(f"unknown rule {d.rule!r}", path)
+    if len(d.premises) != n:
+        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
 
     match d.rule:
         case "Id":
-            _expect(d, 0, path)
             if goal not in _hypset(c.hyps):
                 raise RuleMismatch("Id: goal is not among the hypotheses", path)
 
         case "Conv":
-            _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             if normalize(p.conclusion.goal) != goal:
                 raise RuleMismatch("Conv: premise is not convertible to the goal", path)
 
         case "ImpI":
-            _expect(d, 1, path)
             if not isinstance(goal, SImp):
                 raise RuleMismatch("ImpI: goal is not an implication", path)
             (p,) = d.premises
@@ -147,7 +178,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ImpI: premise goal is not the consequent", path)
 
         case "ImpE":
-            _expect(d, 2, path)
             fn, arg = d.premises
             _same_frame(d, fn.conclusion, path)
             _same_frame(d, arg.conclusion, path)
@@ -159,60 +189,20 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if g.rhs != goal:
                 raise RuleMismatch("ImpE: conclusion does not match consequent", path)
 
-        case "UniProgI":
-            _expect(d, 1, path)
-            if not isinstance(goal, SForallProg):
-                raise RuleMismatch("UniProgI: goal is not a program universal", path)
-            (p,) = d.premises
-            pc = p.conclusion
-            want = EffContexts(ctxs.kinds, ctxs.indices, ctxs.types + (goal.binder_type,))
+        case "UniProgI" | "UniExpI" | "UniTypeI":
+            cls, noun, ns, annotation = _UNI_I[d.rule]
+            if not isinstance(goal, cls):
+                raise RuleMismatch(f"{d.rule}: goal is not {noun}", path)
+            pc = d.premises[0].conclusion
+            want, hyps = extend(ctxs, c.hyps, ns, getattr(goal, annotation))
             if not _same_ctxs(pc.ctxs, want):
-                raise RuleMismatch("UniProgI: premise context is not the extension", path)
-            if _hypset(pc.hyps) != frozenset(
-                normalize(shift(h, PROG)) for h in c.hyps
-            ):
-                raise RuleMismatch("UniProgI: premise hypotheses are not the shifted set", path)
+                raise RuleMismatch(f"{d.rule}: premise context is not the extension", path)
+            if _hypset(pc.hyps) != _hypset(hyps):
+                raise RuleMismatch(f"{d.rule}: premise hypotheses are not the shifted set", path)
             if normalize(pc.goal) != normalize(goal.body):
-                raise RuleMismatch("UniProgI: premise goal is not the body", path)
-
-        case "UniExpI":
-            _expect(d, 1, path)
-            if not isinstance(goal, SForallExpr):
-                raise RuleMismatch("UniExpI: goal is not an expression universal", path)
-            (p,) = d.premises
-            pc = p.conclusion
-            want = EffContexts(ctxs.kinds, ctxs.indices + (goal.binder_index,), ctxs.types)
-            if not _same_ctxs(pc.ctxs, want):
-                raise RuleMismatch("UniExpI: premise context is not the extension", path)
-            if _hypset(pc.hyps) != frozenset(
-                normalize(shift(h, EXPR)) for h in c.hyps
-            ):
-                raise RuleMismatch("UniExpI: premise hypotheses are not the shifted set", path)
-            if normalize(pc.goal) != normalize(goal.body):
-                raise RuleMismatch("UniExpI: premise goal is not the body", path)
-
-        case "UniTypeI":
-            _expect(d, 1, path)
-            if not isinstance(goal, SForallType):
-                raise RuleMismatch("UniTypeI: goal is not a type universal", path)
-            (p,) = d.premises
-            pc = p.conclusion
-            want = EffContexts(
-                ctxs.kinds + (goal.binder_kind,),
-                shift_ctx(ctxs.indices),
-                shift_ctx(ctxs.types),
-            )
-            if not _same_ctxs(pc.ctxs, want):
-                raise RuleMismatch("UniTypeI: premise context is not the extension", path)
-            if _hypset(pc.hyps) != frozenset(
-                normalize(shift(h, TYPE)) for h in c.hyps
-            ):
-                raise RuleMismatch("UniTypeI: premise hypotheses are not the shifted set", path)
-            if normalize(pc.goal) != normalize(goal.body):
-                raise RuleMismatch("UniTypeI: premise goal is not the body", path)
+                raise RuleMismatch(f"{d.rule}: premise goal is not the body", path)
 
         case "UniProgE":
-            _expect(d, 1, path)
             w = d.witness_prog
             if w is None:
                 raise RuleMismatch("UniProgE: missing program witness", path)
@@ -230,7 +220,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniProgE: conclusion is not the instantiated body", path)
 
         case "UniExpE":
-            _expect(d, 1, path)
             w = d.witness_expr
             if w is None:
                 raise RuleMismatch("UniExpE: missing expression witness", path)
@@ -248,7 +237,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniExpE: conclusion is not the instantiated body", path)
 
         case "UniTypeE":
-            _expect(d, 1, path)
             w = d.witness_type
             if w is None:
                 raise RuleMismatch("UniTypeE: missing type witness", path)
@@ -266,7 +254,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniTypeE: conclusion is not the instantiated body", path)
 
         case "ModI":
-            _expect(d, 1, path)
             if not (isinstance(goal, After) and isinstance(goal.prog, Ret)):
                 raise RuleMismatch("ModI: goal is not a modality over a return", path)
             (p,) = d.premises
@@ -276,7 +263,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ModI: premise is not the substituted body", path)
 
         case "ModE":
-            _expect(d, 1, path)
             if not (isinstance(goal, After) and isinstance(goal.prog, Bind)):
                 raise RuleMismatch("ModE: goal is not a modality over a bind", path)
             b = goal.prog
@@ -288,7 +274,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ModE: premise is not the nested modality", path)
 
         case "Mon":
-            _expect(d, 2, path)
             if not isinstance(goal, After):
                 raise RuleMismatch("Mon: goal is not a modality", path)
             ent, mod = d.premises
@@ -299,17 +284,15 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if g2.prog != goal.prog or g2.binder_type != goal.binder_type:
                 raise RuleMismatch("Mon: modality premise runs a different computation", path)
             ec = ent.conclusion
-            want = EffContexts(ctxs.kinds, ctxs.indices, ctxs.types + (goal.binder_type,))
+            want, hyps = extend(ctxs, c.hyps, PROG, goal.binder_type)
             if not _same_ctxs(ec.ctxs, want):
                 raise RuleMismatch("Mon: entailment premise context is not the extension", path)
-            shifted = frozenset(normalize(shift(h, PROG)) for h in c.hyps)
-            if _hypset(ec.hyps) != shifted | {g2.body}:
+            if _hypset(ec.hyps) != _hypset(hyps) | {g2.body}:
                 raise RuleMismatch("Mon: entailment hypotheses are not the shifted set", path)
             if normalize(ec.goal) != normalize(goal.body):
                 raise RuleMismatch("Mon: entailment goal is not the modality body", path)
 
         case "MemI":
-            _expect(d, 1, path)
             if not (isinstance(goal, SMem) and isinstance(goal.fn, Compr)):
                 raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
             comp = goal.fn
@@ -328,7 +311,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemI: premise is not the substituted body", path)
 
         case "MemE":
-            _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             g = normalize(p.conclusion.goal)
@@ -339,7 +321,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemE: conclusion is not the substituted body", path)
 
         case "Mem0I":
-            _expect(d, 1, path)
             if not (isinstance(goal, SMemBase) and isinstance(goal.fn, ComprBase)):
                 raise RuleMismatch("Mem0I: goal is not base membership in a comprehension", path)
             comp = goal.fn
@@ -353,7 +334,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0I: premise is not the substituted body", path)
 
         case "Mem0E":
-            _expect(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             g = normalize(p.conclusion.goal)
@@ -364,7 +344,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0E: conclusion is not the substituted body", path)
 
         case "AntiRed":
-            _expect(d, 1, path)
             if d.hole_spec is None or d.prog_before is None or d.prog_after is None:
                 raise RuleMismatch("AntiRed: missing reduction witnesses", path)
             if d.hole_type is None:
@@ -387,9 +366,6 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                     f"AntiRed: claimed reduction does not hold within {d.steps} steps", path
                 )
 
-        case _:
-            raise RuleMismatch(f"unknown rule {d.rule!r}", path)
-
     for i, p in enumerate(d.premises):
         _check(p, path + (i,))
 
@@ -403,8 +379,6 @@ def make_triple(
 ) -> EffSequent:
     """The Hoare-style triple: hyps entail ``after prog (x:binder_type) body``."""
     tp = type_of(ctxs.kinds, ctxs.types, prog)
-    from .syntax import Comp
-
     if tp != normalize(Comp(binder_type)):
         raise IllTyped(f"triple program has type {tp!r}, expected M {binder_type!r}")
     return EffSequent(ctxs, hyps, After(prog, binder_type, body))

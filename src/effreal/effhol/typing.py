@@ -68,6 +68,13 @@ def shift_ctx(ctx: tuple) -> tuple:
     return tuple(shift(x, TYPE) for x in ctx)
 
 
+def _star(kctx: KindCtx, t: EffType, what: str, path) -> None:
+    """``t`` must have the base kind; ``what`` names it in the error."""
+    k = kind_of(kctx, t, path)
+    if k != KSTAR:
+        raise KindMismatch(f"{what} has kind {k!r}, expected *", path)
+
+
 def kind_of(kctx: KindCtx, t: EffType, path=None) -> Kind:
     match t:
         case TVar(k):
@@ -85,25 +92,17 @@ def kind_of(kctx: KindCtx, t: EffType, path=None) -> Kind:
                 )
             return KSTAR
         case TAbs(kind, body):
-            kb = kind_of(kctx + (kind,), body, path)
-            if kb != KSTAR:
-                raise KindMismatch(f"abstraction body has kind {kb!r}, expected *", path)
+            _star(kctx + (kind,), body, "abstraction body", path)
             return KCon(kind)
         case Fun(dom, cod):
-            for part in (dom, cod):
-                k = kind_of(kctx, part, path)
-                if k != KSTAR:
-                    raise KindMismatch(f"function component has kind {k!r}, expected *", path)
+            _star(kctx, dom, "function component", path)
+            _star(kctx, cod, "function component", path)
             return KSTAR
         case TForall(kind, body):
-            kb = kind_of(kctx + (kind,), body, path)
-            if kb != KSTAR:
-                raise KindMismatch(f"universal body has kind {kb!r}, expected *", path)
+            _star(kctx + (kind,), body, "universal body", path)
             return KSTAR
         case Comp(inner):
-            k = kind_of(kctx, inner, path)
-            if k != KSTAR:
-                raise KindMismatch(f"computation argument has kind {k!r}, expected *", path)
+            _star(kctx, inner, "computation argument", path)
             return KSTAR
     raise TypeError(f"unexpected type {t!r}")
 
@@ -112,13 +111,9 @@ def index_wf(kctx: KindCtx, s: EffIndex, path=None) -> None:
     """Every constituent type of an index must have base kind."""
     match s:
         case RefBase(carrier):
-            k = kind_of(kctx, carrier, path)
-            if k != KSTAR:
-                raise KindMismatch(f"refinement carrier has kind {k!r}, expected *", path)
+            _star(kctx, carrier, "refinement carrier", path)
         case Ref(carrier, arg):
-            k = kind_of(kctx, carrier, path)
-            if k != KSTAR:
-                raise KindMismatch(f"refinement carrier has kind {k!r}, expected *", path)
+            _star(kctx, carrier, "refinement carrier", path)
             index_wf(kctx, arg, path)
         case IForall(kind, body):
             index_wf(kctx + (kind,), body, path)
@@ -137,9 +132,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
             inner = type_of(kctx + (kind,), shift_ctx(tctx), body, path)
             return TForall(kind, inner)
         case Abs(ty, body):
-            k = kind_of(kctx, ty, path)
-            if k != KSTAR:
-                raise KindMismatch(f"abstraction annotation has kind {k!r}, expected *", path)
+            _star(kctx, ty, "abstraction annotation", path)
             cod = type_of(kctx, tctx + (ty,), body, path)
             return normalize(Fun(ty, cod))
         case TyApp(fn, arg):
@@ -164,9 +157,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
             ti = type_of(kctx, tctx, inner, path)
             return Comp(ti)
         case Bind(ty, first, rest):
-            k = kind_of(kctx, ty, path)
-            if k != KSTAR:
-                raise KindMismatch(f"bind annotation has kind {k!r}, expected *", path)
+            _star(kctx, ty, "bind annotation", path)
             tf = type_of(kctx, tctx, first, path)
             want = normalize(Comp(ty))
             if tf != want:
@@ -186,16 +177,12 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
                 return normalize(ictx[len(ictx) - 1 - k])
             raise UnboundVariable(f"expression variable {k} unbound", path)
         case Compr(ty, idx, body):
-            k = kind_of(kctx, ty, path)
-            if k != KSTAR:
-                raise KindMismatch(f"comprehension carrier has kind {k!r}, expected *", path)
+            _star(kctx, ty, "comprehension carrier", path)
             index_wf(kctx, idx, path)
             spec_wf(kctx, ictx + (idx,), tctx + (ty,), body, path)
             return normalize(Ref(ty, idx))
         case ComprBase(ty, body):
-            k = kind_of(kctx, ty, path)
-            if k != KSTAR:
-                raise KindMismatch(f"comprehension carrier has kind {k!r}, expected *", path)
+            _star(kctx, ty, "comprehension carrier", path)
             spec_wf(kctx, ictx, tctx + (ty,), body, path)
             return normalize(RefBase(ty))
         case EForall(kind, body):
@@ -247,9 +234,7 @@ def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, path=None)
         case SForallType(kind, body):
             spec_wf(kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path)
         case SForallProg(ty, body):
-            k = kind_of(kctx, ty, path)
-            if k != KSTAR:
-                raise KindMismatch(f"quantifier annotation has kind {k!r}, expected *", path)
+            _star(kctx, ty, "quantifier annotation", path)
             spec_wf(kctx, ictx, tctx + (ty,), body, path)
         case SForallExpr(idx, body):
             index_wf(kctx, idx, path)

@@ -1,11 +1,11 @@
 """Context weakening on effhol derivations.
 
 ``weaken_kind``/``weaken_type`` insert a fresh context entry at a list
-position of the root conclusion's contexts (0 = outermost) and
-``add_hypotheses`` adds hypotheses; each rebuilds every node of a checked
-derivation.  They are used to replay the soundness and instance-law
-derivations.  The checker never calls them and their output is always
-re-checked, so they stay outside the trusted base.
+position of the root conclusion's contexts (0 = outermost), and
+``weaken_type`` and ``add_hypotheses`` add hypotheses; each rebuilds every
+node of a checked derivation once.  They are used to replay the soundness
+and instance-law derivations.  The checker never calls them and their
+output is always re-checked, so they stay outside the trusted base.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .._astnode import shift
-from .syntax import EXPR, PROG, TYPE, EffContexts, EffSpec, EffType, Kind
-from .theory import EffDerivation, EffSequent
+from .syntax import EXPR, PROG, TYPE, EffSpec, EffType, Kind
+from .theory import CONTEXT, EffDerivation, EffSequent, extend
 
 
 def _map_node(d: EffDerivation, fn) -> EffDerivation:
@@ -36,72 +36,56 @@ def _map_node(d: EffDerivation, fn) -> EffDerivation:
 
 
 class _Weaken:
-    """One insertion into the context of one namespace, applied node by node.
+    """One insertion into the context of one namespace, and added
+    hypotheses, applied node by node.
 
     ``ns`` is the namespace whose context grows (``TYPE``: kinds, ``PROG``:
-    types, ``EXPR``: indices); ``pos`` is the root-context list position
-    at which ``entry`` (expressed in the root context) is inserted.
+    types, ``EXPR``: indices; None: no insertion); ``pos`` is the
+    root-context list position at which ``entry`` (expressed in the root
+    context) is inserted.  ``hyps`` are expressed in the root context after
+    the insertion.
     """
 
-    _CTX = {TYPE: "kinds", PROG: "types", EXPR: "indices"}
-
-    def __init__(self, ns, pos: int, entry, root: EffSequent):
+    def __init__(self, root: EffSequent, hyps: tuple[EffSpec, ...], ns=None, pos=0, entry=None):
+        self.root = root
+        self.hyps = hyps
         self.ns = ns
         self.pos = pos
         self.entry = entry
-        self.root = root
 
     def term(self, seq: EffSequent, x, hole: bool = False):
+        if self.ns is None:
+            return x
         # The hole variable of an anti-reduction occupies program index 0.
-        cutoff = len(getattr(seq.ctxs, self._CTX[self.ns])) - self.pos
+        cutoff = len(getattr(seq.ctxs, CONTEXT[self.ns])) - self.pos
         return shift(x, self.ns, 1, cutoff + (hole and self.ns is PROG))
 
-    def __call__(self, seq: EffSequent) -> EffSequent:
-        c = seq.ctxs
-        ctx = {
-            "kinds": list(c.kinds),
-            "indices": [self.term(seq, s) for s in c.indices],
-            "types": [self.term(seq, t) for t in c.types],
-        }
-        entry = self.entry
-        if self.ns is not TYPE:
-            entry = shift(entry, TYPE, len(c.kinds) - len(self.root.ctxs.kinds))
-        ctx[self._CTX[self.ns]].insert(self.pos, entry)
-        return EffSequent(
-            EffContexts(tuple(ctx["kinds"]), tuple(ctx["indices"]), tuple(ctx["types"])),
-            tuple(self.term(seq, h) for h in seq.hyps),
-            self.term(seq, seq.goal),
-        )
-
-
-def weaken_kind(d: EffDerivation, pos: int, kind: Kind) -> EffDerivation:
-    return _map_node(d, _Weaken(TYPE, pos, kind, d.conclusion))
-
-
-def weaken_type(d: EffDerivation, pos: int, ty: EffType) -> EffDerivation:
-    return _map_node(d, _Weaken(PROG, pos, ty, d.conclusion))
-
-
-class _AddHyps:
-    """Add hypotheses (expressed in the root context) at every node."""
-
-    def __init__(self, hyps: tuple[EffSpec, ...], root: EffSequent):
-        self.hyps = hyps
-        self.root = root
-
-    def _shift(self, seq: EffSequent, h: EffSpec) -> EffSpec:
+    def _added(self, seq: EffSequent, h: EffSpec) -> EffSpec:
         c, r = seq.ctxs, self.root.ctxs
         h = shift(h, TYPE, len(c.kinds) - len(r.kinds))
         h = shift(h, PROG, len(c.types) - len(r.types))
         return shift(h, EXPR, len(c.indices) - len(r.indices))
 
-    def term(self, seq, x, hole=False):
-        return x
-
     def __call__(self, seq: EffSequent) -> EffSequent:
-        extra = tuple(self._shift(seq, h) for h in self.hyps)
-        return EffSequent(seq.ctxs, seq.hyps + extra, seq.goal)
+        ctxs, hyps = seq.ctxs, seq.hyps
+        if self.ns is not None:
+            entry = self.entry
+            if self.ns is not TYPE:
+                entry = shift(entry, TYPE, len(ctxs.kinds) - len(self.root.ctxs.kinds))
+            ctxs, hyps = extend(ctxs, hyps, self.ns, entry, self.pos)
+        extra = tuple(self._added(seq, h) for h in self.hyps)
+        return EffSequent(ctxs, hyps + extra, self.term(seq, seq.goal))
+
+
+def weaken_kind(d: EffDerivation, pos: int, kind: Kind) -> EffDerivation:
+    return _map_node(d, _Weaken(d.conclusion, (), TYPE, pos, kind))
+
+
+def weaken_type(
+    d: EffDerivation, pos: int, ty: EffType, hyps: tuple[EffSpec, ...] = ()
+) -> EffDerivation:
+    return _map_node(d, _Weaken(d.conclusion, hyps, PROG, pos, ty))
 
 
 def add_hypotheses(d: EffDerivation, hyps: tuple[EffSpec, ...]) -> EffDerivation:
-    return _map_node(d, _AddHyps(hyps, d.conclusion))
+    return _map_node(d, _Weaken(d.conclusion, hyps))

@@ -101,8 +101,12 @@ def sequent_wf(seq: Sequent, path=None) -> None:
     prop_wf(seq.ctx, seq.goal, path)
 
 
-# Rule tags.
-HOL_RULES = frozenset({"ImpI", "ImpE", "UniI", "UniE", "MemI", "MemE", "Mem0I", "Mem0E", "Id"})
+# Each rule's premise count.
+HOL_PREMISES = {
+    "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
+    "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
+}
+HOL_RULES = frozenset(HOL_PREMISES)
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,6 @@ class HolDerivation:
     # UniE carries the instantiating term; other rules need no witness
     # because every premise node carries its own claimed conclusion.
     witness: HolTerm | None = field(default=None)
-
-
-def _expect_premises(d: HolDerivation, n: int, path) -> None:
-    if len(d.premises) != n:
-        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
 
 
 def _same_frame(d: HolDerivation, p: Sequent, path) -> None:
@@ -140,14 +139,17 @@ def check(d: HolDerivation) -> Sequent:
 
 def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
     c = d.conclusion
+    n = HOL_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
+    if n is None:
+        raise RuleMismatch(f"unknown rule {d.rule!r}", path)
+    if len(d.premises) != n:
+        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
     match d.rule:
         case "Id":
-            _expect_premises(d, 0, path)
             if not any(h == c.goal for h in c.hyps):
                 raise RuleMismatch("Id: goal is not among the hypotheses", path)
 
         case "ImpI":
-            _expect_premises(d, 1, path)
             if not isinstance(c.goal, Imp):
                 raise RuleMismatch("ImpI: goal is not an implication", path)
             (p,) = d.premises
@@ -158,7 +160,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ImpI: premise hypotheses do not match", path)
 
         case "ImpE":
-            _expect_premises(d, 2, path)
             fn, arg = d.premises
             _same_frame(d, fn.conclusion, path)
             _same_frame(d, arg.conclusion, path)
@@ -171,7 +172,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ImpE: conclusion does not match consequent", path)
 
         case "UniI":
-            _expect_premises(d, 1, path)
             if not isinstance(c.goal, Forall):
                 raise RuleMismatch("UniI: goal is not a universal", path)
             (p,) = d.premises
@@ -184,7 +184,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniI: premise goal is not the universal body", path)
 
         case "UniE":
-            _expect_premises(d, 1, path)
             if d.witness is None:
                 raise RuleMismatch("UniE: missing instantiation witness", path)
             (p,) = d.premises
@@ -199,7 +198,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("UniE: conclusion is not the instantiated body", path)
 
         case "MemI":
-            _expect_premises(d, 1, path)
             g = c.goal
             if not (isinstance(g, Mem) and isinstance(g.set, Compr)):
                 raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
@@ -212,7 +210,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemI: premise is not the substituted body", path)
 
         case "MemE":
-            _expect_premises(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             g = p.conclusion.goal
@@ -222,7 +219,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("MemE: conclusion is not the substituted body", path)
 
         case "Mem0I":
-            _expect_premises(d, 1, path)
             g = c.goal
             if not (isinstance(g, MemBase) and isinstance(g.term, ComprBase)):
                 raise RuleMismatch("Mem0I: goal is not base membership of a base comprehension", path)
@@ -232,7 +228,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0I: premise is not the comprehension body", path)
 
         case "Mem0E":
-            _expect_premises(d, 1, path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             g = p.conclusion.goal
@@ -240,9 +235,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("Mem0E: premise is not base membership of a base comprehension", path)
             if c.goal != g.term.body:
                 raise RuleMismatch("Mem0E: conclusion is not the comprehension body", path)
-
-        case _:
-            raise RuleMismatch(f"unknown rule {d.rule!r}", path)
 
     for i, p in enumerate(d.premises):
         _check(p, path + (i,))

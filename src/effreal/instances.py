@@ -29,7 +29,7 @@ from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
 from .effhol.reduction import Strategy, count_steps, root_step
-from .effhol.theory import EffDerivation, EffSequent, check
+from .effhol.theory import EffDerivation, EffSequent, check, extend
 from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
 from .effhol.weakening import add_hypotheses, weaken_type
@@ -258,11 +258,8 @@ def _id_mode(inst, parts, seq, prem):
 def _id_mon(inst, parts, seq, ent, mod):
     tau, p, phi1, phi2 = parts
     imp = e.SImp(phi1, phi2)
-    impi = EffDerivation(
-        "ImpI",
-        EffSequent(ent.conclusion.ctxs, tuple(shift(h, PROG) for h in seq.hyps), imp),
-        (ent,),
-    )
+    ctxs, hyps = extend(seq.ctxs, seq.hyps, PROG, tau)
+    impi = EffDerivation("ImpI", EffSequent(ctxs, hyps, imp), (ent,))
     upi = EffDerivation(
         "UniProgI", EffSequent(seq.ctxs, seq.hyps, e.SForallProg(tau, imp)), (impi,)
     )
@@ -346,13 +343,11 @@ def _orth_intro(seq, q, o, inner):
     whose last hypothesis is the orthogonality hypothesis ``v ∈ X``."""
     forall = subst(o.body, PROG, 0, q)
     imp = forall.body
-    c = seq.ctxs
-    ctxs = e.EffContexts(c.kinds, c.indices, c.types + (forall.binder_type,))
-    hyps = tuple(shift(h, PROG) for h in seq.hyps)
+    ctxs, hyps = extend(seq.ctxs, seq.hyps, PROG, forall.binder_type)
     impi = EffDerivation(
         "ImpI", EffSequent(ctxs, hyps, imp), (inner(ctxs, hyps + (imp.lhs,)),)
     )
-    upi = EffDerivation("UniProgI", EffSequent(c, seq.hyps, forall), (impi,))
+    upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, seq.hyps, forall), (impi,))
     return EffDerivation("Mem0I", seq, (upi,))
 
 
@@ -396,7 +391,7 @@ def _unfold(ctxs, hyps, mem, x):
 
 def _weakened(prem, seq, tau, hyp):
     """``prem`` under one more program binder of type ``tau``, with ``hyp``."""
-    return add_hypotheses(weaken_type(prem, len(seq.ctxs.types), tau), (hyp,))
+    return weaken_type(prem, len(seq.ctxs.types), tau, (hyp,))
 
 
 def _cont_modi(inst, parts, seq, prem):
@@ -603,8 +598,8 @@ def _law_mon_case(rng, inst) -> EffDerivation:
     phi2 = e.SImp(e.BOT_SPEC, phi1)
     mod_goal = e.After(e.Ret(p), tau, phi1)
     hyps = (mod_goal,)
-    ctx1 = e.EffContexts(types=(tau,))
-    ent_hyps = tuple(shift(h, PROG) for h in hyps) + (phi1,)
+    ctx1, ent_hyps = extend(e.EffContexts(), hyps, PROG, tau)
+    ent_hyps += (phi1,)
     ent = EffDerivation(
         "ImpI",
         EffSequent(ctx1, ent_hyps, phi2),

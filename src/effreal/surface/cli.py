@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from ..errors import KernelError
 from ..hol import check as hol_check
@@ -50,33 +51,15 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def cmd_check_hol(args) -> int:
+def cmd_check(args, store: str, check, show) -> int:
+    """Check every derivation of the document table ``store`` with
+    ``check``, printing each conclusion with ``show``."""
     doc = _load(args.file)
     results = {}
     ok = True
-    for name, d in doc.hol_derivations.items():
+    for name, d in getattr(doc, store).items():
         try:
-            seq = hol_check(d)
-            results[name] = {"ok": True, "conclusion": pr.print_hol_sequent(seq)}
-        except KernelError as exc:
-            ok = False
-            results[name] = {"ok": False, "error": str(exc)}
-    human = "\n".join(
-        f"{'ok  ' if r['ok'] else 'FAIL'} {n}" + ("" if r["ok"] else f": {r['error']}")
-        for n, r in results.items()
-    )
-    _emit(args, {"results": results}, human or "no derivations")
-    return 0 if ok else 1
-
-
-def cmd_check_effhol(args) -> int:
-    doc = _load(args.file)
-    results = {}
-    ok = True
-    for name, d in doc.eff_derivations.items():
-        try:
-            seq = eff_check(d)
-            results[name] = {"ok": True, "conclusion": pr.print_eff_sequent(seq)}
+            results[name] = {"ok": True, "conclusion": show(check(d))}
         except KernelError as exc:
             ok = False
             results[name] = {"ok": False, "error": str(exc)}
@@ -271,11 +254,15 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check-hol", help="check every logic derivation in FILE")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_check_hol)
+    p.set_defaults(fn=partial(
+        cmd_check, store="hol_derivations", check=hol_check, show=pr.print_hol_sequent
+    ))
 
     p = sub.add_parser("check-effhol", help="check every program-logic derivation in FILE")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_check_effhol)
+    p.set_defaults(fn=partial(
+        cmd_check, store="eff_derivations", check=eff_check, show=pr.print_eff_sequent
+    ))
 
     p = sub.add_parser("translate", help="translate a named proposition")
     p.add_argument("file")

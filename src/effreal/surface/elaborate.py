@@ -258,7 +258,7 @@ def elab_derivation(doc: SurfaceDoc, calc: Calculus, node):
         raise SurfaceSyntaxError(f"unknown rule {tag!r}", n.line, n.col)
     name = _RULE_OF_TAG[calc][tag]
     rule = calc.rules[name]
-    expect_args(n, 1 + rule.arity)
+    expect_args(n, 1 + calc.arity(name))
     seq, env = elab_sequent(doc, calc, n[1])
     envs = env.slots
     args = iter(n.items[2:])

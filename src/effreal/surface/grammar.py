@@ -18,8 +18,8 @@ dataclass fields and the binder layout ``@astnode`` records, by one rule:
 
 Sequent contexts follow the same binder rule, entry by entry.  ``HOL`` and
 ``EFF`` describe each calculus's sequents and, per derivation rule, its
-surface tag, premise count and witnesses; the text and JSON forms of
-derivations are both read from them.
+surface tag and witnesses; premise counts are read from the kernel's
+table.  The text and JSON forms of derivations are both read from them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .._astnode import Namespace
 from ..errors import SurfaceSyntaxError
 from ..effhol import syntax as e
 from ..effhol.reduction import Strategy
-from ..effhol.theory import EffDerivation, EffSequent
+from ..effhol.theory import EFF_PREMISES, EffDerivation, EffSequent
 from ..hol import checker as hc
 from ..hol import syntax as h
 
@@ -216,14 +216,7 @@ class Witness:
 @dataclass(frozen=True)
 class Rule:
     tag: str
-    premises: int = 1
     witnesses: tuple[Witness, ...] = ()
-
-    @property
-    def arity(self) -> int:
-        """Arguments of the text form after the sequent."""
-        grouped = sum(1 for w in self.witnesses if w.binds)
-        return len(self.witnesses) - grouped + self.premises
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +231,16 @@ class Calculus:
     sections: tuple[tuple[str | None, Category], ...]
     formula: Category
     rules: dict[str, Rule]
+    premises: dict[str, int]  # the kernel's premise count of each rule
     contexts: typing.Callable  # sequent -> tuple of contexts, one per section
     sequent: typing.Callable  # (contexts, hyps, goal) -> sequent
     derivation: type
+
+    def arity(self, rule: str) -> int:
+        """Arguments of a rule's text form after the sequent."""
+        witnesses = self.rules[rule].witnesses
+        grouped = sum(1 for w in witnesses if w.binds)
+        return len(witnesses) - grouped + self.premises[rule]
 
     def depth(self, contexts) -> tuple[int, ...]:
         """The binder depths at a sequent's formulas."""
@@ -257,11 +257,12 @@ HOL = Calculus(
     ((None, SORTS),),
     PROPS,
     {
-        "Id": Rule("id", 0), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e", 2),
-        "UniI": Rule("uni-i"), "UniE": Rule("uni-e", 1, (Witness("term", "witness", TERMS),)),
+        "Id": Rule("id"), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e"),
+        "UniI": Rule("uni-i"), "UniE": Rule("uni-e", (Witness("term", "witness", TERMS),)),
         "MemI": Rule("mem-i"), "MemE": Rule("mem-e"),
         "Mem0I": Rule("mem0-i"), "Mem0E": Rule("mem0-e"),
     },
+    hc.HOL_PREMISES,
     lambda seq: (seq.ctx,),
     lambda ctxs, hyps, goal: hc.Sequent(ctxs[0], hyps, goal),
     hc.HolDerivation,
@@ -274,18 +275,18 @@ EFF = Calculus(
     (("kinds", KINDS), ("indices", INDICES), ("types", TYPES)),
     SPECS,
     {
-        "Id": Rule("id", 0), "Conv": Rule("conv"), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e", 2),
+        "Id": Rule("id"), "Conv": Rule("conv"), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e"),
         "UniProgI": Rule("uniprog-i"),
-        "UniProgE": Rule("uniprog-e", 1, (Witness("program", "witness_prog", PROGRAMS),)),
+        "UniProgE": Rule("uniprog-e", (Witness("program", "witness_prog", PROGRAMS),)),
         "UniExpI": Rule("uniexp-i"),
-        "UniExpE": Rule("uniexp-e", 1, (Witness("expression", "witness_expr", EXPRS),)),
+        "UniExpE": Rule("uniexp-e", (Witness("expression", "witness_expr", EXPRS),)),
         "UniTypeI": Rule("unitype-i"),
-        "UniTypeE": Rule("unitype-e", 1, (Witness("type", "witness_type", TYPES),)),
-        "ModI": Rule("mod-i"), "ModE": Rule("mod-e"), "Mon": Rule("mon", 2),
+        "UniTypeE": Rule("unitype-e", (Witness("type", "witness_type", TYPES),)),
+        "ModI": Rule("mod-i"), "ModE": Rule("mod-e"), "Mon": Rule("mon"),
         "MemI": Rule("mem-i"), "MemE": Rule("mem-e"),
         "Mem0I": Rule("mem0-i"), "Mem0E": Rule("mem0-e"),
         # (antired SEQ (hole (x T) S) BEFORE AFTER STEPS STRATEGY PREMISE)
-        "AntiRed": Rule("antired", 1, (
+        "AntiRed": Rule("antired", (
             Witness("hole_type", "hole_type", TYPES, binds="hole"),
             Witness("hole_spec", "hole_spec", SPECS),
             Witness("before", "prog_before", PROGRAMS),
@@ -294,6 +295,7 @@ EFF = Calculus(
             Witness("strategy", "strategy", STRATEGY),
         )),
     },
+    EFF_PREMISES,
     lambda seq: (seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types),
     lambda ctxs, hyps, goal: EffSequent(e.EffContexts(*ctxs), hyps, goal),
     EffDerivation,

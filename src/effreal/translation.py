@@ -28,9 +28,8 @@ from .hol import syntax as h
 from .effhol import syntax as e
 from .effhol.reduction import Strategy, root_step
 from .effhol.syntax import EXPR, PROG, TYPE
-from .effhol.theory import EffDerivation, EffSequent, make_triple
-from .effhol.typing import shift_ctx
-from .effhol.weakening import add_hypotheses, weaken_type
+from .effhol.theory import EffDerivation, EffSequent, extend, make_triple
+from .effhol.weakening import weaken_type
 
 
 def trkind(s: h.Sort) -> e.Kind:
@@ -249,7 +248,8 @@ def _hyp_var(n_hyps: int, i: int) -> int:
     return n_hyps - 1 - i
 
 
-def _realizer(d: hc.HolDerivation) -> e.EffProgram:
+def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...]) -> e.EffProgram:
+    """The realizer of ``d``'s conclusion, from its premises' realizers."""
     c = d.conclusion
     sctx = c.ctx
     match d.rule:
@@ -258,34 +258,27 @@ def _realizer(d: hc.HolDerivation) -> e.EffProgram:
             return e.Ret(e.PVar(_hyp_var(len(c.hyps), i)))
         case "ImpI":
             assert isinstance(c.goal, h.Imp)
-            return e.Ret(e.Abs(trtype(sctx, c.goal.lhs), _realizer(d.premises[0])))
+            return e.Ret(e.Abs(trtype(sctx, c.goal.lhs), prems[0]))
         case "ImpE":
-            fn, arg = d.premises
-            imp = fn.conclusion.goal
+            imp = d.premises[0].conclusion.goal
             assert isinstance(imp, h.Imp)
             t_imp = trtype(sctx, imp)
             t_arg = trtype(sctx, imp.lhs)
-            return e.Bind(
-                t_imp,
-                _realizer(fn),
-                e.Bind(
-                    t_arg,
-                    shift(_realizer(arg), PROG),
-                    e.App(e.PVar(1), e.PVar(0)),
-                ),
-            )
+            rest = e.Bind(t_arg, shift(prems[1], PROG), e.App(e.PVar(1), e.PVar(0)))
+            return e.Bind(t_imp, prems[0], rest)
         case "UniI":
             assert isinstance(c.goal, h.Forall)
-            return e.Ret(e.TyAbs(trkind(c.goal.binder_sort), _realizer(d.premises[0])))
+            return e.Ret(e.TyAbs(trkind(c.goal.binder_sort), prems[0]))
         case "UniE":
-            (p,) = d.premises
-            t_all = trtype(sctx, p.conclusion.goal)
-            return e.Bind(
-                t_all, _realizer(p), e.TyApp(e.PVar(0), tretype(sctx, d.witness))
-            )
+            t_all = trtype(sctx, d.premises[0].conclusion.goal)
+            return e.Bind(t_all, prems[0], e.TyApp(e.PVar(0), tretype(sctx, d.witness)))
         case "MemI" | "MemE" | "Mem0I" | "Mem0E":
-            return _realizer(d.premises[0])
+            return prems[0]
     raise TemplateMissing(f"no realizer for rule {d.rule!r}")
+
+
+def _realizer(d: hc.HolDerivation) -> e.EffProgram:
+    return _realize(d, tuple(map(_realizer, d.premises)))
 
 
 def _contexts(seq: hc.Sequent, amb: Ambient) -> EffSequent:
@@ -307,14 +300,14 @@ def extract_realizer(
     """Check ``d``, then extract the soundness realizer (and optionally the
     target-theory derivation of its triple)."""
     hc.check(d)
-    realizer = _realizer(d)
+    deriv = _derive(d, ambient) if derive else None
+    realizer = _realizer(d) if deriv is None else deriv.conclusion.goal.prog
     frame = _contexts(d.conclusion, ambient)
     goal_type = trtype(d.conclusion.ctx, d.conclusion.goal)
     triple = make_triple(frame.ctxs, frame.hyps, goal_type, realizer, frame.goal)
     typing = tuple(
         (i, trtype(d.conclusion.ctx, psi)) for i, psi in enumerate(d.conclusion.hyps)
     )
-    deriv = _derive(d, ambient) if derive else None
     return ExtractionResult(realizer, triple, typing, deriv)
 
 
@@ -325,12 +318,6 @@ def emit_soundness_triple(result: ExtractionResult) -> EffSequent:
 
 
 # Derivation replay for the soundness triples.
-
-
-def _triple_seq(d: hc.HolDerivation, amb: Ambient, realizer: e.EffProgram) -> EffSequent:
-    frame = _contexts(d.conclusion, amb)
-    goal_type = trtype(d.conclusion.ctx, d.conclusion.goal)
-    return EffSequent(frame.ctxs, frame.hyps, e.After(realizer, goal_type, frame.goal))
 
 
 def _shift_ambient(amb: Ambient, dt: int = 0, dp: int = 0, de: int = 0) -> Ambient:
@@ -344,36 +331,41 @@ def _shift_ambient(amb: Ambient, dt: int = 0, dp: int = 0, de: int = 0) -> Ambie
     )
 
 
+# The binders (type, program, expression) that a replayed rule's premises
+# sit under.
+_PREMISE_BINDERS = {"ImpI": (0, 1, 0), "UniI": (1, 0, 1)}
+
+
 def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
     c = d.conclusion
     sctx = c.ctx
-    r = _realizer(d)
-    concl = _triple_seq(d, amb, r)
-    frame = EffSequent(concl.ctxs, concl.hyps, concl.goal)
+    if d.rule in ("MemI", "MemE", "Mem0I", "Mem0E"):
+        raise TemplateMissing(
+            f"--derive does not replay {d.rule} nodes (substitution reasoning); "
+            "the extracted realizer and its typing are still produced"
+        )
+    sub = _shift_ambient(amb, *_PREMISE_BINDERS.get(d.rule, (0, 0, 0)))
+    ihs = tuple(_derive(p, sub) for p in d.premises)
+    r = _realize(d, tuple(ih.conclusion.goal.prog for ih in ihs))
+    frame = _contexts(c, amb)
+    concl = EffSequent(frame.ctxs, frame.hyps, e.After(r, trtype(sctx, c.goal), frame.goal))
 
     match d.rule:
         case "Id":
             i = list(c.hyps).index(c.goal)
-            assert isinstance(concl.goal, e.After)
-            body = concl.goal.body
-            hyp = subst(body, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
+            hyp = subst(frame.goal, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
             prem = EffDerivation("Id", EffSequent(frame.ctxs, frame.hyps, hyp))
             return EffDerivation("ModI", concl, (prem,))
 
         case "ImpI":
             goal = c.goal
-            assert isinstance(goal, h.Imp)
             tau1 = trtype(sctx, goal.lhs)
             tau2 = trtype(sctx, goal.rhs)
             s1 = trspec(sctx, goal.lhs)
             s2 = trspec(sctx, goal.rhs)
-            lam = e.Abs(tau1, _realizer(d.premises[0]))
+            lam = r.inner
             lam_up = shift(lam, PROG)
-            ctx1 = e.EffContexts(
-                frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (tau1,)
-            )
-            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps)
-            ih = _derive(d.premises[0], _shift_ambient(amb, dp=1))
+            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, tau1)
             red = root_step(e.App(lam_up, e.PVar(0)), cbv=True)
             assert red is not None
             anti = EffDerivation(
@@ -381,7 +373,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 EffSequent(
                     ctx1, hyps1 + (s1,), e.After(e.App(lam_up, e.PVar(0)), tau2, s2)
                 ),
-                (ih,),
+                ihs,
                 hole_spec=e.After(e.PVar(0), tau2, shift(s2, PROG, 1, 1)),
                 hole_type=e.Comp(tau2),
                 prog_before=e.App(lam_up, e.PVar(0)),
@@ -406,31 +398,22 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
 
         case "UniI":
             goal = c.goal
-            assert isinstance(goal, h.Forall)
             s = goal.binder_sort
             kappa = trkind(s)
             inner = sctx + (s,)
             tau0 = trtype(inner, goal.body)
             s0 = trspec(inner, goal.body)
             sig = trind(e.TVar(0), s)
-            tyabs = e.TyAbs(kappa, _realizer(d.premises[0]))
-            tyabs_up = shift(tyabs, TYPE)
-            app = e.TyApp(tyabs_up, e.TVar(0))
+            tyabs = r.inner
+            app = e.TyApp(shift(tyabs, TYPE), e.TVar(0))
             red = root_step(app, cbv=True)
             assert red is not None
-            ctx_k = e.EffContexts(
-                frame.ctxs.kinds + (kappa,),
-                shift_ctx(frame.ctxs.indices),
-                shift_ctx(frame.ctxs.types),
-            )
-            hyps_k = tuple(shift(hh, TYPE) for hh in frame.hyps)
-            ctx_ke = e.EffContexts(ctx_k.kinds, ctx_k.indices + (sig,), ctx_k.types)
-            hyps_ke = tuple(shift(hh, EXPR) for hh in hyps_k)
-            ih = _derive(d.premises[0], _shift_ambient(amb, dt=1, de=1))
+            ctx_k, hyps_k = extend(frame.ctxs, frame.hyps, TYPE, kappa)
+            ctx_ke, hyps_ke = extend(ctx_k, hyps_k, EXPR, sig)
             anti = EffDerivation(
                 "AntiRed",
                 EffSequent(ctx_ke, hyps_ke, e.After(app, tau0, s0)),
-                (ih,),
+                ihs,
                 hole_spec=e.After(e.PVar(0), tau0, shift(s0, PROG, 1, 1)),
                 hole_type=e.Comp(tau0),
                 prog_before=app,
@@ -450,33 +433,23 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             return EffDerivation("ModI", concl, (uti,))
 
         case "ImpE":
-            fnp, argp = d.premises
-            imp = fnp.conclusion.goal
-            assert isinstance(imp, h.Imp)
+            imp = d.premises[0].conclusion.goal
             tau1 = trtype(sctx, imp.lhs)
             tau2 = trtype(sctx, imp.rhs)
             t_imp = trtype(sctx, imp)
             s_imp = trspec(sctx, imp)
             s1 = trspec(sctx, imp.lhs)
             s2 = trspec(sctx, imp.rhs)
-            r0 = _realizer(fnp)
-            r1 = _realizer(argp)
-            r1_up = shift(r1, PROG)
-            rest = e.Bind(tau1, r1_up, e.App(e.PVar(1), e.PVar(0)))
-            app = e.App(e.PVar(1), e.PVar(0))
+            ih0, ih1 = ihs
+            rest = r.rest
+            app = rest.rest
 
-            ih0 = _derive(fnp, amb)
+            ih1w = weaken_type(ih1, len(frame.ctxs.types), t_imp, (s_imp,))
 
-            ih1 = _derive(argp, amb)
-            ih1w = weaken_type(ih1, len(frame.ctxs.types), t_imp)
-            ih1w = add_hypotheses(ih1w, (s_imp,))
-
-            ctx1 = e.EffContexts(
-                frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (t_imp,)
-            )
-            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps) + (s_imp,)
-            ctx2 = e.EffContexts(ctx1.kinds, ctx1.indices, ctx1.types + (tau1,))
-            hyps2 = tuple(shift(hh, PROG) for hh in hyps1) + (s1,)
+            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_imp)
+            hyps1 += (s_imp,)
+            ctx2, hyps2 = extend(ctx1, hyps1, PROG, tau1)
+            hyps2 += (s1,)
 
             s_imp_up = shift(s_imp, PROG)
             idf = EffDerivation("Id", EffSequent(ctx2, hyps2, s_imp_up))
@@ -498,7 +471,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             mon2 = EffDerivation(
                 "Mon",
                 EffSequent(
-                    ctx1, hyps1, e.After(r1_up, tau1, e.After(app, tau2, s2))
+                    ctx1, hyps1, e.After(rest.first, tau1, e.After(app, tau2, s2))
                 ),
                 (pi, ih1w),
             )
@@ -512,33 +485,23 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 EffSequent(
                     frame.ctxs,
                     frame.hyps,
-                    e.After(r0, t_imp, e.After(rest, tau2, s2)),
+                    e.After(r.first, t_imp, e.After(rest, tau2, s2)),
                 ),
                 (mode2, ih0),
             )
             return EffDerivation("ModE", concl, (mon1,))
 
         case "UniE":
-            (p,) = d.premises
-            forall = p.conclusion.goal
-            assert isinstance(forall, h.Forall)
-            s = forall.binder_sort
-            inner = sctx + (s,)
+            forall = d.premises[0].conclusion.goal
             t_all = trtype(sctx, forall)
             s_all = trspec(sctx, forall)
             t_wit = tretype(sctx, d.witness)
             e_wit = trtrm(sctx, d.witness)
             tau_c = trtype(sctx, c.goal)
             s_c = trspec(sctx, c.goal)
-            r0 = _realizer(p)
-            app = e.TyApp(e.PVar(0), t_wit)
 
-            ih0 = _derive(p, amb)
-
-            ctx1 = e.EffContexts(
-                frame.ctxs.kinds, frame.ctxs.indices, frame.ctxs.types + (t_all,)
-            )
-            hyps1 = tuple(shift(hh, PROG) for hh in frame.hyps) + (s_all,)
+            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_all)
+            hyps1 += (s_all,)
             idf = EffDerivation("Id", EffSequent(ctx1, hyps1, s_all))
             assert isinstance(s_all, e.SForallType)
             after_t = subst(s_all.body, TYPE, 0, t_wit)
@@ -561,19 +524,11 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 EffSequent(
                     frame.ctxs,
                     frame.hyps,
-                    e.After(r0, t_all, e.After(app, tau_c, s_c)),
+                    e.After(r.first, t_all, e.After(r.rest, tau_c, s_c)),
                 ),
-                (uee, ih0),
+                (uee, *ihs),
             )
             return EffDerivation("ModE", concl, (mon,))
-
-        case "MemI" | "MemE" | "Mem0I" | "Mem0E":
-            raise TemplateMissing(
-                f"--derive does not replay {d.rule} nodes (substitution reasoning); "
-                "the extracted realizer and its typing are still produced"
-            )
-
-    raise TemplateMissing(f"--derive does not support rule {d.rule!r}")
 
 
 def _body_of_forall(s: e.EffSpec) -> e.EffSpec:

@@ -1,0 +1,355 @@
+"""The exact rejections of both kernels: error class, message and path.
+
+Covers a wrong premise count under every rule, an unknown rule, every
+check of the universal introductions, Mon's entailment checks and the
+base-kind checks of the typing judgments.
+"""
+
+import pytest
+
+from effreal.effhol import (
+    Abs,
+    After,
+    BOT_SPEC,
+    BOT_TYPE,
+    Bind,
+    Comp,
+    Compr,
+    ComprBase,
+    EffContexts,
+    EffDerivation,
+    EffSequent,
+    EVar,
+    Fun,
+    KSTAR,
+    PVar,
+    Ref,
+    RefBase,
+    Ret,
+    SForallExpr,
+    SForallProg,
+    SForallType,
+    SMemBase,
+    TAbs,
+    TForall,
+    TOP_SPEC,
+    TVar,
+    check as eff_check,
+    index_of,
+    index_wf,
+    kind_of,
+    spec_wf,
+    type_of,
+)
+from effreal.errors import KindMismatch, RuleMismatch
+from effreal.hol import (
+    Forall,
+    HolDerivation,
+    Imp,
+    MemBase,
+    STAR,
+    Sequent,
+    Var,
+    check as hol_check,
+)
+
+HOL_COUNTS = {
+    "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
+    "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
+}
+EFF_COUNTS = {
+    "Id": 0, "Conv": 1, "ImpI": 1, "ImpE": 2,
+    "UniProgI": 1, "UniProgE": 1, "UniExpI": 1, "UniExpE": 1, "UniTypeI": 1, "UniTypeE": 1,
+    "ModI": 1, "ModE": 1, "Mon": 2, "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
+    "AntiRed": 1,
+}
+
+
+def _rejects(run, cls, message, path):
+    with pytest.raises(cls) as info:
+        run()
+    exc = info.value
+    assert type(exc) is cls
+    assert exc.message == message
+    assert exc.path == path
+    loc = "/".join(map(str, path)) or "root"
+    assert str(exc) == f"[at {loc}] {message}"
+
+
+# Premise counts and unknown rules.
+
+HOL_A = MemBase(Var(0))
+HOL_SEQ = Sequent((STAR,), (HOL_A,), HOL_A)
+EFF_SEQ = EffSequent(EffContexts(), (), TOP_SPEC)
+
+
+def _wrong_counts(table):
+    return [(r, k) for r, n in table.items() for k in sorted({n + 1, 0} - {n})]
+
+
+@pytest.mark.parametrize("rule,got", _wrong_counts(HOL_COUNTS))
+def test_hol_wrong_premise_count(rule, got):
+    filler = HolDerivation("Id", HOL_SEQ)
+    d = HolDerivation(rule, HOL_SEQ, (filler,) * got)
+    msg = f"{rule} expects {HOL_COUNTS[rule]} premise(s), got {got}"
+    _rejects(lambda: hol_check(d), RuleMismatch, msg, ())
+
+
+@pytest.mark.parametrize("rule,got", _wrong_counts(EFF_COUNTS))
+def test_eff_wrong_premise_count(rule, got):
+    filler = EffDerivation("Id", EFF_SEQ)
+    d = EffDerivation(rule, EFF_SEQ, (filler,) * got)
+    msg = f"{rule} expects {EFF_COUNTS[rule]} premise(s), got {got}"
+    _rejects(lambda: eff_check(d), RuleMismatch, msg, ())
+
+
+def test_hol_unknown_rule_at_root_and_below():
+    _rejects(lambda: hol_check(HolDerivation("Cut", HOL_SEQ)), RuleMismatch, "unknown rule 'Cut'", ())
+    seq = Sequent((STAR,), (), Imp(HOL_A, HOL_A))
+    d = HolDerivation("ImpI", seq, (HolDerivation("Cut", HOL_SEQ),))
+    _rejects(lambda: hol_check(d), RuleMismatch, "unknown rule 'Cut'", (0,))
+
+
+def test_eff_unknown_rule_at_root_and_below():
+    _rejects(lambda: eff_check(EffDerivation("Cut", EFF_SEQ)), RuleMismatch, "unknown rule 'Cut'", ())
+    d = EffDerivation("Conv", EFF_SEQ, (EffDerivation("Cut", EFF_SEQ),))
+    _rejects(lambda: eff_check(d), RuleMismatch, "unknown rule 'Cut'", (0,))
+
+
+def test_wrong_count_below_the_root():
+    d = EffDerivation("Conv", EFF_SEQ, (EffDerivation("Mon", EFF_SEQ, ()),))
+    _rejects(lambda: eff_check(d), RuleMismatch, "Mon expects 2 premise(s), got 0", (0,))
+
+
+# Universal introductions: the goal's shape, then the premise's context,
+# hypotheses and goal.
+
+_CELL = ComprBase(BOT_TYPE, BOT_SPEC)
+
+
+def _uni_cases():
+    """(rule, conclusion, correct premise, wrong premise contexts,
+    unshifted hypotheses, wrong premise goal, noun) per universal
+    introduction of the target theory."""
+    # program universal: hypotheses mention program variable 0
+    c1 = EffContexts(types=(BOT_TYPE,))
+    h1 = SMemBase(PVar(0), _CELL)
+    body1 = SMemBase(PVar(1), _CELL)
+    yield (
+        "UniProgI",
+        EffSequent(c1, (h1,), SForallProg(BOT_TYPE, body1)),
+        EffSequent(EffContexts(types=(BOT_TYPE, BOT_TYPE)), (body1,), body1),
+        c1, (h1,), SMemBase(PVar(0), _CELL), "a program universal",
+    )
+    # expression universal: hypotheses mention expression variable 0
+    c2 = EffContexts(indices=(RefBase(BOT_TYPE),), types=(BOT_TYPE,))
+    h2 = SMemBase(PVar(0), EVar(0))
+    body2 = SMemBase(PVar(0), EVar(1))
+    yield (
+        "UniExpI",
+        EffSequent(c2, (h2,), SForallExpr(RefBase(BOT_TYPE), body2)),
+        EffSequent(
+            EffContexts(indices=(RefBase(BOT_TYPE), RefBase(BOT_TYPE)), types=(BOT_TYPE,)),
+            (body2,),
+            body2,
+        ),
+        c2, (h2,), SMemBase(PVar(0), EVar(0)), "an expression universal",
+    )
+    # type universal: hypotheses and context entries mention type variable 0
+    c3 = EffContexts(kinds=(KSTAR,), types=(TVar(0),))
+    h3 = SMemBase(PVar(0), ComprBase(TVar(0), BOT_SPEC))
+    body3 = SMemBase(PVar(0), ComprBase(TVar(1), BOT_SPEC))
+    yield (
+        "UniTypeI",
+        EffSequent(c3, (h3,), SForallType(KSTAR, body3)),
+        EffSequent(EffContexts(kinds=(KSTAR, KSTAR), types=(TVar(1),)), (body3,), body3),
+        EffContexts(kinds=(KSTAR, KSTAR), types=(TVar(0),)), (h3,),
+        SMemBase(PVar(0), ComprBase(TVar(0), BOT_SPEC)), "a type universal",
+    )
+
+
+UNI_CASES = {case[0]: case for case in _uni_cases()}
+
+
+@pytest.mark.parametrize("rule", sorted(UNI_CASES))
+def test_eff_universal_introduction_accepts(rule):
+    _, concl, ok, *_ = UNI_CASES[rule]
+    d = EffDerivation("Conv", concl, (EffDerivation(rule, concl, (EffDerivation("Id", ok),)),))
+    assert eff_check(d) == concl
+
+
+@pytest.mark.parametrize("rule", sorted(UNI_CASES))
+@pytest.mark.parametrize("broken", ["shape", "contexts", "hyps", "goal"])
+def test_eff_universal_introduction_rejects(rule, broken):
+    _, concl, ok, bad_ctxs, bad_hyps, bad_goal, noun = UNI_CASES[rule]
+    if broken == "shape":
+        concl = EffSequent(concl.ctxs, concl.hyps, concl.hyps[0])
+        prem = ok
+        msg = f"{rule}: goal is not {noun}"
+    elif broken == "contexts":
+        prem = EffSequent(bad_ctxs, ok.hyps, ok.goal)
+        msg = f"{rule}: premise context is not the extension"
+    elif broken == "hyps":
+        prem = EffSequent(ok.ctxs, bad_hyps, ok.goal)
+        msg = f"{rule}: premise hypotheses are not the shifted set"
+    else:
+        prem = EffSequent(ok.ctxs, ok.hyps, bad_goal)
+        msg = f"{rule}: premise goal is not the body"
+    inner = EffDerivation(rule, concl, (EffDerivation("Id", prem),))
+    d = EffDerivation("Conv", concl, (inner,))
+    _rejects(lambda: eff_check(d), RuleMismatch, msg, (0,))
+
+
+@pytest.mark.parametrize("broken", ["shape", "contexts", "hyps", "goal"])
+def test_hol_universal_introduction_rejects(broken):
+    goal = Forall(STAR, MemBase(Var(0)))
+    concl = Sequent((STAR,), (HOL_A,), goal)
+    ctx, hyps, pgoal = (STAR, STAR), (MemBase(Var(1)),), MemBase(Var(0))
+    if broken == "shape":
+        concl = HOL_SEQ
+        msg = "UniI: goal is not a universal"
+    elif broken == "contexts":
+        ctx = (STAR,)
+        msg = "UniI: premise context is not the extension by the bound sort"
+    elif broken == "hyps":
+        hyps = (HOL_A,)
+        msg = "UniI: premise hypotheses are not the shifted hypotheses"
+    else:
+        pgoal = MemBase(Var(1))
+        msg = "UniI: premise goal is not the universal body"
+    prem = HolDerivation("Id", Sequent(ctx, hyps, pgoal))
+    d = HolDerivation("UniI", concl, (prem,))
+    _rejects(lambda: hol_check(d), RuleMismatch, msg, ())
+
+
+# Mon: the modality premise, then the entailment premise's context,
+# hypotheses and goal.
+
+_T_ID = Fun(BOT_TYPE, BOT_TYPE)
+_P = Ret(Abs(BOT_TYPE, PVar(0)))
+_MON_CTXS = EffContexts(types=(BOT_TYPE,))
+_MON_HYP = SMemBase(PVar(0), _CELL)
+_PHI1 = BOT_SPEC
+_PHI2 = SMemBase(PVar(1), _CELL)  # the hypothesis, under the result binder
+_MOD = After(_P, _T_ID, _PHI1)
+
+
+def _mon(ent_ctxs, ent_hyps, ent_goal, mod_goal=_MOD, goal=None):
+    goal = After(_P, _T_ID, _PHI2) if goal is None else goal
+    concl = EffSequent(_MON_CTXS, (_MON_HYP, _MOD), goal)
+    ent = EffDerivation("Id", EffSequent(ent_ctxs, ent_hyps, ent_goal))
+    mod = EffDerivation("Id", EffSequent(_MON_CTXS, (_MON_HYP, _MOD), mod_goal))
+    return EffDerivation("Conv", concl, (EffDerivation("Mon", concl, (ent, mod)),))
+
+
+_ENT_CTXS = EffContexts(types=(BOT_TYPE, _T_ID))
+_ENT_HYPS = (SMemBase(PVar(1), _CELL), _MOD, _PHI1)
+
+MON_CASES = {
+    "accepts": (_mon(_ENT_CTXS, _ENT_HYPS, _PHI2), None),
+    "goal": (
+        _mon(_ENT_CTXS, _ENT_HYPS, _PHI2, goal=_MON_HYP),
+        "Mon: goal is not a modality",
+    ),
+    "modality": (
+        _mon(_ENT_CTXS, _ENT_HYPS, _PHI2, mod_goal=_MON_HYP),
+        "Mon: second premise is not a modality",
+    ),
+    "computation": (
+        _mon(_ENT_CTXS, _ENT_HYPS, _PHI2, mod_goal=After(Ret(PVar(0)), BOT_TYPE, _PHI1)),
+        "Mon: modality premise runs a different computation",
+    ),
+    "contexts": (
+        _mon(EffContexts(types=(BOT_TYPE, BOT_TYPE)), _ENT_HYPS, _PHI2),
+        "Mon: entailment premise context is not the extension",
+    ),
+    "hyps": (
+        _mon(_ENT_CTXS, (_MON_HYP, _MOD, _PHI1), _PHI2),
+        "Mon: entailment hypotheses are not the shifted set",
+    ),
+    "entailment goal": (
+        _mon(_ENT_CTXS, _ENT_HYPS, _PHI1),
+        "Mon: entailment goal is not the modality body",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MON_CASES))
+def test_mon_checks(case):
+    d, msg = MON_CASES[case]
+    if msg is None:
+        assert eff_check(d) == d.conclusion
+    else:
+        _rejects(lambda: eff_check(d), RuleMismatch, msg, (0,))
+
+
+# The base-kind checks of the typing judgments.
+
+_F = TAbs(KSTAR, TVar(0))  # has kind (* => *)
+_PATH = (2, 0, 1)
+
+BASE_KIND_CASES = {
+    "tabs body": (
+        lambda: kind_of((), TAbs(KSTAR, _F), _PATH),
+        "abstraction body has kind (* => *), expected *",
+    ),
+    "fun domain": (
+        lambda: kind_of((), Fun(_F, BOT_TYPE), _PATH),
+        "function component has kind (* => *), expected *",
+    ),
+    "fun codomain": (
+        lambda: kind_of((), Fun(BOT_TYPE, _F), _PATH),
+        "function component has kind (* => *), expected *",
+    ),
+    "forall body": (
+        lambda: kind_of((), TForall(KSTAR, _F), _PATH),
+        "universal body has kind (* => *), expected *",
+    ),
+    "comp argument": (
+        lambda: kind_of((), Comp(_F), _PATH),
+        "computation argument has kind (* => *), expected *",
+    ),
+    "ref0 carrier": (
+        lambda: index_wf((), RefBase(_F), _PATH),
+        "refinement carrier has kind (* => *), expected *",
+    ),
+    "ref carrier": (
+        lambda: index_wf((), Ref(_F, RefBase(BOT_TYPE)), _PATH),
+        "refinement carrier has kind (* => *), expected *",
+    ),
+    "lam annotation": (
+        lambda: type_of((), (), Abs(_F, PVar(0)), _PATH),
+        "abstraction annotation has kind (* => *), expected *",
+    ),
+    "bind annotation": (
+        lambda: type_of((), (), Bind(_F, PVar(0), PVar(0)), _PATH),
+        "bind annotation has kind (* => *), expected *",
+    ),
+    "compr carrier": (
+        lambda: index_of((), (), (), Compr(_F, RefBase(BOT_TYPE), BOT_SPEC), _PATH),
+        "comprehension carrier has kind (* => *), expected *",
+    ),
+    "compr0 carrier": (
+        lambda: index_of((), (), (), ComprBase(_F, BOT_SPEC), _PATH),
+        "comprehension carrier has kind (* => *), expected *",
+    ),
+    "allp annotation": (
+        lambda: spec_wf((), (), (), SForallProg(_F, BOT_SPEC), _PATH),
+        "quantifier annotation has kind (* => *), expected *",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASE_KIND_CASES))
+def test_base_kind_checks(case):
+    run, msg = BASE_KIND_CASES[case]
+    _rejects(run, KindMismatch, msg, _PATH)
+
+
+def test_base_kind_check_through_the_checker():
+    goal = SForallProg(_F, BOT_SPEC)
+    d = EffDerivation("Id", EffSequent(EffContexts(), (goal,), goal))
+    _rejects(
+        lambda: eff_check(d), KindMismatch, "quantifier annotation has kind (* => *), expected *", ()
+    )
+

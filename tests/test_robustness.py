@@ -9,15 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from effreal.errors import KernelError, SurfaceSyntaxError
+from effreal.errors import KernelError, RuleMismatch, SurfaceSyntaxError
 from effreal.hol import (
+    FALSUM,
     HolDerivation,
+    Imp,
     STAR,
     Sequent,
     check as hol_check,
 )
 from effreal.effhol import (
     BOT_TYPE,
+    EffContexts,
+    EffDerivation,
+    EffSequent,
     TOP_SPEC,
     check as eff_check,
     weaken_type,
@@ -98,6 +103,18 @@ def test_checker_rejects_goal_mutations_cleanly():
             assert exc.path is not None
     # replacing a goal with an unrelated tautology must never go unnoticed
     assert mutated_accepts == 0
+
+
+@pytest.mark.parametrize("rule", [["Id"], {"Id": 0}, None, 0])
+def test_rule_names_of_any_type_are_rejected(rule):
+    """A derivation built through the API with a rule that is not a
+    string, hashable or not, gets the unknown-rule error."""
+    hol = HolDerivation(rule, Sequent((), (), Imp(FALSUM, FALSUM)))
+    eff = EffDerivation(rule, EffSequent(EffContexts(), (), TOP_SPEC))
+    for check, d in ((hol_check, hol), (eff_check, eff)):
+        with pytest.raises(RuleMismatch) as info:
+            check(d)
+        assert str(info.value) == f"[at root] unknown rule {rule!r}"
 
 
 def _cli(*argv):
