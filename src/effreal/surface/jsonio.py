@@ -21,16 +21,18 @@ SCHEMA = "effreal/derivation/1"
 
 
 def _to_json(calc, d) -> dict:
-    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d)}
+    # one printing table for the whole document (see ``printer``)
+    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d, {})}
 
 
-def _node(calc, d) -> dict:
-    depth = calc.depth(calc.contexts(d.conclusion))
+def _node(calc, d, memo: dict) -> dict:
+    out: list[str] = []
+    depth = pr._sequent(calc, d.conclusion, out, memo)
     return {
         "rule": d.rule,
-        "conclusion": pr.print_sequent(calc, d.conclusion),
-        "witnesses": pr.witness_texts(calc, d, depth),
-        "premises": [_node(calc, p) for p in d.premises],
+        "conclusion": "".join(out),
+        "witnesses": pr.witness_texts(calc, d, depth, memo),
+        "premises": [_node(calc, p, memo) for p in d.premises],
     }
 
 

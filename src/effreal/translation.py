@@ -10,6 +10,12 @@ with the sort context.
 Specifications produced by ``trspec`` have exactly one free program
 variable, index 0: the distinguished realizer.
 
+Each ``extract_realizer`` or ``translate_prop`` call translates every
+proposition and term once: ``trtype``, ``trspec``, ``tretype`` and
+``trtrm`` look their argument up in the call's ``_Memo`` first.  The
+proposition or term alone is an exact key, because the four maps extend
+``sctx`` but never read it, and nodes are hash-consed.
+
 ``extract_realizer`` walks a checked derivation and emits the realizer
 dictated by the soundness proof, one construct per rule; ``derive_triple``
 additionally replays the proof of the resulting triple inside the target
@@ -53,80 +59,127 @@ def trind(tau: e.EffType, s: h.Sort) -> e.EffIndex:
     raise TypeError(f"unexpected sort {s!r}")
 
 
-def tretype(sctx: hc.SortContext, t: h.HolTerm) -> e.EffType:
-    match t:
-        case h.Var(i):
-            return e.TVar(i)
-        case h.Compr(s, body):
-            return e.TAbs(trkind(s), trtype(sctx + (s,), body))
-        case h.ComprBase(body):
-            return trtype(sctx, body)
-    raise TypeError(f"unexpected term {t!r}")
+class _Memo:
+    """The tables of one translation: ``types`` holds ``trtype`` of
+    propositions and ``tretype`` of terms, ``specs`` holds ``trspec`` of
+    propositions and ``trtrm`` of terms; propositions and terms are nodes
+    of distinct classes, so they share the two tables."""
+
+    __slots__ = ("types", "specs")
+
+    def __init__(self) -> None:
+        self.types: dict = {}
+        self.specs: dict = {}
 
 
-def trtrm(sctx: hc.SortContext, t: h.HolTerm) -> e.EffExpr:
-    match t:
-        case h.Var(i):
-            return e.EVar(i)
-        case h.Compr(s, body):
-            inner = sctx + (s,)
-            return e.EForall(
-                trkind(s),
-                e.Compr(trtype(inner, body), trind(e.TVar(0), s), trspec(inner, body)),
-            )
-        case h.ComprBase(body):
-            return e.ComprBase(trtype(sctx, body), trspec(sctx, body))
-    raise TypeError(f"unexpected term {t!r}")
+def tretype(sctx: hc.SortContext, t: h.HolTerm, memo: _Memo | None = None) -> e.EffType:
+    if memo is None:
+        memo = _Memo()
+    ty = memo.types.get(t)
+    if ty is None:
+        match t:
+            case h.Var(i):
+                ty = e.TVar(i)
+            case h.Compr(s, body):
+                ty = e.TAbs(trkind(s), trtype(sctx + (s,), body, memo))
+            case h.ComprBase(body):
+                ty = trtype(sctx, body, memo)
+            case _:
+                raise TypeError(f"unexpected term {t!r}")
+        memo.types[t] = ty
+    return ty
 
 
-def trtype(sctx: hc.SortContext, p: h.HolProp) -> e.EffType:
-    match p:
-        case h.Imp(a, b):
-            return e.Fun(trtype(sctx, a), e.Comp(trtype(sctx, b)))
-        case h.Forall(s, body):
-            return e.TForall(trkind(s), e.Comp(trtype(sctx + (s,), body)))
-        case h.Mem(el, st):
-            return e.TApp(tretype(sctx, st), tretype(sctx, el))
-        case h.MemBase(t):
-            return tretype(sctx, t)
-    raise IllSorted(f"unexpected proposition {p!r}")
+def trtrm(sctx: hc.SortContext, t: h.HolTerm, memo: _Memo | None = None) -> e.EffExpr:
+    if memo is None:
+        memo = _Memo()
+    ex = memo.specs.get(t)
+    if ex is None:
+        match t:
+            case h.Var(i):
+                ex = e.EVar(i)
+            case h.Compr(s, body):
+                inner = sctx + (s,)
+                ex = e.EForall(
+                    trkind(s),
+                    e.Compr(
+                        trtype(inner, body, memo),
+                        trind(e.TVar(0), s),
+                        trspec(inner, body, memo),
+                    ),
+                )
+            case h.ComprBase(body):
+                ex = e.ComprBase(trtype(sctx, body, memo), trspec(sctx, body, memo))
+            case _:
+                raise TypeError(f"unexpected term {t!r}")
+        memo.specs[t] = ex
+    return ex
 
 
-def trspec(sctx: hc.SortContext, p: h.HolProp) -> e.EffSpec:
+def trtype(sctx: hc.SortContext, p: h.HolProp, memo: _Memo | None = None) -> e.EffType:
+    if memo is None:
+        memo = _Memo()
+    ty = memo.types.get(p)
+    if ty is None:
+        match p:
+            case h.Imp(a, b):
+                ty = e.Fun(trtype(sctx, a, memo), e.Comp(trtype(sctx, b, memo)))
+            case h.Forall(s, body):
+                ty = e.TForall(trkind(s), e.Comp(trtype(sctx + (s,), body, memo)))
+            case h.Mem(el, st):
+                ty = e.TApp(tretype(sctx, st, memo), tretype(sctx, el, memo))
+            case h.MemBase(t):
+                ty = tretype(sctx, t, memo)
+            case _:
+                raise IllSorted(f"unexpected proposition {p!r}")
+        memo.types[p] = ty
+    return ty
+
+
+def trspec(sctx: hc.SortContext, p: h.HolProp, memo: _Memo | None = None) -> e.EffSpec:
     """The specification of realizers of ``p``; program variable 0 is the realizer."""
-    match p:
-        case h.Imp(a, b):
-            return e.SForallProg(
-                trtype(sctx, a),
-                e.SImp(
-                    trspec(sctx, a),
-                    e.After(
-                        e.App(e.PVar(1), e.PVar(0)), trtype(sctx, b), trspec(sctx, b)
+    if memo is None:
+        memo = _Memo()
+    sp = memo.specs.get(p)
+    if sp is None:
+        match p:
+            case h.Imp(a, b):
+                sp = e.SForallProg(
+                    trtype(sctx, a, memo),
+                    e.SImp(
+                        trspec(sctx, a, memo),
+                        e.After(
+                            e.App(e.PVar(1), e.PVar(0)),
+                            trtype(sctx, b, memo),
+                            trspec(sctx, b, memo),
+                        ),
                     ),
-                ),
-            )
-        case h.Forall(s, body):
-            inner = sctx + (s,)
-            return e.SForallType(
-                trkind(s),
-                e.SForallExpr(
-                    trind(e.TVar(0), s),
-                    e.After(
-                        e.TyApp(e.PVar(0), e.TVar(0)),
-                        trtype(inner, body),
-                        trspec(inner, body),
+                )
+            case h.Forall(s, body):
+                inner = sctx + (s,)
+                sp = e.SForallType(
+                    trkind(s),
+                    e.SForallExpr(
+                        trind(e.TVar(0), s),
+                        e.After(
+                            e.TyApp(e.PVar(0), e.TVar(0)),
+                            trtype(inner, body, memo),
+                            trspec(inner, body, memo),
+                        ),
                     ),
-                ),
-            )
-        case h.Mem(el, st):
-            return e.SMem(
-                e.PVar(0),
-                e.EApp(trtrm(sctx, st), tretype(sctx, el)),
-                trtrm(sctx, el),
-            )
-        case h.MemBase(t):
-            return e.SMemBase(e.PVar(0), trtrm(sctx, t))
-    raise IllSorted(f"unexpected proposition {p!r}")
+                )
+            case h.Mem(el, st):
+                sp = e.SMem(
+                    e.PVar(0),
+                    e.EApp(trtrm(sctx, st, memo), tretype(sctx, el, memo)),
+                    trtrm(sctx, el, memo),
+                )
+            case h.MemBase(t):
+                sp = e.SMemBase(e.PVar(0), trtrm(sctx, t, memo))
+            case _:
+                raise IllSorted(f"unexpected proposition {p!r}")
+        memo.specs[p] = sp
+    return sp
 
 
 def lift_contexts(sctx: hc.SortContext) -> tuple[tuple[e.Kind, ...], tuple[e.EffIndex, ...]]:
@@ -148,7 +201,8 @@ class TranslationOutput:
 def translate_prop(sctx: hc.SortContext, p: h.HolProp) -> TranslationOutput:
     hc.prop_wf(sctx, p)
     kinds, indices = lift_contexts(sctx)
-    return TranslationOutput(trtype(sctx, p), trspec(sctx, p), kinds, indices)
+    memo = _Memo()
+    return TranslationOutput(trtype(sctx, p, memo), trspec(sctx, p, memo), kinds, indices)
 
 
 def subst_lemma_prop_clauses(sctx: hc.SortContext, p: h.HolProp, t: h.HolTerm) -> None:
@@ -248,7 +302,7 @@ def _hyp_var(n_hyps: int, i: int) -> int:
     return n_hyps - 1 - i
 
 
-def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...]) -> e.EffProgram:
+def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...], memo: _Memo) -> e.EffProgram:
     """The realizer of ``d``'s conclusion, from its premises' realizers."""
     c = d.conclusion
     sctx = c.ctx
@@ -258,40 +312,40 @@ def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...]) -> e.EffProgr
             return e.Ret(e.PVar(_hyp_var(len(c.hyps), i)))
         case "ImpI":
             assert isinstance(c.goal, h.Imp)
-            return e.Ret(e.Abs(trtype(sctx, c.goal.lhs), prems[0]))
+            return e.Ret(e.Abs(trtype(sctx, c.goal.lhs, memo), prems[0]))
         case "ImpE":
             imp = d.premises[0].conclusion.goal
             assert isinstance(imp, h.Imp)
-            t_imp = trtype(sctx, imp)
-            t_arg = trtype(sctx, imp.lhs)
+            t_imp = trtype(sctx, imp, memo)
+            t_arg = trtype(sctx, imp.lhs, memo)
             rest = e.Bind(t_arg, shift(prems[1], PROG), e.App(e.PVar(1), e.PVar(0)))
             return e.Bind(t_imp, prems[0], rest)
         case "UniI":
             assert isinstance(c.goal, h.Forall)
             return e.Ret(e.TyAbs(trkind(c.goal.binder_sort), prems[0]))
         case "UniE":
-            t_all = trtype(sctx, d.premises[0].conclusion.goal)
-            return e.Bind(t_all, prems[0], e.TyApp(e.PVar(0), tretype(sctx, d.witness)))
+            t_all = trtype(sctx, d.premises[0].conclusion.goal, memo)
+            return e.Bind(t_all, prems[0], e.TyApp(e.PVar(0), tretype(sctx, d.witness, memo)))
         case "MemI" | "MemE" | "Mem0I" | "Mem0E":
             return prems[0]
     raise TemplateMissing(f"no realizer for rule {d.rule!r}")
 
 
-def _realizer(d: hc.HolDerivation) -> e.EffProgram:
-    return _realize(d, tuple(map(_realizer, d.premises)))
+def _realizer(d: hc.HolDerivation, memo: _Memo) -> e.EffProgram:
+    return _realize(d, tuple(_realizer(p, memo) for p in d.premises), memo)
 
 
-def _contexts(seq: hc.Sequent, amb: Ambient) -> EffSequent:
+def _contexts(seq: hc.Sequent, amb: Ambient, memo: _Memo) -> EffSequent:
     """The translated sequent frame: contexts plus pointed hypothesis specs."""
     kinds, indices = lift_contexts(seq.ctx)
-    types = tuple(trtype(seq.ctx, psi) for psi in seq.hyps)
+    types = tuple(trtype(seq.ctx, psi, memo) for psi in seq.hyps)
     n = len(seq.hyps)
     pointed = tuple(
-        subst(trspec(seq.ctx, psi), PROG, 0, e.PVar(_hyp_var(n, i)))
+        subst(trspec(seq.ctx, psi, memo), PROG, 0, e.PVar(_hyp_var(n, i)))
         for i, psi in enumerate(seq.hyps)
     )
     ctxs = e.EffContexts(amb.kinds + kinds, amb.indices + indices, amb.types + types)
-    return EffSequent(ctxs, pointed + amb.hyps, trspec(seq.ctx, seq.goal))
+    return EffSequent(ctxs, pointed + amb.hyps, trspec(seq.ctx, seq.goal, memo))
 
 
 def extract_realizer(
@@ -300,13 +354,14 @@ def extract_realizer(
     """Check ``d``, then extract the soundness realizer (and optionally the
     target-theory derivation of its triple)."""
     hc.check(d)
-    deriv = _derive(d, ambient) if derive else None
-    realizer = _realizer(d) if deriv is None else deriv.conclusion.goal.prog
-    frame = _contexts(d.conclusion, ambient)
-    goal_type = trtype(d.conclusion.ctx, d.conclusion.goal)
+    memo = _Memo()
+    deriv = _derive(d, ambient, memo) if derive else None
+    realizer = _realizer(d, memo) if deriv is None else deriv.conclusion.goal.prog
+    frame = _contexts(d.conclusion, ambient, memo)
+    goal_type = trtype(d.conclusion.ctx, d.conclusion.goal, memo)
     triple = make_triple(frame.ctxs, frame.hyps, goal_type, realizer, frame.goal)
     typing = tuple(
-        (i, trtype(d.conclusion.ctx, psi)) for i, psi in enumerate(d.conclusion.hyps)
+        (i, trtype(d.conclusion.ctx, psi, memo)) for i, psi in enumerate(d.conclusion.hyps)
     )
     return ExtractionResult(realizer, triple, typing, deriv)
 
@@ -336,7 +391,7 @@ def _shift_ambient(amb: Ambient, dt: int = 0, dp: int = 0, de: int = 0) -> Ambie
 _PREMISE_BINDERS = {"ImpI": (0, 1, 0), "UniI": (1, 0, 1)}
 
 
-def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
+def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
     c = d.conclusion
     sctx = c.ctx
     if d.rule in ("MemI", "MemE", "Mem0I", "Mem0E"):
@@ -345,10 +400,10 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             "the extracted realizer and its typing are still produced"
         )
     sub = _shift_ambient(amb, *_PREMISE_BINDERS.get(d.rule, (0, 0, 0)))
-    ihs = tuple(_derive(p, sub) for p in d.premises)
-    r = _realize(d, tuple(ih.conclusion.goal.prog for ih in ihs))
-    frame = _contexts(c, amb)
-    concl = EffSequent(frame.ctxs, frame.hyps, e.After(r, trtype(sctx, c.goal), frame.goal))
+    ihs = tuple(_derive(p, sub, memo) for p in d.premises)
+    r = _realize(d, tuple(ih.conclusion.goal.prog for ih in ihs), memo)
+    frame = _contexts(c, amb, memo)
+    concl = EffSequent(frame.ctxs, frame.hyps, e.After(r, trtype(sctx, c.goal, memo), frame.goal))
 
     match d.rule:
         case "Id":
@@ -359,10 +414,10 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
 
         case "ImpI":
             goal = c.goal
-            tau1 = trtype(sctx, goal.lhs)
-            tau2 = trtype(sctx, goal.rhs)
-            s1 = trspec(sctx, goal.lhs)
-            s2 = trspec(sctx, goal.rhs)
+            tau1 = trtype(sctx, goal.lhs, memo)
+            tau2 = trtype(sctx, goal.rhs, memo)
+            s1 = trspec(sctx, goal.lhs, memo)
+            s2 = trspec(sctx, goal.rhs, memo)
             lam = r.inner
             lam_up = shift(lam, PROG)
             ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, tau1)
@@ -390,7 +445,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 ),
                 (anti,),
             )
-            body = subst(trspec(sctx, goal), PROG, 0, lam)
+            body = subst(trspec(sctx, goal, memo), PROG, 0, lam)
             upi = EffDerivation(
                 "UniProgI", EffSequent(frame.ctxs, frame.hyps, body), (impi,)
             )
@@ -401,8 +456,8 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
             s = goal.binder_sort
             kappa = trkind(s)
             inner = sctx + (s,)
-            tau0 = trtype(inner, goal.body)
-            s0 = trspec(inner, goal.body)
+            tau0 = trtype(inner, goal.body, memo)
+            s0 = trspec(inner, goal.body, memo)
             sig = trind(e.TVar(0), s)
             tyabs = r.inner
             app = e.TyApp(shift(tyabs, TYPE), e.TVar(0))
@@ -426,7 +481,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
                 EffSequent(ctx_k, hyps_k, e.SForallExpr(sig, e.After(app, tau0, s0))),
                 (anti,),
             )
-            body = subst(trspec(sctx, goal), PROG, 0, tyabs)
+            body = subst(trspec(sctx, goal, memo), PROG, 0, tyabs)
             uti = EffDerivation(
                 "UniTypeI", EffSequent(frame.ctxs, frame.hyps, body), (uei,)
             )
@@ -434,12 +489,12 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
 
         case "ImpE":
             imp = d.premises[0].conclusion.goal
-            tau1 = trtype(sctx, imp.lhs)
-            tau2 = trtype(sctx, imp.rhs)
-            t_imp = trtype(sctx, imp)
-            s_imp = trspec(sctx, imp)
-            s1 = trspec(sctx, imp.lhs)
-            s2 = trspec(sctx, imp.rhs)
+            tau1 = trtype(sctx, imp.lhs, memo)
+            tau2 = trtype(sctx, imp.rhs, memo)
+            t_imp = trtype(sctx, imp, memo)
+            s_imp = trspec(sctx, imp, memo)
+            s1 = trspec(sctx, imp.lhs, memo)
+            s2 = trspec(sctx, imp.rhs, memo)
             ih0, ih1 = ihs
             rest = r.rest
             app = rest.rest
@@ -493,12 +548,12 @@ def _derive(d: hc.HolDerivation, amb: Ambient) -> EffDerivation:
 
         case "UniE":
             forall = d.premises[0].conclusion.goal
-            t_all = trtype(sctx, forall)
-            s_all = trspec(sctx, forall)
-            t_wit = tretype(sctx, d.witness)
-            e_wit = trtrm(sctx, d.witness)
-            tau_c = trtype(sctx, c.goal)
-            s_c = trspec(sctx, c.goal)
+            t_all = trtype(sctx, forall, memo)
+            s_all = trspec(sctx, forall, memo)
+            t_wit = tretype(sctx, d.witness, memo)
+            e_wit = trtrm(sctx, d.witness, memo)
+            tau_c = trtype(sctx, c.goal, memo)
+            s_c = trspec(sctx, c.goal, memo)
 
             ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_all)
             hyps1 += (s_all,)

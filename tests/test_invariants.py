@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effreal._astnode import _TABLE, NonTerm, astnode
+from effreal._astnode import _TABLE, NonTerm, _shift, astnode
 from effreal.effhol import (
     Abs,
     App,
@@ -300,3 +300,45 @@ def test_trusted_base_does_not_grow():
     src = Path(__file__).resolve().parent.parent / "src" / "effreal"
     lines = sum(len((src / f).read_text(encoding="utf-8").splitlines()) for f in TRUSTED_BASE)
     assert lines <= TRUSTED_BASE_LINES
+
+
+def _imp_chain(n: int):
+    """psi_1 -> ... -> psi_n -> psi_1 by n ImpI over Id, with fresh psi_i."""
+    from effreal.hol import FALSUM, HolDerivation, Imp, Sequent
+
+    props = [FALSUM]
+    for _ in range(n - 1):
+        props.append(Imp(props[-1], FALSUM))
+    goal = props[0]
+    d = HolDerivation("Id", Sequent((), tuple(props), goal))
+    for i in range(n - 1, -1, -1):
+        goal = Imp(props[i], goal)
+        d = HolDerivation("ImpI", Sequent((), tuple(props[:i]), goal), (d,))
+    return d
+
+
+def _extract_print_forget(n: int) -> None:
+    from effreal.effhol.forgetful import forget_derivation
+    from effreal.surface import jsonio
+
+    derived = extract_realizer(_imp_chain(n), derive=True).derivation
+    assert jsonio.eff_to_json(derived)["derivation"]["rule"] == "ModI"
+    assert forget_derivation(derived).rule == "ImpI"
+
+
+def test_pure_map_tables_end_with_their_call():
+    """Extraction with --derive, the JSON printer and the forgetful map
+    keep their tables for one call only, and on no node: once the results
+    are dropped, the intern table is back to its size before the run
+    without the cyclic collector.  ``_shift``'s bounded cache is the one
+    module-level table, so it is emptied around the run."""
+    _shift.cache_clear()
+    gc.collect()
+    before = len(_TABLE)
+    gc.disable()
+    try:
+        _extract_print_forget(12)
+        _shift.cache_clear()
+        assert len(_TABLE) == before
+    finally:
+        gc.enable()

@@ -203,3 +203,26 @@ def test_json_loading_is_total(calculus):
     for case in bad:
         with pytest.raises(SurfaceSyntaxError):
             load(case)
+
+
+def test_pure_maps_handle_deep_left_nesting():
+    """At the default recursion limit, printing, forgetting and translating
+    a 900-deep left-nested implication take one stack frame per level: a
+    memo table adds no frame of its own."""
+    from effreal.effhol import SImp
+    from effreal.effhol.forgetful import forget_spec
+    from effreal.surface import print_spec
+    from effreal.translation import trspec, trtype
+
+    spec, prop = TOP_SPEC, FALSUM
+    for _ in range(900):
+        spec, prop = SImp(spec, TOP_SPEC), Imp(prop, FALSUM)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert print_spec(spec, 0, 1).count("(imp ") >= 900
+        assert forget_spec(spec) is not None
+        assert trtype((STAR,), prop) is not None
+        assert trspec((STAR,), prop) is not None
+    finally:
+        sys.setrecursionlimit(limit)

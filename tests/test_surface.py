@@ -337,3 +337,77 @@ def test_grammar_covers_every_node_class_and_rule():
         assert set(cat.base.__subclasses__()) <= set(FORMS), cat.noun
     assert set(HOL.rules) == HOL_RULES
     assert set(EFF.rules) == EFF_RULES
+
+
+def _reference_json(calc, d) -> dict:
+    """The JSON node of ``d`` from one ``print_sequent`` and one
+    ``witness_texts`` call per node, each with its own table."""
+    from effreal.surface.printer import print_sequent, witness_texts
+
+    depth = calc.depth(calc.contexts(d.conclusion))
+    return {
+        "rule": d.rule,
+        "conclusion": print_sequent(calc, d.conclusion),
+        "witnesses": witness_texts(calc, d, depth, {}),
+        "premises": [_reference_json(calc, p) for p in d.premises],
+    }
+
+
+def _reference_text(calc, d, node: dict) -> str:
+    """The text form of ``d`` from ``node``, its ``_reference_json``."""
+    from effreal.surface.grammar import ANNOTATES, binder_name
+
+    rule = calc.rules[d.rule]
+    texts = node["witnesses"]
+    parts = [node["conclusion"]]
+    witnesses = iter(rule.witnesses)
+    for w in witnesses:
+        if w.key not in texts:
+            continue
+        if w.binds:
+            body = next(witnesses)
+            ns = ANNOTATES[w.category]
+            name = binder_name(ns, calc.depth(calc.contexts(d.conclusion))[ns.slot])
+            parts.append(f"({w.binds} ({name} {texts[w.key]}) {texts[body.key]})")
+        else:
+            parts.append(f"{texts[w.key]}")
+    parts += [_reference_text(calc, p, q) for p, q in zip(d.premises, node["premises"])]
+    return f"({rule.tag} " + " ".join(parts) + ")"
+
+
+def test_printing_tables_do_not_change_the_output():
+    """A derivation printed with one table per top-level call, as JSON and
+    as text, reads as one printed sequent by sequent, each with a table of
+    its own: for every replayed corpus derivation, its id and cont
+    instances, and their forgotten logic derivations."""
+    from pathlib import Path
+
+    from effreal.effhol.forgetful import forget_derivation
+    from effreal.errors import TemplateMissing
+    from effreal.instances import (
+        continuation_instance,
+        identity_instance,
+        instantiate_derivation,
+    )
+    from effreal.surface.grammar import EFF, HOL
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    doc = parse_document((corpus / "hol_basic.hol").read_text())
+    instances = (identity_instance(), continuation_instance())
+    replayed = 0
+    for d in doc.hol_derivations.values():
+        try:
+            derived = extract_realizer(d, derive=True).derivation
+        except TemplateMissing:
+            continue
+        replayed += 1
+        for x in (derived, *(instantiate_derivation(derived, i) for i in instances)):
+            h = forget_derivation(x)
+            for calc, y, to_json, to_text in (
+                (EFF, x, jsonio.eff_to_json, print_eff_derivation),
+                (HOL, h, jsonio.hol_to_json, print_hol_derivation),
+            ):
+                ref = _reference_json(calc, y)
+                assert to_json(y)["derivation"] == ref
+                assert to_text(y) == _reference_text(calc, y, ref)
+    assert replayed >= 9

@@ -398,3 +398,20 @@ def test_ambient_assumptions():
     res = extract_realizer(d, ambient=amb, derive=True)
     assert res.goal_triple.ctxs.kinds[0] == KSTAR
     eff_check(res.derivation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 4))
+def test_translation_reads_no_sort_context(seed, size):
+    """The translation of a proposition or term is one node whatever the
+    sort context, which is what makes the proposition alone an exact key
+    of a translation's table."""
+    rng = random.Random(seed)
+    sctx = tuple(random_sort(rng) for _ in range(rng.randrange(3)))
+    other = tuple(random_sort(rng) for _ in range(rng.randrange(1, 4))) + sctx
+    p = random_hol_prop(rng, sctx, size)
+    t = random_hol_term(rng, sctx, random_sort(rng), size)
+    assert trtype(sctx, p) is trtype(other, p)
+    assert trspec(sctx, p) is trspec(other, p)
+    assert trtrm(sctx, t) is trtrm(other, t)
+    assert tretype(sctx, t) is tretype(other, t)
