@@ -11,7 +11,8 @@ normalized too.  Program-level beta is deliberately *not* part of
 conversion (that is the anti-reduction rule's job).
 
 A node keeps its normal form once computed: another node, or ``_NORMAL``
-when it is its own.
+when it is its own.  The node alone is an exact key, because conversion
+reads no context.
 """
 
 from __future__ import annotations
@@ -22,35 +23,21 @@ from .syntax import TYPE, EApp, EForall, TAbs, TApp
 _NORMAL = object()
 
 
-def normalize(x):
+def normalize(x, _under=None):
+    # hands itself to ``map_children`` (``_under`` unused): two frames a level
     nf = x._nf
-    if nf is None:
-        nf = _normalize(x)
-        x.__dict__["_nf"] = _NORMAL if nf is x else nf
-        nf.__dict__["_nf"] = _NORMAL
-        return nf
-    return x if nf is _NORMAL else nf
-
-
-def _normalize(x):
+    if nf is not None:
+        return x if nf is _NORMAL else nf
     match x:
-        case TApp(fn, arg):
-            fn = normalize(fn)
-            arg = normalize(arg)
-            if isinstance(fn, TAbs):
-                return normalize(subst(fn.body, TYPE, 0, arg))
-            return TApp(fn, arg)
-        case EApp(fn, arg):
-            fn = normalize(fn)
-            arg = normalize(arg)
-            if isinstance(fn, EForall):
-                return normalize(subst(fn.body, TYPE, 0, arg))
-            return EApp(fn, arg)
-    return map_children(x, _normalize_child)
-
-
-def _normalize_child(child, _under):
-    return normalize(child)
+        case TApp(fn, arg) | EApp(fn, arg):
+            fn, arg = normalize(fn), normalize(arg)
+            redex = isinstance(fn, (TAbs, EForall))  # TAbs under TApp, EForall under EApp
+            nf = normalize(subst(fn.body, TYPE, 0, arg)) if redex else type(x)(fn, arg)
+        case _:
+            nf = map_children(x, normalize)
+    x.__dict__["_nf"] = _NORMAL if nf is x else nf
+    nf.__dict__["_nf"] = _NORMAL
+    return nf
 
 
 # The name the type-level callers and the benchmark harness use.

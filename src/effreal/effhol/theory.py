@@ -70,6 +70,13 @@ _UNI_I = {
     "UniExpI": (SForallExpr, "an expression universal", EXPR, "binder_index"),
     "UniTypeI": (SForallType, "a type universal", TYPE, "binder_kind"),
 }
+# Each universal elimination: its introduction, its witness field, and what
+# the witness's judgment computes.
+_UNI_E = {
+    "UniProgE": ("UniProgI", "witness_prog", "type"),
+    "UniExpE": ("UniExpI", "witness_expr", "index"),
+    "UniTypeE": ("UniTypeI", "witness_type", "kind"),
+}
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,15 @@ class EffDerivation:
     strategy: Strategy = Strategy.BASE
 
 
-def sequent_wf(seq: EffSequent, path=None) -> None:
+def sequent_wf(seq: EffSequent, path=None, memo=None) -> None:
     k, i, t = seq.ctxs.kinds, seq.ctxs.indices, seq.ctxs.types
     for s in i:
-        index_wf(k, s, path)
+        index_wf(k, s, path, memo)
     for ty in t:
-        kind_of(k, ty, path)
+        kind_of(k, ty, path, memo)
     for h in seq.hyps:
-        spec_wf(k, i, t, h, path)
-    spec_wf(k, i, t, seq.goal, path)
+        spec_wf(k, i, t, h, path, memo)
+    spec_wf(k, i, t, seq.goal, path, memo)
 
 
 def _hypset(hyps) -> frozenset:
@@ -138,13 +145,15 @@ def extend(ctxs: EffContexts, hyps: tuple, ns, entry, pos: int | None = None):
 
 
 def check(d: EffDerivation) -> EffSequent:
-    """Verify ``d`` node by node; returns the (claimed, now verified) root sequent."""
-    sequent_wf(d.conclusion, ())
-    _check(d, ())
+    """Verify ``d`` node by node; returns the (claimed, now verified) root sequent.
+    Every judgment of the check shares one typing table (see ``typing``)."""
+    memo: dict = {}
+    sequent_wf(d.conclusion, (), memo)
+    _check(d, (), memo)
     return d.conclusion
 
 
-def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
+def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
     c = d.conclusion
     ctxs = c.ctxs
     goal = normalize(c.goal)
@@ -202,56 +211,29 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if normalize(pc.goal) != normalize(goal.body):
                 raise RuleMismatch(f"{d.rule}: premise goal is not the body", path)
 
-        case "UniProgE":
-            w = d.witness_prog
+        case "UniProgE" | "UniExpE" | "UniTypeE":
+            intro, field, what = _UNI_E[d.rule]
+            cls, noun, ns, annotation = _UNI_I[intro]
+            w = getattr(d, field)
             if w is None:
-                raise RuleMismatch("UniProgE: missing program witness", path)
+                raise RuleMismatch(f"{d.rule}: missing {ns.name} witness", path)
             (p,) = d.premises
             _same_frame(d, p.conclusion, path)
             g = normalize(p.conclusion.goal)
-            if not isinstance(g, SForallProg):
-                raise RuleMismatch("UniProgE: premise is not a program universal", path)
-            tw = type_of(ctxs.kinds, ctxs.types, w, path)
-            if tw != normalize(g.binder_type):
-                raise IllTyped(
-                    f"UniProgE: witness has type {tw!r}, expected {g.binder_type!r}", path
-                )
-            if normalize(subst(g.body, PROG, 0, w)) != goal:
-                raise RuleMismatch("UniProgE: conclusion is not the instantiated body", path)
-
-        case "UniExpE":
-            w = d.witness_expr
-            if w is None:
-                raise RuleMismatch("UniExpE: missing expression witness", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = normalize(p.conclusion.goal)
-            if not isinstance(g, SForallExpr):
-                raise RuleMismatch("UniExpE: premise is not an expression universal", path)
-            sw = index_of(ctxs.kinds, ctxs.indices, ctxs.types, w, path)
-            if sw != normalize(g.binder_index):
-                raise IllTyped(
-                    f"UniExpE: witness has index {sw!r}, expected {g.binder_index!r}", path
-                )
-            if normalize(subst(g.body, EXPR, 0, w)) != goal:
-                raise RuleMismatch("UniExpE: conclusion is not the instantiated body", path)
-
-        case "UniTypeE":
-            w = d.witness_type
-            if w is None:
-                raise RuleMismatch("UniTypeE: missing type witness", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = normalize(p.conclusion.goal)
-            if not isinstance(g, SForallType):
-                raise RuleMismatch("UniTypeE: premise is not a type universal", path)
-            kw = kind_of(ctxs.kinds, w, path)
-            if kw != g.binder_kind:
-                raise IllTyped(
-                    f"UniTypeE: witness has kind {kw!r}, expected {g.binder_kind!r}", path
-                )
-            if normalize(subst(g.body, TYPE, 0, w)) != goal:
-                raise RuleMismatch("UniTypeE: conclusion is not the instantiated body", path)
+            if not isinstance(g, cls):
+                raise RuleMismatch(f"{d.rule}: premise is not {noun}", path)
+            if ns is PROG:
+                got = type_of(ctxs.kinds, ctxs.types, w, path, memo)
+            elif ns is EXPR:
+                got = index_of(ctxs.kinds, ctxs.indices, ctxs.types, w, path, memo)
+            else:
+                got = kind_of(ctxs.kinds, w, path, memo)
+            # ``g`` is normal, so its annotation is too
+            want = getattr(g, annotation)
+            if got != want:
+                raise IllTyped(f"{d.rule}: witness has {what} {got!r}, expected {want!r}", path)
+            if normalize(subst(g.body, ns, 0, w)) != goal:
+                raise RuleMismatch(f"{d.rule}: conclusion is not the instantiated body", path)
 
         case "ModI":
             if not (isinstance(goal, After) and isinstance(goal.prog, Ret)):
@@ -296,10 +278,10 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if not (isinstance(goal, SMem) and isinstance(goal.fn, Compr)):
                 raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
             comp = goal.fn
-            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
+            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path, memo)
             if tp != normalize(comp.binder_type):
                 raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.binder_type!r}", path)
-            sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path)
+            sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path, memo)
             if sa != normalize(comp.binder_index):
                 raise IllTyped(
                     f"MemI: argument has index {sa!r}, expected {comp.binder_index!r}", path
@@ -324,7 +306,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
             if not (isinstance(goal, SMemBase) and isinstance(goal.fn, ComprBase)):
                 raise RuleMismatch("Mem0I: goal is not base membership in a comprehension", path)
             comp = goal.fn
-            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path)
+            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path, memo)
             if tp != normalize(comp.binder_type):
                 raise IllTyped(f"Mem0I: member has type {tp!r}, expected {comp.binder_type!r}", path)
             (p,) = d.premises
@@ -356,8 +338,8 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("AntiRed: conclusion is not the pre-reduction form", path)
             if normalize(after) != normalize(p.conclusion.goal):
                 raise RuleMismatch("AntiRed: premise is not the post-reduction form", path)
-            t1 = type_of(ctxs.kinds, ctxs.types, d.prog_before, path)
-            t2 = type_of(ctxs.kinds, ctxs.types, d.prog_after, path)
+            t1 = type_of(ctxs.kinds, ctxs.types, d.prog_before, path, memo)
+            t2 = type_of(ctxs.kinds, ctxs.types, d.prog_after, path, memo)
             want_t = normalize(d.hole_type)
             if t1 != want_t or t2 != want_t:
                 raise IllTyped("AntiRed: reduction does not preserve the declared type", path)
@@ -367,7 +349,7 @@ def _check(d: EffDerivation, path: tuple[int, ...]) -> None:
                 )
 
     for i, p in enumerate(d.premises):
-        _check(p, path + (i,))
+        _check(p, path + (i,), memo)
 
 
 def make_triple(

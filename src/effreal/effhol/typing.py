@@ -4,6 +4,17 @@ All four judgments are syntax-directed; the conversion rule is absorbed by
 returning normal forms, compared with ``==`` (identity: nodes are
 hash-consed).  Context entries are kept in the current kind context:
 descending under a kind binder shifts every stored type and index.
+
+``kind_of`` and ``type_of`` look their argument up in a typing table
+first: one dict per top-level call, which passes it down (as ``memo``;
+``theory.check`` shares one across a whole derivation).  ``kind_of`` keys
+a type ``t`` by ``(t, kctx[len - a:])`` and ``type_of`` keys a program
+``p`` by ``(p, kctx[len - a:], tctx[len - b:])``, where ``a`` and ``b``
+are the node's loose type and program bounds.  These keys are exact: de
+Bruijn indices count from the innermost entry, a judgment reads ``tctx``
+only at loose program variables, and ``kctx`` only at loose type
+variables (``type_of`` reads it to kind the types inside ``p``).  Only
+successes are stored, so a rejection is recomputed with its own path.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from ..errors import (
 from .._astnode import shift, subst
 from .conversion import normalize
 from .syntax import (
+    PROG,
     TYPE,
     Abs,
     After,
@@ -68,108 +80,121 @@ def shift_ctx(ctx: tuple) -> tuple:
     return tuple(shift(x, TYPE) for x in ctx)
 
 
-def _star(kctx: KindCtx, t: EffType, what: str, path) -> None:
+def _star(kctx: KindCtx, t: EffType, what: str, path, memo=None) -> None:
     """``t`` must have the base kind; ``what`` names it in the error."""
-    k = kind_of(kctx, t, path)
+    k = kind_of(kctx, t, path, memo)
     if k != KSTAR:
         raise KindMismatch(f"{what} has kind {k!r}, expected *", path)
 
 
-def kind_of(kctx: KindCtx, t: EffType, path=None) -> Kind:
-    match t:
-        case TVar(k):
-            if 0 <= k < len(kctx):
-                return kctx[len(kctx) - 1 - k]
-            raise UnboundTypeVariable(f"type variable {k} unbound", path)
-        case TApp(fn, arg):
-            kf = kind_of(kctx, fn, path)
-            ka = kind_of(kctx, arg, path)
-            if not isinstance(kf, KCon):
-                raise KindMismatch(f"applied type has kind {kf!r}, not a constructor", path)
-            if kf.inner != ka:
-                raise KindMismatch(
-                    f"constructor expects argument kind {kf.inner!r}, got {ka!r}", path
-                )
-            return KSTAR
-        case TAbs(kind, body):
-            _star(kctx + (kind,), body, "abstraction body", path)
-            return KCon(kind)
-        case Fun(dom, cod):
-            _star(kctx, dom, "function component", path)
-            _star(kctx, cod, "function component", path)
-            return KSTAR
-        case TForall(kind, body):
-            _star(kctx + (kind,), body, "universal body", path)
-            return KSTAR
-        case Comp(inner):
-            _star(kctx, inner, "computation argument", path)
-            return KSTAR
-    raise TypeError(f"unexpected type {t!r}")
+def kind_of(kctx: KindCtx, t: EffType, path=None, memo=None) -> Kind:
+    if isinstance(t, TVar):
+        if 0 <= t.index < len(kctx):
+            return kctx[len(kctx) - 1 - t.index]
+        raise UnboundTypeVariable(f"type variable {t.index} unbound", path)
+    if memo is None:
+        memo = {}
+    key = (t, kctx[max(0, len(kctx) - t._loose[TYPE.slot]):])
+    k = memo.get(key)
+    if k is None:
+        match t:
+            case TApp(fn, arg):
+                kf = kind_of(kctx, fn, path, memo)
+                ka = kind_of(kctx, arg, path, memo)
+                if not isinstance(kf, KCon):
+                    raise KindMismatch(f"applied type has kind {kf!r}, not a constructor", path)
+                if kf.inner != ka:
+                    raise KindMismatch(
+                        f"constructor expects argument kind {kf.inner!r}, got {ka!r}", path
+                    )
+                k = KSTAR
+            case TAbs(kind, body):
+                _star(kctx + (kind,), body, "abstraction body", path, memo)
+                k = KCon(kind)
+            case Fun(dom, cod):
+                _star(kctx, dom, "function component", path, memo)
+                _star(kctx, cod, "function component", path, memo)
+                k = KSTAR
+            case TForall(kind, body):
+                _star(kctx + (kind,), body, "universal body", path, memo)
+                k = KSTAR
+            case Comp(inner):
+                _star(kctx, inner, "computation argument", path, memo)
+                k = KSTAR
+            case _:
+                raise TypeError(f"unexpected type {t!r}")
+        memo[key] = k
+    return k
 
 
-def index_wf(kctx: KindCtx, s: EffIndex, path=None) -> None:
+def index_wf(kctx: KindCtx, s: EffIndex, path=None, memo=None) -> None:
     """Every constituent type of an index must have base kind."""
     match s:
         case RefBase(carrier):
-            _star(kctx, carrier, "refinement carrier", path)
+            _star(kctx, carrier, "refinement carrier", path, memo)
         case Ref(carrier, arg):
-            _star(kctx, carrier, "refinement carrier", path)
-            index_wf(kctx, arg, path)
+            _star(kctx, carrier, "refinement carrier", path, memo)
+            index_wf(kctx, arg, path, memo)
         case IForall(kind, body):
-            index_wf(kctx + (kind,), body, path)
+            index_wf(kctx + (kind,), body, path, memo)
         case _:
             raise TypeError(f"unexpected index {s!r}")
 
 
-def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None) -> EffType:
+def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None, memo=None) -> EffType:
     """Compute the (normalized) type of ``p``."""
-    match p:
-        case PVar(k):
-            if 0 <= k < len(tctx):
-                return normalize(tctx[len(tctx) - 1 - k])
-            raise UnboundVariable(f"program variable {k} unbound", path)
-        case TyAbs(kind, body):
-            inner = type_of(kctx + (kind,), shift_ctx(tctx), body, path)
-            return TForall(kind, inner)
-        case Abs(ty, body):
-            _star(kctx, ty, "abstraction annotation", path)
-            cod = type_of(kctx, tctx + (ty,), body, path)
-            return normalize(Fun(ty, cod))
-        case TyApp(fn, arg):
-            tf = type_of(kctx, tctx, fn, path)
-            if not isinstance(tf, TForall):
-                raise TypeMismatch(f"type application of non-universal type {tf!r}", path)
-            ka = kind_of(kctx, arg, path)
-            if ka != tf.binder_kind:
-                raise KindMismatch(
-                    f"type argument has kind {ka!r}, expected {tf.binder_kind!r}", path
-                )
-            return normalize(subst(tf.body, TYPE, 0, arg))
-        case App(fn, arg):
-            tf = type_of(kctx, tctx, fn, path)
-            if not isinstance(tf, Fun):
-                raise TypeMismatch(f"application of non-function type {tf!r}", path)
-            ta = type_of(kctx, tctx, arg, path)
-            if ta != tf.dom:
-                raise TypeMismatch(f"argument type {ta!r} does not match domain {tf.dom!r}", path)
-            return tf.cod
-        case Ret(inner):
-            ti = type_of(kctx, tctx, inner, path)
-            return Comp(ti)
-        case Bind(ty, first, rest):
-            _star(kctx, ty, "bind annotation", path)
-            tf = type_of(kctx, tctx, first, path)
-            want = normalize(Comp(ty))
-            if tf != want:
-                raise TypeMismatch(f"bind source has type {tf!r}, expected {want!r}", path)
-            tr = type_of(kctx, tctx + (ty,), rest, path)
-            if not isinstance(tr, Comp):
-                raise TypeMismatch(f"bind continuation has type {tr!r}, expected a computation", path)
-            return tr
-    raise TypeError(f"unexpected program {p!r}")
+    if isinstance(p, PVar):
+        if 0 <= p.index < len(tctx):
+            return normalize(tctx[len(tctx) - 1 - p.index])
+        raise UnboundVariable(f"program variable {p.index} unbound", path)
+    if memo is None:
+        memo = {}
+    a, b = p._loose[TYPE.slot], p._loose[PROG.slot]
+    key = (p, kctx[max(0, len(kctx) - a):], tctx[max(0, len(tctx) - b):])
+    ty = memo.get(key)
+    if ty is None:
+        match p:
+            case TyAbs(kind, body):
+                ty = TForall(kind, type_of(kctx + (kind,), shift_ctx(tctx), body, path, memo))
+            case Abs(dom, body):
+                _star(kctx, dom, "abstraction annotation", path, memo)
+                ty = normalize(Fun(dom, type_of(kctx, tctx + (dom,), body, path, memo)))
+            case TyApp(fn, arg):
+                tf = type_of(kctx, tctx, fn, path, memo)
+                if not isinstance(tf, TForall):
+                    raise TypeMismatch(f"type application of non-universal type {tf!r}", path)
+                ka = kind_of(kctx, arg, path, memo)
+                if ka != tf.binder_kind:
+                    raise KindMismatch(
+                        f"type argument has kind {ka!r}, expected {tf.binder_kind!r}", path
+                    )
+                ty = normalize(subst(tf.body, TYPE, 0, arg))
+            case App(fn, arg):
+                tf = type_of(kctx, tctx, fn, path, memo)
+                if not isinstance(tf, Fun):
+                    raise TypeMismatch(f"application of non-function type {tf!r}", path)
+                ta = type_of(kctx, tctx, arg, path, memo)
+                if ta != tf.dom:
+                    raise TypeMismatch(f"argument type {ta!r} does not match domain {tf.dom!r}", path)
+                ty = tf.cod
+            case Ret(inner):
+                ty = Comp(type_of(kctx, tctx, inner, path, memo))
+            case Bind(ann, first, rest):
+                _star(kctx, ann, "bind annotation", path, memo)
+                tf = type_of(kctx, tctx, first, path, memo)
+                want = normalize(Comp(ann))
+                if tf != want:
+                    raise TypeMismatch(f"bind source has type {tf!r}, expected {want!r}", path)
+                ty = type_of(kctx, tctx + (ann,), rest, path, memo)
+                if not isinstance(ty, Comp):
+                    raise TypeMismatch(f"bind continuation has type {ty!r}, expected a computation", path)
+            case _:
+                raise TypeError(f"unexpected program {p!r}")
+        memo[key] = ty
+    return ty
 
 
-def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None) -> EffIndex:
+def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None, memo=None) -> EffIndex:
     """Compute the (normalized) index of ``e``."""
     match e:
         case EVar(k):
@@ -177,24 +202,22 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
                 return normalize(ictx[len(ictx) - 1 - k])
             raise UnboundVariable(f"expression variable {k} unbound", path)
         case Compr(ty, idx, body):
-            _star(kctx, ty, "comprehension carrier", path)
-            index_wf(kctx, idx, path)
-            spec_wf(kctx, ictx + (idx,), tctx + (ty,), body, path)
+            _star(kctx, ty, "comprehension carrier", path, memo)
+            index_wf(kctx, idx, path, memo)
+            spec_wf(kctx, ictx + (idx,), tctx + (ty,), body, path, memo)
             return normalize(Ref(ty, idx))
         case ComprBase(ty, body):
-            _star(kctx, ty, "comprehension carrier", path)
-            spec_wf(kctx, ictx, tctx + (ty,), body, path)
+            _star(kctx, ty, "comprehension carrier", path, memo)
+            spec_wf(kctx, ictx, tctx + (ty,), body, path, memo)
             return normalize(RefBase(ty))
         case EForall(kind, body):
-            inner = index_of(
-                kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path
-            )
+            inner = index_of(kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path, memo)
             return IForall(kind, inner)
         case EApp(fn, arg):
-            sf = index_of(kctx, ictx, tctx, fn, path)
+            sf = index_of(kctx, ictx, tctx, fn, path, memo)
             if not isinstance(sf, IForall):
                 raise IndexMismatch(f"type application of non-universal index {sf!r}", path)
-            ka = kind_of(kctx, arg, path)
+            ka = kind_of(kctx, arg, path, memo)
             if ka != sf.binder_kind:
                 raise KindMismatch(
                     f"type argument has kind {ka!r}, expected {sf.binder_kind!r}", path
@@ -203,41 +226,41 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
     raise TypeError(f"unexpected expression {e!r}")
 
 
-def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, path=None) -> None:
+def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, path=None, memo=None) -> None:
     match f:
         case SMem(p, fn, arg):
-            tp = type_of(kctx, tctx, p, path)
-            sa = index_of(kctx, ictx, tctx, arg, path)
-            sf = index_of(kctx, ictx, tctx, fn, path)
+            tp = type_of(kctx, tctx, p, path, memo)
+            sa = index_of(kctx, ictx, tctx, arg, path, memo)
+            sf = index_of(kctx, ictx, tctx, fn, path, memo)
             if sf != normalize(Ref(tp, sa)):
                 raise SpecIllFormed(
                     f"membership needs refining index {Ref(tp, sa)!r}, got {sf!r}", path
                 )
         case SMemBase(p, fn):
-            tp = type_of(kctx, tctx, p, path)
-            sf = index_of(kctx, ictx, tctx, fn, path)
+            tp = type_of(kctx, tctx, p, path, memo)
+            sf = index_of(kctx, ictx, tctx, fn, path, memo)
             if sf != normalize(RefBase(tp)):
                 raise SpecIllFormed(
                     f"base membership needs index {RefBase(tp)!r}, got {sf!r}", path
                 )
         case SImp(a, b):
-            spec_wf(kctx, ictx, tctx, a, path)
-            spec_wf(kctx, ictx, tctx, b, path)
+            spec_wf(kctx, ictx, tctx, a, path, memo)
+            spec_wf(kctx, ictx, tctx, b, path, memo)
         case After(p, ty, body):
-            tp = type_of(kctx, tctx, p, path)
+            tp = type_of(kctx, tctx, p, path, memo)
             want = normalize(Comp(ty))
             if tp != want:
                 raise SpecIllFormed(
                     f"modality source has type {tp!r}, expected {want!r}", path
                 )
-            spec_wf(kctx, ictx, tctx + (ty,), body, path)
+            spec_wf(kctx, ictx, tctx + (ty,), body, path, memo)
         case SForallType(kind, body):
-            spec_wf(kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path)
+            spec_wf(kctx + (kind,), shift_ctx(ictx), shift_ctx(tctx), body, path, memo)
         case SForallProg(ty, body):
-            _star(kctx, ty, "quantifier annotation", path)
-            spec_wf(kctx, ictx, tctx + (ty,), body, path)
+            _star(kctx, ty, "quantifier annotation", path, memo)
+            spec_wf(kctx, ictx, tctx + (ty,), body, path, memo)
         case SForallExpr(idx, body):
-            index_wf(kctx, idx, path)
-            spec_wf(kctx, ictx + (idx,), tctx, body, path)
+            index_wf(kctx, idx, path, memo)
+            spec_wf(kctx, ictx + (idx,), tctx, body, path, memo)
         case _:
             raise TypeError(f"unexpected specification {f!r}")

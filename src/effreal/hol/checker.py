@@ -39,17 +39,13 @@ from .syntax import (
 SortContext = tuple[Sort, ...]
 
 
-def ctx_lookup(ctx: SortContext, index: int, path=None) -> Sort:
-    if 0 <= index < len(ctx):
-        return ctx[len(ctx) - 1 - index]
-    raise UnboundVariable(f"variable {index} unbound in context of size {len(ctx)}", path)
-
-
 def sort_of(ctx: SortContext, t: HolTerm, path=None) -> Sort:
     """Compute the unique sort of ``t`` in ``ctx``."""
     match t:
         case Var(k):
-            return ctx_lookup(ctx, k, path)
+            if 0 <= k < len(ctx):
+                return ctx[len(ctx) - 1 - k]
+            raise UnboundVariable(f"variable {k} unbound in context of size {len(ctx)}", path)
         case Compr(s, body):
             try:
                 prop_wf(ctx + (s,), body, path)

@@ -16,6 +16,17 @@ Shipped instances:
                 the comprehension of falsity over the empty type.  This is
                 the classical-realizability instance; call/cc realizes
                 Peirce's law.
+
+Each ``instantiate`` or ``instantiate_derivation`` call keeps two tables
+(``_Memo``), so neither outlives the call or serves another instance.
+``nodes`` maps ``(x, kctx[len - a:], tctx[len - b:])`` to the image of
+``x``, where ``a`` and ``b`` are its loose type and program bounds;
+``types`` is the typing table (see ``effhol.typing``) of the element types
+computed at returns and binds.  The suffix key is exact: the
+interpretation reads the contexts only through ``type_of``, at loose
+variables of ``x``, by de Bruijn index from the innermost entry.  The two
+keys have the same shape, so the tables must be two dicts: one dict would
+hand back a type where a program's image is asked for.
 """
 
 from __future__ import annotations
@@ -73,17 +84,28 @@ def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
     they are walked without contexts.  A subtree with nothing to interpret
     comes back as the same object.
     """
-    return _instantiate(x, inst, kctx, tctx, {})
+    return _instantiate(x, inst, kctx, tctx, _Memo())
+
+
+class _Memo:
+    """The two tables of one call (see the module docstring)."""
+
+    __slots__ = ("nodes", "types")
+
+    def __init__(self) -> None:
+        self.nodes: dict = {}
+        self.types: dict = {}
 
 
 def _instantiate(x, inst, kctx, tctx, memo):
-    """``instantiate``, looking ``(x, kctx, tctx)`` up in ``memo`` first.
-    Each memo is made for one call of ``instantiate`` or
-    ``instantiate_derivation``, so it serves one instance only."""
-    key = (x, kctx, tctx)
-    y = memo.get(key)
+    """``instantiate``, looking ``x`` up in ``memo.nodes`` first, keyed by
+    the context suffixes it can see; the walk below ``x`` gets those
+    suffixes as its contexts."""
+    a, b = x._loose[TYPE.slot], x._loose[PROG.slot]
+    key = (x, kctx[max(0, len(kctx) - a):], tctx[max(0, len(tctx) - b):])
+    y = memo.nodes.get(key)
     if y is None:
-        y = memo[key] = _interpret(x, inst, kctx, tctx, memo)
+        y = memo.nodes[key] = _interpret(x, inst, key[1], key[2], memo)
     return y
 
 
@@ -92,12 +114,12 @@ def _interpret(x, inst, kctx, tctx, memo):
         case e.Comp(inner):
             return inst.comp_type(_instantiate(inner, inst, (), (), memo))
         case e.Ret(inner):
-            ty = type_of(kctx, tctx, inner)
+            ty = type_of(kctx, tctx, inner, None, memo.types)
             return inst.ret_prog(
                 _instantiate(ty, inst, (), (), memo), _instantiate(inner, inst, kctx, tctx, memo)
             )
         case e.Bind(ty, first, rest):
-            t2 = type_of(kctx, tctx + (ty,), rest)
+            t2 = type_of(kctx, tctx + (ty,), rest, None, memo.types)
             assert isinstance(t2, e.Comp)
             return inst.bind_prog(
                 _instantiate(ty, inst, (), (), memo),
@@ -146,8 +168,8 @@ def assert_pure(x) -> None:
 def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivation:
     """Interpret a derivation; the result lies in the effect-free fragment
     and is re-checked by the caller (or by check_instance_laws).  Every
-    node shares one ``instantiate`` memo."""
-    return _instantiate_derivation(d, inst, {})
+    node shares one pair of ``instantiate`` tables."""
+    return _instantiate_derivation(d, inst, _Memo())
 
 
 def _instantiate_derivation(d, inst, memo):

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from effreal import instances
 from effreal.effhol import (
     Abs,
     After,
@@ -28,13 +30,20 @@ from effreal.effhol import (
     TyAbs,
     TyApp,
     check,
+    kind_of,
     type_of,
 )
 from effreal.effhol.conversion import normalize_type
 from effreal.effhol.reduction import Strategy, multi_step
 from effreal.effhol import PROG, shift, subst
 from effreal.errors import TemplateMissing
-from effreal.generators import random_closed_program
+from effreal.generators import (
+    random_closed_program,
+    random_kind,
+    random_spec,
+    random_type,
+    random_typed_program,
+)
 from effreal.hol import Forall, Imp, MemBase, STAR, Var
 from effreal.instances import (
     LAW_CASES,
@@ -53,7 +62,7 @@ from effreal.instances import (
     orth,
 )
 from effreal.surface.elaborate import parse_document
-from effreal.translation import trtype
+from effreal.translation import extract_realizer, trtype
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -265,3 +274,67 @@ def test_cc_machine_rule_simulation():
     result, _ = multi_step(applied, Strategy.CBN, 10)
     throw = build_throw(ta, tb, PVar(0))
     assert result == App(App(PVar(1), throw), PVar(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_unseen_context_entries_change_nothing(seed):
+    """Kinding, typing and instantiation return the same node when
+    unrelated entries are prepended to the kind and type contexts: they
+    read a context only at their argument's loose variables, which is what
+    makes the context-suffix keys of their tables exact."""
+    rng = random.Random(seed)
+    kctx = tuple(random_kind(rng, 1) for _ in range(rng.randrange(3)))
+    tctx = tuple(random_type(rng, kctx, KSTAR, 2) for _ in range(rng.randrange(3)))
+    big_k = tuple(random_kind(rng, 1) for _ in range(1 + rng.randrange(2))) + kctx
+    big_t = tuple(random_type(rng, big_k, KSTAR, 2) for _ in range(1 + rng.randrange(2))) + tctx
+    t = random_type(rng, kctx, random_kind(rng, 1), 3)
+    p = random_typed_program(rng, kctx, tctx, 5)
+    spec = random_spec(rng, kctx, tctx, 3)
+    assert kind_of(big_k, t) is kind_of(kctx, t)
+    assert type_of(big_k, big_t, p) is type_of(kctx, tctx, p)
+    for inst in (ID_INST, CONT):
+        for x in (t, p, spec):
+            assert instantiate(x, inst, big_k, big_t) is instantiate(x, inst, kctx, tctx)
+
+
+def _instance_sources():
+    """Every replayable corpus ``--derive`` derivation and every
+    ``effhol_basic.eff`` derivation."""
+    hol = parse_document((CORPUS / "hol_basic.hol").read_text())
+    for name, d in hol.hol_derivations.items():
+        try:
+            yield name, extract_realizer(d, derive=True).derivation
+        except TemplateMissing:
+            pass
+    yield from parse_document((CORPUS / "effhol_basic.eff").read_text()).eff_derivations.items()
+
+
+def test_shared_tables_agree_with_standalone_instantiation(monkeypatch):
+    """``instantiate_derivation`` interprets every formula of a derivation
+    through one pair of tables.  Rebuilt with a table of its own for every
+    formula it interprets at a node (context entries, hypotheses, goal,
+    witnesses and template parts), each id and cont instance is equal node
+    for node: every context entry, hypothesis and goal is the node a
+    standalone ``instantiate`` returns."""
+    shared = {
+        (name, inst.name): instantiate_derivation(d, inst)
+        for name, d in _instance_sources()
+        for inst in (ID_INST, CONT)
+    }
+    real = instances._instantiate
+    depth = 0
+
+    def standalone(x, inst, kctx, tctx, memo):
+        # a formula interpreted at a node gets fresh tables; its subterms share them
+        nonlocal depth
+        depth += 1
+        try:
+            return real(x, inst, kctx, tctx, memo if depth > 1 else instances._Memo())
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(instances, "_instantiate", standalone)
+    for name, d in _instance_sources():
+        for inst in (ID_INST, CONT):
+            assert instantiate_derivation(d, inst) == shared[name, inst.name], (name, inst.name)

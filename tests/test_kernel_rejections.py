@@ -1,8 +1,9 @@
 """The exact rejections of both kernels: error class, message and path.
 
 Covers a wrong premise count under every rule, an unknown rule, every
-check of the universal introductions, Mon's entailment checks and the
-base-kind checks of the typing judgments.
+check of the universal introductions and of the target theory's universal
+eliminations, Mon's entailment checks and the base-kind checks of the
+typing judgments.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from effreal.effhol import (
     EffSequent,
     EVar,
     Fun,
+    KCon,
     KSTAR,
     PVar,
     Ref,
@@ -41,7 +43,7 @@ from effreal.effhol import (
     spec_wf,
     type_of,
 )
-from effreal.errors import KindMismatch, RuleMismatch
+from effreal.errors import IllTyped, KindMismatch, RuleMismatch
 from effreal.hol import (
     Forall,
     HolDerivation,
@@ -220,6 +222,69 @@ def test_hol_universal_introduction_rejects(broken):
     prem = HolDerivation("Id", Sequent(ctx, hyps, pgoal))
     d = HolDerivation("UniI", concl, (prem,))
     _rejects(lambda: hol_check(d), RuleMismatch, msg, ())
+
+
+# Universal eliminations: the witness, the premise's frame and shape, the
+# witness's type, index or kind, and the conclusion.
+
+_UNI_E_CTXS = EffContexts(types=(BOT_TYPE,))
+_T_FN = Fun(BOT_TYPE, BOT_TYPE)
+
+# rule: (witness field and noun, quantifier noun, premise goal, witness,
+# conclusion goal, wrong witness, what the witness has, its wrong and
+# expected value)
+UNI_E_CASES = {
+    "UniProgE": (
+        "witness_prog", "program", "a program universal",
+        SForallProg(BOT_TYPE, SMemBase(PVar(0), _CELL)), PVar(0), SMemBase(PVar(0), _CELL),
+        Abs(BOT_TYPE, PVar(0)), "type", _T_FN, BOT_TYPE,
+    ),
+    "UniExpE": (
+        "witness_expr", "expression", "an expression universal",
+        SForallExpr(RefBase(BOT_TYPE), SMemBase(PVar(0), EVar(0))), _CELL,
+        SMemBase(PVar(0), _CELL),
+        ComprBase(_T_FN, BOT_SPEC), "index", RefBase(_T_FN), RefBase(BOT_TYPE),
+    ),
+    "UniTypeE": (
+        "witness_type", "type", "a type universal",
+        SForallType(KSTAR, SForallProg(TVar(0), BOT_SPEC)), BOT_TYPE,
+        SForallProg(BOT_TYPE, BOT_SPEC),
+        TAbs(KSTAR, TVar(0)), "kind", KCon(KSTAR), KSTAR,
+    ),
+}
+
+
+def _uni_e(rule, broken):
+    """The rule's elimination under a Conv, broken in one check, with the
+    error it must raise (None for ``ok``)."""
+    field, noun, q_noun, forall, w, goal, bad_w, what, got, want = UNI_E_CASES[rule]
+    prem = EffSequent(_UNI_E_CTXS, (forall,), forall)
+    err = None
+    if broken == "witness":
+        w, err = None, (RuleMismatch, f"{rule}: missing {noun} witness")
+    elif broken == "frame":
+        prem, err = EffSequent(_UNI_E_CTXS, (), forall), (
+            RuleMismatch, f"{rule}: premise hypotheses differ from conclusion")
+    elif broken == "premise":
+        prem, err = EffSequent(_UNI_E_CTXS, (forall,), goal), (
+            RuleMismatch, f"{rule}: premise is not {q_noun}")
+    elif broken == "judgment":
+        w, err = bad_w, (IllTyped, f"{rule}: witness has {what} {got!r}, expected {want!r}")
+    elif broken == "conclusion":
+        goal, err = BOT_SPEC, (RuleMismatch, f"{rule}: conclusion is not the instantiated body")
+    concl = EffSequent(_UNI_E_CTXS, (forall,), goal)
+    inner = EffDerivation(rule, concl, (EffDerivation("Id", prem),), **{field: w})
+    return EffDerivation("Conv", concl, (inner,)), err
+
+
+@pytest.mark.parametrize("rule", sorted(UNI_E_CASES))
+@pytest.mark.parametrize("broken", ["ok", "witness", "frame", "premise", "judgment", "conclusion"])
+def test_eff_universal_elimination_checks(rule, broken):
+    d, err = _uni_e(rule, broken)
+    if err is None:
+        assert eff_check(d) == d.conclusion
+    else:
+        _rejects(lambda: eff_check(d), *err, (0,))
 
 
 # Mon: the modality premise, then the entailment premise's context,

@@ -226,3 +226,54 @@ def test_pure_maps_handle_deep_left_nesting():
         assert trspec((STAR,), prop) is not None
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _at_limit_1000(run):
+    """``run()`` at recursion limit 1000, the interpreter's default."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_normalize_handles_deep_left_nesting():
+    """``normalize`` takes two stack frames per level: 450-deep
+    left-nested implications and function types with a beta-redex at the
+    bottom normalize at the default recursion limit."""
+    from effreal.effhol import Fun, KSTAR, SForallProg, SImp, TAbs, TApp, TVar
+    from effreal.effhol.conversion import normalize
+
+    def chains(bottom):
+        spec, ty = SForallProg(bottom, TOP_SPEC), bottom
+        for _ in range(450):
+            spec, ty = SImp(spec, TOP_SPEC), Fun(ty, BOT_TYPE)
+        return spec, ty
+
+    # a fresh variable keeps the chains from meeting normal forms of other tests
+    redex = TApp(TAbs(KSTAR, TVar(0)), TVar(975_310))
+    spec, ty = chains(redex)
+    want = chains(TVar(975_310))
+    assert _at_limit_1000(lambda: (normalize(spec), normalize(ty))) == want
+
+
+def test_typing_tables_and_instantiation_handle_deep_nesting():
+    """The typing table's lookup sits inside ``kind_of`` and ``type_of``,
+    so neither gains a frame per level; ``instantiate`` keeps its two."""
+    from effreal.effhol import Abs, Bind, Comp, Fun, KSTAR, PVar, Ret, kind_of, type_of
+    from effreal.instances import continuation_instance, instantiate
+
+    fun, lam, ret = BOT_TYPE, PVar(0), PVar(0)
+    for _ in range(450):
+        fun = Fun(fun, BOT_TYPE)
+    for _ in range(900):
+        lam, ret = Abs(BOT_TYPE, lam), Ret(ret)
+    bind = Ret(PVar(0))
+    for _ in range(450):
+        bind = Bind(BOT_TYPE, Ret(PVar(0)), bind)
+    ctx = (BOT_TYPE,)
+    assert _at_limit_1000(lambda: kind_of((), fun)) == KSTAR
+    assert isinstance(_at_limit_1000(lambda: type_of((), (), lam)), Fun)
+    assert isinstance(_at_limit_1000(lambda: type_of((), ctx, ret)), Comp)
+    assert _at_limit_1000(lambda: instantiate(bind, continuation_instance(), (), ctx)) is not None
