@@ -3,8 +3,13 @@
 Terms are embedded as canonical surface-syntax strings, so the JSON tree
 mirrors the derivation structure ({rule, conclusion, witnesses, premises})
 while staying human-readable.  The witnesses of each rule are those of
-its text form (``grammar``), keyed by name.  Loading validates the schema
-version, rejects unknown rule tags, and re-elaborates every embedded term.
+its text form (``grammar``), keyed by name.  Writing a document prints
+all its strings with one counted text table (``printer``): the first pass
+counts every ``(node, binder depths)`` key that the conclusions and
+witnesses of all the derivation's nodes reach, so a subterm shared by
+many sequents is printed once, and its text is dropped after its last
+counted use.  Loading validates the schema version, rejects unknown rule
+tags, and re-elaborates every embedded term.
 """
 
 from __future__ import annotations
@@ -21,18 +26,18 @@ SCHEMA = "effreal/derivation/1"
 
 
 def _to_json(calc, d) -> dict:
-    # one printing table for the whole document (see ``printer``)
-    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d, {})}
+    table = pr._table(calc, d)
+    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d, table)}
 
 
-def _node(calc, d, memo: dict) -> dict:
+def _node(calc, d, table: dict) -> dict:
     out: list[str] = []
-    depth = pr._sequent(calc, d.conclusion, out, memo)
+    depth = pr._sequent(calc, d.conclusion, out, table)
     return {
         "rule": d.rule,
         "conclusion": "".join(out),
-        "witnesses": pr.witness_texts(calc, d, depth, memo),
-        "premises": [_node(calc, p, memo) for p in d.premises],
+        "witnesses": pr.witness_texts(calc, d, depth, table),
+        "premises": [_node(calc, p, table) for p in d.premises],
     }
 
 

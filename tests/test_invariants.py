@@ -55,6 +55,7 @@ from effreal.surface import print_program, print_spec
 from effreal.surface.elaborate import EffEnv, SurfaceDoc, elab_program, elab_spec
 from effreal.surface.sexp import parse_all
 from effreal.translation import emit_soundness_triple, extract_realizer
+from tests.test_pipeline import _nodes
 from tests.test_translation import k_combinator_derivation
 
 
@@ -321,18 +322,22 @@ def _extract_print_forget(n: int) -> None:
     from effreal.effhol import check
     from effreal.effhol.forgetful import forget_derivation
     from effreal.instances import instantiate_derivation
-    from effreal.surface import jsonio
+    from effreal.surface import jsonio, print_eff_derivation
 
     derived = extract_realizer(_imp_chain(n), derive=True).derivation
     assert jsonio.eff_to_json(derived)["derivation"]["rule"] == "ModI"
+    assert print_eff_derivation(derived).startswith("(mod-i ")
     assert forget_derivation(derived).rule == "ImpI"
     check(derived)
     for inst in (identity_instance(), continuation_instance()):
-        check(instantiate_derivation(derived, inst))
+        instance = instantiate_derivation(derived, inst)
+        check(instance)
+        assert print_eff_derivation(instance).count("(sequent ") == _nodes(instance)
 
 
 def test_pure_map_tables_end_with_their_call():
-    """Extraction with --derive, the JSON printer, the forgetful map, the
+    """Extraction with --derive, the JSON printer, the text printer (on the
+    derived chain and its id and cont instances), the forgetful map, the
     checker's typing table and the two tables of ``instantiate_derivation``
     (under id and cont) last for one call only, and on no node: once the
     results are dropped, the intern table is back to its size before the

@@ -238,6 +238,24 @@ def _at_limit_1000(run):
         sys.setrecursionlimit(limit)
 
 
+def test_counted_printing_handles_a_deep_goal():
+    """The counted text table's first pass takes one frame per formula
+    level, like ``_emit``, and walks the derivation from a stack: a sequent
+    and a one-node derivation whose hypothesis and goal are a 900-deep
+    left-nested implication print at the default recursion limit."""
+    from effreal.effhol import SImp
+    from effreal.surface import print_eff_sequent
+
+    spec = TOP_SPEC
+    for _ in range(900):
+        spec = SImp(spec, TOP_SPEC)
+    d = EffDerivation("Id", EffSequent(EffContexts(), (spec,), spec))
+    text = _at_limit_1000(lambda: print_eff_sequent(d.conclusion))
+    assert text.count("(imp ") >= 1800
+    data = _at_limit_1000(lambda: jsonio.eff_to_json(d))
+    assert data["derivation"]["conclusion"] == text
+
+
 def test_normalize_handles_deep_left_nesting():
     """``normalize`` takes two stack frames per level: 450-deep
     left-nested implications and function types with a beta-redex at the

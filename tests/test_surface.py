@@ -13,8 +13,15 @@ from effreal.generators import (
     random_spec,
     random_type,
 )
-from effreal.hol import FALSUM, Forall, Imp, MemBase, STAR, Var, check as hol_check
-from effreal.effhol import KSTAR, check as eff_check
+from effreal.hol import FALSUM, Forall, Imp, MemBase, STAR, Sequent, Var, check as hol_check
+from effreal.effhol import (
+    EffContexts,
+    EffSequent,
+    KSTAR,
+    SForallProg,
+    SImp,
+    check as eff_check,
+)
 from effreal.surface import (
     parse_document,
     print_eff_derivation,
@@ -22,6 +29,7 @@ from effreal.surface import (
     print_hol_prop,
     print_program,
     print_spec,
+    print_term,
     print_type,
     print_untyped,
 )
@@ -373,6 +381,47 @@ def _reference_text(calc, d, node: dict) -> str:
             parts.append(f"{texts[w.key]}")
     parts += [_reference_text(calc, p, q) for p, q in zip(d.premises, node["premises"])]
     return f"({rule.tag} " + " ".join(parts) + ")"
+
+
+def _sequent_by_print_term(calc, seq) -> str:
+    """The text of ``seq`` assembled from table-free ``print_term`` calls."""
+    from effreal.surface.grammar import ANNOTATES, binder_name
+
+    contexts = calc.contexts(seq)
+    depth = calc.depth(contexts)
+    sections = []
+    for (tag, cat), entries in zip(calc.sections, contexts):
+        ns = ANNOTATES[cat]
+        names = [f"({binder_name(ns, i)} {print_term(a, *depth)})" for i, a in enumerate(entries)]
+        sections.append("(" + " ".join(([tag] if tag else []) + names) + ")")
+    hyps = "".join(" " + print_term(p, *depth) for p in seq.hyps)
+    return f"(sequent {' '.join(sections)} (hyps{hyps}) {print_term(seq.goal, *depth)})"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_counted_table_prints_as_print_term(seed):
+    """Sequents whose hypotheses and goal repeat generated subterms, one of
+    them also under one more binder, print with the counted text table as
+    their formulas printed one by one without a table."""
+    from effreal.surface.grammar import EFF, HOL
+    from effreal.surface.printer import print_sequent
+
+    rng = random.Random(seed)
+    kinds = (KSTAR,)
+    types = tuple(random_type(rng, kinds, KSTAR, 1) for _ in range(rng.randrange(3)))
+    parts = [random_spec(rng, kinds, types, 3) for _ in range(3)]
+    deeper = SForallProg(random_type(rng, kinds, KSTAR, 1), SImp(parts[0], parts[1]))
+    hyps = tuple(rng.choice(parts) for _ in range(4)) + (deeper, SImp(parts[0], parts[0]))
+    seq = EffSequent(EffContexts(kinds=kinds, types=types), hyps, SImp(deeper, rng.choice(parts)))
+    assert print_sequent(EFF, seq) == _sequent_by_print_term(EFF, seq)
+
+    sorts = (STAR, STAR)
+    props = [random_hol_prop(rng, sorts, 3) for _ in range(3)]
+    deeper = Forall(STAR, Imp(props[0], props[1]))
+    hyps = tuple(rng.choice(props) for _ in range(4)) + (deeper, Imp(props[0], props[0]))
+    seq = Sequent(sorts, hyps, Imp(deeper, rng.choice(props)))
+    assert print_sequent(HOL, seq) == _sequent_by_print_term(HOL, seq)
 
 
 def test_printing_tables_do_not_change_the_output():
