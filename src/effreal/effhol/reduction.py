@@ -1,18 +1,25 @@
-"""One-step beta reduction and bounded multi-step reduction.
+"""One-step reduction and bounded multi-step reduction.
 
-Three strategies:
+A strategy is the three axioms of ``root_step`` plus a grammar of
+evaluation contexts (Felleisen and Hieb, 1992), and the grammar is data:
+``STRATEGIES`` gives each strategy whether beta is call-by-value and, for
+each node class, the fields that are holes, in search order.
 
-  BASE  the minimal relation: the three axioms, applied at the root only,
-        with the call-by-value restriction on term application.
-  CBN   call-by-name: term application fires on arbitrary arguments, and
-        reduction may happen in the head of applications and under
-        lambda (contexts  [] | [] tau | [] p | \\x:tau.[]).
-  FULL  leftmost-outermost reduction everywhere with unrestricted beta;
-        the executable semantics of the identity instance and the
-        normalizer used by lift checks.
+  BASE  no contexts: the axioms at the root only, with the call-by-value
+        restriction on term application.
+  CBN   call-by-name: beta fires on arbitrary arguments, in the head of
+        applications and under lambda (contexts  [] | [] tau | [] p |
+        \\x:tau.[]).
+  FULL  leftmost-outermost everywhere with unrestricted beta: every
+        program field is a hole, and an argument or a bind's rest is
+        searched only once the part before it is normal; the executable
+        semantics of the identity instance and the normalizer used by lift
+        checks.
 
-At most one step applies per strategy; ``step`` returns None on normal
-forms.
+``contextual_step`` runs such a table for both program calculi (the
+untyped one in ``frame``).  It searches the holes from an explicit stack,
+so no step recurses over the depth of a term.  At most one step applies
+per strategy; ``step`` returns None on normal forms.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ..errors import FuelExhausted
-from .._astnode import subst
+from .._astnode import Term, subst
 from .syntax import (
     PROG,
     TYPE,
@@ -28,7 +35,6 @@ from .syntax import (
     App,
     Bind,
     EffProgram,
-    PVar,
     Ret,
     TyAbs,
     TyApp,
@@ -56,65 +62,53 @@ def root_step(p: EffProgram, cbv: bool) -> EffProgram | None:
     return None
 
 
-def step(p: EffProgram, strategy: Strategy = Strategy.BASE) -> EffProgram | None:
-    if strategy == Strategy.BASE:
-        return root_step(p, cbv=True)
-    if strategy == Strategy.CBN:
-        return _step_cbn(p)
-    if strategy == Strategy.FULL:
-        return _step_full(p)
-    raise ValueError(f"unknown strategy {strategy!r}")
+STRATEGIES = {
+    Strategy.BASE: (True, {}),
+    Strategy.CBN: (False, {TyApp: ("fn",), App: ("fn",), Abs: ("body",)}),
+    Strategy.FULL: (
+        False,
+        {
+            TyAbs: ("body",),
+            Abs: ("body",),
+            TyApp: ("fn",),
+            App: ("fn", "arg"),
+            Ret: ("inner",),
+            Bind: ("first", "rest"),
+        },
+    ),
+}
 
 
-def _step_cbn(p: EffProgram) -> EffProgram | None:
-    r = root_step(p, cbv=False)
-    if r is not None:
-        return r
-    match p:
-        case TyApp(fn, arg):
-            r = _step_cbn(fn)
-            return None if r is None else TyApp(r, arg)
-        case App(fn, arg):
-            r = _step_cbn(fn)
-            return None if r is None else App(r, arg)
-        case Abs(ty, body):
-            r = _step_cbn(body)
-            return None if r is None else Abs(ty, r)
-    return None
+def contextual_step(x: Term, root, strategies: dict, strategy) -> Term | None:
+    """One step of ``strategy``, an entry of ``strategies``, under the
+    root axioms ``root(·, cbv)``; None on a normal form.
 
-
-def _step_full(p: EffProgram) -> EffProgram | None:
-    r = root_step(p, cbv=False)
-    if r is not None:
-        return r
-    match p:
-        case TyAbs(kind, body):
-            r = _step_full(body)
-            return None if r is None else TyAbs(kind, r)
-        case Abs(ty, body):
-            r = _step_full(body)
-            return None if r is None else Abs(ty, r)
-        case TyApp(fn, arg):
-            r = _step_full(fn)
-            return None if r is None else TyApp(r, arg)
-        case App(fn, arg):
-            r = _step_full(fn)
-            if r is not None:
-                return App(r, arg)
-            r = _step_full(arg)
-            return None if r is None else App(fn, r)
-        case Ret(inner):
-            r = _step_full(inner)
-            return None if r is None else Ret(r)
-        case Bind(ty, first, rest):
-            r = _step_full(first)
-            if r is not None:
-                return Bind(ty, r, rest)
-            r = _step_full(rest)
-            return None if r is None else Bind(ty, first, r)
-        case PVar(_):
+    The redex is the first node, depth-first and leftmost-outermost, that
+    lies in a hole and on which an axiom fires; it is found from an
+    explicit stack and the path above it is rebuilt through the node
+    constructors, so no Python frame is spent per level.
+    """
+    try:
+        cbv, holes = strategies[strategy]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown strategy {strategy!r}") from None
+    stack, path = [], None
+    while True:
+        r = root(x, cbv)
+        if r is not None:
+            while path is not None:
+                x, hole, path = path
+                r = type(x)(*[r if n == hole else getattr(x, n) for n in x._names])
+            return r
+        for hole in reversed(holes.get(type(x), ())):
+            stack.append((getattr(x, hole), (x, hole, path)))
+        if not stack:
             return None
-    return None
+        x, path = stack.pop()
+
+
+def step(p: EffProgram, strategy: Strategy = Strategy.BASE) -> EffProgram | None:
+    return contextual_step(p, root_step, STRATEGIES, strategy)
 
 
 def multi_step(

@@ -1,11 +1,20 @@
 """Type erasure and the finite-carrier evidenced frame.
 
 Erased programs live in the untyped computational lambda-calculus
-extended with pairs.  Propositions at desk scale are explicit finite sets
-of closed values; evidence is any closed untyped term; the evidence
-relation runs every member of the source proposition through the evidence
-and decides membership in the lifted target via normalization under the
-identity instance's executable semantics.
+extended with pairs.  It reduces by the axioms of ``_uroot`` in the
+evaluation contexts of ``UNTYPED_STRATEGIES``, searched from an explicit
+stack by ``effhol.reduction.contextual_step``.  Under 'cbv', the identity
+instance's executable semantics, the holes are both sides of an
+application (left to right), a return, both parts of a pair, a
+projection and the bound computation of a bind, but never a lambda's
+body or a bind's rest.  'cbn' mirrors the erased call-by-name contexts:
+the head of an application and the body of a lambda.
+
+Propositions at desk scale are explicit finite sets of closed values;
+evidence is any closed untyped term; the evidence relation runs every
+member of the source proposition through the evidence and decides
+membership in the lifted target via normalization under the identity
+instance's executable semantics.
 
 Fuel exhaustion is a third truth value: it is reported as ``None`` and
 never conflated with refutation.
@@ -18,6 +27,7 @@ from dataclasses import dataclass, field
 from ._astnode import Term, astnode, namespaces, shift, subst
 from .errors import CandidateRejected, FuelExhausted, UnsupportedInstance
 from .effhol import syntax as e
+from .effhol.reduction import contextual_step
 
 
 (UNTYPED,) = namespaces("untyped")
@@ -124,62 +134,37 @@ def _uroot(t: UntypedTerm, cbv: bool) -> UntypedTerm | None:
     return None
 
 
+# As ``effhol.reduction.STRATEGIES``: whether beta is call-by-value, and the holes.
+UNTYPED_STRATEGIES = {
+    "cbv": (
+        True,
+        {
+            UApp: ("fn", "arg"),
+            URet: ("inner",),
+            UBind: ("first",),
+            UPair: ("fst", "snd"),
+            UProj1: ("pair",),
+            UProj2: ("pair",),
+        },
+    ),
+    "cbn": (False, {UApp: ("fn",), ULam: ("body",)}),
+}
+
+
 def untyped_step(t: UntypedTerm, strategy: str = "cbv") -> UntypedTerm | None:
-    """One deterministic step; 'cbv' is the identity instance's executable
-    semantics (left-to-right, reducing inside ret/bind/pairs/projections),
-    'cbn' mirrors the erased call-by-name contexts."""
-    if strategy == "cbn":
-        r = _uroot(t, cbv=False)
-        if r is not None:
-            return r
-        match t:
-            case UApp(fn, arg):
-                r = untyped_step(fn, "cbn")
-                return None if r is None else UApp(r, arg)
-            case ULam(body):
-                r = untyped_step(body, "cbn")
-                return None if r is None else ULam(r)
-        return None
-
-    r = _uroot(t, cbv=True)
-    if r is not None:
-        return r
-    match t:
-        case UApp(fn, arg):
-            r = untyped_step(fn, strategy)
-            if r is not None:
-                return UApp(r, arg)
-            r = untyped_step(arg, strategy)
-            return None if r is None else UApp(fn, r)
-        case URet(inner):
-            r = untyped_step(inner, strategy)
-            return None if r is None else URet(r)
-        case UBind(first, rest):
-            r = untyped_step(first, strategy)
-            return None if r is None else UBind(r, rest)
-        case UPair(a, b):
-            r = untyped_step(a, strategy)
-            if r is not None:
-                return UPair(r, b)
-            r = untyped_step(b, strategy)
-            return None if r is None else UPair(a, r)
-        case UProj1(x):
-            r = untyped_step(x, strategy)
-            return None if r is None else UProj1(r)
-        case UProj2(x):
-            r = untyped_step(x, strategy)
-            return None if r is None else UProj2(r)
-    return None
+    """One deterministic step under ``strategy`` ('cbv' or 'cbn')."""
+    return contextual_step(t, _uroot, UNTYPED_STRATEGIES, strategy)
 
 
-def untyped_normalize(t: UntypedTerm, fuel: int = 10_000, strategy: str = "cbv") -> UntypedTerm:
+def untyped_normalize(t: UntypedTerm, fuel: int = 10_000) -> UntypedTerm:
+    """The cbv normal form of ``t``, reached within ``fuel`` steps."""
     cur = t
     for _ in range(fuel):
-        nxt = untyped_step(cur, strategy)
+        nxt = untyped_step(cur)
         if nxt is None:
             return cur
         cur = nxt
-    if untyped_step(cur, strategy) is None:
+    if untyped_step(cur) is None:
         return cur
     raise FuelExhausted(f"no untyped normal form within {fuel} steps", partial=cur)
 

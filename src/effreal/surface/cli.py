@@ -30,13 +30,25 @@ from . import jsonio, printer as pr
 from .elaborate import parse_document
 
 
+class _UsageError(Exception):
+    """A bad argument found after parsing; the CLI exits with 2."""
+
+
 def _fuel(args) -> int:
-    env = os.environ.get("EFFHOL_FUEL")
-    if args.fuel is not None:
-        return args.fuel
-    if env is not None:
-        return int(env)
-    return 10_000
+    """The reduction fuel: ``--fuel``, else ``EFFHOL_FUEL``, else 10,000."""
+    source, text = "--fuel", args.fuel
+    if text is None:
+        source, text = "EFFHOL_FUEL", os.environ.get("EFFHOL_FUEL")
+        if text is None:
+            return 10_000
+    try:
+        fuel = int(text)
+    except ValueError:
+        pass
+    else:
+        if fuel >= 0:
+            return fuel
+    raise _UsageError(f"{source} must be a non-negative integer, got {text!r}")
 
 
 def _load(path: str):
@@ -178,13 +190,14 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    fuel = _fuel(args)
     doc = _load(args.file)
     if args.term not in doc.programs:
         print(f"no program named {args.term!r}", file=sys.stderr)
         return 2
     strategy = Strategy(args.strategy)
     try:
-        result, steps = multi_step(doc.programs[args.term], strategy, _fuel(args))
+        result, steps = multi_step(doc.programs[args.term], strategy, fuel)
     except KernelError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -205,8 +218,8 @@ def cmd_erase(args) -> int:
 
 
 def cmd_ef_check(args) -> int:
-    doc = _load(args.file)
     fuel = _fuel(args)
+    doc = _load(args.file)
     samples = tuple(doc.ef_props.values())
     report = ef_law_suite(samples, fuel)
     asserts = {}
@@ -284,7 +297,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("normalize", help="reduce a named program")
     p.add_argument("file")
     p.add_argument("--term", required=True)
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel")
     p.add_argument("--strategy", default="base", choices=["base", "cbn", "full"])
     p.set_defaults(fn=cmd_normalize)
 
@@ -295,7 +308,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ef-check", help="run the evidenced-frame law suite on FILE")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel")
     p.set_defaults(fn=cmd_ef_check)
 
     p = sub.add_parser("check-laws", help="replay the modality laws for an instance")
@@ -316,7 +329,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("input is nested too deeply", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, _UsageError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from effreal.surface.cli import main
 
@@ -82,6 +83,28 @@ def test_normalize_strategies_and_fuel_env(capsys, monkeypatch):
     )
     assert code == 1
     assert "0 steps" in err
+
+
+_NORMALIZE = ("normalize", str(CORPUS / "programs.eff"), "--term", "bind-chain")
+_EF_CHECK = ("ef-check", str(CORPUS / "ef_samples.ef"))
+
+
+@pytest.mark.parametrize("argv", [_NORMALIZE, _EF_CHECK], ids=["normalize", "ef-check"])
+@pytest.mark.parametrize(
+    "flag, env",
+    [("-1", None), ("abc", None), ("1.5", None), (None, "abc"), (None, "-3"), (None, "")],
+)
+def test_bad_fuel_is_a_usage_error(capsys, monkeypatch, argv, flag, env):
+    """A negative or non-integer fuel, from ``--fuel`` or ``EFFHOL_FUEL``,
+    exits 2 with one line on stderr before any reduction runs."""
+    if env is not None:
+        monkeypatch.setenv("EFFHOL_FUEL", env)
+    code, out, err = run(capsys, *argv, *(("--fuel", flag) if flag else ()))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "non-negative integer" in err
+    # the flag wins over the environment
+    monkeypatch.setenv("EFFHOL_FUEL", "abc")
+    assert run(capsys, *argv, "--fuel", "10000")[0] == 0
 
 
 def test_instantiate_file_instance(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effreal._astnode import map_children
 from effreal.effhol import (
     Abs,
     After,
@@ -35,6 +36,7 @@ from effreal.effhol import (
     TOP_SPEC,
     TVar,
     TyAbs,
+    TyApp,
     EXPR,
     PROG,
     TYPE,
@@ -50,6 +52,7 @@ from effreal.effhol import (
     type_of,
 )
 from effreal.effhol.conversion import normalize_type
+from effreal.effhol.reduction import root_step
 from effreal.errors import (
     FuelExhausted,
     SpecIllFormed,
@@ -179,6 +182,8 @@ def test_step_cbv_blocks_non_value():
     assert step(App(ident, arg), Strategy.BASE) is None
     # call-by-name fires
     assert step(App(ident, arg), Strategy.CBN) == arg
+    with pytest.raises(ValueError):
+        step(App(ident, arg), "cbv")
 
 
 def test_multi_step_chain_and_fuel():
@@ -193,6 +198,59 @@ def test_multi_step_chain_and_fuel():
     assert done == v and steps == 0
     with pytest.raises(FuelExhausted):
         multi_step(p, Strategy.CBN, fuel=1)
+
+
+# a closed redex and its reduct, and one whose argument is the bound variable
+IDENT = Abs(BOT_TYPE, PVar(0))
+REDEX = App(IDENT, IDENT)
+OPEN_REDEX = App(IDENT, PVar(0))
+
+
+@pytest.mark.parametrize(
+    "p, cbn, full",
+    [
+        # beta fires on a non-value argument under both
+        (App(Abs(BOT_TYPE, Ret(PVar(0))), REDEX), Ret(REDEX), Ret(REDEX)),
+        # holes of both: the head of an application and the body of a lambda
+        (App(REDEX, PVar(3)), App(IDENT, PVar(3)), App(IDENT, PVar(3))),
+        (TyApp(REDEX, BOT_TYPE), TyApp(IDENT, BOT_TYPE), TyApp(IDENT, BOT_TYPE)),
+        (Abs(BOT_TYPE, OPEN_REDEX), Abs(BOT_TYPE, PVar(0)), Abs(BOT_TYPE, PVar(0))),
+        # holes of FULL alone: returns, arguments, binds and type abstractions
+        (Ret(REDEX), None, Ret(IDENT)),
+        (App(PVar(3), REDEX), None, App(PVar(3), IDENT)),
+        (Bind(BOT_TYPE, REDEX, Ret(PVar(0))), None, Bind(BOT_TYPE, IDENT, Ret(PVar(0)))),
+        (Bind(BOT_TYPE, PVar(3), OPEN_REDEX), None, Bind(BOT_TYPE, PVar(3), PVar(0))),
+        (TyAbs(KSTAR, REDEX), None, TyAbs(KSTAR, IDENT)),
+        # leftmost first: the argument, and a bind's rest, wait for a normal head
+        (App(REDEX, REDEX), App(IDENT, REDEX), App(IDENT, REDEX)),
+        (App(App(PVar(3), REDEX), REDEX), None, App(App(PVar(3), IDENT), REDEX)),
+        (Bind(BOT_TYPE, REDEX, OPEN_REDEX), None, Bind(BOT_TYPE, IDENT, OPEN_REDEX)),
+    ],
+)
+def test_evaluation_contexts(p, cbn, full):
+    """Each strategy steps in its own holes and nowhere else; BASE only at
+    the root."""
+    assert step(p, Strategy.CBN) == cbn
+    assert step(p, Strategy.FULL) == full
+    assert step(p, Strategy.BASE) is None
+
+
+def _subterms(x):
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        yield x
+        map_children(x, lambda c, _under: stack.append(c) or c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000))
+def test_full_normal_forms_have_no_redex(seed):
+    """FULL searches every position: its normal form has no subterm on
+    which an axiom fires."""
+    p, _t = random_closed_program(random.Random(seed), size=8)
+    n, _steps = multi_step(p, Strategy.FULL, 10_000)
+    assert all(root_step(x, cbv=False) is None for x in _subterms(n))
 
 
 def test_conv_normalize_axioms():

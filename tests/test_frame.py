@@ -68,6 +68,45 @@ def test_untyped_steps():
     assert untyped_step(V) is None
 
 
+# a closed cbv redex and its reduct, and one whose argument is the bound variable
+REDEX = UApp(W, V)
+OPEN_REDEX = UApp(W, UVar(0))
+
+
+@pytest.mark.parametrize(
+    "t, cbv, cbn",
+    [
+        # beta waits for a value argument under cbv alone
+        (UApp(V, REDEX), UApp(V, V), URet(REDEX)),
+        # holes of both: the head of an application
+        (UApp(REDEX, UVar(3)), UApp(V, UVar(3)), UApp(V, UVar(3))),
+        # under a lambda only call-by-name steps
+        (ULam(OPEN_REDEX), None, ULam(UVar(0))),
+        # holes of cbv alone: arguments, returns, a bind's first, pairs, projections
+        (UApp(UVar(3), REDEX), UApp(UVar(3), V), None),
+        (URet(REDEX), URet(V), None),
+        (UBind(REDEX, URet(UVar(0))), UBind(V, URet(UVar(0))), None),
+        (UPair(REDEX, REDEX), UPair(V, REDEX), None),
+        (UPair(UApp(UVar(3), V), REDEX), UPair(UApp(UVar(3), V), V), None),
+        (UProj1(UPair(REDEX, V)), UProj1(UPair(V, V)), None),
+        (UProj2(UApp(W, UPair(V, W))), UProj2(UPair(V, W)), None),
+        # a bind's rest is no hole of either
+        (UBind(UVar(3), OPEN_REDEX), None, None),
+    ],
+)
+def test_untyped_evaluation_contexts(t, cbv, cbn):
+    assert untyped_step(t) == untyped_step(t, "cbv") == cbv
+    assert untyped_step(t, "cbn") == cbn
+
+
+@pytest.mark.parametrize("strategy", ["full", "CBN", "nonsense", None])
+def test_untyped_step_rejects_unknown_strategies(strategy):
+    t = UApp(UVar(5), UApp(W, W))
+    assert untyped_step(t) == UApp(UVar(5), W)
+    with pytest.raises(ValueError):
+        untyped_step(t, strategy)
+
+
 def test_lift_membership():
     assert lift_member(URet(V), make_prop(V)) is True
     # anti-reduction closure: a redex that lands in the set

@@ -295,3 +295,32 @@ def test_typing_tables_and_instantiation_handle_deep_nesting():
     assert isinstance(_at_limit_1000(lambda: type_of((), (), lam)), Fun)
     assert isinstance(_at_limit_1000(lambda: type_of((), ctx, ret)), Comp)
     assert _at_limit_1000(lambda: instantiate(bind, continuation_instance(), (), ctx)) is not None
+
+
+def test_steppers_handle_deep_terms():
+    """``contextual_step`` searches the evaluation contexts from an explicit
+    stack: at the default recursion limit, a 3,000-deep lambda chain over a
+    redex steps under FULL and CBN, and a 3,000-deep left-nested
+    application spine over a redex steps under untyped cbv."""
+    from effreal.effhol import Abs, App, PVar, Strategy, step
+    from effreal.frame import UApp, ULam, UVar, untyped_step
+
+    ident = Abs(BOT_TYPE, PVar(0))
+
+    def lams(body):
+        for _ in range(3000):
+            body = Abs(BOT_TYPE, body)
+        return body
+
+    deep, want = lams(App(ident, ident)), lams(ident)
+    assert _at_limit_1000(lambda: step(deep, Strategy.FULL)) == want
+    assert _at_limit_1000(lambda: step(deep, Strategy.CBN)) == want
+
+    w = ULam(UVar(0))
+
+    def spine(head):
+        for _ in range(3000):
+            head = UApp(head, w)
+        return head
+
+    assert _at_limit_1000(lambda: untyped_step(spine(UApp(w, w)))) == spine(w)
