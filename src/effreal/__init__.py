@@ -32,7 +32,6 @@ from .instances import (
     instantiate_derivation,
 )
 from .frame import (
-    ef_combinators,
     ef_law_suite,
     erase,
     evidence_check,

@@ -42,6 +42,11 @@ from .syntax import (
 )
 
 
+# The reduction fuel wherever the caller names none: normalization,
+# anti-reduction replay under an instance, and the CLI.
+DEFAULT_FUEL = 10_000
+
+
 class Strategy(str, Enum):
     BASE = "base"
     CBN = "cbn"
@@ -112,11 +117,15 @@ def step(p: EffProgram, strategy: Strategy = Strategy.BASE) -> EffProgram | None
 
 
 def multi_step(
-    p: EffProgram, strategy: Strategy = Strategy.BASE, fuel: int = 10_000
+    p: EffProgram, strategy: Strategy = Strategy.BASE, fuel: int = DEFAULT_FUEL
 ) -> tuple[EffProgram, int]:
     """Iterate ``step`` until normal form; returns (result, steps taken)."""
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    try:
+        strategy = Strategy(strategy)
+    except ValueError:
+        raise ValueError(f"unknown strategy {strategy!r}") from None
     steps = 0
     cur = p
     while True:

@@ -2,10 +2,11 @@
 
 ``weaken_kind``/``weaken_type`` insert a fresh context entry at a list
 position of the root conclusion's contexts (0 = outermost), and
-``weaken_type`` and ``add_hypotheses`` add hypotheses; each rebuilds every
-node of a checked derivation once.  They are used to replay the soundness
-and instance-law derivations.  The checker never calls them and their
-output is always re-checked, so they stay outside the trusted base.
+``weaken_type`` can add hypotheses; each rebuilds every node of a checked
+derivation once.  They are used to replay the soundness derivations (the
+translation's ImpE); the instance templates cut their premises in instead.
+The checker never calls them and their output is always re-checked, so
+they stay outside the trusted base.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ class _Weaken:
     hypotheses, applied node by node.
 
     ``ns`` is the namespace whose context grows (``TYPE``: kinds, ``PROG``:
-    types, ``EXPR``: indices; None: no insertion); ``pos`` is the
-    root-context list position at which ``entry`` (expressed in the root
-    context) is inserted.  ``hyps`` are expressed in the root context after
-    the insertion.
+    types, ``EXPR``: indices); ``pos`` is the root-context list position at
+    which ``entry`` (expressed in the root context) is inserted.  ``hyps``
+    are expressed in the root context after the insertion.
     """
 
-    def __init__(self, root: EffSequent, hyps: tuple[EffSpec, ...], ns=None, pos=0, entry=None):
+    def __init__(self, root: EffSequent, hyps: tuple[EffSpec, ...], ns, pos: int, entry):
         self.root = root
         self.hyps = hyps
         self.ns = ns
@@ -54,8 +54,6 @@ class _Weaken:
         self.entry = entry
 
     def term(self, seq: EffSequent, x, hole: bool = False):
-        if self.ns is None:
-            return x
         # The hole variable of an anti-reduction occupies program index 0.
         cutoff = len(getattr(seq.ctxs, CONTEXT[self.ns])) - self.pos
         return shift(x, self.ns, 1, cutoff + (hole and self.ns is PROG))
@@ -67,12 +65,10 @@ class _Weaken:
         return shift(h, EXPR, len(c.indices) - len(r.indices))
 
     def __call__(self, seq: EffSequent) -> EffSequent:
-        ctxs, hyps = seq.ctxs, seq.hyps
-        if self.ns is not None:
-            entry = self.entry
-            if self.ns is not TYPE:
-                entry = shift(entry, TYPE, len(ctxs.kinds) - len(self.root.ctxs.kinds))
-            ctxs, hyps = extend(ctxs, hyps, self.ns, entry, self.pos)
+        entry = self.entry
+        if self.ns is not TYPE:
+            entry = shift(entry, TYPE, len(seq.ctxs.kinds) - len(self.root.ctxs.kinds))
+        ctxs, hyps = extend(seq.ctxs, seq.hyps, self.ns, entry, self.pos)
         extra = tuple(self._added(seq, h) for h in self.hyps)
         return EffSequent(ctxs, hyps + extra, self.term(seq, seq.goal))
 
@@ -85,7 +81,3 @@ def weaken_type(
     d: EffDerivation, pos: int, ty: EffType, hyps: tuple[EffSpec, ...] = ()
 ) -> EffDerivation:
     return _map_node(d, _Weaken(d.conclusion, hyps, PROG, pos, ty))
-
-
-def add_hypotheses(d: EffDerivation, hyps: tuple[EffSpec, ...]) -> EffDerivation:
-    return _map_node(d, _Weaken(d.conclusion, hyps))

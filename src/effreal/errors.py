@@ -96,10 +96,6 @@ class RecheckFailed(KernelError):
     pass
 
 
-class LawViolated(KernelError):
-    pass
-
-
 class CandidateRejected(KernelError):
     pass
 

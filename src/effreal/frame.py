@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ._astnode import Term, astnode, namespaces, shift, subst
 from .errors import CandidateRejected, FuelExhausted, UnsupportedInstance
 from .effhol import syntax as e
-from .effhol.reduction import contextual_step
+from .effhol.reduction import DEFAULT_FUEL, contextual_step
 
 
 (UNTYPED,) = namespaces("untyped")
@@ -156,7 +156,7 @@ def untyped_step(t: UntypedTerm, strategy: str = "cbv") -> UntypedTerm | None:
     return contextual_step(t, _uroot, UNTYPED_STRATEGIES, strategy)
 
 
-def untyped_normalize(t: UntypedTerm, fuel: int = 10_000) -> UntypedTerm:
+def untyped_normalize(t: UntypedTerm, fuel: int = DEFAULT_FUEL) -> UntypedTerm:
     """The cbv normal form of ``t``, reached within ``fuel`` steps."""
     cur = t
     for _ in range(fuel):
@@ -168,8 +168,6 @@ def untyped_normalize(t: UntypedTerm, fuel: int = 10_000) -> UntypedTerm:
         return cur
     raise FuelExhausted(f"no untyped normal form within {fuel} steps", partial=cur)
 
-
-DEFAULT_FUEL = 10_000
 
 EfProposition = frozenset  # of closed UntypedTerm values
 EfEvidence = UntypedTerm
@@ -274,22 +272,6 @@ def univ_impl(
                     )
         members.append(cand)
     return frozenset(members)
-
-
-def ef_combinators() -> dict:
-    return {
-        "e_id": E_ID,
-        "compose": compose,
-        "top_prop": TOP_PROP,
-        "e_top": E_TOP,
-        "pair": pair_evidence,
-        "e_fst": E_FST,
-        "e_snd": E_SND,
-        "lam_of": lam_evidence,
-        "e_eval": E_EVAL,
-        "conj": conj,
-        "univ_impl": univ_impl,
-    }
 
 
 @dataclass

@@ -39,15 +39,10 @@ from ._astnode import map_children, shift, subst
 from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
-from .effhol.reduction import Strategy, count_steps, root_step
+from .effhol.reduction import DEFAULT_FUEL, Strategy, count_steps, root_step
 from .effhol.theory import EffDerivation, EffSequent, check, extend
 from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
-from .effhol.weakening import add_hypotheses, weaken_type
-
-
-# Fuel for replaying instantiated anti-reductions under the instance strategy.
-REPLAY_FUEL = 10_000
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def _instantiate_derivation(d, inst, memo):
         if p1 == p2:
             # the instantiated sides coincide; splice the premise
             return prems[0]
-        n = count_steps(p1, p2, inst.strategy, REPLAY_FUEL)
+        n = count_steps(p1, p2, inst.strategy, DEFAULT_FUEL)
         if n is None:
             raise RecheckFailed(f"instance {inst.name}: anti-reduction does not replay")
         return replace(
@@ -261,7 +256,7 @@ def _id_mode(inst, parts, seq, prem):
     t1, t2, p1, p2, body = parts
     redex = e.App(e.Abs(t1, p2), p1)
     reduct = subst(p2, PROG, 0, p1)
-    n = count_steps(redex, reduct, inst.strategy, REPLAY_FUEL)
+    n = count_steps(redex, reduct, inst.strategy, DEFAULT_FUEL)
     if n is None:
         raise RecheckFailed("identity ModE: let-beta does not replay")
     return EffDerivation(
@@ -277,20 +272,31 @@ def _id_mode(inst, parts, seq, prem):
     )
 
 
-def _id_mon(inst, parts, seq, ent, mod):
-    tau, p, phi1, phi2 = parts
+def _entailment(seq, parts, ent):
+    """Mon's entailment premise ``ent`` as ``∀x:t. phi1 ⇒ phi2`` in the
+    node's own frame: UniProgI ∘ ImpI."""
+    tau, _, phi1, phi2 = parts
     imp = e.SImp(phi1, phi2)
     ctxs, hyps = extend(seq.ctxs, seq.hyps, PROG, tau)
     impi = EffDerivation("ImpI", EffSequent(ctxs, hyps, imp), (ent,))
-    upi = EffDerivation(
+    return EffDerivation(
         "UniProgI", EffSequent(seq.ctxs, seq.hyps, e.SForallProg(tau, imp)), (impi,)
     )
-    upe = EffDerivation(
-        "UniProgE",
-        EffSequent(seq.ctxs, seq.hyps, subst(imp, PROG, 0, p)),
-        (upi,),
-        witness_prog=p,
-    )
+
+
+def _uni_elim(ctxs, hyps, forall, w):
+    """UniProgE: ``forall`` proves a program universal; its body at ``w``."""
+    at = subst(forall.conclusion.goal.body, PROG, 0, w)
+    return EffDerivation("UniProgE", EffSequent(ctxs, hyps, at), (forall,), witness_prog=w)
+
+
+def _imp_elim(ctxs, hyps, fn, arg):
+    """ImpE: ``fn`` proves an implication; its consequent, given ``arg``."""
+    return EffDerivation("ImpE", EffSequent(ctxs, hyps, fn.conclusion.goal.rhs), (fn, arg))
+
+
+def _id_mon(inst, parts, seq, ent, mod):
+    upe = _uni_elim(seq.ctxs, seq.hyps, _entailment(seq, parts, ent), parts[1])
     return EffDerivation("ImpE", seq, (upe, mod))
 
 
@@ -355,22 +361,35 @@ def _cont_after(tau: e.EffType, p: e.EffProgram, body: e.EffSpec) -> e.EffSpec:
 # (Krivine, "Realizability in classical logic", 2009): a membership
 # ``q ∈ orth(t, X)`` is introduced by sending a fresh ``v ∈ X`` into the
 # pole and eliminated against the pole by a member of ``X``.  Applications
-# enter the pole by one call-by-name anti-reduction step.
+# enter the pole by one call-by-name anti-reduction step.  Each template
+# takes its premises as proved in the node's own frame: a fact it needs
+# under the fresh continuation is cut in as a hypothesis before the binder
+# opens (ImpI, then ImpE against the fact), and used there by ``Id``, so no
+# premise is rebuilt.
 
 
-def _orth_intro(seq, q, o, inner):
+def _orth_intro(seq, q, o, inner, facts=()):
     """Prove ``seq``, whose goal is ``q ∈ o`` for an orthogonal set ``o``:
     Mem0I ∘ UniProgI ∘ ImpI under a fresh variable ``v``.
     ``inner(ctxs, hyps)`` proves ``q v ∈ pole`` in the extended contexts,
-    whose last hypothesis is the orthogonality hypothesis ``v ∈ X``."""
+    whose last hypothesis is the orthogonality hypothesis ``v ∈ X``.  The
+    goals of ``facts``, derivations in ``seq``'s frame, are the hypotheses
+    just before it: they are cut in below the Mem0I."""
+    goals = tuple(f.conclusion.goal for f in facts)
+    hyps0 = seq.hyps + goals
     forall = subst(o.body, PROG, 0, q)
     imp = forall.body
-    ctxs, hyps = extend(seq.ctxs, seq.hyps, PROG, forall.binder_type)
-    impi = EffDerivation(
-        "ImpI", EffSequent(ctxs, hyps, imp), (inner(ctxs, hyps + (imp.lhs,)),)
-    )
-    upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, seq.hyps, forall), (impi,))
-    return EffDerivation("Mem0I", seq, (upi,))
+    ctxs, hyps = extend(seq.ctxs, hyps0, PROG, forall.binder_type)
+    impi = EffDerivation("ImpI", EffSequent(ctxs, hyps, imp), (inner(ctxs, hyps + (imp.lhs,)),))
+    upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, hyps0, forall), (impi,))
+    d = EffDerivation("Mem0I", EffSequent(seq.ctxs, hyps0, seq.goal), (upi,))
+    goal = seq.goal
+    for i in reversed(range(len(goals))):
+        goal = e.SImp(goals[i], goal)
+        d = EffDerivation("ImpI", EffSequent(seq.ctxs, seq.hyps + goals[:i], goal), (d,))
+    for f in facts:
+        d = _imp_elim(seq.ctxs, seq.hyps, d, f)
+    return d
 
 
 def _orth_elim(ctxs, hyps, q, o, mem, arg, arg_mem):
@@ -378,10 +397,8 @@ def _orth_elim(ctxs, hyps, q, o, mem, arg, arg_mem):
     ``arg_mem`` proving ``arg`` a member of its base set: ``q arg ∈ pole``,
     by Mem0E ∘ UniProgE ∘ ImpE."""
     forall = subst(o.body, PROG, 0, q)
-    at = subst(forall.body, PROG, 0, arg)
     m0e = EffDerivation("Mem0E", EffSequent(ctxs, hyps, forall), (mem,))
-    upe = EffDerivation("UniProgE", EffSequent(ctxs, hyps, at), (m0e,), witness_prog=arg)
-    return EffDerivation("ImpE", EffSequent(ctxs, hyps, at.rhs), (upe, arg_mem))
+    return _imp_elim(ctxs, hyps, _uni_elim(ctxs, hyps, m0e, arg), arg_mem)
 
 
 def _pole(ctxs, hyps, redex, strategy, prem):
@@ -411,11 +428,6 @@ def _unfold(ctxs, hyps, mem, x):
     )
 
 
-def _weakened(prem, seq, tau, hyp):
-    """``prem`` under one more program binder of type ``tau``, with ``hyp``."""
-    return weaken_type(prem, len(seq.ctxs.types), tau, (hyp,))
-
-
 def _cont_modi(inst, parts, seq, prem):
     """Replay: membership in the biorthogonal from a proof of the body.
 
@@ -427,19 +439,18 @@ def _cont_modi(inst, parts, seq, prem):
     tau, p, body = parts
     cell = e.ComprBase(tau, body)
     ret = _cont_ret(tau, p)
+    p_in_cell = EffDerivation(
+        "Mem0I", EffSequent(seq.ctxs, seq.hyps, e.SMemBase(p, cell)), (prem,)
+    )
 
     def k_pole(ctxs, hyps):
         pk = shift(p, PROG)
-        p_in_cell = EffDerivation(
-            "Mem0I",
-            EffSequent(ctxs, hyps, e.SMemBase(pk, shift(cell, PROG))),
-            (_weakened(prem, seq, e.neg(tau), hyps[-1]),),
-        )
-        k = _hyp(ctxs, hyps, hyps[-1])
-        app = _orth_elim(ctxs, hyps, e.PVar(0), shift(orth(tau, cell), PROG), k, pk, p_in_cell)
+        # k ∈ orth(cell), and the cut-in p ∈ cell just before it
+        k, p_in = _hyp(ctxs, hyps, hyps[-1]), _hyp(ctxs, hyps, hyps[-2])
+        app = _orth_elim(ctxs, hyps, e.PVar(0), shift(orth(tau, cell), PROG), k, pk, p_in)
         return _pole(ctxs, hyps, e.App(shift(ret, PROG), e.PVar(0)), inst.strategy, app)
 
-    return _orth_intro(seq, ret, biorth(tau, cell), k_pole)
+    return _orth_intro(seq, ret, biorth(tau, cell), k_pole, (p_in_cell,))
 
 
 def _cont_mode(inst, parts, seq, prem):
@@ -465,12 +476,12 @@ def _cont_mode(inst, parts, seq, prem):
         lam_in = _orth_intro(
             EffSequent(ctxs, hyps, e.SMemBase(lam, lam_orth)), lam, lam_orth, q_pole
         )
-        p1_in = _weakened(prem, seq, e.neg(t2), hyps[-1])
+        p1_in = _hyp(ctxs, hyps, hyps[-2])  # the cut-in premise
         bio1 = shift(biorth(t1, cell1), PROG)
         app = _orth_elim(ctxs, hyps, shift(p1, PROG), bio1, p1_in, lam, lam_in)
         return _pole(ctxs, hyps, e.App(shift(bind, PROG), e.PVar(0)), inst.strategy, app)
 
-    return _orth_intro(seq, bind, biorth(t2, cell2), k_pole)
+    return _orth_intro(seq, bind, biorth(t2, cell2), k_pole, (prem,))
 
 
 def _cont_mon(inst, parts, seq, ent, mod):
@@ -482,20 +493,11 @@ def _cont_mon(inst, parts, seq, ent, mod):
     cell2 = e.ComprBase(tau, phi2)
 
     def q_pole(ctxs, hyps):
-        # q ∈ cell1 gives phi1 at q, the entailment phi2 at q, so q ∈ cell2
+        # q ∈ cell1 gives phi1 at q, the entailment phi2 at q, so q ∈ cell2;
+        # the cut-in entailment lies just before k's hypothesis
         phi1_at = _unfold(ctxs, hyps, _hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
-        phi2_q = subst(shift(cell2, PROG, 2).body, PROG, 0, e.PVar(0))
-        entw = _weakened(ent, seq, e.neg(tau), hyps[-2])
-        impi = EffDerivation(
-            "ImpI",
-            EffSequent(ctxs, hyps[:-1], e.SImp(phi1_at.conclusion.goal, phi2_q)),
-            (entw,),
-        )
-        phi2_at = EffDerivation(
-            "ImpE",
-            EffSequent(ctxs, hyps, phi2_q),
-            (add_hypotheses(impi, hyps[-1:]), phi1_at),
-        )
+        ent_at = _uni_elim(ctxs, hyps, _hyp(ctxs, hyps, hyps[-3]), e.PVar(0))
+        phi2_at = _imp_elim(ctxs, hyps, ent_at, phi1_at)
         q_in = EffDerivation(
             "Mem0I",
             EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), shift(cell2, PROG, 2))),
@@ -512,11 +514,12 @@ def _cont_mon(inst, parts, seq, ent, mod):
         k_in = _orth_intro(
             EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), orth1)), e.PVar(0), orth1, q_pole
         )
-        p_in = _weakened(mod, seq, e.neg(tau), hyps[-1])
+        p_in = _hyp(ctxs, hyps, hyps[-3])  # the cut-in modality premise
         bio1 = shift(biorth(tau, cell1), PROG)
         return _orth_elim(ctxs, hyps, shift(p, PROG), bio1, p_in, e.PVar(0), k_in)
 
-    return _orth_intro(seq, p, biorth(tau, cell2), k_pole)
+    facts = (mod, _entailment(seq, parts, ent))
+    return _orth_intro(seq, p, biorth(tau, cell2), k_pole, facts)
 
 
 def continuation_instance() -> PureInstance:

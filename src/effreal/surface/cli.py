@@ -15,7 +15,7 @@ from functools import partial
 from ..errors import KernelError
 from ..hol import check as hol_check
 from ..effhol import check as eff_check, type_of
-from ..effhol.reduction import Strategy, multi_step
+from ..effhol.reduction import DEFAULT_FUEL, Strategy, multi_step
 from ..frame import ef_law_suite, erase, evidence_check
 from ..instances import (
     assert_pure,
@@ -35,12 +35,12 @@ class _UsageError(Exception):
 
 
 def _fuel(args) -> int:
-    """The reduction fuel: ``--fuel``, else ``EFFHOL_FUEL``, else 10,000."""
+    """The reduction fuel: ``--fuel``, else ``EFFHOL_FUEL``, else ``DEFAULT_FUEL``."""
     source, text = "--fuel", args.fuel
     if text is None:
         source, text = "EFFHOL_FUEL", os.environ.get("EFFHOL_FUEL")
         if text is None:
-            return 10_000
+            return DEFAULT_FUEL
     try:
         fuel = int(text)
     except ValueError:

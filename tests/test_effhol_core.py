@@ -200,6 +200,23 @@ def test_multi_step_chain_and_fuel():
         multi_step(p, Strategy.CBN, fuel=1)
 
 
+def test_multi_step_takes_a_strategy_name():
+    """A strategy given by name runs as its ``Strategy``: out of fuel it
+    raises ``FuelExhausted`` with the member's message, and an unknown name
+    is a ``ValueError``, as for ``step``."""
+    ident = Abs(BOT_TYPE, PVar(0))
+    p = App(App(Abs(BOT_TYPE, Abs(BOT_TYPE, PVar(1))), ident), ident)
+    messages = []
+    for strategy in ("cbn", Strategy.CBN):
+        with pytest.raises(FuelExhausted) as exc:
+            multi_step(p, strategy, 1)
+        messages.append(str(exc.value))
+    assert messages == ["no normal form within 1 steps under cbn"] * 2
+    assert multi_step(p, "cbn", 10) == (ident, 2)
+    with pytest.raises(ValueError, match="unknown strategy 'cbv'"):
+        multi_step(p, "cbv", 1)
+
+
 # a closed redex and its reduct, and one whose argument is the bound variable
 IDENT = Abs(BOT_TYPE, PVar(0))
 REDEX = App(IDENT, IDENT)

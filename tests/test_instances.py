@@ -1,9 +1,11 @@
 """Pure instances: structural interpretation, law replay, call/cc."""
 
+import ast
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,7 @@ from effreal.instances import (
     instantiate_derivation,
     instantiate_prog,
     instantiate_type,
+    law_samples,
     orth,
 )
 from effreal.surface.elaborate import parse_document
@@ -338,3 +341,36 @@ def test_shared_tables_agree_with_standalone_instantiation(monkeypatch):
     for name, d in _instance_sources():
         for inst in (ID_INST, CONT):
             assert instantiate_derivation(d, inst) == shared[name, inst.name], (name, inst.name)
+
+
+def test_cont_templates_use_their_premises_as_proved():
+    """The continuation templates cut their premises in instead of
+    rebuilding them: at every ModI, ModE and Mon node of the corpus
+    derivations, the ``effhol_basic.eff`` derivations and the law samples,
+    each instantiated premise occurs, as the same object, inside the
+    template's output; and ``instances.py`` imports no weakening."""
+    calls = []
+
+    def recording(rule, template):
+        def run(inst, parts, seq, *prems):
+            out = template(inst, parts, seq, *prems)
+            calls.append((rule, prems, out))
+            return out
+
+        return run
+
+    cont = replace(CONT, templates={r: recording(r, t) for r, t in CONT.templates.items()})
+    laws = law_samples(CONT, samples_per_law=20)
+    for _name, d in [*_instance_sources(), *laws]:
+        instantiate_derivation(d, cont)
+    assert {rule for rule, _, _ in calls} == {"ModI", "ModE", "Mon"}
+    for rule, prems, out in calls:
+        stack, seen = [out], set()
+        while stack:
+            node = stack.pop()
+            seen.add(id(node))
+            stack.extend(node.premises)
+        assert all(id(p) in seen for p in prems), rule
+    tree = ast.parse(Path(instances.__file__).read_text(encoding="utf-8"))
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert not {m for m in modules if m and "weakening" in m}

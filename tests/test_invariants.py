@@ -213,6 +213,39 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_unused_public_names():
+    """Every public top-level function, class or constant of ``src/`` is
+    referenced somewhere in ``src/``, ``tests/``, ``demos/`` or
+    ``perfbench/``, by name or as an attribute; its own definition and
+    the lines that import it do not count."""
+    root = Path(__file__).resolve().parent.parent
+    defined, used = [], set()
+    for d in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((root / d).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+            if d != "src":
+                continue
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                defined += [
+                    f"{path.relative_to(root)}:{node.lineno} {name}"
+                    for name in names
+                    if not name.startswith("_")
+                ]
+    assert [entry for entry in defined if entry.split()[-1] not in used] == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_equal_trees_are_one_object(seed):

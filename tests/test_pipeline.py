@@ -30,15 +30,15 @@ INSTANCES = (identity_instance(), continuation_instance())
 # (identity, continuation): a template change that alters the shape of its
 # output shows here.
 INSTANTIATED_NODES = {
-    "i-combinator": (4, 22),
-    "k-combinator": (7, 34),
-    "b-combinator": (40, 214),
-    "c-combinator": (40, 214),
-    "w-combinator": (37, 202),
-    "s-combinator": (55, 298),
-    "uni-intro": (7, 34),
-    "uni-elim-chain": (20, 98),
-    "double-negation-intro": (22, 118),
+    "i-combinator": (4, 28),
+    "k-combinator": (7, 43),
+    "b-combinator": (40, 276),
+    "c-combinator": (40, 276),
+    "w-combinator": (37, 261),
+    "s-combinator": (55, 385),
+    "uni-intro": (7, 43),
+    "uni-elim-chain": (20, 126),
+    "double-negation-intro": (22, 152),
 }
 
 

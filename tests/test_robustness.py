@@ -238,6 +238,21 @@ def _at_limit_1000(run):
         sys.setrecursionlimit(limit)
 
 
+def test_cont_instantiation_handles_a_long_chain():
+    """The continuation templates cut their premises in instead of
+    rebuilding them under the continuation binder, so no walk nests one
+    template's rebuild inside another's: the cont instance of the 60-long
+    implication chain is built at the default recursion limit."""
+    from tests.test_invariants import _imp_chain
+
+    from effreal.instances import continuation_instance, instantiate, instantiate_derivation
+
+    derived = extract_realizer(_imp_chain(60), derive=True).derivation
+    cont = continuation_instance()
+    d = _at_limit_1000(lambda: instantiate_derivation(derived, cont))
+    assert d.conclusion.goal == instantiate(derived.conclusion.goal, cont)
+
+
 def test_counted_printing_handles_a_deep_goal():
     """The counted text table's first pass takes one frame per formula
     level, like ``_emit``, and walks the derivation from a stack: a sequent

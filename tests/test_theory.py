@@ -24,7 +24,6 @@ from effreal.effhol import (
     Strategy,
     TOP_SPEC,
     TVar,
-    add_hypotheses,
     check,
     make_triple,
     weaken_type,
@@ -188,7 +187,7 @@ def test_weaken_type_and_hypotheses():
     assert w.conclusion.ctxs.types == (T_ID,)
     check(w)
     extra = SMemBase(PVar(0), ComprBase(T_ID, TOP_SPEC))
-    w2 = add_hypotheses(w, (extra,))
+    w2 = weaken_type(d, 0, T_ID, (extra,))
     assert extra in w2.conclusion.hyps
     check(w2)
 
