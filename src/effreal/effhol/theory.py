@@ -128,19 +128,17 @@ def _same_frame(d: EffDerivation, p: EffSequent, path) -> None:
         raise RuleMismatch(f"{d.rule}: premise hypotheses differ from conclusion", path)
 
 
-def extend(ctxs: EffContexts, hyps: tuple, ns, entry, pos: int | None = None):
-    """``ctxs`` with one more ``ns`` binder annotated ``entry`` at list position
-    ``pos`` (innermost by default), and ``hyps`` shifted past it; a kind
-    binder shifts the index and type entries too."""
-    ctx = getattr(ctxs, CONTEXT[ns])
-    pos = len(ctx) if pos is None else pos
+def extend(ctxs: EffContexts, hyps: tuple, ns, entry):
+    """``ctxs`` with one more innermost ``ns`` binder annotated ``entry``, and
+    ``hyps`` shifted past it; a kind binder shifts the index and type
+    entries too."""
 
     def up(x):
-        return shift(x, ns, 1, len(ctx) - pos)
+        return shift(x, ns)
 
     if ns is TYPE:
         ctxs = EffContexts(ctxs.kinds, tuple(map(up, ctxs.indices)), tuple(map(up, ctxs.types)))
-    ctxs = replace(ctxs, **{CONTEXT[ns]: ctx[:pos] + (entry,) + ctx[pos:]})
+    ctxs = replace(ctxs, **{CONTEXT[ns]: getattr(ctxs, CONTEXT[ns]) + (entry,)})
     return ctxs, tuple(map(up, hyps))
 
 

@@ -25,7 +25,7 @@ from ..instances import (
     instantiate,
     instantiate_derivation,
 )
-from ..translation import extract_realizer, translate_prop
+from ..translation import EMPTY_AMBIENT, Ambient, extract_realizer, translate_prop
 from . import jsonio, printer as pr
 from .elaborate import parse_document
 
@@ -106,21 +106,12 @@ def cmd_extract(args) -> int:
     if args.derivation not in doc.hol_derivations:
         print(f"no derivation named {args.derivation!r}", file=sys.stderr)
         return 2
-    ambient = None
-    if args.ambient:
-        # an ambient file contributes extra hypotheses as named specs
-        amb_doc = _load(args.ambient)
-        from ..translation import Ambient
-
-        ambient = Ambient(hyps=tuple(amb_doc.specs.values()))
+    # an ambient file contributes extra hypotheses as named specs
+    ambient = (
+        Ambient(hyps=tuple(_load(args.ambient).specs.values())) if args.ambient else EMPTY_AMBIENT
+    )
     try:
-        from ..translation import EMPTY_AMBIENT
-
-        res = extract_realizer(
-            doc.hol_derivations[args.derivation],
-            ambient or EMPTY_AMBIENT,
-            derive=args.derive,
-        )
+        res = extract_realizer(doc.hol_derivations[args.derivation], ambient, derive=args.derive)
     except KernelError as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return 1

@@ -17,15 +17,19 @@ proposition or term alone is an exact key, because the four maps extend
 ``sctx`` but never read it, and nodes are hash-consed.
 
 ``extract_realizer`` walks a checked derivation and emits the realizer
-dictated by the soundness proof, one construct per rule; ``derive_triple``
-additionally replays the proof of the resulting triple inside the target
-theory (supported for the implication and universal rules plus hypotheses;
-the membership rules require substitution reasoning and fail gracefully).
+dictated by the soundness proof, one construct per rule;
+``extract_realizer(..., derive=True)`` additionally replays the proof of
+the resulting triple inside the target theory (supported for the
+implication and universal rules plus hypotheses; the membership rules
+require substitution reasoning and fail gracefully).  No premise is
+rebuilt: at ImpE the argument's triple is cut in as a hypothesis of the
+function premise, which carries it under the binder of the function's
+result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._astnode import shift, subst
 from .errors import IllSorted, LemmaViolation, TemplateMissing
@@ -35,7 +39,6 @@ from .effhol import syntax as e
 from .effhol.reduction import Strategy, root_step
 from .effhol.syntax import EXPR, PROG, TYPE
 from .effhol.theory import EffDerivation, EffSequent, extend, make_triple
-from .effhol.weakening import weaken_type
 
 
 def trkind(s: h.Sort) -> e.Kind:
@@ -399,8 +402,14 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
             f"--derive does not replay {d.rule} nodes (substitution reasoning); "
             "the extracted realizer and its typing are still produced"
         )
-    sub = _shift_ambient(amb, *_PREMISE_BINDERS.get(d.rule, (0, 0, 0)))
-    ihs = tuple(_derive(p, sub, memo) for p in d.premises)
+    if d.rule == "ImpE":
+        # The argument first: its triple is a hypothesis of the function premise.
+        ih1 = _derive(d.premises[1], amb, memo)
+        h1 = ih1.conclusion.goal
+        ihs = (_derive(d.premises[0], replace(amb, hyps=amb.hyps + (h1,)), memo), ih1)
+    else:
+        sub = _shift_ambient(amb, *_PREMISE_BINDERS.get(d.rule, (0, 0, 0)))
+        ihs = tuple(_derive(p, sub, memo) for p in d.premises)
     r = _realize(d, tuple(ih.conclusion.goal.prog for ih in ihs), memo)
     frame = _contexts(c, amb, memo)
     concl = EffSequent(frame.ctxs, frame.hyps, e.After(r, trtype(sctx, c.goal, memo), frame.goal))
@@ -495,13 +504,12 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
             s_imp = trspec(sctx, imp, memo)
             s1 = trspec(sctx, imp.lhs, memo)
             s2 = trspec(sctx, imp.rhs, memo)
-            ih0, ih1 = ihs
             rest = r.rest
             app = rest.rest
+            # The argument's triple is a hypothesis here and, shifted, in hyps1[-2].
+            cut = frame.hyps + (h1,)
 
-            ih1w = weaken_type(ih1, len(frame.ctxs.types), t_imp, (s_imp,))
-
-            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_imp)
+            ctx1, hyps1 = extend(frame.ctxs, cut, PROG, t_imp)
             hyps1 += (s_imp,)
             ctx2, hyps2 = extend(ctx1, hyps1, PROG, tau1)
             hyps2 += (s1,)
@@ -528,7 +536,7 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
                 EffSequent(
                     ctx1, hyps1, e.After(rest.first, tau1, e.After(app, tau2, s2))
                 ),
-                (pi, ih1w),
+                (pi, EffDerivation("Id", EffSequent(ctx1, hyps1, hyps1[-2]))),
             )
             mode2 = EffDerivation(
                 "ModE",
@@ -538,13 +546,15 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
             mon1 = EffDerivation(
                 "Mon",
                 EffSequent(
-                    frame.ctxs,
-                    frame.hyps,
-                    e.After(r.first, t_imp, e.After(rest, tau2, s2)),
+                    frame.ctxs, cut, e.After(r.first, t_imp, e.After(rest, tau2, s2))
                 ),
-                (mode2, ih0),
+                (mode2, ihs[0]),
             )
-            return EffDerivation("ModE", concl, (mon1,))
+            mode1 = EffDerivation("ModE", replace(concl, hyps=cut), (mon1,))
+            impi = EffDerivation(
+                "ImpI", EffSequent(frame.ctxs, frame.hyps, e.SImp(h1, concl.goal)), (mode1,)
+            )
+            return EffDerivation("ImpE", concl, (impi, ih1))
 
         case "UniE":
             forall = d.premises[0].conclusion.goal

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from effreal.effhol import check as eff_check
+from effreal.surface import jsonio
 from effreal.surface.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -63,9 +65,6 @@ def test_extract_json_contains_derivation(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["derivation"]["schema"] == "effreal/derivation/1"
-    from effreal.surface import jsonio
-    from effreal.effhol import check as eff_check
-
     eff_check(jsonio.eff_from_json(data["derivation"]))
 
 
@@ -129,3 +128,25 @@ def test_check_laws(capsys):
     code, out, _ = run(capsys, "check-laws", "--instance", "id", "--samples", "3")
     assert code == 0
     assert "ModI: 3/3" in out
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_extract_under_an_ambient_file(capsys, json_flag):
+    """The spec declarations of ``--ambient`` become hypotheses of the
+    replayed triple."""
+    code, out, _ = run(
+        capsys,
+        *json_flag,
+        "extract",
+        str(CORPUS / "hol_basic.hol"),
+        "--derivation",
+        "s-combinator",
+        "--ambient",
+        str(CORPUS / "effhol_basic.eff"),
+        "--derive",
+    )
+    assert code == 0
+    if json_flag:
+        eff_check(jsonio.eff_from_json(json.loads(out)["derivation"]))
+    else:
+        assert out.startswith("realizer:\n")

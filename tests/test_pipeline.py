@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from effreal.effhol import Comp, check as eff_check, type_of
+from effreal.effhol import KSTAR, TOP_SPEC, Comp, TVar, check as eff_check, type_of
 from effreal.effhol.conversion import normalize_type
 from effreal.effhol.forgetful import forget_derivation
 from effreal.errors import TemplateMissing
@@ -21,7 +21,7 @@ from effreal.instances import (
     instantiate_derivation,
 )
 from effreal.surface.elaborate import parse_document
-from effreal.translation import extract_realizer, trtype
+from effreal.translation import Ambient, extract_realizer, trtype
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 INSTANCES = (identity_instance(), continuation_instance())
@@ -32,13 +32,13 @@ INSTANCES = (identity_instance(), continuation_instance())
 INSTANTIATED_NODES = {
     "i-combinator": (4, 28),
     "k-combinator": (7, 43),
-    "b-combinator": (40, 276),
-    "c-combinator": (40, 276),
-    "w-combinator": (37, 261),
-    "s-combinator": (55, 385),
+    "b-combinator": (46, 282),
+    "c-combinator": (46, 282),
+    "w-combinator": (43, 267),
+    "s-combinator": (64, 394),
     "uni-intro": (7, 43),
     "uni-elim-chain": (20, 126),
-    "double-negation-intro": (22, 152),
+    "double-negation-intro": (25, 155),
 }
 
 
@@ -85,3 +85,30 @@ def test_pipeline_covers_replayable_rules():
             skipped.append(name)
     assert set(skipped) == {"mem-roundtrip-intro", "mem-roundtrip-elim"}
     assert len(replayed) >= 9
+
+
+# An outer kind, an outer type that mentions it, an extra hypothesis, and
+# all three: the ambient is the one weakening the toolchain does.
+AMBIENTS = (
+    Ambient(kinds=(KSTAR,)),
+    Ambient(kinds=(KSTAR,), types=(Comp(TVar(0)),)),
+    Ambient(hyps=(TOP_SPEC,)),
+    Ambient(kinds=(KSTAR,), types=(Comp(TVar(0)),), hyps=(TOP_SPEC,)),
+)
+
+
+def test_replay_under_ambients():
+    """Every replayable corpus derivation replays under each ambient: the
+    replay checks, its forgetting checks in the source logic, and the
+    realizer is the node extracted with no ambient."""
+    for name, d in _corpus_derivations():
+        try:
+            realizer = extract_realizer(d, derive=True).realizer
+        except TemplateMissing:
+            continue
+        for amb in AMBIENTS:
+            res = extract_realizer(d, ambient=amb, derive=True)
+            c = eff_check(res.derivation)
+            assert c.ctxs.kinds[: len(amb.kinds)] == amb.kinds and set(amb.hyps) <= set(c.hyps)
+            hol_check(forget_derivation(res.derivation))
+            assert res.realizer is realizer, name

@@ -1,5 +1,4 @@
-"""Deductive theory checking: rule shapes, modality rules, anti-reduction,
-and the weakening transformations."""
+"""Deductive theory checking: rule shapes, modality rules and anti-reduction."""
 
 import pytest
 
@@ -10,23 +9,19 @@ from effreal.effhol import (
     Bind,
     BOT_SPEC,
     BOT_TYPE,
-    Comp,
     ComprBase,
     EffContexts,
     EffDerivation,
     EffSequent,
     Fun,
-    KSTAR,
     PVar,
     Ret,
     SImp,
     SMemBase,
     Strategy,
     TOP_SPEC,
-    TVar,
     check,
     make_triple,
-    weaken_type,
 )
 from effreal.effhol import PROG, shift, subst
 from effreal.errors import IllTyped, KernelError, ReductionMismatch, RuleMismatch
@@ -175,35 +170,3 @@ def test_make_triple():
     assert s.goal == After(Ret(IDENT), T_ID, phi)
     with pytest.raises(IllTyped):
         make_triple(EMPTY, (), BOT_TYPE, Ret(IDENT), phi)
-
-
-def test_weaken_type_and_hypotheses():
-    phi = TOP_SPEC
-    d = EffDerivation(
-        "ImpI", seq(SImp(phi, phi)), (EffDerivation("Id", seq(phi, (phi,))),)
-    )
-    check(d)
-    w = weaken_type(d, 0, T_ID)
-    assert w.conclusion.ctxs.types == (T_ID,)
-    check(w)
-    extra = SMemBase(PVar(0), ComprBase(T_ID, TOP_SPEC))
-    w2 = weaken_type(d, 0, T_ID, (extra,))
-    assert extra in w2.conclusion.hyps
-    check(w2)
-
-
-def test_weaken_under_binding_rules():
-    """Weakening a derivation that itself extends the type context."""
-    body = TOP_SPEC.body
-    inner_ctx = EffContexts(types=(BOT_TYPE,))
-    idn = EffDerivation("Id", seq(body.lhs, (body.lhs,), inner_ctx))
-    impi = EffDerivation("ImpI", seq(body, (), inner_ctx), (idn,))
-    upi = EffDerivation("UniProgI", seq(TOP_SPEC), (impi,))
-    check(upi)
-    w = weaken_type(upi, 0, T_ID)
-    check(w)
-    w2 = weaken_type(upi, 0, Comp(TVar(0)))  # entry mentioning a kind var
-    from effreal.effhol import weaken_kind
-
-    wk = weaken_kind(upi, 0, KSTAR)
-    check(wk)
