@@ -1,0 +1,77 @@
+"""One builder per rule of the program logic, for the code that writes
+derivations (the soundness replay and the instance templates).
+
+Each builder computes the part of the conclusion its rule fixes from the
+premises and witnesses: an introduction or ``Id`` takes the conclusion's
+contexts and hypotheses, an elimination concludes in its first premise's
+frame.  Nothing here is trusted: ``theory.check`` re-checks every node.
+"""
+
+from __future__ import annotations
+
+from .._astnode import subst
+from .reduction import STRATEGIES, root_step
+from .syntax import PROG, SImp
+from .theory import _UNI_E, _UNI_I, CONTEXT, EffDerivation, EffSequent
+
+
+def hyp(ctxs, hyps, h) -> EffDerivation:
+    """Id: ``h``, one of ``hyps``."""
+    return EffDerivation("Id", EffSequent(ctxs, hyps, h))
+
+
+def imp_intro(ctxs, hyps, lhs, d) -> EffDerivation:
+    """ImpI: ``lhs`` implies the goal of ``d``, which assumes ``hyps`` and ``lhs``."""
+    return EffDerivation("ImpI", EffSequent(ctxs, hyps, SImp(lhs, d.conclusion.goal)), (d,))
+
+
+def imp_elim(fn, arg) -> EffDerivation:
+    """ImpE: the consequent of the implication ``fn`` proves, given ``arg``."""
+    c = fn.conclusion
+    return EffDerivation("ImpE", EffSequent(c.ctxs, c.hyps, c.goal.rhs), (fn, arg))
+
+
+def uni_intro(ctxs, hyps, rule, d) -> EffDerivation:
+    """A universal introduction ``rule`` over the innermost binder of its
+    namespace in the contexts of ``d``."""
+    cls, _, ns, _ = _UNI_I[rule]
+    entry = getattr(d.conclusion.ctxs, CONTEXT[ns])[-1]
+    return EffDerivation(rule, EffSequent(ctxs, hyps, cls(entry, d.conclusion.goal)), (d,))
+
+
+def uni_elim(rule, d, w) -> EffDerivation:
+    """A universal elimination ``rule``: the body of the universal ``d``
+    proves, at the witness ``w``."""
+    intro, field, _ = _UNI_E[rule]
+    c = d.conclusion
+    at = subst(c.goal.body, _UNI_I[intro][2], 0, w)
+    return EffDerivation(rule, EffSequent(c.ctxs, c.hyps, at), (d,), **{field: w})
+
+
+def anti_red(ctxs, hyps, hole, hole_type, before, strategy, d) -> EffDerivation:
+    """AntiRed by one root step of ``strategy``: ``hole`` at ``before``,
+    from ``d`` proving it at the reduct."""
+    after = root_step(before, cbv=STRATEGIES[strategy][0])
+    return EffDerivation(
+        "AntiRed",
+        EffSequent(ctxs, hyps, subst(hole, PROG, 0, before)),
+        (d,),
+        hole_spec=hole,
+        hole_type=hole_type,
+        prog_before=before,
+        prog_after=after,
+        steps=1,
+        strategy=strategy,
+    )
+
+
+def cut(ctxs, hyps, d, facts) -> EffDerivation:
+    """The goal of ``d``, which assumes ``hyps`` and then the goals of
+    ``facts``, from ``hyps`` alone: ImpI discharges each goal, ImpE
+    applies the result to each fact in turn."""
+    goals = tuple(f.conclusion.goal for f in facts)
+    for i in reversed(range(len(goals))):
+        d = imp_intro(ctxs, hyps + goals[:i], goals[i], d)
+    for f in facts:
+        d = imp_elim(d, f)
+    return d

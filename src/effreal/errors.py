@@ -100,10 +100,6 @@ class CandidateRejected(KernelError):
     pass
 
 
-class UnsupportedInstance(KernelError):
-    pass
-
-
 class SurfaceSyntaxError(KernelError):
     """Parse failure; carries a 1-based source position."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._astnode import Term, astnode, namespaces, shift, subst
-from .errors import CandidateRejected, FuelExhausted, UnsupportedInstance
+from .errors import CandidateRejected, FuelExhausted
 from .effhol import syntax as e
 from .effhol.reduction import DEFAULT_FUEL, contextual_step
 
@@ -180,19 +180,12 @@ def make_prop(*values: UntypedTerm) -> EfProposition:
     return frozenset(values)
 
 
-def lift_member(
-    p: UntypedTerm, prop: EfProposition, inst=None, fuel: int = DEFAULT_FUEL
-) -> bool | None:
+def lift_member(p: UntypedTerm, prop: EfProposition, fuel: int = DEFAULT_FUEL) -> bool | None:
     """Does the computation ``p`` deliver a value in ``prop``?
 
     Decided by normalization under the identity instance; ``None`` means
-    fuel ran out (unknown).  Instances without an executable untyped
-    semantics are rejected.
+    fuel ran out (unknown).
     """
-    if inst is not None and not inst.untyped_lift:
-        raise UnsupportedInstance(
-            f"instance {inst.name!r} declares no executable untyped semantics"
-        )
     try:
         n = untyped_normalize(p, fuel)
     except FuelExhausted:

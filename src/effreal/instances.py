@@ -39,7 +39,8 @@ from ._astnode import map_children, shift, subst
 from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
-from .effhol.reduction import DEFAULT_FUEL, Strategy, count_steps, root_step
+from .effhol.build import anti_red, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
+from .effhol.reduction import DEFAULT_FUEL, Strategy, count_steps
 from .effhol.theory import EffDerivation, EffSequent, check, extend
 from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
@@ -64,9 +65,6 @@ class PureInstance:
     bind_prog: Callable[[e.EffType, e.EffType, e.EffProgram, e.EffProgram], e.EffProgram]
     after_spec: Callable[[e.EffType, e.EffProgram, e.EffSpec], e.EffSpec]
     templates: Mapping[str, Callable] = field(default_factory=dict)
-    # Whether the erased computations run under the frame's untyped
-    # normalizer (the instance has an executable untyped semantics).
-    untyped_lift: bool = False
 
 
 def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
@@ -274,7 +272,8 @@ def _id_mode(inst, parts, seq, prem):
 
 def _entailment(seq, parts, ent):
     """Mon's entailment premise ``ent`` as ``∀x:t. phi1 ⇒ phi2`` in the
-    node's own frame: UniProgI ∘ ImpI."""
+    node's own frame: UniProgI ∘ ImpI.  ``phi2`` is the body of the Mon
+    goal, which the goal of ``ent`` equals only up to conversion."""
     tau, _, phi1, phi2 = parts
     imp = e.SImp(phi1, phi2)
     ctxs, hyps = extend(seq.ctxs, seq.hyps, PROG, tau)
@@ -284,19 +283,10 @@ def _entailment(seq, parts, ent):
     )
 
 
-def _uni_elim(ctxs, hyps, forall, w):
-    """UniProgE: ``forall`` proves a program universal; its body at ``w``."""
-    at = subst(forall.conclusion.goal.body, PROG, 0, w)
-    return EffDerivation("UniProgE", EffSequent(ctxs, hyps, at), (forall,), witness_prog=w)
-
-
-def _imp_elim(ctxs, hyps, fn, arg):
-    """ImpE: ``fn`` proves an implication; its consequent, given ``arg``."""
-    return EffDerivation("ImpE", EffSequent(ctxs, hyps, fn.conclusion.goal.rhs), (fn, arg))
-
-
 def _id_mon(inst, parts, seq, ent, mod):
-    upe = _uni_elim(seq.ctxs, seq.hyps, _entailment(seq, parts, ent), parts[1])
+    # ``seq``, not the consequent computed from the normal-form ``parts``:
+    # the two agree only up to conversion
+    upe = uni_elim("UniProgE", _entailment(seq, parts, ent), parts[1])
     return EffDerivation("ImpE", seq, (upe, mod))
 
 
@@ -309,13 +299,15 @@ def identity_instance() -> PureInstance:
         bind_prog=lambda t1, t2, first, rest: e.App(e.Abs(t1, rest), first),
         after_spec=lambda t, p, body: subst(body, PROG, 0, p),
         templates={"ModI": _id_modi, "ModE": _id_mode, "Mon": _id_mon},
-        untyped_lift=True,
     )
 
 
 # The continuation (classical realizability) instance.
 
 POLE = e.ComprBase(e.BOT_TYPE, e.BOT_SPEC)
+# Membership of program variable 0 in the pole: the hole of the templates'
+# anti-reductions.
+_IN_POLE = e.SMemBase(e.PVar(0), POLE)
 
 
 def orth(tau: e.EffType, expr: e.EffExpr) -> e.EffExpr:
@@ -380,16 +372,10 @@ def _orth_intro(seq, q, o, inner, facts=()):
     forall = subst(o.body, PROG, 0, q)
     imp = forall.body
     ctxs, hyps = extend(seq.ctxs, hyps0, PROG, forall.binder_type)
-    impi = EffDerivation("ImpI", EffSequent(ctxs, hyps, imp), (inner(ctxs, hyps + (imp.lhs,)),))
-    upi = EffDerivation("UniProgI", EffSequent(seq.ctxs, hyps0, forall), (impi,))
+    impi = imp_intro(ctxs, hyps, imp.lhs, inner(ctxs, hyps + (imp.lhs,)))
+    upi = uni_intro(seq.ctxs, hyps0, "UniProgI", impi)
     d = EffDerivation("Mem0I", EffSequent(seq.ctxs, hyps0, seq.goal), (upi,))
-    goal = seq.goal
-    for i in reversed(range(len(goals))):
-        goal = e.SImp(goals[i], goal)
-        d = EffDerivation("ImpI", EffSequent(seq.ctxs, seq.hyps + goals[:i], goal), (d,))
-    for f in facts:
-        d = _imp_elim(seq.ctxs, seq.hyps, d, f)
-    return d
+    return cut(seq.ctxs, seq.hyps, d, facts)
 
 
 def _orth_elim(ctxs, hyps, q, o, mem, arg, arg_mem):
@@ -398,27 +384,7 @@ def _orth_elim(ctxs, hyps, q, o, mem, arg, arg_mem):
     by Mem0E ∘ UniProgE ∘ ImpE."""
     forall = subst(o.body, PROG, 0, q)
     m0e = EffDerivation("Mem0E", EffSequent(ctxs, hyps, forall), (mem,))
-    return _imp_elim(ctxs, hyps, _uni_elim(ctxs, hyps, m0e, arg), arg_mem)
-
-
-def _pole(ctxs, hyps, redex, strategy, prem):
-    """``redex ∈ pole`` from ``prem`` proving its one-step call-by-name
-    reduct in the pole: AntiRed."""
-    return EffDerivation(
-        "AntiRed",
-        EffSequent(ctxs, hyps, e.SMemBase(redex, POLE)),
-        (prem,),
-        hole_spec=e.SMemBase(e.PVar(0), POLE),
-        hole_type=e.BOT_TYPE,
-        prog_before=redex,
-        prog_after=root_step(redex, cbv=False),
-        steps=1,
-        strategy=strategy,
-    )
-
-
-def _hyp(ctxs, hyps, h):
-    return EffDerivation("Id", EffSequent(ctxs, hyps, h))
+    return imp_elim(uni_elim("UniProgE", m0e, arg), arg_mem)
 
 
 def _unfold(ctxs, hyps, mem, x):
@@ -446,9 +412,10 @@ def _cont_modi(inst, parts, seq, prem):
     def k_pole(ctxs, hyps):
         pk = shift(p, PROG)
         # k ∈ orth(cell), and the cut-in p ∈ cell just before it
-        k, p_in = _hyp(ctxs, hyps, hyps[-1]), _hyp(ctxs, hyps, hyps[-2])
+        k, p_in = hyp(ctxs, hyps, hyps[-1]), hyp(ctxs, hyps, hyps[-2])
         app = _orth_elim(ctxs, hyps, e.PVar(0), shift(orth(tau, cell), PROG), k, pk, p_in)
-        return _pole(ctxs, hyps, e.App(shift(ret, PROG), e.PVar(0)), inst.strategy, app)
+        redex = e.App(shift(ret, PROG), e.PVar(0))
+        return anti_red(ctxs, hyps, _IN_POLE, e.BOT_TYPE, redex, inst.strategy, app)
 
     return _orth_intro(seq, ret, biorth(tau, cell), k_pole, (p_in_cell,))
 
@@ -464,11 +431,12 @@ def _cont_mode(inst, parts, seq, prem):
 
     def q_pole(ctxs, hyps):
         # q1 ∈ cell1: the rest's modality holds of p2[x1:=q1]; apply it to k2
-        inner = _unfold(ctxs, hyps, _hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
+        inner = _unfold(ctxs, hyps, hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
         after = inner.conclusion.goal
-        k2 = _hyp(ctxs, hyps, hyps[-2])
+        k2 = hyp(ctxs, hyps, hyps[-2])
         app = _orth_elim(ctxs, hyps, after.prog, after.fn, inner, e.PVar(1), k2)
-        return _pole(ctxs, hyps, e.App(shift(lam, PROG), e.PVar(0)), inst.strategy, app)
+        redex = e.App(shift(lam, PROG), e.PVar(0))
+        return anti_red(ctxs, hyps, _IN_POLE, e.BOT_TYPE, redex, inst.strategy, app)
 
     def k_pole(ctxs, hyps):
         # p1 ∈ biorth(cell1), applied to lam ∈ orth(cell1)
@@ -476,10 +444,11 @@ def _cont_mode(inst, parts, seq, prem):
         lam_in = _orth_intro(
             EffSequent(ctxs, hyps, e.SMemBase(lam, lam_orth)), lam, lam_orth, q_pole
         )
-        p1_in = _hyp(ctxs, hyps, hyps[-2])  # the cut-in premise
+        p1_in = hyp(ctxs, hyps, hyps[-2])  # the cut-in premise
         bio1 = shift(biorth(t1, cell1), PROG)
         app = _orth_elim(ctxs, hyps, shift(p1, PROG), bio1, p1_in, lam, lam_in)
-        return _pole(ctxs, hyps, e.App(shift(bind, PROG), e.PVar(0)), inst.strategy, app)
+        redex = e.App(shift(bind, PROG), e.PVar(0))
+        return anti_red(ctxs, hyps, _IN_POLE, e.BOT_TYPE, redex, inst.strategy, app)
 
     return _orth_intro(seq, bind, biorth(t2, cell2), k_pole, (prem,))
 
@@ -495,15 +464,15 @@ def _cont_mon(inst, parts, seq, ent, mod):
     def q_pole(ctxs, hyps):
         # q ∈ cell1 gives phi1 at q, the entailment phi2 at q, so q ∈ cell2;
         # the cut-in entailment lies just before k's hypothesis
-        phi1_at = _unfold(ctxs, hyps, _hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
-        ent_at = _uni_elim(ctxs, hyps, _hyp(ctxs, hyps, hyps[-3]), e.PVar(0))
-        phi2_at = _imp_elim(ctxs, hyps, ent_at, phi1_at)
+        phi1_at = _unfold(ctxs, hyps, hyp(ctxs, hyps, hyps[-1]), shift(cell1, PROG, 2))
+        ent_at = uni_elim("UniProgE", hyp(ctxs, hyps, hyps[-3]), e.PVar(0))
+        phi2_at = imp_elim(ent_at, phi1_at)
         q_in = EffDerivation(
             "Mem0I",
             EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), shift(cell2, PROG, 2))),
             (phi2_at,),
         )
-        k = _hyp(ctxs, hyps, hyps[-2])
+        k = hyp(ctxs, hyps, hyps[-2])
         return _orth_elim(
             ctxs, hyps, e.PVar(1), shift(orth(tau, cell2), PROG, 2), k, e.PVar(0), q_in
         )
@@ -514,7 +483,7 @@ def _cont_mon(inst, parts, seq, ent, mod):
         k_in = _orth_intro(
             EffSequent(ctxs, hyps, e.SMemBase(e.PVar(0), orth1)), e.PVar(0), orth1, q_pole
         )
-        p_in = _hyp(ctxs, hyps, hyps[-3])  # the cut-in modality premise
+        p_in = hyp(ctxs, hyps, hyps[-3])  # the cut-in modality premise
         bio1 = shift(biorth(tau, cell1), PROG)
         return _orth_elim(ctxs, hyps, shift(p, PROG), bio1, p_in, e.PVar(0), k_in)
 
@@ -588,9 +557,7 @@ def _law_modi_case(rng, inst) -> EffDerivation:
     prem_goal = subst(body, PROG, 0, p)
     hyps = (prem_goal,)
     return EffDerivation(
-        "ModI",
-        EffSequent(e.EffContexts(), hyps, goal),
-        (EffDerivation("Id", EffSequent(e.EffContexts(), hyps, prem_goal)),),
+        "ModI", EffSequent(e.EffContexts(), hyps, goal), (hyp(e.EffContexts(), hyps, prem_goal),)
     )
 
 
@@ -608,9 +575,7 @@ def _law_mode_case(rng, inst) -> EffDerivation:
     prem_goal = e.After(e.Ret(p1v), t1, inner)
     hyps = (prem_goal,)
     return EffDerivation(
-        "ModE",
-        EffSequent(e.EffContexts(), hyps, goal),
-        (EffDerivation("Id", EffSequent(e.EffContexts(), hyps, prem_goal)),),
+        "ModE", EffSequent(e.EffContexts(), hyps, goal), (hyp(e.EffContexts(), hyps, prem_goal),)
     )
 
 
@@ -620,20 +585,15 @@ def _law_mon_case(rng, inst) -> EffDerivation:
     p = random_typed_program(rng, (), (), 2)
     tau = type_of((), (), p)
     phi1 = random_spec(rng, (), (tau,), 2)
-    phi2 = e.SImp(e.BOT_SPEC, phi1)
     mod_goal = e.After(e.Ret(p), tau, phi1)
     hyps = (mod_goal,)
     ctx1, ent_hyps = extend(e.EffContexts(), hyps, PROG, tau)
     ent_hyps += (phi1,)
-    ent = EffDerivation(
-        "ImpI",
-        EffSequent(ctx1, ent_hyps, phi2),
-        (EffDerivation("Id", EffSequent(ctx1, ent_hyps + (e.BOT_SPEC,), phi1)),),
-    )
-    mod = EffDerivation("Id", EffSequent(e.EffContexts(), hyps, mod_goal))
+    ent = imp_intro(ctx1, ent_hyps, e.BOT_SPEC, hyp(ctx1, ent_hyps + (e.BOT_SPEC,), phi1))
+    mod = hyp(e.EffContexts(), hyps, mod_goal)
     return EffDerivation(
         "Mon",
-        EffSequent(e.EffContexts(), hyps, e.After(e.Ret(p), tau, phi2)),
+        EffSequent(e.EffContexts(), hyps, e.After(e.Ret(p), tau, ent.conclusion.goal)),
         (ent, mod),
     )
 
@@ -644,22 +604,10 @@ def _law_antired_case(rng, inst) -> EffDerivation:
     v = random_typed_program(rng, (), (), 2)
     tau = type_of((), (), v)
     redex = e.Bind(tau, e.Ret(v), e.Ret(e.PVar(0)))
-    reduct = e.Ret(v)
     hole = random_spec(rng, (), (e.Comp(tau),), 2)
-    goal = subst(hole, PROG, 0, redex)
-    prem_goal = subst(hole, PROG, 0, reduct)
-    hyps = (prem_goal,)
-    return EffDerivation(
-        "AntiRed",
-        EffSequent(e.EffContexts(), hyps, goal),
-        (EffDerivation("Id", EffSequent(e.EffContexts(), hyps, prem_goal)),),
-        hole_spec=hole,
-        hole_type=e.Comp(tau),
-        prog_before=redex,
-        prog_after=reduct,
-        steps=1,
-        strategy=Strategy.BASE,
-    )
+    hyps = (subst(hole, PROG, 0, e.Ret(v)),)
+    prem = hyp(e.EffContexts(), hyps, hyps[0])
+    return anti_red(e.EffContexts(), hyps, hole, e.Comp(tau), redex, Strategy.BASE, prem)
 
 
 LAW_CASES = {

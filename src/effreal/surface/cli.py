@@ -230,6 +230,8 @@ def cmd_ef_check(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be a positive integer, got {args.samples}")
     try:
         inst = _instance(args.instance)
     except (KernelError, OSError) as exc:

@@ -36,7 +36,8 @@ from .errors import IllSorted, LemmaViolation, TemplateMissing
 from .hol import checker as hc
 from .hol import syntax as h
 from .effhol import syntax as e
-from .effhol.reduction import Strategy, root_step
+from .effhol.build import anti_red, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
+from .effhol.reduction import Strategy
 from .effhol.syntax import EXPR, PROG, TYPE
 from .effhol.theory import EffDerivation, EffSequent, extend, make_triple
 
@@ -417,185 +418,77 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
     match d.rule:
         case "Id":
             i = list(c.hyps).index(c.goal)
-            hyp = subst(frame.goal, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
-            prem = EffDerivation("Id", EffSequent(frame.ctxs, frame.hyps, hyp))
-            return EffDerivation("ModI", concl, (prem,))
+            h_i = subst(frame.goal, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
+            return EffDerivation("ModI", concl, (hyp(frame.ctxs, frame.hyps, h_i),))
 
         case "ImpI":
-            goal = c.goal
-            tau1 = trtype(sctx, goal.lhs, memo)
-            tau2 = trtype(sctx, goal.rhs, memo)
-            s1 = trspec(sctx, goal.lhs, memo)
-            s2 = trspec(sctx, goal.rhs, memo)
-            lam = r.inner
-            lam_up = shift(lam, PROG)
-            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, tau1)
-            red = root_step(e.App(lam_up, e.PVar(0)), cbv=True)
-            assert red is not None
-            anti = EffDerivation(
-                "AntiRed",
-                EffSequent(
-                    ctx1, hyps1 + (s1,), e.After(e.App(lam_up, e.PVar(0)), tau2, s2)
-                ),
-                ihs,
-                hole_spec=e.After(e.PVar(0), tau2, shift(s2, PROG, 1, 1)),
-                hole_type=e.Comp(tau2),
-                prog_before=e.App(lam_up, e.PVar(0)),
-                prog_after=red,
-                steps=1,
-                strategy=Strategy.BASE,
-            )
-            impi = EffDerivation(
-                "ImpI",
-                EffSequent(
-                    ctx1,
-                    hyps1,
-                    e.SImp(s1, e.After(e.App(lam_up, e.PVar(0)), tau2, s2)),
-                ),
-                (anti,),
-            )
-            body = subst(trspec(sctx, goal, memo), PROG, 0, lam)
-            upi = EffDerivation(
-                "UniProgI", EffSequent(frame.ctxs, frame.hyps, body), (impi,)
-            )
+            s1 = trspec(sctx, c.goal.lhs, memo)
+            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, trtype(sctx, c.goal.lhs, memo))
+            app = e.App(shift(r.inner, PROG), e.PVar(0))
+            anti = _anti_red(ctx1, hyps1 + (s1,), app, ihs[0])
+            upi = uni_intro(frame.ctxs, frame.hyps, "UniProgI", imp_intro(ctx1, hyps1, s1, anti))
             return EffDerivation("ModI", concl, (upi,))
 
         case "UniI":
-            goal = c.goal
-            s = goal.binder_sort
-            kappa = trkind(s)
-            inner = sctx + (s,)
-            tau0 = trtype(inner, goal.body, memo)
-            s0 = trspec(inner, goal.body, memo)
-            sig = trind(e.TVar(0), s)
-            tyabs = r.inner
-            app = e.TyApp(shift(tyabs, TYPE), e.TVar(0))
-            red = root_step(app, cbv=True)
-            assert red is not None
-            ctx_k, hyps_k = extend(frame.ctxs, frame.hyps, TYPE, kappa)
-            ctx_ke, hyps_ke = extend(ctx_k, hyps_k, EXPR, sig)
-            anti = EffDerivation(
-                "AntiRed",
-                EffSequent(ctx_ke, hyps_ke, e.After(app, tau0, s0)),
-                ihs,
-                hole_spec=e.After(e.PVar(0), tau0, shift(s0, PROG, 1, 1)),
-                hole_type=e.Comp(tau0),
-                prog_before=app,
-                prog_after=red,
-                steps=1,
-                strategy=Strategy.BASE,
-            )
-            uei = EffDerivation(
-                "UniExpI",
-                EffSequent(ctx_k, hyps_k, e.SForallExpr(sig, e.After(app, tau0, s0))),
-                (anti,),
-            )
-            body = subst(trspec(sctx, goal, memo), PROG, 0, tyabs)
-            uti = EffDerivation(
-                "UniTypeI", EffSequent(frame.ctxs, frame.hyps, body), (uei,)
-            )
+            s = c.goal.binder_sort
+            ctx_k, hyps_k = extend(frame.ctxs, frame.hyps, TYPE, trkind(s))
+            ctx_ke, hyps_ke = extend(ctx_k, hyps_k, EXPR, trind(e.TVar(0), s))
+            app = e.TyApp(shift(r.inner, TYPE), e.TVar(0))
+            uei = uni_intro(ctx_k, hyps_k, "UniExpI", _anti_red(ctx_ke, hyps_ke, app, ihs[0]))
+            uti = uni_intro(frame.ctxs, frame.hyps, "UniTypeI", uei)
             return EffDerivation("ModI", concl, (uti,))
 
         case "ImpE":
             imp = d.premises[0].conclusion.goal
-            tau1 = trtype(sctx, imp.lhs, memo)
-            tau2 = trtype(sctx, imp.rhs, memo)
             t_imp = trtype(sctx, imp, memo)
             s_imp = trspec(sctx, imp, memo)
+            tau1 = trtype(sctx, imp.lhs, memo)
             s1 = trspec(sctx, imp.lhs, memo)
-            s2 = trspec(sctx, imp.rhs, memo)
             rest = r.rest
-            app = rest.rest
             # The argument's triple is a hypothesis here and, shifted, in hyps1[-2].
-            cut = frame.hyps + (h1,)
-
-            ctx1, hyps1 = extend(frame.ctxs, cut, PROG, t_imp)
+            hyps0 = frame.hyps + (h1,)
+            ctx1, hyps1 = extend(frame.ctxs, hyps0, PROG, t_imp)
             hyps1 += (s_imp,)
             ctx2, hyps2 = extend(ctx1, hyps1, PROG, tau1)
             hyps2 += (s1,)
 
-            s_imp_up = shift(s_imp, PROG)
-            idf = EffDerivation("Id", EffSequent(ctx2, hyps2, s_imp_up))
-            upe = EffDerivation(
-                "UniProgE",
-                EffSequent(
-                    ctx2,
-                    hyps2,
-                    subst(_body_of_forall(s_imp_up), PROG, 0, e.PVar(0)),
-                ),
-                (idf,),
-                witness_prog=e.PVar(0),
-            )
-            ida = EffDerivation("Id", EffSequent(ctx2, hyps2, s1))
-            pi = EffDerivation(
-                "ImpE", EffSequent(ctx2, hyps2, e.After(app, tau2, s2)), (upe, ida)
-            )
-
+            upe = uni_elim("UniProgE", hyp(ctx2, hyps2, shift(s_imp, PROG)), e.PVar(0))
+            pi = imp_elim(upe, hyp(ctx2, hyps2, s1))
             mon2 = EffDerivation(
                 "Mon",
-                EffSequent(
-                    ctx1, hyps1, e.After(rest.first, tau1, e.After(app, tau2, s2))
-                ),
-                (pi, EffDerivation("Id", EffSequent(ctx1, hyps1, hyps1[-2]))),
+                EffSequent(ctx1, hyps1, e.After(rest.first, tau1, pi.conclusion.goal)),
+                (pi, hyp(ctx1, hyps1, hyps1[-2])),
             )
             mode2 = EffDerivation(
                 "ModE",
-                EffSequent(ctx1, hyps1, e.After(rest, tau2, s2)),
+                EffSequent(ctx1, hyps1, e.After(rest, concl.goal.binder_type, frame.goal)),
                 (mon2,),
             )
             mon1 = EffDerivation(
                 "Mon",
-                EffSequent(
-                    frame.ctxs, cut, e.After(r.first, t_imp, e.After(rest, tau2, s2))
-                ),
+                EffSequent(frame.ctxs, hyps0, e.After(r.first, t_imp, mode2.conclusion.goal)),
                 (mode2, ihs[0]),
             )
-            mode1 = EffDerivation("ModE", replace(concl, hyps=cut), (mon1,))
-            impi = EffDerivation(
-                "ImpI", EffSequent(frame.ctxs, frame.hyps, e.SImp(h1, concl.goal)), (mode1,)
-            )
-            return EffDerivation("ImpE", concl, (impi, ih1))
+            mode1 = EffDerivation("ModE", replace(concl, hyps=hyps0), (mon1,))
+            return cut(frame.ctxs, frame.hyps, mode1, (ih1,))
 
         case "UniE":
             forall = d.premises[0].conclusion.goal
             t_all = trtype(sctx, forall, memo)
             s_all = trspec(sctx, forall, memo)
-            t_wit = tretype(sctx, d.witness, memo)
-            e_wit = trtrm(sctx, d.witness, memo)
-            tau_c = trtype(sctx, c.goal, memo)
-            s_c = trspec(sctx, c.goal, memo)
-
             ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_all)
-            hyps1 += (s_all,)
-            idf = EffDerivation("Id", EffSequent(ctx1, hyps1, s_all))
-            assert isinstance(s_all, e.SForallType)
-            after_t = subst(s_all.body, TYPE, 0, t_wit)
-            ute = EffDerivation(
-                "UniTypeE",
-                EffSequent(ctx1, hyps1, after_t),
-                (idf,),
-                witness_type=t_wit,
-            )
-            assert isinstance(after_t, e.SForallExpr)
-            after_te = subst(after_t.body, EXPR, 0, e_wit)
-            uee = EffDerivation(
-                "UniExpE",
-                EffSequent(ctx1, hyps1, after_te),
-                (ute,),
-                witness_expr=e_wit,
-            )
-            mon = EffDerivation(
-                "Mon",
-                EffSequent(
-                    frame.ctxs,
-                    frame.hyps,
-                    e.After(r.first, t_all, e.After(r.rest, tau_c, s_c)),
-                ),
-                (uee, *ihs),
-            )
+            idf = hyp(ctx1, hyps1 + (s_all,), s_all)
+            ute = uni_elim("UniTypeE", idf, tretype(sctx, d.witness, memo))
+            uee = uni_elim("UniExpE", ute, trtrm(sctx, d.witness, memo))
+            after = e.After(r.rest, concl.goal.binder_type, frame.goal)
+            mon_goal = e.After(r.first, t_all, after)
+            mon = EffDerivation("Mon", EffSequent(frame.ctxs, frame.hyps, mon_goal), (uee, *ihs))
             return EffDerivation("ModE", concl, (mon,))
 
 
-def _body_of_forall(s: e.EffSpec) -> e.EffSpec:
-    assert isinstance(s, e.SForallProg)
-    return s.body
+def _anti_red(ctxs, hyps, before, ih):
+    """AntiRed: ``before`` reduces in one base step to the realizer of the
+    triple ``ih`` proves, and satisfies its specification."""
+    g = ih.conclusion.goal
+    hole = e.After(e.PVar(0), g.binder_type, shift(g.body, PROG, 1, 1))
+    return anti_red(ctxs, hyps, hole, e.Comp(g.binder_type), before, Strategy.BASE, ih)

@@ -131,6 +131,16 @@ def test_check_laws(capsys):
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_check_laws_without_samples_is_a_usage_error(capsys, samples, json_flag):
+    """Fewer than one sample per law would check nothing: exit 2 with one
+    line on stderr."""
+    code, out, err = run(capsys, *json_flag, "check-laws", "--instance", "id", "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "positive integer" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_extract_under_an_ambient_file(capsys, json_flag):
     """The spec declarations of ``--ambient`` become hypotheses of the
     replayed triple."""

@@ -18,7 +18,7 @@ from effreal.effhol import (
     TyApp,
     step,
 )
-from effreal.errors import CandidateRejected, UnsupportedInstance
+from effreal.errors import CandidateRejected
 from effreal.frame import (
     E_EVAL,
     E_FST,
@@ -47,7 +47,6 @@ from effreal.frame import (
     untyped_step,
 )
 from effreal.generators import random_closed_program
-from effreal.instances import continuation_instance, identity_instance
 
 V = ULam(URet(UVar(0)))
 W = ULam(UVar(0))
@@ -136,12 +135,6 @@ def test_lift_fuel_unknown_is_none():
     omega_half = ULam(UApp(UVar(0), UVar(0)))
     omega = UApp(omega_half, omega_half)
     assert lift_member(omega, make_prop(V), fuel=50) is None
-
-
-def test_lift_rejects_instance_without_untyped_semantics():
-    with pytest.raises(UnsupportedInstance):
-        lift_member(URet(V), make_prop(V), inst=continuation_instance())
-    assert lift_member(URet(V), make_prop(V), inst=identity_instance()) is True
 
 
 def test_evidence_check_identity_and_compose():

@@ -6,6 +6,7 @@ in the source logic.  Membership nodes skip the replay stage (documented
 behavior) but still extract and type.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from effreal.instances import (
     instantiate_derivation,
 )
 from effreal.surface.elaborate import parse_document
+from effreal.surface.printer import print_eff_derivation
 from effreal.translation import Ambient, extract_realizer, trtype
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -71,6 +73,21 @@ def test_full_pipeline(name, d):
         d2 = instantiate_derivation(res.derivation, inst)
         eff_check(d2)
         assert _nodes(d2) == nodes, inst.name
+
+
+def test_replay_and_instances_print_the_pinned_text():
+    """The printed replay of each replayable corpus derivation, then its
+    identity and continuation instances, hash to a pinned digest: node
+    counts alone miss a change of formula, witness or context."""
+    h = hashlib.sha256()
+    for name, d in _corpus_derivations():
+        try:
+            replay = extract_realizer(d, derive=True).derivation
+        except TemplateMissing:
+            continue
+        for x in (replay, *(instantiate_derivation(replay, inst) for inst in INSTANCES)):
+            h.update(print_eff_derivation(x).encode())
+    assert h.hexdigest()[:16] == "bfb4d3cd9a1a0c82"
 
 
 def test_pipeline_covers_replayable_rules():
