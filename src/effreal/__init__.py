@@ -13,7 +13,6 @@ from .translation import (
     TranslationOutput,
     check_substitution_lemma,
     extract_realizer,
-    emit_soundness_triple,
     lift_contexts,
     translate_prop,
     tretype,

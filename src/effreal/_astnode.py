@@ -203,11 +203,6 @@ def _var_bound(ns: Namespace, index: int) -> tuple[int, ...]:
     return _intern(tuple(index + 1 if o is ns else 0 for o in ns.family))
 
 
-def loose_bound(x: Term, ns: Namespace) -> int:
-    """One more than the largest free variable of ``ns`` in ``x``; 0 if none."""
-    return x._loose[ns.slot]
-
-
 def map_children(x: Term, fn) -> Term:
     """Rebuild ``x`` with ``fn(child, under)`` in place of each term child,
     where ``under`` counts the binders per namespace slot between ``x`` and

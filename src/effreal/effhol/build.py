@@ -4,14 +4,15 @@ derivations (the soundness replay and the instance templates).
 Each builder computes the part of the conclusion its rule fixes from the
 premises and witnesses: an introduction or ``Id`` takes the conclusion's
 contexts and hypotheses, an elimination concludes in its first premise's
-frame.  Nothing here is trusted: ``theory.check`` re-checks every node.
+frame, ``mon`` and ``bind`` in their modality premise's.  Nothing here is
+trusted: ``theory.check`` re-checks every node.
 """
 
 from __future__ import annotations
 
-from .._astnode import subst
+from .._astnode import shift, subst
 from .reduction import STRATEGIES, root_step
-from .syntax import PROG, SImp
+from .syntax import PROG, After, Bind, SImp
 from .theory import _UNI_E, _UNI_I, CONTEXT, EffDerivation, EffSequent
 
 
@@ -46,6 +47,27 @@ def uni_elim(rule, d, w) -> EffDerivation:
     c = d.conclusion
     at = subst(c.goal.body, _UNI_I[intro][2], 0, w)
     return EffDerivation(rule, EffSequent(c.ctxs, c.hyps, at), (d,), **{field: w})
+
+
+def mon(ent, mod) -> EffDerivation:
+    """Mon: the modality ``mod`` proves, with its body replaced by the goal
+    of ``ent``, which assumes that body under the result's binder."""
+    c = mod.conclusion
+    goal = After(c.goal.prog, c.goal.binder_type, ent.conclusion.goal)
+    return EffDerivation("Mon", EffSequent(c.ctxs, c.hyps, goal), (ent, mod))
+
+
+def bind(ent, mod) -> EffDerivation:
+    """ModE over ``mon(ent, mod)``, Evaluation Logic's rule for bind:
+    ``mod`` runs the first computation, ``ent`` proves the modality of the
+    rest under its result, and their bind satisfies the rest's body."""
+    m = mon(ent, mod)
+    c = m.conclusion
+    first, rest = c.goal, c.goal.body
+    # ModE's premise sees the body past the first result, variable 1
+    body = shift(rest.body, PROG, -1, 2)
+    goal = After(Bind(first.binder_type, first.prog, rest.prog), rest.binder_type, body)
+    return EffDerivation("ModE", EffSequent(c.ctxs, c.hyps, goal), (m,))
 
 
 def anti_red(ctxs, hyps, hole, hole_type, before, strategy, d) -> EffDerivation:

@@ -42,7 +42,3 @@ def normalize(x, _under=None):
 
 # The name the type-level callers and the benchmark harness use.
 normalize_type = normalize
-
-
-def convertible(a, b) -> bool:
-    return normalize(a) is normalize(b)

@@ -58,7 +58,6 @@ EFF_PREMISES = {
     "ModI": 1, "ModE": 1, "Mon": 2, "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
     "AntiRed": 1,
 }
-EFF_RULES = frozenset(EFF_PREMISES)
 
 # The context of each namespace's binders.
 CONTEXT = {TYPE: "kinds", EXPR: "indices", PROG: "types"}

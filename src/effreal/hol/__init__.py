@@ -17,7 +17,6 @@ from .syntax import (
     Var,
 )
 from .checker import (
-    HOL_RULES,
     HolDerivation,
     Sequent,
     check,
@@ -30,6 +29,6 @@ __all__ = [
     "Base", "Compr", "ComprBase", "FALSUM", "Forall", "HolProp", "HolTerm",
     "Imp", "Mem", "MemBase", "Pred", "STAR", "Sort", "TERM", "Var",
     "shift", "subst",
-    "HOL_RULES", "HolDerivation", "Sequent", "check", "prop_wf", "sort_of",
+    "HolDerivation", "Sequent", "check", "prop_wf", "sort_of",
     "sequent_wf",
 ]

@@ -102,7 +102,6 @@ HOL_PREMISES = {
     "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
     "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
 }
-HOL_RULES = frozenset(HOL_PREMISES)
 
 
 @dataclass(frozen=True)

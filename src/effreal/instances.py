@@ -39,7 +39,7 @@ from ._astnode import map_children, shift, subst
 from .errors import KernelError, RecheckFailed, TemplateMissing
 from .effhol import syntax as e
 from .effhol.conversion import normalize
-from .effhol.build import anti_red, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
+from .effhol.build import anti_red, cut, hyp, imp_elim, imp_intro, mon, uni_elim, uni_intro
 from .effhol.reduction import DEFAULT_FUEL, Strategy, count_steps
 from .effhol.theory import EffDerivation, EffSequent, check, extend
 from .effhol.syntax import PROG, TYPE
@@ -547,7 +547,7 @@ class LawReport:
         return not self.failures
 
 
-def _law_modi_case(rng, inst) -> EffDerivation:
+def _law_modi_case(rng) -> EffDerivation:
     from .generators import random_spec, random_typed_program
 
     p = random_typed_program(rng, (), (), 3)
@@ -561,7 +561,7 @@ def _law_modi_case(rng, inst) -> EffDerivation:
     )
 
 
-def _law_mode_case(rng, inst) -> EffDerivation:
+def _law_mode_case(rng) -> EffDerivation:
     from .generators import random_spec, random_typed_program
 
     p1v = random_typed_program(rng, (), (), 2)
@@ -579,7 +579,7 @@ def _law_mode_case(rng, inst) -> EffDerivation:
     )
 
 
-def _law_mon_case(rng, inst) -> EffDerivation:
+def _law_mon_case(rng) -> EffDerivation:
     from .generators import random_spec, random_typed_program
 
     p = random_typed_program(rng, (), (), 2)
@@ -590,15 +590,10 @@ def _law_mon_case(rng, inst) -> EffDerivation:
     ctx1, ent_hyps = extend(e.EffContexts(), hyps, PROG, tau)
     ent_hyps += (phi1,)
     ent = imp_intro(ctx1, ent_hyps, e.BOT_SPEC, hyp(ctx1, ent_hyps + (e.BOT_SPEC,), phi1))
-    mod = hyp(e.EffContexts(), hyps, mod_goal)
-    return EffDerivation(
-        "Mon",
-        EffSequent(e.EffContexts(), hyps, e.After(e.Ret(p), tau, ent.conclusion.goal)),
-        (ent, mod),
-    )
+    return mon(ent, hyp(e.EffContexts(), hyps, mod_goal))
 
 
-def _law_antired_case(rng, inst) -> EffDerivation:
+def _law_antired_case(rng) -> EffDerivation:
     from .generators import random_spec, random_typed_program
 
     v = random_typed_program(rng, (), (), 2)
@@ -618,7 +613,7 @@ LAW_CASES = {
 }
 
 
-def law_samples(inst: PureInstance, samples_per_law: int = 50, seed: int = 0):
+def law_samples(samples_per_law: int = 50, seed: int = 0):
     """The sampled law derivations, as (law, derivation) pairs.
 
     Each law draws from its own generator, seeded from the law's name and
@@ -627,7 +622,7 @@ def law_samples(inst: PureInstance, samples_per_law: int = 50, seed: int = 0):
     for law, case in LAW_CASES.items():
         rng = random.Random(f"{law}:{seed}")
         for _ in range(samples_per_law):
-            yield law, case(rng, inst)
+            yield law, case(rng)
 
 
 def check_instance_laws(
@@ -635,7 +630,7 @@ def check_instance_laws(
 ) -> LawReport:
     """Sample-based replay of the modality laws under instantiation."""
     report = LawReport(inst.name)
-    for law, d in law_samples(inst, samples_per_law, seed):
+    for law, d in law_samples(samples_per_law, seed):
         try:
             check(d)
             d2 = instantiate_derivation(d, inst)

@@ -21,25 +21,28 @@ dictated by the soundness proof, one construct per rule;
 ``extract_realizer(..., derive=True)`` additionally replays the proof of
 the resulting triple inside the target theory (supported for the
 implication and universal rules plus hypotheses; the membership rules
-require substitution reasoning and fail gracefully).  No premise is
-rebuilt: at ImpE the argument's triple is cut in as a hypothesis of the
-function premise, which carries it under the binder of the function's
-result.
+require substitution reasoning and fail gracefully).  The root frame is
+translated once; each premise is replayed in the frame its parent's own
+nodes use, so no premise is rebuilt or weakened: at ImpE the argument's
+triple is cut in as a hypothesis of the function premise, which carries it
+under the binder of the function's result.  ``Id`` reads the hypotheses
+the same way, from the root's and each discharged antecedent, not from a
+node's own list, which the source checker compares only as a set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._astnode import shift, subst
 from .errors import IllSorted, LemmaViolation, TemplateMissing
 from .hol import checker as hc
 from .hol import syntax as h
 from .effhol import syntax as e
-from .effhol.build import anti_red, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
+from .effhol.build import anti_red, bind, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
 from .effhol.reduction import Strategy
 from .effhol.syntax import EXPR, PROG, TYPE
-from .effhol.theory import EffDerivation, EffSequent, extend, make_triple
+from .effhol.theory import EffDerivation, EffSequent, extend, make_triple, sequent_wf
 
 
 def trkind(s: h.Sort) -> e.Kind:
@@ -282,7 +285,8 @@ def _subterms_of_prop(p: h.HolProp):
 
 @dataclass(frozen=True)
 class Ambient:
-    """Extra target-side context and assumptions, placed outermost."""
+    """Extra target-side context and assumptions of the root frame: the
+    contexts go outermost, the hypotheses after the root's own."""
 
     kinds: tuple[e.Kind, ...] = ()
     indices: tuple[e.EffIndex, ...] = ()
@@ -297,7 +301,6 @@ EMPTY_AMBIENT = Ambient()
 class ExtractionResult:
     realizer: e.EffProgram
     goal_triple: EffSequent
-    hypothesis_typing: tuple[tuple[int, e.EffType], ...]
     derivation: EffDerivation | None = None
 
 
@@ -306,14 +309,25 @@ def _hyp_var(n_hyps: int, i: int) -> int:
     return n_hyps - 1 - i
 
 
-def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...], memo: _Memo) -> e.EffProgram:
-    """The realizer of ``d``'s conclusion, from its premises' realizers."""
+def _premise_scope(d: hc.HolDerivation, scope: tuple) -> tuple:
+    """The hypotheses in scope at ``d``'s premises, from those at ``d``:
+    ImpI discharges its antecedent last, UniI shifts them past its binder."""
+    match d.rule:
+        case "ImpI":
+            return scope + (d.conclusion.goal.lhs,)
+        case "UniI":
+            return tuple(shift(psi, h.TERM) for psi in scope)
+    return scope
+
+
+def _realize(d: hc.HolDerivation, scope: tuple, prems: tuple, memo: _Memo) -> e.EffProgram:
+    """The realizer of ``d``'s conclusion, from its premises' realizers;
+    ``Id`` takes the variable of the goal's first occurrence in ``scope``."""
     c = d.conclusion
     sctx = c.ctx
     match d.rule:
         case "Id":
-            i = list(c.hyps).index(c.goal)
-            return e.Ret(e.PVar(_hyp_var(len(c.hyps), i)))
+            return e.Ret(e.PVar(_hyp_var(len(scope), scope.index(c.goal))))
         case "ImpI":
             assert isinstance(c.goal, h.Imp)
             return e.Ret(e.Abs(trtype(sctx, c.goal.lhs, memo), prems[0]))
@@ -335,12 +349,13 @@ def _realize(d: hc.HolDerivation, prems: tuple[e.EffProgram, ...], memo: _Memo) 
     raise TemplateMissing(f"no realizer for rule {d.rule!r}")
 
 
-def _realizer(d: hc.HolDerivation, memo: _Memo) -> e.EffProgram:
-    return _realize(d, tuple(_realizer(p, memo) for p in d.premises), memo)
+def _realizer(d: hc.HolDerivation, scope: tuple, memo: _Memo) -> e.EffProgram:
+    sub = _premise_scope(d, scope)
+    return _realize(d, scope, tuple(_realizer(p, sub, memo) for p in d.premises), memo)
 
 
 def _contexts(seq: hc.Sequent, amb: Ambient, memo: _Memo) -> EffSequent:
-    """The translated sequent frame: contexts plus pointed hypothesis specs."""
+    """The translated root frame: contexts plus pointed hypothesis specs."""
     kinds, indices = lift_contexts(seq.ctx)
     types = tuple(trtype(seq.ctx, psi, memo) for psi in seq.hyps)
     n = len(seq.hyps)
@@ -356,46 +371,25 @@ def extract_realizer(
     d: hc.HolDerivation, ambient: Ambient = EMPTY_AMBIENT, derive: bool = False
 ) -> ExtractionResult:
     """Check ``d``, then extract the soundness realizer (and optionally the
-    target-theory derivation of its triple)."""
+    target-theory derivation of its triple), and check the triple."""
     hc.check(d)
     memo = _Memo()
-    deriv = _derive(d, ambient, memo) if derive else None
-    realizer = _realizer(d, memo) if deriv is None else deriv.conclusion.goal.prog
-    frame = _contexts(d.conclusion, ambient, memo)
-    goal_type = trtype(d.conclusion.ctx, d.conclusion.goal, memo)
-    triple = make_triple(frame.ctxs, frame.hyps, goal_type, realizer, frame.goal)
-    typing = tuple(
-        (i, trtype(d.conclusion.ctx, psi, memo)) for i, psi in enumerate(d.conclusion.hyps)
-    )
-    return ExtractionResult(realizer, triple, typing, deriv)
-
-
-def emit_soundness_triple(result: ExtractionResult) -> EffSequent:
-    seq = result.goal_triple
-    assert isinstance(seq.goal, e.After)
-    return make_triple(seq.ctxs, seq.hyps, seq.goal.binder_type, seq.goal.prog, seq.goal.body)
+    c = d.conclusion
+    frame = _contexts(c, ambient, memo)
+    deriv = _derive(d, c.hyps, frame.ctxs, frame.hyps, memo) if derive else None
+    realizer = _realizer(d, c.hyps, memo) if deriv is None else deriv.conclusion.goal.prog
+    triple = make_triple(frame.ctxs, frame.hyps, trtype(c.ctx, c.goal, memo), realizer, frame.goal)
+    sequent_wf(triple, None, {})  # one typing table for the whole triple
+    return ExtractionResult(realizer, triple, deriv)
 
 
 # Derivation replay for the soundness triples.
 
 
-def _shift_ambient(amb: Ambient, dt: int = 0, dp: int = 0, de: int = 0) -> Ambient:
-    """Re-express an ambient (given relative to some root sequent) under
-    additional innermost binders."""
-    return Ambient(
-        amb.kinds,
-        tuple(shift(s, TYPE, dt) for s in amb.indices),
-        tuple(shift(t, TYPE, dt) for t in amb.types),
-        tuple(shift(shift(shift(hh, TYPE, dt), PROG, dp), EXPR, de) for hh in amb.hyps),
-    )
-
-
-# The binders (type, program, expression) that a replayed rule's premises
-# sit under.
-_PREMISE_BINDERS = {"ImpI": (0, 1, 0), "UniI": (1, 0, 1)}
-
-
-def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
+def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDerivation:
+    """The replay of ``d`` in the frame ``ctxs``, ``hyps`` that its parent's
+    nodes use (the root frame at the root), with ``scope`` the hypotheses
+    in scope as ``_realize`` reads them."""
     c = d.conclusion
     sctx = c.ctx
     if d.rule in ("MemI", "MemE", "Mem0I", "Mem0E"):
@@ -403,92 +397,70 @@ def _derive(d: hc.HolDerivation, amb: Ambient, memo: _Memo) -> EffDerivation:
             f"--derive does not replay {d.rule} nodes (substitution reasoning); "
             "the extracted realizer and its typing are still produced"
         )
-    if d.rule == "ImpE":
-        # The argument first: its triple is a hypothesis of the function premise.
-        ih1 = _derive(d.premises[1], amb, memo)
-        h1 = ih1.conclusion.goal
-        ihs = (_derive(d.premises[0], replace(amb, hyps=amb.hyps + (h1,)), memo), ih1)
-    else:
-        sub = _shift_ambient(amb, *_PREMISE_BINDERS.get(d.rule, (0, 0, 0)))
-        ihs = tuple(_derive(p, sub, memo) for p in d.premises)
-    r = _realize(d, tuple(ih.conclusion.goal.prog for ih in ihs), memo)
-    frame = _contexts(c, amb, memo)
-    concl = EffSequent(frame.ctxs, frame.hyps, e.After(r, trtype(sctx, c.goal, memo), frame.goal))
-
+    sub = _premise_scope(d, scope)
+    goal = trspec(sctx, c.goal, memo)
     match d.rule:
         case "Id":
-            i = list(c.hyps).index(c.goal)
-            h_i = subst(frame.goal, PROG, 0, e.PVar(_hyp_var(len(c.hyps), i)))
-            return EffDerivation("ModI", concl, (hyp(frame.ctxs, frame.hyps, h_i),))
+            r = _realize(d, scope, (), memo)
+            prem = hyp(ctxs, hyps, subst(goal, PROG, 0, r.inner))
 
         case "ImpI":
             s1 = trspec(sctx, c.goal.lhs, memo)
-            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, trtype(sctx, c.goal.lhs, memo))
-            app = e.App(shift(r.inner, PROG), e.PVar(0))
-            anti = _anti_red(ctx1, hyps1 + (s1,), app, ihs[0])
-            upi = uni_intro(frame.ctxs, frame.hyps, "UniProgI", imp_intro(ctx1, hyps1, s1, anti))
-            return EffDerivation("ModI", concl, (upi,))
+            ctx1, hyps1 = extend(ctxs, hyps, PROG, trtype(sctx, c.goal.lhs, memo))
+            ih = _derive(d.premises[0], sub, ctx1, hyps1 + (s1,), memo)
+            r = _realize(d, scope, (ih.conclusion.goal.prog,), memo)
+            anti = _anti_red(e.App(shift(r.inner, PROG), e.PVar(0)), ih)
+            prem = uni_intro(ctxs, hyps, "UniProgI", imp_intro(ctx1, hyps1, s1, anti))
 
         case "UniI":
             s = c.goal.binder_sort
-            ctx_k, hyps_k = extend(frame.ctxs, frame.hyps, TYPE, trkind(s))
+            ctx_k, hyps_k = extend(ctxs, hyps, TYPE, trkind(s))
             ctx_ke, hyps_ke = extend(ctx_k, hyps_k, EXPR, trind(e.TVar(0), s))
-            app = e.TyApp(shift(r.inner, TYPE), e.TVar(0))
-            uei = uni_intro(ctx_k, hyps_k, "UniExpI", _anti_red(ctx_ke, hyps_ke, app, ihs[0]))
-            uti = uni_intro(frame.ctxs, frame.hyps, "UniTypeI", uei)
-            return EffDerivation("ModI", concl, (uti,))
+            ih = _derive(d.premises[0], sub, ctx_ke, hyps_ke, memo)
+            r = _realize(d, scope, (ih.conclusion.goal.prog,), memo)
+            anti = _anti_red(e.TyApp(shift(r.inner, TYPE), e.TVar(0)), ih)
+            uei = uni_intro(ctx_k, hyps_k, "UniExpI", anti)
+            prem = uni_intro(ctxs, hyps, "UniTypeI", uei)
 
         case "ImpE":
-            imp = d.premises[0].conclusion.goal
-            t_imp = trtype(sctx, imp, memo)
+            fn, arg = d.premises
+            # The argument first: its triple is a hypothesis of the function
+            # premise and, shifted, hyps1[-2].
+            ih1 = _derive(arg, sub, ctxs, hyps, memo)
+            hyps0 = hyps + (ih1.conclusion.goal,)
+            ih0 = _derive(fn, sub, ctxs, hyps0, memo)
+            imp = fn.conclusion.goal
             s_imp = trspec(sctx, imp, memo)
             tau1 = trtype(sctx, imp.lhs, memo)
             s1 = trspec(sctx, imp.lhs, memo)
-            rest = r.rest
-            # The argument's triple is a hypothesis here and, shifted, in hyps1[-2].
-            hyps0 = frame.hyps + (h1,)
-            ctx1, hyps1 = extend(frame.ctxs, hyps0, PROG, t_imp)
+            ctx1, hyps1 = extend(ctxs, hyps0, PROG, trtype(sctx, imp, memo))
             hyps1 += (s_imp,)
             ctx2, hyps2 = extend(ctx1, hyps1, PROG, tau1)
             hyps2 += (s1,)
-
             upe = uni_elim("UniProgE", hyp(ctx2, hyps2, shift(s_imp, PROG)), e.PVar(0))
             pi = imp_elim(upe, hyp(ctx2, hyps2, s1))
-            mon2 = EffDerivation(
-                "Mon",
-                EffSequent(ctx1, hyps1, e.After(rest.first, tau1, pi.conclusion.goal)),
-                (pi, hyp(ctx1, hyps1, hyps1[-2])),
-            )
-            mode2 = EffDerivation(
-                "ModE",
-                EffSequent(ctx1, hyps1, e.After(rest, concl.goal.binder_type, frame.goal)),
-                (mon2,),
-            )
-            mon1 = EffDerivation(
-                "Mon",
-                EffSequent(frame.ctxs, hyps0, e.After(r.first, t_imp, mode2.conclusion.goal)),
-                (mode2, ihs[0]),
-            )
-            mode1 = EffDerivation("ModE", replace(concl, hyps=hyps0), (mon1,))
-            return cut(frame.ctxs, frame.hyps, mode1, (ih1,))
+            rest = bind(pi, hyp(ctx1, hyps1, hyps1[-2]))
+            return cut(ctxs, hyps, bind(rest, ih0), (ih1,))
 
         case "UniE":
-            forall = d.premises[0].conclusion.goal
-            t_all = trtype(sctx, forall, memo)
-            s_all = trspec(sctx, forall, memo)
-            ctx1, hyps1 = extend(frame.ctxs, frame.hyps, PROG, t_all)
+            (p,) = d.premises
+            ih = _derive(p, sub, ctxs, hyps, memo)
+            s_all = trspec(sctx, p.conclusion.goal, memo)
+            ctx1, hyps1 = extend(ctxs, hyps, PROG, trtype(sctx, p.conclusion.goal, memo))
             idf = hyp(ctx1, hyps1 + (s_all,), s_all)
             ute = uni_elim("UniTypeE", idf, tretype(sctx, d.witness, memo))
-            uee = uni_elim("UniExpE", ute, trtrm(sctx, d.witness, memo))
-            after = e.After(r.rest, concl.goal.binder_type, frame.goal)
-            mon_goal = e.After(r.first, t_all, after)
-            mon = EffDerivation("Mon", EffSequent(frame.ctxs, frame.hyps, mon_goal), (uee, *ihs))
-            return EffDerivation("ModE", concl, (mon,))
+            return bind(uni_elim("UniExpE", ute, trtrm(sctx, d.witness, memo)), ih)
+
+    # Id, ImpI and UniI realize by a return, which ModI introduces
+    concl = EffSequent(ctxs, hyps, e.After(r, trtype(sctx, c.goal, memo), goal))
+    return EffDerivation("ModI", concl, (prem,))
 
 
-def _anti_red(ctxs, hyps, before, ih):
-    """AntiRed: ``before`` reduces in one base step to the realizer of the
-    triple ``ih`` proves, and satisfies its specification."""
-    g = ih.conclusion.goal
+def _anti_red(before, ih):
+    """AntiRed in the frame of ``ih``: ``before`` reduces in one base step
+    to the realizer of the triple ``ih`` proves, and satisfies its
+    specification."""
+    c = ih.conclusion
+    g = c.goal
     hole = e.After(e.PVar(0), g.binder_type, shift(g.body, PROG, 1, 1))
-    return anti_red(ctxs, hyps, hole, e.Comp(g.binder_type), before, Strategy.BASE, ih)
+    return anti_red(c.ctxs, c.hyps, hole, e.Comp(g.binder_type), before, Strategy.BASE, ih)

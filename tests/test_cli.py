@@ -1,5 +1,7 @@
-"""The command-line surface: exit codes, JSON output, environment fuel."""
+"""The command-line surface: exit codes, JSON output, environment fuel,
+and the pinned output of every corpus invocation."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,8 +10,10 @@ import pytest
 from effreal.effhol import check as eff_check
 from effreal.surface import jsonio
 from effreal.surface.cli import main
+from effreal.surface.elaborate import parse_document
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run(capsys, *argv):
@@ -160,3 +164,152 @@ def test_extract_under_an_ambient_file(capsys, json_flag):
         eff_check(jsonio.eff_from_json(json.loads(out)["derivation"]))
     else:
         assert out.startswith("realizer:\n")
+
+
+# Derivations the source checker accepts although a premise lists its
+# hypotheses in another order than its parent, or twice, or discharges
+# one that is already assumed.
+REORDERED = """
+(hol-derivation swapped
+  (imp-i (sequent ((u0 *) (u1 *)) (hyps) (imp (member0 u1) (imp (member0 u0) (member0 u1))))
+    (imp-i (sequent ((u0 *) (u1 *)) (hyps (member0 u1)) (imp (member0 u0) (member0 u1)))
+      (id (sequent ((u0 *) (u1 *)) (hyps (member0 u0) (member0 u1)) (member0 u1))))))
+(hol-derivation redischarged
+  (imp-i (sequent ((u0 *)) (hyps (member0 u0)) (imp (member0 u0) (member0 u0)))
+    (id (sequent ((u0 *)) (hyps (member0 u0)) (member0 u0)))))
+(hol-derivation repeated
+  (imp-i (sequent ((u0 *) (u1 *)) (hyps (member0 u1)) (imp (member0 u0) (member0 u1)))
+    (id (sequent ((u0 *) (u1 *)) (hyps (member0 u1) (member0 u1) (member0 u0)) (member0 u1)))))
+"""
+
+
+REORDERED_REALIZERS = {
+    "swapped": "(ret (lam (x0 X1) (ret (lam (x1 X0) (ret x0)))))",
+    "redischarged": "(ret (lam (x1 X0) (ret x0)))",
+    "repeated": "(ret (lam (x1 X0) (ret x0)))",
+}
+
+
+@pytest.mark.parametrize("derive", [(), ("--derive",)], ids=["plain", "derive"])
+@pytest.mark.parametrize("name", REORDERED_REALIZERS)
+def test_extract_reads_hypotheses_in_the_order_they_are_discharged(tmp_path, capsys, name, derive):
+    """An ``Id`` leaf takes the variable of the first occurrence of its
+    goal among the root's hypotheses and the antecedents discharged on the
+    way down, whatever its own sequent lists."""
+    path = tmp_path / "reordered.hol"
+    path.write_text(REORDERED)
+    assert run(capsys, "check-hol", str(path))[0] == 0
+    code, out, err = run(capsys, "extract", str(path), "--derivation", name, *derive)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"realizer:\n  {REORDERED_REALIZERS[name]}\n")
+    assert out.endswith("(derivation replayed and re-checked)\n") == bool(derive)
+
+
+@pytest.mark.parametrize("derive", [(), ("--derive",)], ids=["plain", "derive"])
+def test_extract_rejects_an_ill_formed_ambient(tmp_path, capsys, derive):
+    """A hypothesis of the ambient that is not well formed makes the
+    triple ill formed: extraction fails instead of printing it."""
+    amb = tmp_path / "bad.eff"
+    amb.write_text("(spec bad (member0 (ret (lam (x bot-type) x)) (compr0 (z bot-type) bot-spec)))")
+    code, out, err = run(
+        capsys, "extract", str(CORPUS / "hol_basic.hol"), "--derivation", "k-combinator",
+        "--ambient", str(amb), *derive,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("extraction failed: base membership needs index ")
+
+
+def _corpus_groups():
+    """Every subcommand on every corpus file it reads, as (label, names):
+    the label is an argv in which ``*`` stands for each name in turn."""
+    docs = {f.name: parse_document(f.read_text(encoding="utf-8")) for f in CORPUS.iterdir()}
+    hol = docs["hol_basic.hol"]
+    amb = " --ambient corpus/effhol_basic.eff"
+    groups = [("check-hol corpus/hol_basic.hol", [""]), ("translate corpus/hol_basic.hol --prop *", hol.props)]
+    for flags in ("", " --derive", amb, " --derive" + amb):
+        groups.append(("extract corpus/hol_basic.hol --derivation *" + flags, hol.hol_derivations))
+    for f in ("effhol_basic.eff", "programs.eff"):
+        progs = docs[f].programs
+        groups.append((f"check-effhol corpus/{f}", [""]))
+        for inst in ("id", "cont", "corpus/instance_cont.inst"):
+            groups.append((f"instantiate corpus/{f} --instance {inst}", [""]))
+        for strategy in ("base", "cbn", "full"):
+            groups.append((f"normalize corpus/{f} --term * --strategy {strategy}", progs))
+        groups.append((f"erase corpus/{f} --term *", progs))
+    groups.append(("ef-check corpus/ef_samples.ef", [""]))
+    for inst in ("id", "cont", "corpus/instance_cont.inst"):
+        groups.append((f"check-laws --instance {inst} --samples 5", [""]))
+    return groups
+
+
+# The first 16 hex digits of a SHA-256 over the exit code, stdout and
+# stderr of each invocation of a group, plain and under --json.
+CORPUS_CLI_DIGESTS = {
+    'check-hol corpus/hol_basic.hol': '3f0ea1dae057985a',
+    '--json check-hol corpus/hol_basic.hol': '4225877c2bf8be72',
+    'translate corpus/hol_basic.hol --prop *': '15dabdd91a183c89',
+    '--json translate corpus/hol_basic.hol --prop *': '2dad1fbb39e741f7',
+    'extract corpus/hol_basic.hol --derivation *': 'cf3eec93195fe401',
+    '--json extract corpus/hol_basic.hol --derivation *': '642c174ece4178dd',
+    'extract corpus/hol_basic.hol --derivation * --derive': 'ae8925ff363e1ab8',
+    '--json extract corpus/hol_basic.hol --derivation * --derive': 'af44c6097b5a55cf',
+    'extract corpus/hol_basic.hol --derivation * --ambient corpus/effhol_basic.eff': '424de98c69f71dc5',
+    '--json extract corpus/hol_basic.hol --derivation * --ambient corpus/effhol_basic.eff': '3a1377ab46752b73',
+    'extract corpus/hol_basic.hol --derivation * --derive --ambient corpus/effhol_basic.eff': '632eed3e2903ee2c',
+    '--json extract corpus/hol_basic.hol --derivation * --derive --ambient corpus/effhol_basic.eff': 'd14031bba711ca2e',
+    'check-effhol corpus/effhol_basic.eff': '569698d26989db70',
+    '--json check-effhol corpus/effhol_basic.eff': 'b8195f8c4396ec30',
+    'instantiate corpus/effhol_basic.eff --instance id': '817af5278b56249c',
+    '--json instantiate corpus/effhol_basic.eff --instance id': '45c8362cbd22e0df',
+    'instantiate corpus/effhol_basic.eff --instance cont': '1ceeb5a4fae61c41',
+    '--json instantiate corpus/effhol_basic.eff --instance cont': 'ca2569f979971d68',
+    'instantiate corpus/effhol_basic.eff --instance corpus/instance_cont.inst': 'fce060a1053d3651',
+    '--json instantiate corpus/effhol_basic.eff --instance corpus/instance_cont.inst': '77ae379696e7dbd5',
+    'normalize corpus/effhol_basic.eff --term * --strategy base': '02786783ef4d2bfc',
+    '--json normalize corpus/effhol_basic.eff --term * --strategy base': '5cb2847b18e9d2bd',
+    'normalize corpus/effhol_basic.eff --term * --strategy cbn': '02786783ef4d2bfc',
+    '--json normalize corpus/effhol_basic.eff --term * --strategy cbn': '5cb2847b18e9d2bd',
+    'normalize corpus/effhol_basic.eff --term * --strategy full': '02786783ef4d2bfc',
+    '--json normalize corpus/effhol_basic.eff --term * --strategy full': '5cb2847b18e9d2bd',
+    'erase corpus/effhol_basic.eff --term *': 'aa3b78a0790f27ef',
+    '--json erase corpus/effhol_basic.eff --term *': 'd04322d5976950ac',
+    'check-effhol corpus/programs.eff': '4644e1df7e888d84',
+    '--json check-effhol corpus/programs.eff': '6b874247a0ede34c',
+    'instantiate corpus/programs.eff --instance id': '03e22b1de5ada652',
+    '--json instantiate corpus/programs.eff --instance id': 'f054cc81e8ac7d71',
+    'instantiate corpus/programs.eff --instance cont': '81d2fb6d8abc65df',
+    '--json instantiate corpus/programs.eff --instance cont': '0c4a85aa418d8c73',
+    'instantiate corpus/programs.eff --instance corpus/instance_cont.inst': '81d2fb6d8abc65df',
+    '--json instantiate corpus/programs.eff --instance corpus/instance_cont.inst': '93c34476c0868597',
+    'normalize corpus/programs.eff --term * --strategy base': '5c12f04a1451750e',
+    '--json normalize corpus/programs.eff --term * --strategy base': '8d4b599677961664',
+    'normalize corpus/programs.eff --term * --strategy cbn': 'a7c1490673ecf017',
+    '--json normalize corpus/programs.eff --term * --strategy cbn': '3d420ac44d65a0ea',
+    'normalize corpus/programs.eff --term * --strategy full': 'a7c1490673ecf017',
+    '--json normalize corpus/programs.eff --term * --strategy full': '3d420ac44d65a0ea',
+    'erase corpus/programs.eff --term *': '9129f130c5fd1586',
+    '--json erase corpus/programs.eff --term *': 'a161e944eefc3275',
+    'ef-check corpus/ef_samples.ef': '1867d8ec84d6f57d',
+    '--json ef-check corpus/ef_samples.ef': '87ff50564c487b07',
+    'check-laws --instance id --samples 5': '435d1a29170b6f01',
+    '--json check-laws --instance id --samples 5': '2eb34df21b038914',
+    'check-laws --instance cont --samples 5': '435d1a29170b6f01',
+    '--json check-laws --instance cont --samples 5': '83ac98779c1d2f48',
+    'check-laws --instance corpus/instance_cont.inst --samples 5': 'f51031d0447797c0',
+    '--json check-laws --instance corpus/instance_cont.inst --samples 5': 'ac50dec5e72dc16b',
+}
+
+
+def test_corpus_cli_output_is_pinned(capsys, monkeypatch):
+    """Every corpus invocation prints what it printed when pinned."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("EFFHOL_FUEL", raising=False)
+    got = {}
+    for label, names in _corpus_groups():
+        for mode in ("", "--json "):
+            h = hashlib.sha256()
+            for name in names:
+                code, out, err = run(capsys, *(mode + label.replace("*", name)).split())
+                h.update(f"{code}\0{out}\0{err}\0".encode())
+            got[mode + label] = h.hexdigest()[:16]
+    assert got == CORPUS_CLI_DIGESTS

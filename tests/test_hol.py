@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effreal._astnode import loose_bound, map_children
+from effreal._astnode import map_children
 from effreal.errors import RuleMismatch, SortMismatch, UnboundVariable
 from effreal.generators import random_hol_prop, random_hol_term, random_sort
 from effreal.hol import (
@@ -88,7 +88,7 @@ def check_bounds(x, ns, var_cls) -> int:
         return child
 
     map_children(x, visit)
-    assert loose_bound(x, ns) == bound, x
+    assert x._loose[ns.slot] == bound, x
     return bound
 
 

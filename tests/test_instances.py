@@ -112,11 +112,11 @@ def test_file_instance_has_no_modality_templates():
     assert not inst.templates
     rng = random.Random(0)
     for law in ("ModI", "ModE", "Mon"):
-        d = LAW_CASES[law](rng, inst)
+        d = LAW_CASES[law](rng)
         check(d)
         with pytest.raises(TemplateMissing, match=law):
             instantiate_derivation(d, inst)
-    d = LAW_CASES["AntiRed"](rng, inst)
+    d = LAW_CASES["AntiRed"](rng)
     d2 = instantiate_derivation(d, inst)
     check(d2)
     assert d2 == instantiate_derivation(d, CONT)
@@ -187,7 +187,7 @@ def test_orth_index():
 def test_identity_law_templates_single_cases():
     rng = random.Random(3)
     for law, case in LAW_CASES.items():
-        d = case(rng, ID_INST)
+        d = case(rng)
         check(d)
         d2 = instantiate_derivation(d, ID_INST)
         check(d2)
@@ -196,7 +196,7 @@ def test_identity_law_templates_single_cases():
 def test_continuation_law_templates_single_cases():
     rng = random.Random(3)
     for law, case in LAW_CASES.items():
-        d = case(rng, CONT)
+        d = case(rng)
         check(d)
         d2 = instantiate_derivation(d, CONT)
         check(d2)
@@ -205,8 +205,8 @@ def test_continuation_law_templates_single_cases():
 def test_law_samples_do_not_depend_on_hash_seed():
     """Two processes with different string-hash salts draw the same samples."""
     code = (
-        "from effreal.instances import identity_instance, law_samples\n"
-        "for law, d in law_samples(identity_instance(), 3, 0):\n"
+        "from effreal.instances import law_samples\n"
+        "for law, d in law_samples(3, 0):\n"
         "    print(law, d.conclusion)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -360,7 +360,7 @@ def test_cont_templates_use_their_premises_as_proved():
         return run
 
     cont = replace(CONT, templates={r: recording(r, t) for r, t in CONT.templates.items()})
-    laws = law_samples(CONT, samples_per_law=20)
+    laws = law_samples(samples_per_law=20)
     for _name, d in [*_instance_sources(), *laws]:
         instantiate_derivation(d, cont)
     assert {rule for rule, _, _ in calls} == {"ModI", "ModE", "Mon"}

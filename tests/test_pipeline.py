@@ -105,7 +105,7 @@ def test_pipeline_covers_replayable_rules():
 
 
 # An outer kind, an outer type that mentions it, an extra hypothesis, and
-# all three: the ambient is the one weakening the toolchain does.
+# all three, each part of the root frame the replay extends.
 AMBIENTS = (
     Ambient(kinds=(KSTAR,)),
     Ambient(kinds=(KSTAR,), types=(Comp(TVar(0)),)),

@@ -337,14 +337,14 @@ def test_instance_file_matches_continuation():
 def test_grammar_covers_every_node_class_and_rule():
     """The grammar table names every node class of each category and
     every rule the kernels check."""
-    from effreal.effhol import EFF_RULES
-    from effreal.hol import HOL_RULES
+    from effreal.effhol.theory import EFF_PREMISES
+    from effreal.hol.checker import HOL_PREMISES
     from effreal.surface.grammar import CATEGORIES, EFF, FORMS, HOL
 
     for cat in CATEGORIES:
         assert set(cat.base.__subclasses__()) <= set(FORMS), cat.noun
-    assert set(HOL.rules) == HOL_RULES
-    assert set(EFF.rules) == EFF_RULES
+    assert set(HOL.rules) == set(HOL_PREMISES)
+    assert set(EFF.rules) == set(EFF_PREMISES)
 
 
 def _reference_json(calc, d) -> dict:

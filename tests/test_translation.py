@@ -2,6 +2,9 @@
 preservation properties, extraction, and triple replay."""
 
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,9 +60,11 @@ from effreal.hol import (
     STAR,
     Sequent,
     Var,
+    check as hol_check,
     prop_wf,
     sort_of,
 )
+from effreal.surface.elaborate import parse_document
 from effreal.translation import (
     Ambient,
     check_substitution_lemma,
@@ -415,3 +420,59 @@ def test_translation_reads_no_sort_context(seed, size):
     assert trspec(sctx, p) is trspec(other, p)
     assert trtrm(sctx, t) is trtrm(other, t)
     assert tretype(sctx, t) is tretype(other, t)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _replay_sources():
+    """Every corpus derivation, and the benchmark's seeded ImpI, UniI and
+    cut chains (seeds 1-3, n = 1, 2, 4, 8)."""
+    doc = parse_document((ROOT / "corpus" / "hol_basic.hol").read_text(encoding="utf-8"))
+    sources = list(doc.hol_derivations.items())
+    sys.path.insert(0, str(ROOT / "perfbench"))  # ``inputs`` imports its sibling ``answers``
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for family, make in inputs.FAMILIES.items():
+        for seed in (1, 2, 3):
+            for n in (1, 2, 4, 8):
+                sources.append((f"{family}-{n}-seed{seed}", make(random.Random(seed), n)))
+    return sources
+
+
+REPLAY_SOURCES = _replay_sources()
+
+
+def _scrambled(d: HolDerivation, rng: random.Random, root: bool = True) -> HolDerivation:
+    """``d`` with the hypothesis list of every node below the root shuffled
+    and some of its entries repeated; the source checker compares
+    hypotheses as sets, so it accepts the result."""
+    c = d.conclusion
+    hyps = list(c.hyps)
+    if not root:
+        hyps += rng.sample(hyps, rng.randint(0, len(hyps)))
+        rng.shuffle(hyps)
+    prems = tuple(_scrambled(p, rng, False) for p in d.premises)
+    return replace(d, conclusion=Sequent(c.ctx, tuple(hyps), c.goal), premises=prems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REPLAY_SOURCES), st.integers(0, 100_000))
+def test_extraction_ignores_how_premises_list_their_hypotheses(source, seed):
+    """Extraction reads hypotheses from the root and the antecedents
+    discharged on the way down: a scrambled derivation gives the realizer
+    and the replay of the original, and the replay checks."""
+    _name, d = source
+    twisted = _scrambled(d, random.Random(seed))
+    hol_check(twisted)
+    assert extract_realizer(twisted).realizer is extract_realizer(d).realizer
+    try:
+        want = extract_realizer(d, derive=True)
+    except TemplateMissing:
+        return
+    got = extract_realizer(twisted, derive=True)
+    assert got.realizer is want.realizer
+    assert got.derivation == want.derivation
+    eff_check(got.derivation)
