@@ -43,10 +43,10 @@ def uni_intro(ctxs, hyps, rule, d) -> EffDerivation:
 def uni_elim(rule, d, w) -> EffDerivation:
     """A universal elimination ``rule``: the body of the universal ``d``
     proves, at the witness ``w``."""
-    intro, field, _ = _UNI_E[rule]
+    intro, _ = _UNI_E[rule]
     c = d.conclusion
     at = subst(c.goal.body, _UNI_I[intro][2], 0, w)
-    return EffDerivation(rule, EffSequent(c.ctxs, c.hyps, at), (d,), **{field: w})
+    return EffDerivation(rule, EffSequent(c.ctxs, c.hyps, at), (d,), witness=w)
 
 
 def mon(ent, mod) -> EffDerivation:

@@ -138,7 +138,7 @@ def forget_derivation(d: EffDerivation, memo: dict | None = None) -> hol_checker
                 _RENAMED.get(d.rule, d.rule),
                 forget_sequent(d.conclusion, memo),
                 tuple(forget_derivation(p, memo) for p in d.premises),
-                witness=forget_expr(d.witness_expr, memo) if d.rule == "UniExpE" else None,
+                witness=forget_expr(d.witness, memo) if d.rule == "UniExpE" else None,
             )
         case "UniProgI" | "UniProgE" | "UniTypeI" | "UniTypeE" | "ModI" | "ModE" | "Conv" | "AntiRed":
             # The conclusion's extra structure vanishes; reuse the premise.

@@ -6,9 +6,13 @@ to conversion (normal forms), which soundly absorbs the conversion rule;
 an explicit Conv node is still accepted.  Well-formedness of the whole
 sequent is enforced once at the root.
 
-``EFF_PREMISES`` holds each rule's premise count, checked once per node
-before the rule's own checks.  ``extend`` puts contexts and hypotheses
-under one more binder, for the checker and for every derivation builder.
+``EFF_PREMISES`` gives each rule one entry per premise, saying whether
+that premise shares the conclusion's frame (contexts and hypotheses); each
+node's premise count and shared frames are checked before the rule's own
+checks.  ``check`` walks the nodes from an explicit stack, and ``_check``
+checks one node against its premises' claims.  ``extend`` puts contexts
+and hypotheses under one more binder, for the checker and for every
+derivation builder.
 """
 
 from __future__ import annotations
@@ -51,12 +55,16 @@ class EffSequent:
     goal: EffSpec
 
 
-# Each rule's premise count.
+# Each rule's premises, one entry each: SAME if the premise shares the
+# conclusion's contexts and hypotheses, OPENED if the rule checks the
+# premise's frame itself (it opens a binder or discharges a hypothesis).
+SAME, OPENED = True, False
 EFF_PREMISES = {
-    "Id": 0, "Conv": 1, "ImpI": 1, "ImpE": 2,
-    "UniProgI": 1, "UniProgE": 1, "UniExpI": 1, "UniExpE": 1, "UniTypeI": 1, "UniTypeE": 1,
-    "ModI": 1, "ModE": 1, "Mon": 2, "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
-    "AntiRed": 1,
+    "Id": (), "Conv": (SAME,), "ImpI": (OPENED,), "ImpE": (SAME, SAME),
+    "UniProgI": (OPENED,), "UniProgE": (SAME,), "UniExpI": (OPENED,), "UniExpE": (SAME,),
+    "UniTypeI": (OPENED,), "UniTypeE": (SAME,), "ModI": (SAME,), "ModE": (SAME,),
+    "Mon": (OPENED, SAME), "MemI": (SAME,), "MemE": (SAME,), "Mem0I": (SAME,), "Mem0E": (SAME,),
+    "AntiRed": (SAME,),
 }
 
 # The context of each namespace's binders.
@@ -69,12 +77,19 @@ _UNI_I = {
     "UniExpI": (SForallExpr, "an expression universal", EXPR, "binder_index"),
     "UniTypeI": (SForallType, "a type universal", TYPE, "binder_kind"),
 }
-# Each universal elimination: its introduction, its witness field, and what
-# the witness's judgment computes.
+# Each universal elimination: its introduction, and what the witness's
+# judgment computes.
 _UNI_E = {
-    "UniProgE": ("UniProgI", "witness_prog", "type"),
-    "UniExpE": ("UniExpI", "witness_expr", "index"),
-    "UniTypeE": ("UniTypeI", "witness_type", "kind"),
+    "UniProgE": ("UniProgI", "type"), "UniExpE": ("UniExpI", "index"), "UniTypeE": ("UniTypeI", "kind"),
+}
+# Each membership rule: its membership and comprehension classes, noun,
+# and whether it introduces the membership (as its goal) or eliminates it
+# (from its premise).
+_MEM = {
+    "MemI": (SMem, Compr, "membership", True),
+    "MemE": (SMem, Compr, "membership", False),
+    "Mem0I": (SMemBase, ComprBase, "base membership", True),
+    "Mem0E": (SMemBase, ComprBase, "base membership", False),
 }
 
 
@@ -83,9 +98,8 @@ class EffDerivation:
     rule: str
     conclusion: EffSequent
     premises: tuple["EffDerivation", ...] = ()
-    witness_prog: EffProgram | None = None
-    witness_expr: EffExpr | None = None
-    witness_type: EffType | None = None
+    # A universal elimination's witness: a program, expression or type.
+    witness: EffProgram | EffExpr | EffType | None = None
     # Anti-reduction evidence: ``hole_spec`` has the reduced program's
     # position as program variable 0; the context variables start at 1.
     hole_spec: EffSpec | None = None
@@ -142,23 +156,32 @@ def extend(ctxs: EffContexts, hyps: tuple, ns, entry):
 
 
 def check(d: EffDerivation) -> EffSequent:
-    """Verify ``d`` node by node; returns the (claimed, now verified) root sequent.
-    Every judgment of the check shares one typing table (see ``typing``)."""
+    """Verify ``d`` node by node, in pre-order from an explicit stack;
+    returns the (claimed, now verified) root sequent.  Every judgment of
+    the check shares one typing table (see ``typing``)."""
     memo: dict = {}
     sequent_wf(d.conclusion, (), memo)
-    _check(d, (), memo)
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        _check(node, path, memo)
+        stack.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
     return d.conclusion
 
 
 def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
+    """Check the one rule application at ``d`` against its premises' claims."""
     c = d.conclusion
     ctxs = c.ctxs
     goal = normalize(c.goal)
-    n = EFF_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
-    if n is None:
+    frames = EFF_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
+    if frames is None:
         raise RuleMismatch(f"unknown rule {d.rule!r}", path)
-    if len(d.premises) != n:
-        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
+    if len(d.premises) != len(frames):
+        raise RuleMismatch(f"{d.rule} expects {len(frames)} premise(s), got {len(d.premises)}", path)
+    for same, p in zip(frames, d.premises):
+        if same:
+            _same_frame(d, p.conclusion, path)
 
     match d.rule:
         case "Id":
@@ -166,16 +189,13 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch("Id: goal is not among the hypotheses", path)
 
         case "Conv":
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            if normalize(p.conclusion.goal) != goal:
+            if normalize(d.premises[0].conclusion.goal) != goal:
                 raise RuleMismatch("Conv: premise is not convertible to the goal", path)
 
         case "ImpI":
             if not isinstance(goal, SImp):
                 raise RuleMismatch("ImpI: goal is not an implication", path)
-            (p,) = d.premises
-            pc = p.conclusion
+            pc = d.premises[0].conclusion
             if not _same_ctxs(pc.ctxs, ctxs):
                 raise RuleMismatch("ImpI: premise contexts differ", path)
             if _hypset(pc.hyps) != _hypset(c.hyps) | {normalize(goal.lhs)}:
@@ -185,8 +205,6 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
 
         case "ImpE":
             fn, arg = d.premises
-            _same_frame(d, fn.conclusion, path)
-            _same_frame(d, arg.conclusion, path)
             g = normalize(fn.conclusion.goal)
             if not isinstance(g, SImp):
                 raise RuleMismatch("ImpE: first premise is not an implication", path)
@@ -209,14 +227,12 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch(f"{d.rule}: premise goal is not the body", path)
 
         case "UniProgE" | "UniExpE" | "UniTypeE":
-            intro, field, what = _UNI_E[d.rule]
+            intro, what = _UNI_E[d.rule]
             cls, noun, ns, annotation = _UNI_I[intro]
-            w = getattr(d, field)
+            w = d.witness
             if w is None:
                 raise RuleMismatch(f"{d.rule}: missing {ns.name} witness", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = normalize(p.conclusion.goal)
+            g = normalize(d.premises[0].conclusion.goal)
             if not isinstance(g, cls):
                 raise RuleMismatch(f"{d.rule}: premise is not {noun}", path)
             if ns is PROG:
@@ -235,28 +251,23 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
         case "ModI":
             if not (isinstance(goal, After) and isinstance(goal.prog, Ret)):
                 raise RuleMismatch("ModI: goal is not a modality over a return", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
             want = subst(goal.body, PROG, 0, goal.prog.inner)
-            if normalize(p.conclusion.goal) != normalize(want):
+            if normalize(d.premises[0].conclusion.goal) != normalize(want):
                 raise RuleMismatch("ModI: premise is not the substituted body", path)
 
         case "ModE":
             if not (isinstance(goal, After) and isinstance(goal.prog, Bind)):
                 raise RuleMismatch("ModE: goal is not a modality over a bind", path)
             b = goal.prog
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
             inner = After(b.rest, goal.binder_type, shift(goal.body, PROG, 1, 1))
             want = After(b.first, b.binder_type, inner)
-            if normalize(p.conclusion.goal) != normalize(want):
+            if normalize(d.premises[0].conclusion.goal) != normalize(want):
                 raise RuleMismatch("ModE: premise is not the nested modality", path)
 
         case "Mon":
             if not isinstance(goal, After):
                 raise RuleMismatch("Mon: goal is not a modality", path)
             ent, mod = d.premises
-            _same_frame(d, mod.conclusion, path)
             g2 = normalize(mod.conclusion.goal)
             if not isinstance(g2, After):
                 raise RuleMismatch("Mon: second premise is not a modality", path)
@@ -271,69 +282,41 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
             if normalize(ec.goal) != normalize(goal.body):
                 raise RuleMismatch("Mon: entailment goal is not the modality body", path)
 
-        case "MemI":
-            if not (isinstance(goal, SMem) and isinstance(goal.fn, Compr)):
-                raise RuleMismatch("MemI: goal is not membership in a comprehension", path)
-            comp = goal.fn
-            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path, memo)
-            if tp != normalize(comp.binder_type):
-                raise IllTyped(f"MemI: member has type {tp!r}, expected {comp.binder_type!r}", path)
-            sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, goal.arg, path, memo)
-            if sa != normalize(comp.binder_index):
-                raise IllTyped(
-                    f"MemI: argument has index {sa!r}, expected {comp.binder_index!r}", path
-                )
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            want = subst(subst(comp.body, PROG, 0, goal.prog), EXPR, 0, goal.arg)
-            if normalize(p.conclusion.goal) != normalize(want):
-                raise RuleMismatch("MemI: premise is not the substituted body", path)
-
-        case "MemE":
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = normalize(p.conclusion.goal)
-            if not (isinstance(g, SMem) and isinstance(g.fn, Compr)):
-                raise RuleMismatch("MemE: premise is not membership in a comprehension", path)
-            want = subst(subst(g.fn.body, PROG, 0, g.prog), EXPR, 0, g.arg)
-            if normalize(want) != goal:
-                raise RuleMismatch("MemE: conclusion is not the substituted body", path)
-
-        case "Mem0I":
-            if not (isinstance(goal, SMemBase) and isinstance(goal.fn, ComprBase)):
-                raise RuleMismatch("Mem0I: goal is not base membership in a comprehension", path)
-            comp = goal.fn
-            tp = type_of(ctxs.kinds, ctxs.types, goal.prog, path, memo)
-            if tp != normalize(comp.binder_type):
-                raise IllTyped(f"Mem0I: member has type {tp!r}, expected {comp.binder_type!r}", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            want = subst(comp.body, PROG, 0, goal.prog)
-            if normalize(p.conclusion.goal) != normalize(want):
-                raise RuleMismatch("Mem0I: premise is not the substituted body", path)
-
-        case "Mem0E":
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = normalize(p.conclusion.goal)
-            if not (isinstance(g, SMemBase) and isinstance(g.fn, ComprBase)):
-                raise RuleMismatch("Mem0E: premise is not base membership in a comprehension", path)
-            want = subst(g.fn.body, PROG, 0, g.prog)
-            if normalize(want) != goal:
-                raise RuleMismatch("Mem0E: conclusion is not the substituted body", path)
+        case "MemI" | "MemE" | "Mem0I" | "Mem0E":
+            cls, fn_cls, noun, intro = _MEM[d.rule]
+            prem = d.premises[0].conclusion.goal
+            m = goal if intro else normalize(prem)
+            if not (isinstance(m, cls) and isinstance(m.fn, fn_cls)):
+                where = "goal" if intro else "premise"
+                raise RuleMismatch(f"{d.rule}: {where} is not {noun} in a comprehension", path)
+            comp = m.fn
+            if intro:
+                tp = type_of(ctxs.kinds, ctxs.types, m.prog, path, memo)
+                if tp != normalize(comp.binder_type):
+                    raise IllTyped(f"{d.rule}: member has type {tp!r}, expected {comp.binder_type!r}", path)
+                if cls is SMem:
+                    sa = index_of(ctxs.kinds, ctxs.indices, ctxs.types, m.arg, path, memo)
+                    if sa != normalize(comp.binder_index):
+                        raise IllTyped(
+                            f"{d.rule}: argument has index {sa!r}, expected {comp.binder_index!r}", path
+                        )
+            want = subst(comp.body, PROG, 0, m.prog)
+            if cls is SMem:
+                want = subst(want, EXPR, 0, m.arg)
+            if normalize(want) != (normalize(prem) if intro else goal):
+                where = "premise" if intro else "conclusion"
+                raise RuleMismatch(f"{d.rule}: {where} is not the substituted body", path)
 
         case "AntiRed":
             if d.hole_spec is None or d.prog_before is None or d.prog_after is None:
                 raise RuleMismatch("AntiRed: missing reduction witnesses", path)
             if d.hole_type is None:
                 raise RuleMismatch("AntiRed: missing binder type", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
             before = subst(d.hole_spec, PROG, 0, d.prog_before)
             after = subst(d.hole_spec, PROG, 0, d.prog_after)
             if normalize(before) != goal:
                 raise RuleMismatch("AntiRed: conclusion is not the pre-reduction form", path)
-            if normalize(after) != normalize(p.conclusion.goal):
+            if normalize(after) != normalize(d.premises[0].conclusion.goal):
                 raise RuleMismatch("AntiRed: premise is not the post-reduction form", path)
             t1 = type_of(ctxs.kinds, ctxs.types, d.prog_before, path, memo)
             t2 = type_of(ctxs.kinds, ctxs.types, d.prog_after, path, memo)
@@ -344,9 +327,6 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise ReductionMismatch(
                     f"AntiRed: claimed reduction does not hold within {d.steps} steps", path
                 )
-
-    for i, p in enumerate(d.premises):
-        _check(p, path + (i,), memo)
 
 
 def make_triple(

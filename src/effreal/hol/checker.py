@@ -97,10 +97,13 @@ def sequent_wf(seq: Sequent, path=None) -> None:
     prop_wf(seq.ctx, seq.goal, path)
 
 
-# Each rule's premise count.
+# Each rule's premises, one entry each: SAME if the premise shares the
+# conclusion's context and hypotheses, which the checker compares before the
+# rule's own checks; OPENED if the rule checks the premise's frame itself.
+SAME, OPENED = True, False
 HOL_PREMISES = {
-    "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
-    "MemI": 1, "MemE": 1, "Mem0I": 1, "Mem0E": 1,
+    "Id": (), "ImpI": (OPENED,), "ImpE": (SAME, SAME), "UniI": (OPENED,), "UniE": (SAME,),
+    "MemI": (SAME,), "MemE": (SAME,), "Mem0I": (SAME,), "Mem0E": (SAME,),
 }
 
 
@@ -125,20 +128,30 @@ def _same_frame(d: HolDerivation, p: Sequent, path) -> None:
 def check(d: HolDerivation) -> Sequent:
     """Verify ``d`` and return its conclusion sequent.
 
-    Raises RuleMismatch/IllTyped with the path of the offending node.
+    Nodes are checked in pre-order from an explicit stack, so depth costs
+    no recursion.  Raises RuleMismatch/IllTyped with the path of the
+    offending node.
     """
     sequent_wf(d.conclusion, ())
-    _check(d, ())
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        _check(node, path)
+        stack.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
     return d.conclusion
 
 
 def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
+    """Check the one rule application at ``d`` against its premises' claims."""
     c = d.conclusion
-    n = HOL_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
-    if n is None:
+    frames = HOL_PREMISES.get(d.rule) if isinstance(d.rule, str) else None
+    if frames is None:
         raise RuleMismatch(f"unknown rule {d.rule!r}", path)
-    if len(d.premises) != n:
-        raise RuleMismatch(f"{d.rule} expects {n} premise(s), got {len(d.premises)}", path)
+    if len(d.premises) != len(frames):
+        raise RuleMismatch(f"{d.rule} expects {len(frames)} premise(s), got {len(d.premises)}", path)
+    for same, p in zip(frames, d.premises):
+        if same:
+            _same_frame(d, p.conclusion, path)
     match d.rule:
         case "Id":
             if not any(h == c.goal for h in c.hyps):
@@ -156,8 +169,6 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
 
         case "ImpE":
             fn, arg = d.premises
-            _same_frame(d, fn.conclusion, path)
-            _same_frame(d, arg.conclusion, path)
             g = fn.conclusion.goal
             if not isinstance(g, Imp):
                 raise RuleMismatch("ImpE: first premise is not an implication", path)
@@ -169,8 +180,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
         case "UniI":
             if not isinstance(c.goal, Forall):
                 raise RuleMismatch("UniI: goal is not a universal", path)
-            (p,) = d.premises
-            pc = p.conclusion
+            pc = d.premises[0].conclusion
             if pc.ctx != c.ctx + (c.goal.binder_sort,):
                 raise RuleMismatch("UniI: premise context is not the extension by the bound sort", path)
             if set(pc.hyps) != {shift(h, TERM) for h in c.hyps}:
@@ -181,9 +191,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
         case "UniE":
             if d.witness is None:
                 raise RuleMismatch("UniE: missing instantiation witness", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = p.conclusion.goal
+            g = d.premises[0].conclusion.goal
             if not isinstance(g, Forall):
                 raise RuleMismatch("UniE: premise is not a universal", path)
             s = sort_of(c.ctx, d.witness, path)
@@ -199,15 +207,11 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
             s = sort_of(c.ctx, g.element, path)
             if s != g.set.binder_sort:
                 raise IllTyped(f"MemI: element has sort {s!r}, expected {g.set.binder_sort!r}", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            if p.conclusion.goal != subst(g.set.body, TERM, 0, g.element):
+            if d.premises[0].conclusion.goal != subst(g.set.body, TERM, 0, g.element):
                 raise RuleMismatch("MemI: premise is not the substituted body", path)
 
         case "MemE":
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = p.conclusion.goal
+            g = d.premises[0].conclusion.goal
             if not (isinstance(g, Mem) and isinstance(g.set, Compr)):
                 raise RuleMismatch("MemE: premise is not membership in a comprehension", path)
             if c.goal != subst(g.set.body, TERM, 0, g.element):
@@ -217,19 +221,12 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
             g = c.goal
             if not (isinstance(g, MemBase) and isinstance(g.term, ComprBase)):
                 raise RuleMismatch("Mem0I: goal is not base membership of a base comprehension", path)
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            if p.conclusion.goal != g.term.body:
+            if d.premises[0].conclusion.goal != g.term.body:
                 raise RuleMismatch("Mem0I: premise is not the comprehension body", path)
 
         case "Mem0E":
-            (p,) = d.premises
-            _same_frame(d, p.conclusion, path)
-            g = p.conclusion.goal
+            g = d.premises[0].conclusion.goal
             if not (isinstance(g, MemBase) and isinstance(g.term, ComprBase)):
                 raise RuleMismatch("Mem0E: premise is not base membership of a base comprehension", path)
             if c.goal != g.term.body:
                 raise RuleMismatch("Mem0E: conclusion is not the comprehension body", path)
-
-    for i, p in enumerate(d.premises):
-        _check(p, path + (i,))

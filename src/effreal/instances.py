@@ -210,9 +210,7 @@ def _instantiate_derivation(d, inst, memo):
         d,
         conclusion=seq,
         premises=prems,
-        witness_prog=here(d.witness_prog),
-        witness_expr=here(d.witness_expr),
-        witness_type=here(d.witness_type),
+        witness=here(d.witness),
         hole_spec=None,
         hole_type=None,
         prog_before=None,

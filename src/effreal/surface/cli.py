@@ -56,6 +56,13 @@ def _load(path: str):
         return parse_document(f.read())
 
 
+def _named(table: dict, noun: str, name: str):
+    """``table[name]``; a missing name is a usage error."""
+    if name not in table:
+        raise _UsageError(f"no {noun} named {name!r}")
+    return table[name]
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(jsonio.dumps(payload))
@@ -84,11 +91,7 @@ def cmd_check(args, store: str, check, show) -> int:
 
 
 def cmd_translate(args) -> int:
-    doc = _load(args.file)
-    if args.prop not in doc.props:
-        print(f"no proposition named {args.prop!r}", file=sys.stderr)
-        return 2
-    out = translate_prop((), doc.props[args.prop])
+    out = translate_prop((), _named(_load(args.file).props, "proposition", args.prop))
     payload = {
         "type": pr.print_type(out.type),
         "spec": pr.print_spec(out.spec, 0, 1, 0),
@@ -102,16 +105,13 @@ def cmd_translate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    doc = _load(args.file)
-    if args.derivation not in doc.hol_derivations:
-        print(f"no derivation named {args.derivation!r}", file=sys.stderr)
-        return 2
+    d = _named(_load(args.file).hol_derivations, "derivation", args.derivation)
     # an ambient file contributes extra hypotheses as named specs
     ambient = (
         Ambient(hyps=tuple(_load(args.ambient).specs.values())) if args.ambient else EMPTY_AMBIENT
     )
     try:
-        res = extract_realizer(doc.hol_derivations[args.derivation], ambient, derive=args.derive)
+        res = extract_realizer(d, ambient, derive=args.derive)
     except KernelError as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return 1
@@ -182,13 +182,9 @@ def cmd_instantiate(args) -> int:
 
 def cmd_normalize(args) -> int:
     fuel = _fuel(args)
-    doc = _load(args.file)
-    if args.term not in doc.programs:
-        print(f"no program named {args.term!r}", file=sys.stderr)
-        return 2
-    strategy = Strategy(args.strategy)
+    prog = _named(_load(args.file).programs, "program", args.term)
     try:
-        result, steps = multi_step(doc.programs[args.term], strategy, fuel)
+        result, steps = multi_step(prog, Strategy(args.strategy), fuel)
     except KernelError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -198,11 +194,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_erase(args) -> int:
-    doc = _load(args.file)
-    if args.term not in doc.programs:
-        print(f"no program named {args.term!r}", file=sys.stderr)
-        return 2
-    t = erase(doc.programs[args.term])
+    t = erase(_named(_load(args.file).programs, "program", args.term))
     payload = {"erased": pr.print_untyped(t)}
     _emit(args, payload, payload["erased"])
     return 0

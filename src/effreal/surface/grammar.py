@@ -18,8 +18,9 @@ dataclass fields and the binder layout ``@astnode`` records, by one rule:
 
 Sequent contexts follow the same binder rule, entry by entry.  ``HOL`` and
 ``EFF`` describe each calculus's sequents and, per derivation rule, its
-surface tag and witnesses; premise counts are read from the kernel's
-table.  The text and JSON forms of derivations are both read from them.
+surface tag and witnesses; a rule's premise count is the length of its
+entry in the kernel's premise table.  The text and JSON forms of
+derivations are both read from them.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class Calculus:
     sections: tuple[tuple[str | None, Category], ...]
     formula: Category
     rules: dict[str, Rule]
-    premises: dict[str, int]  # the kernel's premise count of each rule
+    premises: dict[str, tuple[bool, ...]]  # the kernel's premise table: one entry per premise
     contexts: typing.Callable  # sequent -> tuple of contexts, one per section
     sequent: typing.Callable  # (contexts, hyps, goal) -> sequent
     derivation: type
@@ -240,7 +241,7 @@ class Calculus:
         """Arguments of a rule's text form after the sequent."""
         witnesses = self.rules[rule].witnesses
         grouped = sum(1 for w in witnesses if w.binds)
-        return len(witnesses) - grouped + self.premises[rule]
+        return len(witnesses) - grouped + len(self.premises[rule])
 
     def depth(self, contexts) -> tuple[int, ...]:
         """The binder depths at a sequent's formulas."""
@@ -277,11 +278,11 @@ EFF = Calculus(
     {
         "Id": Rule("id"), "Conv": Rule("conv"), "ImpI": Rule("imp-i"), "ImpE": Rule("imp-e"),
         "UniProgI": Rule("uniprog-i"),
-        "UniProgE": Rule("uniprog-e", (Witness("program", "witness_prog", PROGRAMS),)),
+        "UniProgE": Rule("uniprog-e", (Witness("program", "witness", PROGRAMS),)),
         "UniExpI": Rule("uniexp-i"),
-        "UniExpE": Rule("uniexp-e", (Witness("expression", "witness_expr", EXPRS),)),
+        "UniExpE": Rule("uniexp-e", (Witness("expression", "witness", EXPRS),)),
         "UniTypeI": Rule("unitype-i"),
-        "UniTypeE": Rule("unitype-e", (Witness("type", "witness_type", TYPES),)),
+        "UniTypeE": Rule("unitype-e", (Witness("type", "witness", TYPES),)),
         "ModI": Rule("mod-i"), "ModE": Rule("mod-e"), "Mon": Rule("mon"),
         "MemI": Rule("mem-i"), "MemE": Rule("mem-e"),
         "Mem0I": Rule("mem0-i"), "Mem0E": Rule("mem0-e"),

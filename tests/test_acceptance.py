@@ -387,7 +387,7 @@ def _adversarial_eff():
                 ),
             ),
         ),
-        witness_prog=PVar(0),
+        witness=PVar(0),
     )
     yield "modality elimination of a non-nested premise", EffDerivation(
         "ModE",

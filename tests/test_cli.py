@@ -43,8 +43,18 @@ def test_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, _ = run(capsys, "translate", str(CORPUS / "hol_basic.hol"), "--prop", "nope")
-    assert code == 2
+    """A name missing from the document is a usage error in every
+    subcommand that looks one up."""
+    cases = [
+        (("translate", "hol_basic.hol", "--prop"), "proposition"),
+        (("extract", "hol_basic.hol", "--derivation"), "derivation"),
+        (("normalize", "programs.eff", "--term"), "program"),
+        (("erase", "programs.eff", "--term"), "program"),
+    ]
+    for (command, file, option), noun in cases:
+        assert run(capsys, command, str(CORPUS / file), option, "nope") == (
+            2, "", f"no {noun} named 'nope'\n"
+        )
 
 
 def test_json_output(capsys):

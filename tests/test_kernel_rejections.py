@@ -2,9 +2,12 @@
 
 Covers a wrong premise count under every rule, an unknown rule, every
 check of the universal introductions and of the target theory's universal
-eliminations, Mon's entailment checks and the base-kind checks of the
-typing judgments.
+eliminations, Mon's entailment checks, every check of MemI, MemE, Mem0I
+and Mem0E in both kernels, and the base-kind checks of the typing
+judgments.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +34,8 @@ from effreal.effhol import (
     SForallExpr,
     SForallProg,
     SForallType,
+    SImp,
+    SMem,
     SMemBase,
     TAbs,
     TForall,
@@ -45,10 +50,14 @@ from effreal.effhol import (
 )
 from effreal.errors import IllTyped, KindMismatch, RuleMismatch
 from effreal.hol import (
+    Compr as HolCompr,
+    ComprBase as HolComprBase,
     Forall,
     HolDerivation,
     Imp,
+    Mem,
     MemBase,
+    Pred,
     STAR,
     Sequent,
     Var,
@@ -230,23 +239,23 @@ def test_hol_universal_introduction_rejects(broken):
 _UNI_E_CTXS = EffContexts(types=(BOT_TYPE,))
 _T_FN = Fun(BOT_TYPE, BOT_TYPE)
 
-# rule: (witness field and noun, quantifier noun, premise goal, witness,
+# rule: (witness noun, quantifier noun, premise goal, witness,
 # conclusion goal, wrong witness, what the witness has, its wrong and
 # expected value)
 UNI_E_CASES = {
     "UniProgE": (
-        "witness_prog", "program", "a program universal",
+        "program", "a program universal",
         SForallProg(BOT_TYPE, SMemBase(PVar(0), _CELL)), PVar(0), SMemBase(PVar(0), _CELL),
         Abs(BOT_TYPE, PVar(0)), "type", _T_FN, BOT_TYPE,
     ),
     "UniExpE": (
-        "witness_expr", "expression", "an expression universal",
+        "expression", "an expression universal",
         SForallExpr(RefBase(BOT_TYPE), SMemBase(PVar(0), EVar(0))), _CELL,
         SMemBase(PVar(0), _CELL),
         ComprBase(_T_FN, BOT_SPEC), "index", RefBase(_T_FN), RefBase(BOT_TYPE),
     ),
     "UniTypeE": (
-        "witness_type", "type", "a type universal",
+        "type", "a type universal",
         SForallType(KSTAR, SForallProg(TVar(0), BOT_SPEC)), BOT_TYPE,
         SForallProg(BOT_TYPE, BOT_SPEC),
         TAbs(KSTAR, TVar(0)), "kind", KCon(KSTAR), KSTAR,
@@ -257,7 +266,7 @@ UNI_E_CASES = {
 def _uni_e(rule, broken):
     """The rule's elimination under a Conv, broken in one check, with the
     error it must raise (None for ``ok``)."""
-    field, noun, q_noun, forall, w, goal, bad_w, what, got, want = UNI_E_CASES[rule]
+    noun, q_noun, forall, w, goal, bad_w, what, got, want = UNI_E_CASES[rule]
     prem = EffSequent(_UNI_E_CTXS, (forall,), forall)
     err = None
     if broken == "witness":
@@ -273,7 +282,7 @@ def _uni_e(rule, broken):
     elif broken == "conclusion":
         goal, err = BOT_SPEC, (RuleMismatch, f"{rule}: conclusion is not the instantiated body")
     concl = EffSequent(_UNI_E_CTXS, (forall,), goal)
-    inner = EffDerivation(rule, concl, (EffDerivation("Id", prem),), **{field: w})
+    inner = EffDerivation(rule, concl, (EffDerivation("Id", prem),), witness=w)
     return EffDerivation("Conv", concl, (inner,)), err
 
 
@@ -346,6 +355,145 @@ def test_mon_checks(case):
         assert eff_check(d) == d.conclusion
     else:
         _rejects(lambda: eff_check(d), RuleMismatch, msg, (0,))
+
+
+# Membership: the goal's shape and the member's sort, type or index, the
+# premise's frame and shape, then the substituted body.  Each node is the
+# argument premise of an ImpE (path (1,)) whose function premise is ImpI
+# over Id: only the root sequent is checked for well-formedness, so the
+# node's goal may be ill-sorted.
+
+
+def _cut(deriv, imp, node):
+    c = node.conclusion
+    b = c.hyps[0]
+    body = deriv("Id", replace(c, hyps=c.hyps + (c.goal,), goal=b))
+    fn = deriv("ImpI", replace(c, goal=imp(c.goal, b)), (body,))
+    return deriv("ImpE", replace(c, goal=b), (fn, node))
+
+
+def _mem_cases(seq, wide, contexts_differ, ok, broken):
+    """(rule, defect) -> (conclusion, premise, error or None).  ``ok``
+    gives each rule's correct goal and premise goal, ``broken`` the
+    rule's own defects as (goal, premise, error); the frame defects give
+    the premise the wider contexts ``wide`` or no hypotheses."""
+    cases = {}
+    for rule, (goal, pgoal) in ok.items():
+        cases[rule, "ok"] = (goal, seq(pgoal), None)
+        cases[rule, "contexts"] = (goal, replace(seq(pgoal), **wide), (
+            RuleMismatch, f"{rule}: premise {contexts_differ} from conclusion"))
+        cases[rule, "hyps"] = (goal, replace(seq(pgoal), hyps=()), (
+            RuleMismatch, f"{rule}: premise hypotheses differ from conclusion"))
+    cases.update(broken)
+    return {key: (seq(goal), prem, err) for key, (goal, prem, err) in cases.items()}
+
+
+def _mem_check(check, deriv, imp, key, case):
+    concl, prem, err = case
+    d = _cut(deriv, imp, deriv(key[0], concl, (deriv("Id", prem),)))
+    if err is None:
+        assert check(d) == d.conclusion
+    else:
+        _rejects(lambda: check(d), *err, (1,))
+
+
+_HOL_M = Mem(Var(0), HolCompr(STAR, HOL_A))  # its body at the element is HOL_A
+_HOL_Z = MemBase(HolComprBase(HOL_A))
+_PSTAR = Pred(STAR)
+
+
+def _hol_seq(goal):
+    return Sequent((STAR,), (HOL_A, _HOL_M, _HOL_Z), goal)
+
+
+HOL_MEM_CASES = _mem_cases(
+    _hol_seq, {"ctx": (STAR, STAR)}, "context differs",
+    {
+        "MemI": (_HOL_M, HOL_A), "MemE": (HOL_A, _HOL_M),
+        "Mem0I": (_HOL_Z, HOL_A), "Mem0E": (HOL_A, _HOL_Z),
+    },
+    {
+        ("MemI", "shape"): (HOL_A, _hol_seq(HOL_A), (
+            RuleMismatch, "MemI: goal is not membership in a comprehension")),
+        ("MemI", "sort"): (Mem(Var(0), HolCompr(_PSTAR, HOL_A)), _hol_seq(HOL_A), (
+            IllTyped, f"MemI: element has sort {STAR!r}, expected {_PSTAR!r}")),
+        ("MemI", "premise"): (_HOL_M, _hol_seq(_HOL_Z), (
+            RuleMismatch, "MemI: premise is not the substituted body")),
+        ("MemE", "premise"): (HOL_A, _hol_seq(HOL_A), (
+            RuleMismatch, "MemE: premise is not membership in a comprehension")),
+        ("MemE", "conclusion"): (_HOL_Z, _hol_seq(_HOL_M), (
+            RuleMismatch, "MemE: conclusion is not the substituted body")),
+        ("Mem0I", "shape"): (HOL_A, _hol_seq(HOL_A), (
+            RuleMismatch, "Mem0I: goal is not base membership of a base comprehension")),
+        ("Mem0I", "premise"): (_HOL_Z, _hol_seq(_HOL_M), (
+            RuleMismatch, "Mem0I: premise is not the comprehension body")),
+        ("Mem0E", "premise"): (HOL_A, _hol_seq(HOL_A), (
+            RuleMismatch, "Mem0E: premise is not base membership of a base comprehension")),
+        ("Mem0E", "conclusion"): (_HOL_M, _hol_seq(_HOL_Z), (
+            RuleMismatch, "Mem0E: conclusion is not the comprehension body")),
+    },
+)
+
+
+@pytest.mark.parametrize("key", sorted(HOL_MEM_CASES), ids=" ".join)
+def test_hol_membership_checks(key):
+    _mem_check(hol_check, HolDerivation, Imp, key, HOL_MEM_CASES[key])
+
+
+_MEM_A = SMemBase(PVar(0), _CELL)  # itself a Mem0I goal, whose body is BOT_SPEC
+
+
+def _mem_in(binder_type, binder_index):
+    """Program variable 0 in a comprehension at ``_CELL``; its body there
+    is ``_MEM_A``."""
+    return SMem(PVar(0), Compr(binder_type, binder_index, SMemBase(PVar(0), EVar(0))), _CELL)
+
+
+_MEM_M = _mem_in(BOT_TYPE, RefBase(BOT_TYPE))
+_MEM_Z = SMemBase(PVar(0), ComprBase(BOT_TYPE, _MEM_A))
+
+
+def _eff_seq(goal):
+    return EffSequent(EffContexts(types=(BOT_TYPE,)), (_MEM_A, _MEM_M, _MEM_Z), goal)
+
+
+EFF_MEM_CASES = _mem_cases(
+    _eff_seq, {"ctxs": EffContexts(types=(BOT_TYPE, BOT_TYPE))}, "contexts differ",
+    {
+        "MemI": (_MEM_M, _MEM_A), "MemE": (_MEM_A, _MEM_M),
+        "Mem0I": (_MEM_Z, _MEM_A), "Mem0E": (_MEM_A, _MEM_Z),
+    },
+    {
+        ("MemI", "shape"): (_MEM_A, _eff_seq(_MEM_A), (
+            RuleMismatch, "MemI: goal is not membership in a comprehension")),
+        ("MemI", "type"): (_mem_in(_T_FN, RefBase(BOT_TYPE)), _eff_seq(_MEM_A), (
+            IllTyped, f"MemI: member has type {BOT_TYPE!r}, expected {_T_FN!r}")),
+        ("MemI", "index"): (_mem_in(BOT_TYPE, RefBase(_T_FN)), _eff_seq(_MEM_A), (
+            IllTyped,
+            f"MemI: argument has index {RefBase(BOT_TYPE)!r}, expected {RefBase(_T_FN)!r}")),
+        ("MemI", "premise"): (_MEM_M, _eff_seq(_MEM_Z), (
+            RuleMismatch, "MemI: premise is not the substituted body")),
+        ("MemE", "premise"): (_MEM_A, _eff_seq(_MEM_A), (
+            RuleMismatch, "MemE: premise is not membership in a comprehension")),
+        ("MemE", "conclusion"): (_MEM_Z, _eff_seq(_MEM_M), (
+            RuleMismatch, "MemE: conclusion is not the substituted body")),
+        ("Mem0I", "shape"): (_MEM_M, _eff_seq(_MEM_A), (
+            RuleMismatch, "Mem0I: goal is not base membership in a comprehension")),
+        ("Mem0I", "type"): (SMemBase(PVar(0), ComprBase(_T_FN, _MEM_A)), _eff_seq(_MEM_A), (
+            IllTyped, f"Mem0I: member has type {BOT_TYPE!r}, expected {_T_FN!r}")),
+        ("Mem0I", "premise"): (_MEM_Z, _eff_seq(_MEM_M), (
+            RuleMismatch, "Mem0I: premise is not the substituted body")),
+        ("Mem0E", "premise"): (_MEM_A, _eff_seq(_MEM_M), (
+            RuleMismatch, "Mem0E: premise is not base membership in a comprehension")),
+        ("Mem0E", "conclusion"): (_MEM_M, _eff_seq(_MEM_Z), (
+            RuleMismatch, "Mem0E: conclusion is not the substituted body")),
+    },
+)
+
+
+@pytest.mark.parametrize("key", sorted(EFF_MEM_CASES), ids=" ".join)
+def test_eff_membership_checks(key):
+    _mem_check(eff_check, EffDerivation, SImp, key, EFF_MEM_CASES[key])
 
 
 # The base-kind checks of the typing judgments.

@@ -24,6 +24,7 @@ from effreal.effhol import (
     EffContexts,
     EffDerivation,
     EffSequent,
+    SImp,
     TOP_SPEC,
     check as eff_check,
 )
@@ -326,3 +327,35 @@ def test_steppers_handle_deep_terms():
         return head
 
     assert _at_limit_1000(lambda: untyped_step(spine(UApp(w, w)))) == spine(w)
+
+
+def _deep_chain(deriv, imp, s, n, leaf):
+    """``n`` rounds of ImpE over ImpI from ``leaf`` upward, all in the
+    sequent ``s`` (``a |- a``): a 2n-deep derivation over constant-size
+    formulas whose deepest node, ``leaf``, sits at path (0,) * 2n."""
+    d = leaf
+    for _ in range(n):
+        fn = deriv("ImpI", replace(s, goal=imp(s.goal, s.goal)), (d,))
+        d = deriv("ImpE", s, (fn, deriv("Id", s)))
+    return d
+
+
+@pytest.mark.parametrize("kernel", ["hol", "effhol"])
+def test_kernels_check_deep_derivations(kernel):
+    """Both kernels check a derivation node by node from an explicit stack:
+    at the default recursion limit, a 2,000-deep ImpE-over-ImpI chain is
+    accepted, and a defect in its deepest Id is rejected with that node's
+    full path."""
+    if kernel == "hol":
+        deriv, imp, s, check = HolDerivation, Imp, Sequent((), (FALSUM,), FALSUM), hol_check
+    else:
+        deriv, imp, check = EffDerivation, SImp, eff_check
+        s = EffSequent(EffContexts(), (TOP_SPEC,), TOP_SPEC)
+    leaf = deriv("Id", s)
+    good = _deep_chain(deriv, imp, s, 1000, leaf)
+    assert _at_limit_1000(lambda: check(good)) == s
+    bad = _deep_chain(deriv, imp, s, 1000, replace(leaf, premises=(leaf,)))
+    with pytest.raises(RuleMismatch) as info:
+        _at_limit_1000(lambda: check(bad))
+    assert info.value.message == "Id expects 0 premise(s), got 1"
+    assert info.value.path == (0,) * 2000
