@@ -3,11 +3,12 @@
 Covers a wrong premise count under every rule, an unknown rule, every
 check of the universal introductions and of the target theory's universal
 eliminations, Mon's entailment checks, every check of MemI, MemE, Mem0I
-and Mem0E in both kernels, and the base-kind checks of the typing
-judgments.
+and Mem0E in both kernels, the base-kind checks of the typing
+judgments, and a frame mutation of every premise of every rule.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +49,8 @@ from effreal.effhol import (
     spec_wf,
     type_of,
 )
-from effreal.errors import IllTyped, KindMismatch, RuleMismatch
+from effreal.effhol import theory
+from effreal.errors import IllTyped, KindMismatch, RuleMismatch, TemplateMissing
 from effreal.hol import (
     Compr as HolCompr,
     ComprBase as HolComprBase,
@@ -63,6 +65,10 @@ from effreal.hol import (
     Var,
     check as hol_check,
 )
+from effreal.hol import checker as hol_checker
+from effreal.instances import continuation_instance, identity_instance, instantiate_derivation
+from effreal.surface.elaborate import parse_document
+from effreal.translation import extract_realizer
 
 HOL_COUNTS = {
     "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
@@ -566,3 +572,61 @@ def test_base_kind_check_through_the_checker():
         lambda: eff_check(d), KindMismatch, "quantifier annotation has kind (* => *), expected *", ()
     )
 
+
+
+# Frame mutations: every node with premises, from the corpus derivations,
+# their replays and the replays' identity and continuation instances, with
+# one premise given an extra context entry or a fresh hypothesis, is
+# rejected by its own rule at the node.
+
+_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+_HOL_FRESH = Forall(Pred(Pred(STAR)), MemBase(HolComprBase(HOL_A)))
+_EFF_FRESH = SForallType(KCon(KCon(KSTAR)), TOP_SPEC)
+
+
+def _sweep_roots():
+    """(kernel, derivation) for every derivation the sweep takes nodes from."""
+    hol = parse_document((_CORPUS / "hol_basic.hol").read_text()).hol_derivations
+    eff = parse_document((_CORPUS / "effhol_basic.eff").read_text()).eff_derivations
+    yield from (("hol", d) for _, d in sorted(hol.items()))
+    yield from (("eff", d) for _, d in sorted(eff.items()))
+    for _, d in sorted(hol.items()):
+        try:
+            replay = extract_realizer(d, derive=True).derivation
+        except TemplateMissing:
+            continue
+        yield "eff", replay
+        for inst in (identity_instance(), continuation_instance()):
+            yield "eff", instantiate_derivation(replay, inst)
+
+
+def _frame_mutants(kernel, p):
+    """Premise ``p`` with an extra context entry, then with a fresh hypothesis."""
+    c = p.conclusion
+    if kernel == "hol":
+        assert _HOL_FRESH not in c.hyps
+        return replace(c, ctx=c.ctx + (STAR,)), replace(c, hyps=c.hyps + (_HOL_FRESH,))
+    assert _EFF_FRESH not in c.hyps
+    wider = replace(c.ctxs, types=c.ctxs.types + (BOT_TYPE,))
+    return replace(c, ctxs=wider), replace(c, hyps=c.hyps + (_EFF_FRESH,))
+
+
+def test_every_premise_frame_mutation_is_rejected_at_its_node():
+    # the node's own check, without the root's well-formedness check
+    checks = {"hol": lambda d: hol_checker._check(d, ()), "eff": lambda d: theory._check(d, (), {})}
+    seen = set()
+    for kernel, root in _sweep_roots():
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            for i, p in enumerate(node.premises):
+                for mutated in _frame_mutants(kernel, p):
+                    prems = node.premises[:i] + (replace(p, conclusion=mutated),) + node.premises[i + 1:]
+                    with pytest.raises(RuleMismatch) as info:
+                        checks[kernel](replace(node, premises=prems))
+                    assert info.value.path == ()
+                    assert info.value.message.startswith(f"{node.rule}:"), info.value.message
+                    seen.add((kernel, node.rule))
+    want = {("hol", r) for r, n in HOL_COUNTS.items() if n} | {("eff", r) for r, n in EFF_COUNTS.items() if n}
+    assert seen == want
