@@ -56,8 +56,8 @@ class EffSequent:
 
 
 # Each rule's premises, one entry each: SAME if the premise shares the
-# conclusion's contexts and hypotheses, OPENED if the rule checks the
-# premise's frame itself (it opens a binder or discharges a hypothesis).
+# conclusion's contexts and hypotheses, OPENED if it is checked in the
+# frame ``premise_frame`` opens for it.
 SAME, OPENED = True, False
 EFF_PREMISES = {
     "Id": (), "Conv": (SAME,), "ImpI": (OPENED,), "ImpE": (SAME, SAME),
@@ -125,20 +125,8 @@ def _hypset(hyps) -> frozenset:
     return frozenset(normalize(h) for h in hyps)
 
 
-def _same_ctxs(a: EffContexts, b: EffContexts) -> bool:
-    return (
-        a.kinds == b.kinds
-        and tuple(map(normalize, a.indices)) == tuple(map(normalize, b.indices))
-        and tuple(map(normalize, a.types)) == tuple(map(normalize, b.types))
-    )
-
-
-def _same_frame(d: EffDerivation, p: EffSequent, path) -> None:
-    c = d.conclusion
-    if not _same_ctxs(p.ctxs, c.ctxs):
-        raise RuleMismatch(f"{d.rule}: premise contexts differ from conclusion", path)
-    if _hypset(p.hyps) != _hypset(c.hyps):
-        raise RuleMismatch(f"{d.rule}: premise hypotheses differ from conclusion", path)
+def _ctxkey(ctxs: EffContexts) -> tuple:
+    return ctxs.kinds, tuple(map(normalize, ctxs.indices)), tuple(map(normalize, ctxs.types))
 
 
 def extend(ctxs: EffContexts, hyps: tuple, ns, entry):
@@ -153,6 +141,35 @@ def extend(ctxs: EffContexts, hyps: tuple, ns, entry):
         ctxs = EffContexts(ctxs.kinds, tuple(map(up, ctxs.indices)), tuple(map(up, ctxs.types)))
     ctxs = replace(ctxs, **{CONTEXT[ns]: getattr(ctxs, CONTEXT[ns]) + (entry,)})
     return ctxs, tuple(map(up, hyps))
+
+
+def premise_frame(d: EffDerivation, i: int, path=None) -> tuple[EffContexts, tuple[EffSpec, ...]]:
+    """The contexts and hypotheses, in order, of premise ``i`` of ``d``: ImpI
+    assumes the antecedent last, a universal introduction opens the
+    universal's binder, Mon's first premise opens the result binder and
+    assumes the modality premise's body last, and every SAME premise keeps
+    the conclusion's own."""
+    c = d.conclusion
+    if EFF_PREMISES[d.rule][i] is SAME:
+        return c.ctxs, c.hyps
+    goal = normalize(c.goal)
+    match d.rule:
+        case "ImpI":
+            if not isinstance(goal, SImp):
+                raise RuleMismatch("ImpI: goal is not an implication", path)
+            return c.ctxs, c.hyps + (goal.lhs,)
+        case "Mon":
+            if not isinstance(goal, After):
+                raise RuleMismatch("Mon: goal is not a modality", path)
+            g2 = normalize(d.premises[1].conclusion.goal)
+            if not isinstance(g2, After):
+                raise RuleMismatch("Mon: second premise is not a modality", path)
+            ctxs, hyps = extend(c.ctxs, c.hyps, PROG, goal.binder_type)
+            return ctxs, hyps + (g2.body,)
+    cls, noun, ns, annotation = _UNI_I[d.rule]
+    if not isinstance(goal, cls):
+        raise RuleMismatch(f"{d.rule}: goal is not {noun}", path)
+    return extend(c.ctxs, c.hyps, ns, getattr(goal, annotation))
 
 
 def check(d: EffDerivation) -> EffSequent:
@@ -179,9 +196,13 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
         raise RuleMismatch(f"unknown rule {d.rule!r}", path)
     if len(d.premises) != len(frames):
         raise RuleMismatch(f"{d.rule} expects {len(frames)} premise(s), got {len(d.premises)}", path)
-    for same, p in zip(frames, d.premises):
-        if same:
-            _same_frame(d, p.conclusion, path)
+    for i, (same, p) in enumerate(zip(frames, d.premises)):
+        want_ctxs, want_hyps = premise_frame(d, i, path)
+        whose = "conclusion" if same else "the opened frame"
+        if _ctxkey(p.conclusion.ctxs) != _ctxkey(want_ctxs):
+            raise RuleMismatch(f"{d.rule}: premise contexts differ from {whose}", path)
+        if _hypset(p.conclusion.hyps) != _hypset(want_hyps):
+            raise RuleMismatch(f"{d.rule}: premise hypotheses differ from {whose}", path)
 
     match d.rule:
         case "Id":
@@ -193,14 +214,7 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch("Conv: premise is not convertible to the goal", path)
 
         case "ImpI":
-            if not isinstance(goal, SImp):
-                raise RuleMismatch("ImpI: goal is not an implication", path)
-            pc = d.premises[0].conclusion
-            if not _same_ctxs(pc.ctxs, ctxs):
-                raise RuleMismatch("ImpI: premise contexts differ", path)
-            if _hypset(pc.hyps) != _hypset(c.hyps) | {normalize(goal.lhs)}:
-                raise RuleMismatch("ImpI: premise hypotheses are not the discharged set", path)
-            if normalize(pc.goal) != normalize(goal.rhs):
+            if normalize(d.premises[0].conclusion.goal) != normalize(goal.rhs):
                 raise RuleMismatch("ImpI: premise goal is not the consequent", path)
 
         case "ImpE":
@@ -214,16 +228,7 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch("ImpE: conclusion does not match consequent", path)
 
         case "UniProgI" | "UniExpI" | "UniTypeI":
-            cls, noun, ns, annotation = _UNI_I[d.rule]
-            if not isinstance(goal, cls):
-                raise RuleMismatch(f"{d.rule}: goal is not {noun}", path)
-            pc = d.premises[0].conclusion
-            want, hyps = extend(ctxs, c.hyps, ns, getattr(goal, annotation))
-            if not _same_ctxs(pc.ctxs, want):
-                raise RuleMismatch(f"{d.rule}: premise context is not the extension", path)
-            if _hypset(pc.hyps) != _hypset(hyps):
-                raise RuleMismatch(f"{d.rule}: premise hypotheses are not the shifted set", path)
-            if normalize(pc.goal) != normalize(goal.body):
+            if normalize(d.premises[0].conclusion.goal) != normalize(goal.body):
                 raise RuleMismatch(f"{d.rule}: premise goal is not the body", path)
 
         case "UniProgE" | "UniExpE" | "UniTypeE":
@@ -265,21 +270,11 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch("ModE: premise is not the nested modality", path)
 
         case "Mon":
-            if not isinstance(goal, After):
-                raise RuleMismatch("Mon: goal is not a modality", path)
             ent, mod = d.premises
             g2 = normalize(mod.conclusion.goal)
-            if not isinstance(g2, After):
-                raise RuleMismatch("Mon: second premise is not a modality", path)
             if g2.prog != goal.prog or g2.binder_type != goal.binder_type:
                 raise RuleMismatch("Mon: modality premise runs a different computation", path)
-            ec = ent.conclusion
-            want, hyps = extend(ctxs, c.hyps, PROG, goal.binder_type)
-            if not _same_ctxs(ec.ctxs, want):
-                raise RuleMismatch("Mon: entailment premise context is not the extension", path)
-            if _hypset(ec.hyps) != _hypset(hyps) | {g2.body}:
-                raise RuleMismatch("Mon: entailment hypotheses are not the shifted set", path)
-            if normalize(ec.goal) != normalize(goal.body):
+            if normalize(ent.conclusion.goal) != normalize(goal.body):
                 raise RuleMismatch("Mon: entailment goal is not the modality body", path)
 
         case "MemI" | "MemE" | "Mem0I" | "Mem0E":

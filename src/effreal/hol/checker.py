@@ -98,8 +98,8 @@ def sequent_wf(seq: Sequent, path=None) -> None:
 
 
 # Each rule's premises, one entry each: SAME if the premise shares the
-# conclusion's context and hypotheses, which the checker compares before the
-# rule's own checks; OPENED if the rule checks the premise's frame itself.
+# conclusion's context and hypotheses, OPENED if it is checked in the frame
+# ``premise_frame`` opens for it.
 SAME, OPENED = True, False
 HOL_PREMISES = {
     "Id": (), "ImpI": (OPENED,), "ImpE": (SAME, SAME), "UniI": (OPENED,), "UniE": (SAME,),
@@ -117,21 +117,27 @@ class HolDerivation:
     witness: HolTerm | None = field(default=None)
 
 
-def _same_frame(d: HolDerivation, p: Sequent, path) -> None:
-    c = d.conclusion
-    if p.ctx != c.ctx:
-        raise RuleMismatch(f"{d.rule}: premise context differs from conclusion", path)
-    if set(p.hyps) != set(c.hyps):
-        raise RuleMismatch(f"{d.rule}: premise hypotheses differ from conclusion", path)
+def premise_frame(rule: str, seq: Sequent, path=None) -> tuple[SortContext, tuple[HolProp, ...]]:
+    """The context and hypotheses, in order, of every premise of ``rule``
+    concluding ``seq``: ImpI assumes the antecedent last, UniI opens the
+    universal's binder and shifts the hypotheses past it, and every other
+    rule keeps ``seq``'s own.  The checker compares the hypotheses as a
+    set; the soundness replay reads their order."""
+    match rule:
+        case "ImpI":
+            if not isinstance(seq.goal, Imp):
+                raise RuleMismatch("ImpI: goal is not an implication", path)
+            return seq.ctx, seq.hyps + (seq.goal.lhs,)
+        case "UniI":
+            if not isinstance(seq.goal, Forall):
+                raise RuleMismatch("UniI: goal is not a universal", path)
+            return seq.ctx + (seq.goal.binder_sort,), tuple(shift(h, TERM) for h in seq.hyps)
+    return seq.ctx, seq.hyps
 
 
 def check(d: HolDerivation) -> Sequent:
-    """Verify ``d`` and return its conclusion sequent.
-
-    Nodes are checked in pre-order from an explicit stack, so depth costs
-    no recursion.  Raises RuleMismatch/IllTyped with the path of the
-    offending node.
-    """
+    """Verify ``d`` node by node, in pre-order from an explicit stack, and
+    return its conclusion; raises with the path of the offending node."""
     sequent_wf(d.conclusion, ())
     stack = [(d, ())]
     while stack:
@@ -149,23 +155,21 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
         raise RuleMismatch(f"unknown rule {d.rule!r}", path)
     if len(d.premises) != len(frames):
         raise RuleMismatch(f"{d.rule} expects {len(frames)} premise(s), got {len(d.premises)}", path)
+    ctx, hyps = premise_frame(d.rule, c, path)
     for same, p in zip(frames, d.premises):
-        if same:
-            _same_frame(d, p.conclusion, path)
+        whose = "conclusion" if same else "the opened frame"
+        if p.conclusion.ctx != ctx:
+            raise RuleMismatch(f"{d.rule}: premise context differs from {whose}", path)
+        if set(p.conclusion.hyps) != set(hyps):
+            raise RuleMismatch(f"{d.rule}: premise hypotheses differ from {whose}", path)
     match d.rule:
         case "Id":
             if not any(h == c.goal for h in c.hyps):
                 raise RuleMismatch("Id: goal is not among the hypotheses", path)
 
         case "ImpI":
-            if not isinstance(c.goal, Imp):
-                raise RuleMismatch("ImpI: goal is not an implication", path)
-            (p,) = d.premises
-            want = Sequent(c.ctx, c.hyps + (c.goal.lhs,), c.goal.rhs)
-            if p.conclusion.ctx != want.ctx or p.conclusion.goal != want.goal:
+            if d.premises[0].conclusion.goal != c.goal.rhs:
                 raise RuleMismatch("ImpI: premise does not match discharged form", path)
-            if set(p.conclusion.hyps) != set(want.hyps):
-                raise RuleMismatch("ImpI: premise hypotheses do not match", path)
 
         case "ImpE":
             fn, arg = d.premises
@@ -178,14 +182,7 @@ def _check(d: HolDerivation, path: tuple[int, ...]) -> None:
                 raise RuleMismatch("ImpE: conclusion does not match consequent", path)
 
         case "UniI":
-            if not isinstance(c.goal, Forall):
-                raise RuleMismatch("UniI: goal is not a universal", path)
-            pc = d.premises[0].conclusion
-            if pc.ctx != c.ctx + (c.goal.binder_sort,):
-                raise RuleMismatch("UniI: premise context is not the extension by the bound sort", path)
-            if set(pc.hyps) != {shift(h, TERM) for h in c.hyps}:
-                raise RuleMismatch("UniI: premise hypotheses are not the shifted hypotheses", path)
-            if pc.goal != c.goal.body:
+            if d.premises[0].conclusion.goal != c.goal.body:
                 raise RuleMismatch("UniI: premise goal is not the universal body", path)
 
         case "UniE":

@@ -26,13 +26,14 @@ translated once; each premise is replayed in the frame its parent's own
 nodes use, so no premise is rebuilt or weakened: at ImpE the argument's
 triple is cut in as a hypothesis of the function premise, which carries it
 under the binder of the function's result.  ``Id`` reads the hypotheses
-the same way, from the root's and each discharged antecedent, not from a
-node's own list, which the source checker compares only as a set.
+the same way: the root's, then at each premise those the source checker's
+``premise_frame`` computes from its parent's, in order, not a node's own
+list, which the source checker compares only as a set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._astnode import shift, subst
 from .errors import IllSorted, LemmaViolation, TemplateMissing
@@ -309,17 +310,6 @@ def _hyp_var(n_hyps: int, i: int) -> int:
     return n_hyps - 1 - i
 
 
-def _premise_scope(d: hc.HolDerivation, scope: tuple) -> tuple:
-    """The hypotheses in scope at ``d``'s premises, from those at ``d``:
-    ImpI discharges its antecedent last, UniI shifts them past its binder."""
-    match d.rule:
-        case "ImpI":
-            return scope + (d.conclusion.goal.lhs,)
-        case "UniI":
-            return tuple(shift(psi, h.TERM) for psi in scope)
-    return scope
-
-
 def _realize(d: hc.HolDerivation, scope: tuple, prems: tuple, memo: _Memo) -> e.EffProgram:
     """The realizer of ``d``'s conclusion, from its premises' realizers;
     ``Id`` takes the variable of the goal's first occurrence in ``scope``."""
@@ -350,7 +340,7 @@ def _realize(d: hc.HolDerivation, scope: tuple, prems: tuple, memo: _Memo) -> e.
 
 
 def _realizer(d: hc.HolDerivation, scope: tuple, memo: _Memo) -> e.EffProgram:
-    sub = _premise_scope(d, scope)
+    sub = hc.premise_frame(d.rule, replace(d.conclusion, hyps=scope))[1]
     return _realize(d, scope, tuple(_realizer(p, sub, memo) for p in d.premises), memo)
 
 
@@ -397,7 +387,7 @@ def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDe
             f"--derive does not replay {d.rule} nodes (substitution reasoning); "
             "the extracted realizer and its typing are still produced"
         )
-    sub = _premise_scope(d, scope)
+    sub = hc.premise_frame(d.rule, replace(c, hyps=scope))[1]
     goal = trspec(sctx, c.goal, memo)
     match d.rule:
         case "Id":

@@ -205,10 +205,10 @@ def test_eff_universal_introduction_rejects(rule, broken):
         msg = f"{rule}: goal is not {noun}"
     elif broken == "contexts":
         prem = EffSequent(bad_ctxs, ok.hyps, ok.goal)
-        msg = f"{rule}: premise context is not the extension"
+        msg = f"{rule}: premise contexts differ from the opened frame"
     elif broken == "hyps":
         prem = EffSequent(ok.ctxs, bad_hyps, ok.goal)
-        msg = f"{rule}: premise hypotheses are not the shifted set"
+        msg = f"{rule}: premise hypotheses differ from the opened frame"
     else:
         prem = EffSequent(ok.ctxs, ok.hyps, bad_goal)
         msg = f"{rule}: premise goal is not the body"
@@ -227,10 +227,10 @@ def test_hol_universal_introduction_rejects(broken):
         msg = "UniI: goal is not a universal"
     elif broken == "contexts":
         ctx = (STAR,)
-        msg = "UniI: premise context is not the extension by the bound sort"
+        msg = "UniI: premise context differs from the opened frame"
     elif broken == "hyps":
         hyps = (HOL_A,)
-        msg = "UniI: premise hypotheses are not the shifted hypotheses"
+        msg = "UniI: premise hypotheses differ from the opened frame"
     else:
         pgoal = MemBase(Var(1))
         msg = "UniI: premise goal is not the universal body"
@@ -341,11 +341,11 @@ MON_CASES = {
     ),
     "contexts": (
         _mon(EffContexts(types=(BOT_TYPE, BOT_TYPE)), _ENT_HYPS, _PHI2),
-        "Mon: entailment premise context is not the extension",
+        "Mon: premise contexts differ from the opened frame",
     ),
     "hyps": (
         _mon(_ENT_CTXS, (_MON_HYP, _MOD, _PHI1), _PHI2),
-        "Mon: entailment hypotheses are not the shifted set",
+        "Mon: premise hypotheses differ from the opened frame",
     ),
     "entailment goal": (
         _mon(_ENT_CTXS, _ENT_HYPS, _PHI1),
