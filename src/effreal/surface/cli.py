@@ -169,6 +169,7 @@ def cmd_instantiate(args) -> int:
         results[f"spec {name}"] = pr.print_spec(got)
     for name, d in doc.eff_derivations.items():
         try:
+            eff_check(d)  # the instance templates read only checked derivations
             d2 = instantiate_derivation(d, inst)
             eff_check(d2)
             results[f"derivation {name}"] = "re-checked"

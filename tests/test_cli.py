@@ -132,6 +132,34 @@ def test_instantiate_file_instance(capsys):
     assert "program poly-id" in out
 
 
+# A modality rule whose goal is no modality: the instance templates would
+# read parts the goal does not have.
+_UNCHECKED = {
+    "bad-mon": (
+        "(mon (sequent (kinds) (indices) (types) (hyps top-spec) top-spec)"
+        " (id (sequent (kinds) (indices) (types) (hyps top-spec) top-spec))"
+        " (id (sequent (kinds) (indices) (types) (hyps top-spec) top-spec)))",
+        "Mon: goal is not a modality",
+    ),
+    "bad-mod-e": (
+        "(mod-e (sequent (kinds) (indices) (types) (hyps top-spec) top-spec)"
+        " (id (sequent (kinds) (indices) (types) (hyps top-spec) top-spec)))",
+        "ModE: goal is not a modality over a bind",
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", ["id", "cont"])
+@pytest.mark.parametrize("name", sorted(_UNCHECKED))
+def test_instantiate_reports_a_derivation_that_does_not_check(tmp_path, capsys, name, instance):
+    text, msg = _UNCHECKED[name]
+    f = tmp_path / "bad.eff"
+    f.write_text(f"(eff-derivation {name} {text})")
+    assert run(capsys, "instantiate", str(f), "--instance", instance) == (
+        1, f"derivation {name}: FAILED: [at root] {msg}\n", ""
+    )
+
+
 def test_ef_check(capsys):
     code, out, _ = run(capsys, "ef-check", str(CORPUS / "ef_samples.ef"))
     assert code == 0
