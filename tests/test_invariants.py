@@ -239,6 +239,59 @@ def test_no_unused_public_names():
     assert [entry for entry in defined if entry.split()[-1] not in used] == []
 
 
+# Every function of ``src/`` that reaches itself through references among
+# its own module's functions, by module.  Each recurses once per level of
+# what it walks, so its depth is bounded by the recursion limit (ROADMAP
+# items 4(b) and 9); ``astnode`` only names itself as a decorator factory.
+# The list may only shrink: a function that stops recursing leaves it.
+RECURSIVE = {
+    "_astnode": {"_shift", "astnode", "shift", "subst"},
+    "effhol.conversion": {"normalize"},
+    "effhol.forgetful": {"forget_derivation", "forget_expr", "forget_index", "forget_spec"},
+    "effhol.typing": {"_star", "index_of", "index_wf", "kind_of", "spec_wf", "type_of"},
+    "frame": {"erase", "is_uvalue"},
+    "generators": {
+        "random_computation", "random_hol_prop", "random_hol_term", "random_kind",
+        "random_sort", "random_spec", "random_type", "random_typed_program",
+    },
+    "hol.checker": {"prop_wf", "sort_of"},
+    "instances": {"_instantiate", "_instantiate_derivation", "_interpret"},
+    "surface.elaborate": {"_elab", "_within", "elab_derivation"},
+    "surface.jsonio": {"_from", "_node"},
+    "surface.printer": {"_count", "_derivation", "_emit"},
+    "translation": {
+        "_derive", "_realizer", "_subterms_of_prop",
+        "tretype", "trind", "trkind", "trspec", "trtrm", "trtype",
+    },
+}
+
+
+def test_recursive_functions_are_allowlisted():
+    """The functions of ``src/`` that reach themselves, directly or through
+    other functions of their module, are exactly those of ``RECURSIVE``; a
+    nested function counts as part of the function that contains it."""
+    src = Path(__file__).resolve().parent.parent / "src" / "effreal"
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        refs = {
+            name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in funcs}
+            for name, fn in funcs.items()
+        }
+        for name in funcs:
+            reached, todo = set(), list(refs[name])
+            while todo:
+                g = todo.pop()
+                if g not in reached:
+                    reached.add(g)
+                    todo.extend(refs[g])
+            if name in reached:
+                module = ".".join(path.relative_to(src).with_suffix("").parts)
+                found.setdefault(module, set()).add(name)
+    assert found == RECURSIVE
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_equal_trees_are_one_object(seed):
