@@ -4,8 +4,10 @@ derivations (the soundness replay and the instance templates).
 Each builder computes the part of the conclusion its rule fixes from the
 premises and witnesses: an introduction or ``Id`` takes the conclusion's
 contexts and hypotheses, an elimination concludes in its first premise's
-frame, ``mon`` and ``bind`` in their modality premise's.  Nothing here is
-trusted: ``theory.check`` re-checks every node.
+frame, ``mon`` and ``bind`` in their modality premise's.  The caller builds
+each premise in the frame ``theory.premise_frame`` computes for it: with
+``extend`` where the rule opens a binder, and its assumption appended last.
+Nothing here is trusted: ``theory.check`` re-checks every node.
 """
 
 from __future__ import annotations

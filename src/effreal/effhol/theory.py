@@ -6,13 +6,13 @@ to conversion (normal forms), which soundly absorbs the conversion rule;
 an explicit Conv node is still accepted.  Well-formedness of the whole
 sequent is enforced once at the root.
 
-``EFF_PREMISES`` gives each rule one entry per premise, saying whether
-that premise shares the conclusion's frame (contexts and hypotheses); each
-node's premise count and shared frames are checked before the rule's own
-checks.  ``check`` walks the nodes from an explicit stack, and ``_check``
-checks one node against its premises' claims.  ``extend`` puts contexts
-and hypotheses under one more binder, for the checker and for every
-derivation builder.
+``EFF_PREMISES`` gives each rule one entry per premise: SAME if it shares
+the conclusion's frame (contexts and hypotheses), OPENED if the rule opens
+one.  ``premise_frame`` computes each premise's frame from the conclusion,
+with ``extend`` where a binder opens; a node's premise count and then every
+premise's frame are checked before the rule's own checks.  ``check`` walks
+the nodes from an explicit stack, and ``_check`` checks one node against
+its premises' claims.
 """
 
 from __future__ import annotations

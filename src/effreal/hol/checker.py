@@ -137,7 +137,7 @@ def premise_frame(rule: str, seq: Sequent, path=None) -> tuple[SortContext, tupl
 
 def check(d: HolDerivation) -> Sequent:
     """Verify ``d`` node by node, in pre-order from an explicit stack, and
-    return its conclusion; raises with the path of the offending node."""
+    return its conclusion; a rejection carries the offending node's path."""
     sequent_wf(d.conclusion, ())
     stack = [(d, ())]
     while stack:
