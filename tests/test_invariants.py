@@ -5,14 +5,18 @@ import ast
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effreal._astnode import _TABLE, NonTerm, _shift, astnode
+from effreal._astnode import _TABLE, NonTerm, Term, _shift, astnode
 from effreal.effhol import (
     Abs,
     App,
@@ -38,6 +42,8 @@ from effreal.effhol import (
 )
 from effreal.effhol.conversion import normalize, normalize_type
 from effreal.effhol.reduction import count_steps, multi_step, step
+from effreal.frame import UVar
+from effreal.hol import Base
 from effreal.effhol import PROG, TYPE, shift, subst
 from effreal.generators import (
     random_closed_program,
@@ -333,6 +339,110 @@ def test_keyword_calls_and_replace_are_interned():
         SImp(BOT_SPEC)
     with pytest.raises(TypeError):
         SImp(BOT_SPEC, TOP_SPEC, lhs=BOT_SPEC)
+    with pytest.raises(TypeError):
+        SImp(BOT_SPEC, TOP_SPEC, TOP_SPEC)
+    with pytest.raises(TypeError):
+        SImp(BOT_SPEC, TOP_SPEC, body=TOP_SPEC)
+
+
+def _node_classes():
+    """Every concrete node class of the package, i.e. every class made by
+    ``astnode`` under ``effreal``."""
+    found, todo = [], [Term, NonTerm]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if "_names" in sub.__dict__ and sub.__module__.startswith("effreal."):
+                found.append(sub)
+    assert {UVar, Base, SImp} <= set(found)  # all three calculi are loaded
+    return found
+
+
+def _written(cls, name: str) -> bool:
+    """Whether ``cls`` itself defines method ``name`` in a source file
+    (a method generated by ``dataclass`` is compiled from a string)."""
+    fn = cls.__dict__.get(name)
+    return fn is not None and fn.__code__.co_filename != "<string>"
+
+
+def _one_node_each():
+    """One node of every concrete node class: each field holds 0 (a
+    variable index) or a node already made of the field's category."""
+    classes = _node_classes()
+    hints = {cls: typing.get_type_hints(cls) for cls in classes}
+    made = {}
+    for _ in classes:
+        for cls in classes:
+            args = [
+                0 if hints[cls][n] is int
+                else next((x for x in made.values() if isinstance(x, hints[cls][n])), None)
+                for n in cls._names
+            ]
+            if cls not in made and None not in args:
+                made[cls] = cls(*args)
+    assert set(made) == set(classes)
+    return list(made.values())
+
+
+@pytest.mark.parametrize("node", _one_node_each(), ids=lambda x: type(x).__name__)
+def test_node_class_contract(node):
+    """What every node class keeps of a frozen dataclass: its fields, the
+    dataclass repr (unless the class writes its own), immutability, and
+    copies, pickles and ``replace`` that return the node itself."""
+    cls = type(node)
+    names = cls._names
+    assert tuple(f.name for f in dataclasses.fields(node)) == names == cls.__match_args__
+    assert dataclasses.is_dataclass(node)
+    if not _written(cls, "__repr__"):
+        fields = ", ".join(f"{n}={getattr(node, n)!r}" for n in names)
+        assert repr(node) == f"{cls.__qualname__}({fields})"
+    for name in names + ("_nf", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(node, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(node, name)
+    assert copy.copy(node) is node and copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    assert dataclasses.replace(node) is node
+    assert cls(**{n: getattr(node, n) for n in names}) is node
+    for n in names:
+        assert dataclasses.replace(node, **{n: getattr(node, n)}) is node
+
+
+def test_replace_fills_defaults():
+    grey = _Grey(3)
+    assert grey.depth == 3 and _Grey().depth == 0
+    assert dataclasses.replace(grey, depth=0) is _Grey() is _Grey(depth=0)
+    assert repr(_Grey()) == "_Grey(depth=0)"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_processes_exit_cleanly_holding_nodes():
+    """A process that still holds a 100,000-node tree when it exits, and a
+    command-line run, exit 0 with nothing on stderr: releasing the intern
+    table while the interpreter tears down reports nothing."""
+    tree = (
+        "from effreal.effhol import SImp, TOP_SPEC, BOT_SPEC\n"
+        "x = BOT_SPEC\n"
+        "for _ in range(100_000):\n"
+        "    x = SImp(x, TOP_SPEC)\n"
+    )
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "hol_basic.hol"
+    cli = f"from effreal.surface.cli import main\nraise SystemExit(main(['check-hol', {str(corpus)!r}]))\n"
+    for code in (tree, cli):
+        r = _run_python(code)
+        assert (r.returncode, r.stderr) == (0, "")
 
 
 @settings(max_examples=100, deadline=None)
