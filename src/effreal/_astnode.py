@@ -8,10 +8,14 @@ are one object.  Equality and hashing are therefore object identity, O(1)
 however deep the trees, and a result kept on a node (its loose-variable
 bound, its normal form) serves every occurrence of it.  This holds for
 every way a node is made: positional and keyword calls, ``map_children``,
-``dataclasses.replace``, copying and unpickling.  The table holds its nodes
-weakly, so memory is bounded by the live nodes; its keys hold a node's
-children, so a node leaves the table only after its parents.  See
-Filliâtre and Conchon, "Type-Safe Modular Hash-Consing" (2006).
+``dataclasses.replace``, copying and unpickling.  The table is a dict of
+weak references: a node's death removes its entry, so memory is bounded by
+the live nodes, and the keys hold a node's children, so a node leaves the
+table only after its parents.  See Filliâtre and Conchon, "Type-Safe
+Modular Hash-Consing" (2006).  Node classes are dataclasses for their
+fields only; no method is generated per class.  ``_Node`` gives them all
+the dataclass ``repr``, immutability (``FrozenInstanceError``) and a
+``__reduce__`` that rebuilds copies and unpickled nodes through the table.
 
 Binding structure is declared once, on the node classes of all three
 calculi.  Every syntax category derives from ``Term`` (it can contain
@@ -36,11 +40,25 @@ from __future__ import annotations
 import dataclasses
 import typing
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
-# Every live node, keyed by (class, *field values).
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's key in the table
+
+
+# Every live node: (class, *field values) -> a _Ref to it.
+_TABLE: dict[tuple, _Ref] = {}
+# Bound tuples are shared: nodes with equal bounds hold the same tuple.
+_BOUNDS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _drop(ref: _Ref, table=_TABLE) -> None:
+    # ``ref``'s node died; a node rebuilt since holds the key with a newer
+    # reference.  ``table`` is bound here to work while the module is torn down.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class _Interned(type):
@@ -49,35 +67,65 @@ class _Interned(type):
     there is none."""
 
     def __call__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._names):
-            # the dataclass __init__ checks the arguments and fills defaults
-            blank = object.__new__(cls)
-            cls.__init__(blank, *args, **kwargs)
-            args = tuple(blank.__dict__[n] for n in cls._names)
+        names = cls._names
+        if kwargs or len(args) != len(names):
+            # bind as a dataclass __init__ would: positional, keyword, default
+            given = {**dict(zip(names, args)), **kwargs}
+            surplus = len(given) != len(args) + len(kwargs)
+            args = tuple(given.pop(n, cls.__dataclass_fields__[n].default) for n in names)
+            if surplus or given or dataclasses.MISSING in args:
+                raise TypeError(f"{cls.__name__}() got surplus, unknown or missing arguments")
         key = (cls, *args)
-        node = _TABLE.get(key)
+        ref = _TABLE.get(key)
+        node = ref and ref()
         if node is None:
             node = object.__new__(cls)
-            node.__dict__.update(zip(cls._names, args))
-            if cls._binding is not None:
-                _set_bound(node)
-            _TABLE[key] = node
+            values = node.__dict__
+            values.update(zip(names, args))
+            binding = cls._binding
+            if binding is not None:
+                bound = None if binding.var is None else _var_bound(binding.var, args[0])
+                for name, under in binding.terms:
+                    b = values[name]._loose
+                    if under:
+                        b = _BOUNDS.setdefault(c := tuple(x - u if x > u else 0 for x, u in zip(b, under)), c)
+                    if bound is not None and b is not bound:
+                        b = _BOUNDS.setdefault(c := tuple(map(max, bound, b)), c)
+                    bound = b
+                values["_loose"] = bound
+            ref = _TABLE[key] = _Ref(node, _drop)
+            ref.key = key
         return node
 
 
-class Term(metaclass=_Interned):
+class _Node(metaclass=_Interned):
+    """The methods every node class shares instead of generated ones."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._names)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled nodes are rebuilt through the table
+        return type(self), tuple(getattr(self, n) for n in self._names)
+
+
+class Term(_Node):
     """Base of the syntax categories whose nodes can contain variables."""
 
-    __slots__ = ()
     # The node's normal form under conversion once computed (see
     # ``effhol.conversion``); never the node itself, so no node refers to itself.
     _nf = None
 
 
-class NonTerm(metaclass=_Interned):
+class NonTerm(_Node):
     """Base of the syntax categories without variables (kinds, sorts)."""
 
-    __slots__ = ()
     _binding = None
 
 
@@ -88,28 +136,16 @@ class Namespace:
 
     __slots__ = ("name", "slot", "family")
 
-    def __init__(self, name: str, slot: int):
-        self.name = name
-        self.slot = slot
-
     def __repr__(self) -> str:
         return self.name
 
 
 def namespaces(*names: str) -> tuple[Namespace, ...]:
     """The namespaces of one calculus."""
-    family = tuple(Namespace(n, i) for i, n in enumerate(names))
-    for ns in family:
-        ns.family = family
+    family = tuple(Namespace() for _ in names)
+    for slot, ns in enumerate(family):
+        ns.name, ns.slot, ns.family = names[slot], slot, family
     return family
-
-
-# Bound tuples are shared: nodes with equal bounds hold the same tuple.
-_BOUNDS: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def _intern(bound: tuple[int, ...]) -> tuple[int, ...]:
-    return _BOUNDS.setdefault(bound, bound)
 
 
 class _Binding:
@@ -135,20 +171,13 @@ def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None
         raise TypeError(f"{cls.__name__}: a node class derives from Term or NonTerm")
     if not issubclass(cls, Term) and (var is not None or binds):
         raise TypeError(f"{cls.__name__}: only Term classes declare binders")
-    cls = dataclass(frozen=True, eq=False)(cls)
+    # a docstring of its own spares dataclass an inspect.signature call
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
     cls._names = tuple(f.name for f in dataclasses.fields(cls))
-    cls.__reduce__ = _reduce
-    if issubclass(cls, Term):
-        cls._binding = _layout(cls, var, binds or {})
-    return cls
-
-
-def _reduce(node):
-    # copies and unpickled nodes are rebuilt through the table
-    return type(node), tuple(getattr(node, n) for n in node._names)
-
-
-def _layout(cls, var, binds) -> _Binding:
+    if issubclass(cls, NonTerm):
+        return cls
+    binds = binds or {}
     try:
         hints = typing.get_type_hints(cls)
     except NameError as exc:
@@ -156,51 +185,27 @@ def _layout(cls, var, binds) -> _Binding:
     fields = []
     for f in dataclasses.fields(cls):
         ann = hints[f.name]
-        if var is not None:
-            if f.name != "index" or ann is not int or len(hints) != 1:
-                raise TypeError(f"{cls.__name__}: a variable class has one field, index: int")
-            fields.append((f.name, None))
-        elif isinstance(ann, type) and issubclass(ann, NonTerm):
+        if var is not None and (f.name != "index" or ann is not int or len(hints) != 1):
+            raise TypeError(f"{cls.__name__}: a variable class has one field, index: int")
+        if var is not None or isinstance(ann, type) and issubclass(ann, NonTerm):
             fields.append((f.name, None))
         elif isinstance(ann, type) and issubclass(ann, Term):
-            under = ()
-            if f.name in binds:
-                family = binds[f.name][0].family
-                under = tuple(sum(b is ns for b in binds[f.name]) for ns in family)
-            fields.append((f.name, under))
+            family = binds[f.name][0].family if f.name in binds else ()
+            fields.append((f.name, tuple(sum(b is ns for b in binds[f.name]) for ns in family)))
         else:
-            raise TypeError(
-                f"{cls.__name__}.{f.name}: field is neither a term nor a non-term "
-                f"category ({ann!r})"
-            )
+            raise TypeError(f"{cls.__name__}.{f.name}: field is neither a term nor a "
+                            f"non-term category ({ann!r})")
     if set(binds) - {n for n, u in fields if u}:
         raise TypeError(f"{cls.__name__}: binders declared on unknown or non-term fields")
-    binding = _Binding(var, tuple(fields))
-    if var is None and not binding.terms:
+    cls._binding = _Binding(var, tuple(fields))
+    if var is None and not cls._binding.terms:
         raise TypeError(f"{cls.__name__}: a term class is a variable or has a term field")
-    return binding
-
-
-def _set_bound(node) -> None:
-    binding = node._binding
-    if binding.var is not None:
-        bound = _var_bound(binding.var, node.index)
-    else:
-        bound = None
-        for name, under in binding.terms:
-            b = getattr(node, name)._loose
-            if under:
-                b = _intern(tuple(x - u if x > u else 0 for x, u in zip(b, under)))
-            if bound is None:
-                bound = b
-            elif b is not bound:
-                bound = _intern(tuple(map(max, bound, b)))
-    node.__dict__["_loose"] = bound
+    return cls
 
 
 @lru_cache(maxsize=None)
 def _var_bound(ns: Namespace, index: int) -> tuple[int, ...]:
-    return _intern(tuple(index + 1 if o is ns else 0 for o in ns.family))
+    return _BOUNDS.setdefault(b := tuple(index + 1 if o is ns else 0 for o in ns.family), b)
 
 
 def map_children(x: Term, fn) -> Term:

@@ -97,6 +97,7 @@ def kind_of(kctx: KindCtx, t: EffType, path=None, memo=None) -> Kind:
     key = (t, kctx[max(0, len(kctx) - t._loose[TYPE.slot]):])
     k = memo.get(key)
     if k is None:
+        k = KSTAR
         match t:
             case TApp(fn, arg):
                 kf = kind_of(kctx, fn, path, memo)
@@ -107,24 +108,28 @@ def kind_of(kctx: KindCtx, t: EffType, path=None, memo=None) -> Kind:
                     raise KindMismatch(
                         f"constructor expects argument kind {kf.inner!r}, got {ka!r}", path
                     )
-                k = KSTAR
             case TAbs(kind, body):
                 _star(kctx + (kind,), body, "abstraction body", path, memo)
                 k = KCon(kind)
             case Fun(dom, cod):
                 _star(kctx, dom, "function component", path, memo)
                 _star(kctx, cod, "function component", path, memo)
-                k = KSTAR
             case TForall(kind, body):
                 _star(kctx + (kind,), body, "universal body", path, memo)
-                k = KSTAR
             case Comp(inner):
                 _star(kctx, inner, "computation argument", path, memo)
-                k = KSTAR
             case _:
                 raise TypeError(f"unexpected type {t!r}")
         memo[key] = k
     return k
+
+
+def _type_apply(kctx: KindCtx, q: TForall | IForall, arg: EffType, path, memo):
+    """The universal type or index ``q`` applied to ``arg``, of its binder kind."""
+    ka = kind_of(kctx, arg, path, memo)
+    if ka != q.binder_kind:
+        raise KindMismatch(f"type argument has kind {ka!r}, expected {q.binder_kind!r}", path)
+    return normalize(subst(q.body, TYPE, 0, arg))
 
 
 def index_wf(kctx: KindCtx, s: EffIndex, path=None, memo=None) -> None:
@@ -163,12 +168,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None, memo=None) -
                 tf = type_of(kctx, tctx, fn, path, memo)
                 if not isinstance(tf, TForall):
                     raise TypeMismatch(f"type application of non-universal type {tf!r}", path)
-                ka = kind_of(kctx, arg, path, memo)
-                if ka != tf.binder_kind:
-                    raise KindMismatch(
-                        f"type argument has kind {ka!r}, expected {tf.binder_kind!r}", path
-                    )
-                ty = normalize(subst(tf.body, TYPE, 0, arg))
+                ty = _type_apply(kctx, tf, arg, path, memo)
             case App(fn, arg):
                 tf = type_of(kctx, tctx, fn, path, memo)
                 if not isinstance(tf, Fun):
@@ -217,12 +217,7 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, path=None
             sf = index_of(kctx, ictx, tctx, fn, path, memo)
             if not isinstance(sf, IForall):
                 raise IndexMismatch(f"type application of non-universal index {sf!r}", path)
-            ka = kind_of(kctx, arg, path, memo)
-            if ka != sf.binder_kind:
-                raise KindMismatch(
-                    f"type argument has kind {ka!r}, expected {sf.binder_kind!r}", path
-                )
-            return normalize(subst(sf.body, TYPE, 0, arg))
+            return _type_apply(kctx, sf, arg, path, memo)
     raise TypeError(f"unexpected expression {e!r}")
 
 

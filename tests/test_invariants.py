@@ -474,6 +474,33 @@ def test_intern_table_releases_dropped_trees():
         assert len(_TABLE) == before
 
 
+def test_intern_table_keeps_a_rebuilt_node():
+    """A removal that comes late, after the dead node's key was built again,
+    leaves the new entry: the callback removes only its own reference."""
+    lhs = SMemBase(PVar(876_543), ComprBase(BOT_TYPE, BOT_SPEC))
+    key = (SImp, lhs, TOP_SPEC)
+    x = SImp(lhs, TOP_SPEC)
+    old = _TABLE[key]
+    drop = old.__callback__
+    del x
+    assert key not in _TABLE and old() is None
+    y = SImp(lhs, TOP_SPEC)
+    new = _TABLE[key]
+    drop(old)
+    assert _TABLE[key] is new and new() is y is SImp(lhs, TOP_SPEC)
+    del y
+    assert key not in _TABLE
+
+
+def test_node_classes_carry_no_generated_methods():
+    """``dataclass`` records the fields of a node class and generates none
+    of its methods; a node class may write its own ``__repr__`` only."""
+    for cls in _node_classes():
+        assert "__init__" not in cls.__dict__ and "__eq__" not in cls.__dict__
+        for name in ("__repr__", "__setattr__", "__delattr__"):
+            assert name not in cls.__dict__ or _written(cls, name) and name == "__repr__", (cls, name)
+
+
 # hol/checker.py, effhol/{theory,typing,conversion}.py and _astnode.py
 # (which holds shift and substitution) may shrink but not grow.
 TRUSTED_BASE = (
