@@ -218,6 +218,15 @@ def _instantiate_derivation(d, inst, memo):
     )
 
 
+# Each modality rule's premise count, and the program its goal is a
+# modality over, as a class and in words.
+_MODALITY = {
+    "ModI": (1, e.Ret, " over a return"),
+    "ModE": (1, e.Bind, " over a bind"),
+    "Mon": (2, e.EffProgram, ""),
+}
+
+
 def _parts(node, here):
     """The instantiated parts of a ModI, ModE or Mon node; ``here(x,
     *binders)`` instantiates ``x`` in the node's contexts.
@@ -225,18 +234,24 @@ def _parts(node, here):
     ModI, goal ``after (ret p) (x:t) body``: ``(t, p, body)``.
     ModE, goal ``after (bind x1:t1 <- p1; p2) (x:t2) body``: ``(t1, t2, p1, p2, body)``.
     Mon, goal ``after p (x:t) phi2`` from ``after p (x:t) phi1``: ``(t, p, phi1, phi2)``.
+
+    The templates expect a node that checks, but nothing here checks it:
+    a node without these shapes raises ``RecheckFailed`` naming its rule.
     """
+    arity, over, words = _MODALITY[node.rule]
+    if len(node.premises) != arity:
+        raise RecheckFailed(f"{node.rule}: expected {arity} premises, got {len(node.premises)}")
     goal = normalize(node.conclusion.goal)
-    assert isinstance(goal, e.After)
+    if not (isinstance(goal, e.After) and isinstance(goal.prog, over)):
+        raise RecheckFailed(f"{node.rule}: goal is not a modality{words}")
     t2, body, p = here(goal.binder_type), here(goal.body, goal.binder_type), goal.prog
     if node.rule == "ModI":
-        assert isinstance(p, e.Ret)
         return t2, here(p.inner), body
     if node.rule == "ModE":
-        assert isinstance(p, e.Bind)
         return here(p.binder_type), t2, here(p.first), here(p.rest, p.binder_type), body
     mod = normalize(node.premises[1].conclusion.goal)
-    assert isinstance(mod, e.After)
+    if not isinstance(mod, e.After):
+        raise RecheckFailed("Mon: premise 2's goal is not a modality")
     return t2, here(p), here(mod.body, mod.binder_type), body
 
 

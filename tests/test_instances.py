@@ -20,6 +20,9 @@ from effreal.effhol import (
     BOT_TYPE,
     Comp,
     ComprBase,
+    EffContexts,
+    EffDerivation,
+    EffSequent,
     Fun,
     KSTAR,
     PVar,
@@ -38,7 +41,7 @@ from effreal.effhol import (
 from effreal.effhol.conversion import normalize_type
 from effreal.effhol.reduction import Strategy, multi_step
 from effreal.effhol import PROG, shift, subst
-from effreal.errors import TemplateMissing
+from effreal.errors import RecheckFailed, TemplateMissing
 from effreal.generators import (
     random_closed_program,
     random_kind,
@@ -120,6 +123,44 @@ def test_file_instance_has_no_modality_templates():
     d2 = instantiate_derivation(d, inst)
     check(d2)
     assert d2 == instantiate_derivation(d, CONT)
+
+
+_TOP = EffSequent(EffContexts(), (TOP_SPEC,), TOP_SPEC)
+_ID = EffDerivation("Id", _TOP)
+# Modality nodes that do not check: a goal that is no modality, a ModI or
+# ModE goal over the wrong program, a Mon entailment without its modality
+# premise, and a Mon whose modality premise has a goal that is no modality.
+_RET_AFTER = After(Ret(IDENT), T_ID, TOP_SPEC)
+_UNCHECKED = {
+    "mon-top-spec": (EffDerivation("Mon", _TOP, (_ID, _ID)), "Mon: goal is not a modality"),
+    "mod-e-top-spec": (EffDerivation("ModE", _TOP, (_ID,)), "ModE: goal is not a modality over a bind"),
+    "mod-i-top-spec": (EffDerivation("ModI", _TOP, (_ID,)), "ModI: goal is not a modality over a return"),
+    "mod-e-over-ret": (
+        EffDerivation("ModE", replace(_TOP, goal=_RET_AFTER), (_ID,)),
+        "ModE: goal is not a modality over a bind",
+    ),
+    "mon-one-premise": (
+        EffDerivation("Mon", replace(_TOP, goal=_RET_AFTER), (_ID,)),
+        "Mon: expected 2 premises, got 1",
+    ),
+    "mon-premise-top-spec": (
+        EffDerivation("Mon", replace(_TOP, goal=_RET_AFTER), (_ID, _ID)),
+        "Mon: premise 2's goal is not a modality",
+    ),
+}
+
+
+@pytest.mark.parametrize("inst", [ID_INST, CONT], ids=["id", "cont"])
+@pytest.mark.parametrize("name", sorted(_UNCHECKED))
+def test_instantiating_a_node_that_does_not_check_names_its_rule(inst, name):
+    """The templates read a modality node's goals; a node without the
+    rule's shapes fails as a kernel error naming the rule."""
+    d, msg = _UNCHECKED[name]
+    with pytest.raises(RecheckFailed) as info:
+        instantiate_derivation(d, inst)
+    assert str(info.value) == msg
+    with pytest.raises(RecheckFailed):
+        instantiate_derivation(EffDerivation("ImpE", _TOP, (_ID, d)), inst)
 
 
 def test_continuation_ret_bind_shapes():
