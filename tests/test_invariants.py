@@ -335,6 +335,7 @@ def test_keyword_calls_and_replace_are_interned():
     assert dataclasses.replace(node) is node
     assert dataclasses.replace(node, body=BOT_SPEC) is SForallProg(BOT_TYPE, BOT_SPEC)
     assert _Grey() is _Grey(0) is _Grey(depth=0) is dataclasses.replace(_Grey(3), depth=0)
+    assert _Grey().depth == 0 and repr(_Grey()) == "_Grey(depth=0)"
     with pytest.raises(TypeError):
         SImp(BOT_SPEC)
     with pytest.raises(TypeError):
@@ -407,13 +408,6 @@ def test_node_class_contract(node):
     assert cls(**{n: getattr(node, n) for n in names}) is node
     for n in names:
         assert dataclasses.replace(node, **{n: getattr(node, n)}) is node
-
-
-def test_replace_fills_defaults():
-    grey = _Grey(3)
-    assert grey.depth == 3 and _Grey().depth == 0
-    assert dataclasses.replace(grey, depth=0) is _Grey() is _Grey(depth=0)
-    assert repr(_Grey()) == "_Grey(depth=0)"
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
