@@ -2,6 +2,7 @@
 
 import json
 import random
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +47,7 @@ from effreal.surface.elaborate import (
     SurfaceDoc,
 )
 from effreal.surface import jsonio
-from effreal.surface.sexp import parse_all
+from effreal.surface.sexp import Atom, parse_all
 from effreal.translation import extract_realizer
 from tests.test_translation import k_combinator_derivation
 
@@ -78,6 +79,103 @@ def test_syntax_error_carries_position():
     with pytest.raises(SurfaceSyntaxError) as info:
         parse_all("(member0 (oops)")
     assert info.value.line == 1 and info.value.col == 1
+
+
+def _reference_parse(text: str) -> list:
+    """The reader as a character loop: every form as a nested tuple
+    ``("atom", text, line, col)`` or ``("list", items, line, col)``; a
+    syntax error as ``("error", message)``."""
+
+    def tokens():
+        line, col, i, n = 1, 1, 0, len(text)
+        while i < n:
+            c = text[i]
+            if c == "\n":
+                line, col, i = line + 1, 1, i + 1
+            elif c in " \t\r":
+                col, i = col + 1, i + 1
+            elif c == ";":
+                while i < n and text[i] != "\n":
+                    i += 1
+            elif c in "()":
+                yield c, line, col
+                col, i = col + 1, i + 1
+            else:
+                start, start_col = i, col
+                while i < n and text[i] not in " \t\r\n();":
+                    i, col = i + 1, col + 1
+                yield text[start:i], line, start_col
+
+    stack, out = [], []
+    for tok, line, col in tokens():
+        if tok == "(":
+            stack.append(([], line, col))
+        elif tok == ")":
+            if not stack:
+                return ("error", f"{line}:{col}: unbalanced ')'")
+            items, l, c = stack.pop()
+            (stack[-1][0] if stack else out).append(("list", tuple(items), l, c))
+        else:
+            (stack[-1][0] if stack else out).append(("atom", tok, line, col))
+    if stack:
+        return ("error", f"{stack[-1][1]}:{stack[-1][2]}: unclosed '('")
+    return out
+
+
+def _as_tuples(node):
+    if isinstance(node, Atom):
+        return ("atom", node.text, node.line, node.col)
+    return ("list", tuple(_as_tuples(i) for i in node.items), node.line, node.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(["(", ")", ";", "a", "é", "\t", "\r", "\n", "\f", " "])))
+def test_reader_matches_the_character_loop(text):
+    """``parse_all`` reads every text as the character-loop reader does:
+    the same forms, the same line and column on each, and the same
+    unbalanced or unclosed error at the same position."""
+    try:
+        got = [_as_tuples(f) for f in parse_all(text)]
+    except SurfaceSyntaxError as exc:
+        got = ("error", str(exc))
+    assert got == _reference_parse(text)
+
+
+class _Mode(str, Enum):
+    PLAIN = "plain"
+    ODD = "é\n\x00\"\\"
+
+
+class _Count(IntEnum):
+    ONE = 1
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from([_Mode.PLAIN, _Mode.ODD, _Count.ONE])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        max_leaves=30,
+    )
+)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    """``jsonio.dumps`` writes what ``json.dumps`` writes with a two-space
+    indent and sorted keys, for nested lists, tuples and dicts (empty
+    ones too), strings with non-ASCII and control characters, booleans,
+    ``None``, integers, floats (infinities and NaN too) and enum members."""
+    assert jsonio.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @settings(max_examples=150, deadline=None)
