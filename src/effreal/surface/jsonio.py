@@ -14,7 +14,7 @@ tags, and re-elaborates every embedded term.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from ..errors import SurfaceSyntaxError
 from . import elaborate as el
@@ -31,14 +31,23 @@ def _to_json(calc, d) -> dict:
 
 
 def _node(calc, d, table: dict) -> dict:
-    out: list[str] = []
-    depth = pr._sequent(calc, d.conclusion, out, table)
-    return {
-        "rule": d.rule,
-        "conclusion": "".join(out),
-        "witnesses": pr.witness_texts(calc, d, depth, table),
-        "premises": [_node(calc, p, table) for p in d.premises],
-    }
+    """The JSON tree of ``d``, its nodes made in pre-order from an
+    explicit stack."""
+    root: list[dict] = []
+    todo = [(d, root)]
+    while todo:
+        d, siblings = todo.pop()
+        out: list[str] = []
+        depth = pr._sequent(calc, d.conclusion, out, table)
+        premises: list[dict] = []
+        siblings.append({
+            "rule": d.rule,
+            "conclusion": "".join(out),
+            "witnesses": pr.witness_texts(calc, d, depth, table),
+            "premises": premises,
+        })
+        todo.extend((p, premises) for p in reversed(d.premises))
+    return root[0]
 
 
 def hol_to_json(d) -> dict:
@@ -73,7 +82,30 @@ def _from_json(calc, data: dict, doc):
     return _from(calc, data.get("derivation"), doc or el.SurfaceDoc())
 
 
-def _from(calc, node: dict, doc):
+def _from(calc, root, doc):
+    """The derivation of the JSON tree ``root``.  Its nodes are elaborated
+    in pre-order from an explicit stack, so the first bad node in document
+    order is the one reported, and then built from the leaves up."""
+    nodes = []
+    todo = [root]
+    while todo:
+        rule, seq, found, premises = _elab_node(calc, todo.pop(), doc)
+        nodes.append((rule, seq, found, len(premises)))
+        todo.extend(reversed(premises))
+    # in reverse pre-order each node's premises are built just before it,
+    # the first premise last
+    built: list = []
+    for rule, seq, found, n in reversed(nodes):
+        cut = len(built) - n
+        premises = tuple(reversed(built[cut:]))
+        del built[cut:]
+        built.append(calc.derivation(rule, seq, premises, **found))
+    return built[0]
+
+
+def _elab_node(calc, node, doc):
+    """The rule, conclusion and witnesses of one JSON node, elaborated,
+    and its premises as JSON."""
     node = _object(node, "derivation node")
     rule = node.get("rule")
     if not isinstance(rule, str) or rule not in calc.rules:
@@ -104,8 +136,7 @@ def _from(calc, node: dict, doc):
     premises = node.get("premises", [])
     if not isinstance(premises, list):
         raise SurfaceSyntaxError(f"{rule} premises: not a JSON list", 1, 1)
-    premises = tuple(_from(calc, p, doc) for p in premises)
-    return calc.derivation(rule, seq, premises, **found)
+    return rule, seq, found, premises
 
 
 def hol_from_json(data: dict, doc: el.SurfaceDoc | None = None):
@@ -116,5 +147,66 @@ def eff_from_json(data: dict, doc: el.SurfaceDoc | None = None):
     return _from_json(EFF, data, doc)
 
 
-def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+# ``float.__repr__`` of the values JSON has no literal for, as ``json`` writes them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_END = object()
+
+
+def dumps(data) -> str:
+    """The text of ``json.dumps(data, indent=2, sort_keys=True)``, byte for
+    byte, written from an explicit stack: nesting depth is bounded by
+    memory, not by the recursion limit.  ``data`` is a tree; a container
+    that holds itself is never finished."""
+    out: list[str] = []
+    emit = out.append
+    margins = ["\n"]  # margins[k]: a line break and k levels of indentation
+    frames: list = []  # open containers: (rest of their items, keyed, separator, closing text)
+    value = data
+    while True:
+        item = _END
+        if isinstance(value, str):
+            emit(encode_basestring_ascii(value))
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif isinstance(value, int):
+            emit(int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            emit(_NONFINITE.get(text, text))
+        else:
+            if isinstance(value, (list, tuple)):
+                keyed, brackets, items = False, "[]", value
+            elif isinstance(value, dict):
+                keyed, brackets, items = True, "{}", sorted(value.items())
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if items:
+                depth = len(frames) + 1
+                if depth == len(margins):
+                    margins.append(margins[-1] + "  ")
+                rest = iter(items)
+                item = next(rest)
+                emit(brackets[0] + margins[depth])
+                frames.append((rest, keyed, "," + margins[depth], margins[depth - 1] + brackets[1]))
+            else:
+                emit(brackets)
+        if item is _END:
+            while frames:
+                rest, _, separator, closing = frames[-1]
+                item = next(rest, _END)
+                if item is not _END:
+                    emit(separator)
+                    break
+                frames.pop()
+                emit(closing)
+            else:
+                return "".join(out)
+        if frames[-1][1]:
+            key, value = item
+            emit(encode_basestring_ascii(key) + ": ")
+        else:
+            value = item

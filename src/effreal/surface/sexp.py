@@ -6,26 +6,30 @@ them.  Comments run from ';' to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..errors import SurfaceSyntaxError
 
 
-@dataclass(frozen=True)
 class Atom:
-    text: str
-    line: int = 0
-    col: int = 0
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int = 0, col: int = 0):
+        self.text = text
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
 class SList:
-    items: tuple
-    line: int = 0
-    col: int = 0
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items: tuple, line: int = 0, col: int = 0):
+        self.items = items
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:
         return "(" + " ".join(repr(i) for i in self.items) + ")"
@@ -37,62 +41,37 @@ class SList:
         return self.items[i]
 
 
-def tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
+# Every character of a text falls in exactly one token: a run of blanks,
+# a comment up to its line break, a parenthesis, or an atom, which runs up
+# to the next blank, parenthesis or ';'.
+_TOKENS = re.compile(r"[ \t\r\n]+|;[^\n]*|[()]|[^ \t\r\n();]+").findall
 
 
 def parse_all(text: str) -> list:
     """Parse every top-level form in ``text``."""
-    stack: list[list] = []
-    positions: list[tuple[int, int]] = []
     out: list = []
-    for tok, line, col in tokenize(text):
+    items = out
+    open_: list[tuple[list, int, int]] = []  # enclosing item lists, and where their '(' is
+    line, line_start, pos = 1, 0, 0
+    for tok in _TOKENS(text):
         if tok == "(":
-            stack.append([])
-            positions.append((line, col))
+            open_.append((items, line, pos - line_start + 1))
+            items = []
         elif tok == ")":
-            if not stack:
-                raise SurfaceSyntaxError("unbalanced ')'", line, col)
-            items = stack.pop()
-            l, c = positions.pop()
-            node = SList(tuple(items), l, c)
-            if stack:
-                stack[-1].append(node)
-            else:
-                out.append(node)
-        else:
-            node = Atom(tok, line, col)
-            if stack:
-                stack[-1].append(node)
-            else:
-                out.append(node)
-    if stack:
-        l, c = positions[-1]
+            if not open_:
+                raise SurfaceSyntaxError("unbalanced ')'", line, pos - line_start + 1)
+            outer, l, c = open_.pop()
+            outer.append(SList(tuple(items), l, c))
+            items = outer
+        elif tok[0] in " \t\r\n":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = pos + tok.rindex("\n") + 1
+        elif tok[0] != ";":
+            items.append(Atom(tok, line, pos - line_start + 1))
+        pos += len(tok)
+    if open_:
+        _, l, c = open_[-1]
         raise SurfaceSyntaxError("unclosed '('", l, c)
     return out
 

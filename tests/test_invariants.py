@@ -263,7 +263,6 @@ RECURSIVE = {
     "hol.checker": {"prop_wf", "sort_of"},
     "instances": {"_instantiate", "_instantiate_derivation", "_interpret"},
     "surface.elaborate": {"_elab", "_within", "elab_derivation"},
-    "surface.jsonio": {"_from", "_node"},
     "surface.printer": {"_count", "_derivation", "_emit"},
     "translation": {
         "_derive", "_realizer", "_subterms_of_prop",
@@ -493,6 +492,15 @@ def test_node_classes_carry_no_generated_methods():
         assert "__init__" not in cls.__dict__ and "__eq__" not in cls.__dict__
         for name in ("__repr__", "__setattr__", "__delattr__"):
             assert name not in cls.__dict__ or _written(cls, name) and name == "__repr__", (cls, name)
+
+
+
+def test_reader_nodes_have_no_instance_dict():
+    """The reader's atoms and lists keep their fields in slots: an input
+    document's forms cost no per-node ``__dict__``."""
+    (form,) = parse_all("(a (b))")
+    for node in (form, form[0], form[1]):
+        assert not hasattr(node, "__dict__"), type(node)
 
 
 # hol/checker.py, effhol/{theory,typing,conversion}.py and _astnode.py

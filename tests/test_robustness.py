@@ -340,17 +340,21 @@ def _deep_chain(deriv, imp, s, n, leaf):
     return d
 
 
+def _calculus(kernel):
+    """The derivation class, implication, ``a |- a`` sequent and checker
+    of ``kernel``."""
+    if kernel == "hol":
+        return HolDerivation, Imp, Sequent((), (FALSUM,), FALSUM), hol_check
+    return EffDerivation, SImp, EffSequent(EffContexts(), (TOP_SPEC,), TOP_SPEC), eff_check
+
+
 @pytest.mark.parametrize("kernel", ["hol", "effhol"])
 def test_kernels_check_deep_derivations(kernel):
     """Both kernels check a derivation node by node from an explicit stack:
     at the default recursion limit, a 2,000-deep ImpE-over-ImpI chain is
     accepted, and a defect in its deepest Id is rejected with that node's
     full path."""
-    if kernel == "hol":
-        deriv, imp, s, check = HolDerivation, Imp, Sequent((), (FALSUM,), FALSUM), hol_check
-    else:
-        deriv, imp, check = EffDerivation, SImp, eff_check
-        s = EffSequent(EffContexts(), (TOP_SPEC,), TOP_SPEC)
+    deriv, imp, s, check = _calculus(kernel)
     leaf = deriv("Id", s)
     good = _deep_chain(deriv, imp, s, 1000, leaf)
     assert _at_limit_1000(lambda: check(good)) == s
@@ -359,3 +363,22 @@ def test_kernels_check_deep_derivations(kernel):
         _at_limit_1000(lambda: check(bad))
     assert info.value.message == "Id expects 0 premise(s), got 1"
     assert info.value.path == (0,) * 2000
+
+
+@pytest.mark.parametrize("kernel", ["hol", "effhol"])
+def test_json_handles_deep_derivations(kernel):
+    """Writing a derivation document, its text, and reading the document
+    back walk the derivation from explicit stacks: at the default
+    recursion limit, the 2,000-deep ImpE-over-ImpI chain round-trips to
+    the same text."""
+    deriv, imp, s, _ = _calculus(kernel)
+    to_json, from_json = {
+        "hol": (jsonio.hol_to_json, jsonio.hol_from_json),
+        "effhol": (jsonio.eff_to_json, jsonio.eff_from_json),
+    }[kernel]
+    d = _deep_chain(deriv, imp, s, 1000, deriv("Id", s))
+    data = _at_limit_1000(lambda: to_json(d))
+    text = _at_limit_1000(lambda: jsonio.dumps(data))
+    assert text.count('"rule": "ImpE"') == 1000
+    back = _at_limit_1000(lambda: from_json(data))
+    assert _at_limit_1000(lambda: jsonio.dumps(to_json(back))) == text
