@@ -51,16 +51,16 @@ def parse_all(text: str) -> list:
     """Parse every top-level form in ``text``."""
     out: list = []
     items = out
-    open_: list[tuple[list, int, int]] = []  # enclosing item lists, and where their '(' is
+    enclosing: list[tuple[list, int, int]] = []  # outer item lists, and where each '(' is
     line, line_start, pos = 1, 0, 0
     for tok in _TOKENS(text):
         if tok == "(":
-            open_.append((items, line, pos - line_start + 1))
+            enclosing.append((items, line, pos - line_start + 1))
             items = []
         elif tok == ")":
-            if not open_:
+            if not enclosing:
                 raise SurfaceSyntaxError("unbalanced ')'", line, pos - line_start + 1)
-            outer, l, c = open_.pop()
+            outer, l, c = enclosing.pop()
             outer.append(SList(tuple(items), l, c))
             items = outer
         elif tok[0] in " \t\r\n":
@@ -70,8 +70,8 @@ def parse_all(text: str) -> list:
         elif tok[0] != ";":
             items.append(Atom(tok, line, pos - line_start + 1))
         pos += len(tok)
-    if open_:
-        _, l, c = open_[-1]
+    if enclosing:
+        _, l, c = enclosing[-1]
         raise SurfaceSyntaxError("unclosed '('", l, c)
     return out
 

@@ -494,7 +494,6 @@ def test_node_classes_carry_no_generated_methods():
             assert name not in cls.__dict__ or _written(cls, name) and name == "__repr__", (cls, name)
 
 
-
 def test_reader_nodes_have_no_instance_dict():
     """The reader's atoms and lists keep their fields in slots: an input
     document's forms cost no per-node ``__dict__``."""
