@@ -96,6 +96,9 @@ class SurfaceDoc:
     ef_evidence: dict = field(default_factory=dict)
     ef_asserts: list = field(default_factory=list)
     order: list = field(default_factory=list)
+    # (category, name) -> splice(depths): the parameters of an instance
+    # template, given the template binders in scope per namespace slot
+    pieces: dict = field(default_factory=dict)
 
 
 def _tagged(node, tag: str) -> tuple:
@@ -136,6 +139,9 @@ def _elab(doc: SurfaceDoc, cat, envs: tuple[Env, ...], node):
             i = envs[slot].lookup(node.text)
             if i is not None:
                 return var(i)
+        splice = doc.pieces.get((cat, node.text))
+        if splice is not None:
+            return splice(tuple(len(env.names) for env in envs))
         if store is not None and node.text in getattr(doc, store):
             return getattr(doc, store)[node.text]
         raise ScopeError(f"unknown {cat.noun} {node.text!r} at {node.line}:{node.col}")

@@ -11,6 +11,7 @@ from effreal.effhol import check as eff_check
 from effreal.surface import jsonio
 from effreal.surface.cli import main
 from effreal.surface.elaborate import parse_document
+from tests.test_surface import MISPLACED, misplaced_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -130,6 +131,17 @@ def test_instantiate_file_instance(capsys):
     )
     assert code == 0
     assert "program poly-id" in out
+
+
+@pytest.mark.parametrize("param", sorted(MISPLACED))
+def test_misplaced_instance_parameter_is_a_usage_error(capsys, tmp_path, param):
+    """An instance file with ``rest`` or ``body`` outside every program
+    binder of its template is rejected when it loads: exit 2 with the
+    message on stderr, nothing on stdout."""
+    bad = tmp_path / "bad.inst"
+    bad.write_text(misplaced_instance(param))
+    argv = ("instantiate", str(CORPUS / "programs.eff"), "--instance", str(bad))
+    assert run(capsys, *argv) == (2, "", MISPLACED[param][1] + "\n")
 
 
 # A modality rule whose goal is no modality: the instance templates would

@@ -245,8 +245,9 @@ def test_no_unused_public_names():
     assert [entry for entry in defined if entry.split()[-1] not in used] == []
 
 
-# Every function of ``src/`` that reaches itself through references among
-# its own module's functions, by module.  Each recurses once per level of
+# Every function or class-body method (``Class.method``) of ``src/`` that
+# reaches itself through references among its own module's functions, by
+# module.  Each recurses once per level of
 # what it walks, so its depth is bounded by the recursion limit (ROADMAP
 # items 4(b) and 9); ``astnode`` only names itself as a decorator factory.
 # The list may only shrink: a function that stops recursing leaves it.
@@ -271,20 +272,43 @@ RECURSIVE = {
 }
 
 
+def _functions(tree) -> dict:
+    """The module-level functions of ``tree`` and the methods of its
+    module-level classes (named ``Class.method``), each with the names of
+    those it references: a function by name, a method of its own class
+    through ``self``, ``cls`` or the class name."""
+    fn = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owned = {n.name: (n, None) for n in tree.body if isinstance(n, fn)}
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            owned.update({f"{c.name}.{m.name}": (m, c.name) for m in c.body if isinstance(m, fn)})
+
+    def refs(node, cls):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in owned:
+                yield n.id
+            elif (
+                cls is not None
+                and isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)
+                and n.value.id in ("self", "cls", cls)
+                and f"{cls}.{n.attr}" in owned
+            ):
+                yield f"{cls}.{n.attr}"
+
+    return {name: set(refs(node, cls)) for name, (node, cls) in owned.items()}
+
+
 def test_recursive_functions_are_allowlisted():
-    """The functions of ``src/`` that reach themselves, directly or through
-    other functions of their module, are exactly those of ``RECURSIVE``; a
-    nested function counts as part of the function that contains it."""
+    """The functions and class-body methods of ``src/`` that reach
+    themselves, directly or through other functions of their module, are
+    exactly those of ``RECURSIVE``; a nested function counts as part of
+    the function that contains it."""
     src = Path(__file__).resolve().parent.parent / "src" / "effreal"
     found = {}
     for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        funcs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        refs = {
-            name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in funcs}
-            for name, fn in funcs.items()
-        }
-        for name in funcs:
+        refs = _functions(ast.parse(path.read_text(encoding="utf-8")))
+        for name in refs:
             reached, todo = set(), list(refs[name])
             while todo:
                 g = todo.pop()

@@ -3,6 +3,7 @@
 import json
 import random
 from enum import Enum, IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,8 @@ from effreal.surface import jsonio
 from effreal.surface.sexp import Atom, parse_all
 from effreal.translation import extract_realizer
 from tests.test_translation import k_combinator_derivation
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _doc():
@@ -365,12 +368,8 @@ def test_untyped_roundtrip():
 
 def test_corpus_documents_roundtrip():
     """Canonical printing of every corpus object re-parses to itself."""
-    from pathlib import Path
-
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
-
     for fname in ("hol_basic.hol", "effhol_basic.eff", "programs.eff"):
-        doc = parse_document((corpus / fname).read_text())
+        doc = parse_document((CORPUS / fname).read_text())
         for p in doc.props.values():
             (form,) = parse_all(print_hol_prop(p))
             assert elab_hol_prop(_doc(), Env(), form) == p
@@ -430,6 +429,102 @@ def test_instance_file_matches_continuation():
 
     b = Bind(tid, Ret(ident), Ret(PVar(0)))
     assert instantiate_prog(b, inst) == instantiate_prog(b, cont)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_continuation_file_matches_builtin_with_free_variables(seed):
+    """``corpus/instance_cont.inst`` gives the same node as the built-in
+    continuation instance on programs and specifications whose free type
+    and program variables the pieces carry into the templates."""
+    from effreal.generators import random_kind, random_typed_program
+    from effreal.instances import continuation_instance, instantiate
+
+    cont = continuation_instance()
+    (file_inst,) = parse_document((CORPUS / "instance_cont.inst").read_text()).instances.values()
+    rng = random.Random(seed)
+    kctx = tuple(random_kind(rng, 1) for _ in range(rng.randrange(3)))
+    tctx = tuple(random_type(rng, kctx, KSTAR, 2) for _ in range(rng.randrange(4)))
+    for x in (random_typed_program(rng, kctx, tctx, 6), random_spec(rng, kctx, tctx, 4)):
+        assert instantiate(x, file_inst, kctx, tctx) is instantiate(x, cont, kctx, tctx)
+
+
+def test_instance_templates_splice_across_their_binders():
+    """Parameters under template type, program and expression binders are
+    shifted across them, ``body`` has its program variable 0 captured by
+    the innermost program binder, a template binder named like a
+    parameter is that binder (without a shadowing warning), and a
+    template keeps the declarations made before its instance."""
+    import warnings
+
+    from effreal._astnode import shift
+    from effreal.effhol import (
+        EXPR, PROG, TYPE, TOP_SPEC, Abs, App, BOT_TYPE, ComprBase, Fun, KBase, RefBase,
+        SForallExpr, SMemBase, TVar, TyAbs, TyApp, PVar,
+    )
+
+    text = """
+    (type U bot-type)
+    (instance shifty
+      (strategy base)
+      (comp (T) (fun U T))
+      (ret (T p) (tyabs (X *) (app (lam (p T) p) p)))
+      (bind (T1 T2 p1 rest) (lam (x T1) rest))
+      (after (T p body)
+        (alle (y (ref0 T))
+          (allp (z T)
+            (imp (member0 p (compr0 (w T) top-spec))
+                 (allp (x T) body))))))
+    (type U (fun bot-type bot-type))
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = parse_document(text).instances["shifty"]
+        t, p = TVar(1), TyApp(PVar(2), TVar(0))
+        body = SMemBase(PVar(0), ComprBase(t, SMemBase(PVar(3), ComprBase(t, TOP_SPEC))))
+        assert inst.comp_type(t) is Fun(BOT_TYPE, t)
+        p_t = shift(p, TYPE)
+        assert inst.ret_prog(t, p) is TyAbs(KBase(), App(Abs(shift(t, TYPE), PVar(0)), p_t))
+        assert inst.bind_prog(t, t, p, p) is Abs(t, p)
+        got = inst.after_spec(t, p, body)
+    p_pe = shift(shift(p, PROG), EXPR)
+    body_in = shift(shift(body, PROG, 1, 1), EXPR)
+    assert got is SForallExpr(RefBase(t), SForallProg(t, SImp(
+        SMemBase(p_pe, ComprBase(t, TOP_SPEC)), SForallProg(t, body_in)
+    )))
+
+
+# Instance files with ``rest`` or ``body`` outside every program binder of
+# their template, and the message each is rejected with.
+MISPLACED = {
+    "rest": (
+        "(bind (T1 T2 p1 rest) (app p1 rest))",
+        "template uses the result parameter outside its binder",
+    ),
+    "body": (
+        "(after (T p body) (imp body (allp (x T) body)))",
+        "the body parameter must sit under its program binder",
+    ),
+}
+
+
+def misplaced_instance(param: str) -> str:
+    """An identity-like instance file whose ``param`` template is misplaced."""
+    sections = {
+        "bind": "(bind (T1 T2 p1 rest) (app (lam (x T1) rest) p1))",
+        "after": "(after (T p body) (member0 p (compr0 (x T) body)))",
+    }
+    section, _ = MISPLACED[param]
+    sections[section[1:section.index(" ")]] = section
+    return f"(instance bad (strategy base) (comp (T) T) (ret (T p) p) {sections['bind']} {sections['after']})"
+
+
+@pytest.mark.parametrize("param", sorted(MISPLACED))
+def test_misplaced_parameters_are_rejected_at_load(param):
+    from effreal.errors import TemplateMissing
+
+    with pytest.raises(TemplateMissing, match=MISPLACED[param][1]):
+        parse_document(misplaced_instance(param))
 
 
 def test_grammar_covers_every_node_class_and_rule():
@@ -527,8 +622,6 @@ def test_printing_tables_do_not_change_the_output():
     as text, reads as one printed sequent by sequent, each with a table of
     its own: for every replayed corpus derivation, its id and cont
     instances, and their forgotten logic derivations."""
-    from pathlib import Path
-
     from effreal.effhol.forgetful import forget_derivation
     from effreal.errors import TemplateMissing
     from effreal.instances import (
@@ -538,8 +631,7 @@ def test_printing_tables_do_not_change_the_output():
     )
     from effreal.surface.grammar import EFF, HOL
 
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
-    doc = parse_document((corpus / "hol_basic.hol").read_text())
+    doc = parse_document((CORPUS / "hol_basic.hol").read_text())
     instances = (identity_instance(), continuation_instance())
     replayed = 0
     for d in doc.hol_derivations.values():
