@@ -11,7 +11,7 @@ from effreal.effhol import check as eff_check
 from effreal.surface import jsonio
 from effreal.surface.cli import main
 from effreal.surface.elaborate import parse_document
-from tests.test_surface import MISPLACED, misplaced_instance
+from tests.test_surface import MISPLACED
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -138,10 +138,11 @@ def test_misplaced_instance_parameter_is_a_usage_error(capsys, tmp_path, param):
     """An instance file with ``rest`` or ``body`` outside every program
     binder of its template is rejected when it loads: exit 2 with the
     message on stderr, nothing on stdout."""
+    text, message = MISPLACED[param]
     bad = tmp_path / "bad.inst"
-    bad.write_text(misplaced_instance(param))
+    bad.write_text(text)
     argv = ("instantiate", str(CORPUS / "programs.eff"), "--instance", str(bad))
-    assert run(capsys, *argv) == (2, "", MISPLACED[param][1] + "\n")
+    assert run(capsys, *argv) == (2, "", message + "\n")
 
 
 # A modality rule whose goal is no modality: the instance templates would

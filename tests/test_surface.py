@@ -494,37 +494,37 @@ def test_instance_templates_splice_across_their_binders():
     )))
 
 
+def _instance_file(bind: str, after: str) -> str:
+    return f"(instance bad (strategy base) (comp (T) T) (ret (T p) p) {bind} {after})"
+
+
 # Instance files with ``rest`` or ``body`` outside every program binder of
 # their template, and the message each is rejected with.
 MISPLACED = {
     "rest": (
-        "(bind (T1 T2 p1 rest) (app p1 rest))",
+        _instance_file(
+            "(bind (T1 T2 p1 rest) (app p1 rest))",
+            "(after (T p body) (member0 p (compr0 (x T) body)))",
+        ),
         "template uses the result parameter outside its binder",
     ),
     "body": (
-        "(after (T p body) (imp body (allp (x T) body)))",
+        _instance_file(
+            "(bind (T1 T2 p1 rest) (app (lam (x T1) rest) p1))",
+            "(after (T p body) (imp body (allp (x T) body)))",
+        ),
         "the body parameter must sit under its program binder",
     ),
 }
-
-
-def misplaced_instance(param: str) -> str:
-    """An identity-like instance file whose ``param`` template is misplaced."""
-    sections = {
-        "bind": "(bind (T1 T2 p1 rest) (app (lam (x T1) rest) p1))",
-        "after": "(after (T p body) (member0 p (compr0 (x T) body)))",
-    }
-    section, _ = MISPLACED[param]
-    sections[section[1:section.index(" ")]] = section
-    return f"(instance bad (strategy base) (comp (T) T) (ret (T p) p) {sections['bind']} {sections['after']})"
 
 
 @pytest.mark.parametrize("param", sorted(MISPLACED))
 def test_misplaced_parameters_are_rejected_at_load(param):
     from effreal.errors import TemplateMissing
 
-    with pytest.raises(TemplateMissing, match=MISPLACED[param][1]):
-        parse_document(misplaced_instance(param))
+    text, message = MISPLACED[param]
+    with pytest.raises(TemplateMissing, match=message):
+        parse_document(text)
 
 
 def test_grammar_covers_every_node_class_and_rule():
