@@ -23,6 +23,7 @@ from __future__ import annotations
 from ..errors import RuleMismatch
 from ..hol import checker as hol_checker
 from ..hol import syntax as hol
+from ..walk import walk
 from .syntax import (
     After,
     Compr,
@@ -129,27 +130,32 @@ def forget_sequent(seq: EffSequent, memo: dict | None = None) -> hol_checker.Seq
 _RENAMED = {"UniExpI": "UniI", "UniExpE": "UniE"}
 
 
-def forget_derivation(d: EffDerivation, memo: dict | None = None) -> hol_checker.HolDerivation:
-    if memo is None:
-        memo = {}
+def forget_derivation(d: EffDerivation) -> hol_checker.HolDerivation:
+    return walk(_forget_derivation, d, {})
+
+
+def _forget_derivation(d: EffDerivation, memo: dict):
     match d.rule:
         case "Id" | "ImpI" | "ImpE" | "UniExpI" | "UniExpE" | "MemI" | "MemE" | "Mem0I" | "Mem0E":
+            premises = []
+            for p in d.premises:
+                premises.append((yield p, memo))
             return hol_checker.HolDerivation(
                 _RENAMED.get(d.rule, d.rule),
                 forget_sequent(d.conclusion, memo),
-                tuple(forget_derivation(p, memo) for p in d.premises),
+                tuple(premises),
                 witness=forget_expr(d.witness, memo) if d.rule == "UniExpE" else None,
             )
         case "UniProgI" | "UniProgE" | "UniTypeI" | "UniTypeE" | "ModI" | "ModE" | "Conv" | "AntiRed":
             # The conclusion's extra structure vanishes; reuse the premise.
-            return forget_derivation(d.premises[0], memo)
+            return (yield d.premises[0], memo)
         case "Mon":
             # after-p bodies lose the modality, so Mon is a cut:
             # from (Phi, phi1 => phi2) and (Phi => phi1) conclude (Phi => phi2).
             ent, mod = d.premises
             seq = forget_sequent(d.conclusion, memo)
-            dent = forget_derivation(ent, memo)
-            dmod = forget_derivation(mod, memo)
+            dent = yield ent, memo
+            dmod = yield mod, memo
             phi1 = dmod.conclusion.goal
             imp = hol_checker.HolDerivation(
                 "ImpI",

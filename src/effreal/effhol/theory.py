@@ -93,7 +93,7 @@ _MEM = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffDerivation:
     rule: str
     conclusion: EffSequent

@@ -107,7 +107,7 @@ HOL_PREMISES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolDerivation:
     rule: str
     conclusion: Sequent

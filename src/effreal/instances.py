@@ -44,6 +44,7 @@ from .effhol.reduction import DEFAULT_FUEL, Strategy, count_steps
 from .effhol.theory import EffDerivation, EffSequent, check, extend
 from .effhol.syntax import PROG, TYPE
 from .effhol.typing import shift_ctx, type_of
+from .walk import walk
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivatio
     """Interpret a derivation; the result lies in the effect-free fragment
     and is re-checked by the caller (or by check_instance_laws).  Every
     node shares one pair of ``instantiate`` tables."""
-    return _instantiate_derivation(d, inst, _Memo())
+    return walk(_instantiate_derivation, d, inst, _Memo())
 
 
 def _instantiate_derivation(d, inst, memo):
@@ -177,7 +178,10 @@ def _instantiate_derivation(d, inst, memo):
         tuple(map(here, c.hyps)),
         here(c.goal),
     )
-    prems = tuple(_instantiate_derivation(p, inst, memo) for p in d.premises)
+    prems = []
+    for p in d.premises:
+        prems.append((yield p, inst, memo))
+    prems = tuple(prems)
 
     if d.rule in ("ModI", "ModE", "Mon"):
         template = inst.templates.get(d.rule)

@@ -19,14 +19,13 @@ from ..errors import ScopeError, SurfaceSyntaxError
 from ..hol import syntax as h
 from ..effhol import syntax as e
 from .. import frame as ef
+from ..walk import walk
 from .grammar import (
     ANNOTATES,
     CALCULI,
     CATEGORIES,
     EFF,
     FORMS,
-    HOL,
-    PROGRAMS,
     PROPS,
     SORTS,
     SPECS,
@@ -258,6 +257,10 @@ _RULE_OF_TAG = {c: {r.tag: name for name, r in c.rules.items()} for c in CALCULI
 
 
 def elab_derivation(doc: SurfaceDoc, calc: Calculus, node):
+    return walk(_derivation, doc, calc, node)
+
+
+def _derivation(doc: SurfaceDoc, calc: Calculus, node):
     n = expect_list(node, "derivation")
     tag = head(n)
     if tag not in _RULE_OF_TAG[calc]:
@@ -284,32 +287,16 @@ def elab_derivation(doc: SurfaceDoc, calc: Calculus, node):
             found[body.field] = _within(doc, body.category, envs, group[2], [(ns, bname)])
         else:
             found[w.field] = _elab(doc, w.category, envs, arg)
-    premises = tuple(elab_derivation(doc, calc, p) for p in args)
-    return calc.derivation(name, seq, premises, **found)
-
-
-# Entry points by category, taking an Env (logic, untyped) or EffEnv.
+    premises = []
+    for p in args:
+        premises.append((yield doc, calc, p))
+    return calc.derivation(name, seq, tuple(premises), **found)
 
 
 def elaborate(doc: SurfaceDoc, cat, env, node):
+    """Elaborate ``node`` as a member of ``cat`` under ``env``, an ``Env``
+    (logic, untyped) or an ``EffEnv``."""
     return _elab(doc, cat, env.slots, node)
-
-
-def _entry(cat):
-    return lambda doc, env, node: _elab(doc, cat, env.slots, node)
-
-
-elab_hol_prop, elab_type, elab_program, elab_spec, elab_untyped = map(
-    _entry, (PROPS, TYPES, PROGRAMS, SPECS, UNTYPED)
-)
-
-
-def elab_hol_derivation(doc: SurfaceDoc, node):
-    return elab_derivation(doc, HOL, node)
-
-
-def elab_eff_derivation(doc: SurfaceDoc, node):
-    return elab_derivation(doc, EFF, node)
 
 
 # Documents.

@@ -1,6 +1,6 @@
 """Declarative pure-instance descriptions.
 
-A file instance supplies the four construct templates and a strategy:
+A file instance has a strategy and the four construct templates, each once:
 
     (instance NAME
       (strategy base|cbn|full)
@@ -55,17 +55,25 @@ _CONSTRUCTS = (
         ("body", SPECS, "the body parameter must sit under its program binder"),
     )),
 )
+# Each section of an instance, and the number of its arguments.
+_SECTIONS = {"strategy": 1, **{tag: 2 for tag, _, _ in _CONSTRUCTS}}
 
 
-def _section(node, tag: str, n: int = 2):
-    """The ``(tag ...)`` section of an instance, with its ``n`` arguments."""
+def _sections(node) -> dict:
+    """The sections of an instance by tag, each with its arguments; an
+    unknown, repeated or missing section is an error."""
+    found = {}
     for item in node.items[2:]:
         s = expect_list(item, "instance section")
-        if head(s) == tag:
-            return expect_args(s, n)
-    raise SurfaceSyntaxError(
-        f"instance is missing the ({tag} ...) section", node.line, node.col
-    )
+        tag = head(s)
+        if tag not in _SECTIONS or tag in found:
+            what = "repeated" if tag in found else "unknown"
+            raise SurfaceSyntaxError(f"{what} instance section ({tag} ...)", s.line, s.col)
+        found[tag] = expect_args(s, _SECTIONS[tag])
+    for tag in _SECTIONS:
+        if tag not in found:
+            raise SurfaceSyntaxError(f"instance is missing the ({tag} ...) section", node.line, node.col)
+    return found
 
 
 def _params(section, expected: tuple[str, ...]) -> None:
@@ -97,11 +105,9 @@ def _piece(x, misplaced: str | None):
     return splice
 
 
-def _template(tables, node, tag, cat, params):
-    """The construct ``tag`` of the instance ``node``: a function of the
-    actual pieces, elaborating the template under the declaration
-    ``tables``."""
-    section = _section(node, tag)
+def _template(tables, section, cat, params):
+    """The construct of an instance ``section``: a function of the actual
+    pieces, elaborating the template under the declaration ``tables``."""
     _params(section, tuple(name for name, _, _ in params))
 
     def construct(*actuals):
@@ -117,11 +123,14 @@ def _template(tables, node, tag, cat, params):
 
 def elab_instance(doc, node) -> PureInstance:
     name = expect_atom(node[1], "name").text
-    strat_s = _section(node, "strategy", 1)
+    sections = _sections(node)
+    strat_s = sections["strategy"]
     strat = STRATEGY.read(expect_atom(strat_s[1], "strategy").text, strat_s.line, strat_s.col)
     # the declarations so far, which later ones leave as they are
     tables = {c.store: dict(getattr(doc, c.store)) for c in CATEGORIES if c.store}
-    comp, ret, bind, after = (_template(tables, node, *c) for c in _CONSTRUCTS)
+    comp, ret, bind, after = (
+        _template(tables, sections[tag], cat, params) for tag, cat, params in _CONSTRUCTS
+    )
     return PureInstance(
         name=name, strategy=strat, comp_type=comp, ret_prog=ret, bind_prog=bind, after_spec=after
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 from ..errors import SurfaceSyntaxError
+from ..walk import walk
 from . import elaborate as el
 from . import printer as pr
 from .grammar import ANNOTATES, EFF, HOL, Literal, binder_name
@@ -27,27 +28,23 @@ SCHEMA = "effreal/derivation/1"
 
 def _to_json(calc, d) -> dict:
     table = pr._table(calc, d)
-    return {"schema": SCHEMA, "calculus": calc.name, "derivation": _node(calc, d, table)}
+    return {"schema": SCHEMA, "calculus": calc.name, "derivation": walk(_node, calc, d, table)}
 
 
-def _node(calc, d, table: dict) -> dict:
-    """The JSON tree of ``d``, its nodes made in pre-order from an
-    explicit stack."""
-    root: list[dict] = []
-    todo = [(d, root)]
-    while todo:
-        d, siblings = todo.pop()
-        out: list[str] = []
-        depth = pr._sequent(calc, d.conclusion, out, table)
-        premises: list[dict] = []
-        siblings.append({
-            "rule": d.rule,
-            "conclusion": "".join(out),
-            "witnesses": pr.witness_texts(calc, d, depth, table),
-            "premises": premises,
-        })
-        todo.extend((p, premises) for p in reversed(d.premises))
-    return root[0]
+def _node(calc, d, table: dict):
+    """The JSON tree of ``d``, its nodes made in pre-order; a walk (see
+    ``walk``)."""
+    out: list[str] = []
+    depth = pr._sequent(calc, d.conclusion, out, table)
+    node = {
+        "rule": d.rule,
+        "conclusion": "".join(out),
+        "witnesses": pr.witness_texts(calc, d, depth, table),
+        "premises": [],
+    }
+    for p in d.premises:
+        node["premises"].append((yield calc, p, table))
+    return node
 
 
 def hol_to_json(d) -> dict:
@@ -79,28 +76,18 @@ def _from_json(calc, data: dict, doc):
         raise SurfaceSyntaxError(f"unknown schema {data.get('schema')!r}", 1, 1)
     if data.get("calculus") != calc.name:
         raise SurfaceSyntaxError(f"not a {calc.name} derivation", 1, 1)
-    return _from(calc, data.get("derivation"), doc or el.SurfaceDoc())
+    return walk(_from, calc, data.get("derivation"), doc or el.SurfaceDoc())
 
 
-def _from(calc, root, doc):
-    """The derivation of the JSON tree ``root``.  Its nodes are elaborated
-    in pre-order from an explicit stack, so the first bad node in document
-    order is the one reported, and then built from the leaves up."""
-    nodes = []
-    todo = [root]
-    while todo:
-        rule, seq, found, premises = _elab_node(calc, todo.pop(), doc)
-        nodes.append((rule, seq, found, len(premises)))
-        todo.extend(reversed(premises))
-    # in reverse pre-order each node's premises are built just before it,
-    # the first premise last
-    built: list = []
-    for rule, seq, found, n in reversed(nodes):
-        cut = len(built) - n
-        premises = tuple(reversed(built[cut:]))
-        del built[cut:]
-        built.append(calc.derivation(rule, seq, premises, **found))
-    return built[0]
+def _from(calc, node, doc):
+    """The derivation of the JSON tree ``node``, its nodes elaborated in
+    pre-order, so the first bad node in document order is the one
+    reported; a walk (see ``walk``)."""
+    rule, seq, found, premises = _elab_node(calc, node, doc)
+    built = []
+    for p in premises:
+        built.append((yield calc, p, doc))
+    return calc.derivation(rule, seq, tuple(built), **found)
 
 
 def _elab_node(calc, node, doc):

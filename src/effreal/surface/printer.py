@@ -27,6 +27,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import add
 
+from ..walk import walk
 from .grammar import ANNOTATES, EFF, FORMS, HOL, Literal, binder_name
 
 
@@ -193,7 +194,7 @@ def _sequent(calc, seq, out: list[str], table: dict) -> tuple[int, ...]:
     return depth
 
 
-def _derivation(calc, d, out: list[str], table: dict) -> None:
+def _derivation(calc, d, out: list[str], table: dict):
     rule = calc.rules[d.rule]
     out.append(f"({rule.tag} ")
     depth = _sequent(calc, d.conclusion, out, table)
@@ -212,7 +213,7 @@ def _derivation(calc, d, out: list[str], table: dict) -> None:
             out.append(f" {texts[w.key]}")
     for p in d.premises:
         out.append(" ")
-        _derivation(calc, p, out, table)
+        yield calc, p, out, table
     out.append(")")
 
 
@@ -226,7 +227,7 @@ def print_sequent(calc, seq) -> str:
 
 def print_derivation(calc, d) -> str:
     out: list[str] = []
-    _derivation(calc, d, out, _table(calc, d))
+    walk(_derivation, calc, d, out, _table(calc, d))
     return "".join(out)
 
 

@@ -44,6 +44,7 @@ from .effhol.build import anti_red, bind, cut, hyp, imp_elim, imp_intro, uni_eli
 from .effhol.reduction import Strategy
 from .effhol.syntax import EXPR, PROG, TYPE
 from .effhol.theory import EffDerivation, EffSequent, extend, make_triple, sequent_wf
+from .walk import walk
 
 
 def trkind(s: h.Sort) -> e.Kind:
@@ -339,9 +340,12 @@ def _realize(d: hc.HolDerivation, scope: tuple, prems: tuple, memo: _Memo) -> e.
     raise TemplateMissing(f"no realizer for rule {d.rule!r}")
 
 
-def _realizer(d: hc.HolDerivation, scope: tuple, memo: _Memo) -> e.EffProgram:
+def _realizer(d: hc.HolDerivation, scope: tuple, memo: _Memo):
     sub = hc.premise_frame(d.rule, replace(d.conclusion, hyps=scope))[1]
-    return _realize(d, scope, tuple(_realizer(p, sub, memo) for p in d.premises), memo)
+    prems = []
+    for p in d.premises:
+        prems.append((yield p, sub, memo))
+    return _realize(d, scope, tuple(prems), memo)
 
 
 def _contexts(seq: hc.Sequent, amb: Ambient, memo: _Memo) -> EffSequent:
@@ -366,8 +370,8 @@ def extract_realizer(
     memo = _Memo()
     c = d.conclusion
     frame = _contexts(c, ambient, memo)
-    deriv = _derive(d, c.hyps, frame.ctxs, frame.hyps, memo) if derive else None
-    realizer = _realizer(d, c.hyps, memo) if deriv is None else deriv.conclusion.goal.prog
+    deriv = walk(_derive, d, c.hyps, frame.ctxs, frame.hyps, memo) if derive else None
+    realizer = walk(_realizer, d, c.hyps, memo) if deriv is None else deriv.conclusion.goal.prog
     triple = make_triple(frame.ctxs, frame.hyps, trtype(c.ctx, c.goal, memo), realizer, frame.goal)
     sequent_wf(triple, None, {})  # one typing table for the whole triple
     return ExtractionResult(realizer, triple, deriv)
@@ -376,10 +380,10 @@ def extract_realizer(
 # Derivation replay for the soundness triples.
 
 
-def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDerivation:
+def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo):
     """The replay of ``d`` in the frame ``ctxs``, ``hyps`` that its parent's
     nodes use (the root frame at the root), with ``scope`` the hypotheses
-    in scope as ``_realize`` reads them."""
+    in scope as ``_realize`` reads them; a walk (see ``walk``)."""
     c = d.conclusion
     sctx = c.ctx
     if d.rule in ("MemI", "MemE", "Mem0I", "Mem0E"):
@@ -397,7 +401,7 @@ def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDe
         case "ImpI":
             s1 = trspec(sctx, c.goal.lhs, memo)
             ctx1, hyps1 = extend(ctxs, hyps, PROG, trtype(sctx, c.goal.lhs, memo))
-            ih = _derive(d.premises[0], sub, ctx1, hyps1 + (s1,), memo)
+            ih = yield d.premises[0], sub, ctx1, hyps1 + (s1,), memo
             r = _realize(d, scope, (ih.conclusion.goal.prog,), memo)
             anti = _anti_red(e.App(shift(r.inner, PROG), e.PVar(0)), ih)
             prem = uni_intro(ctxs, hyps, "UniProgI", imp_intro(ctx1, hyps1, s1, anti))
@@ -406,7 +410,7 @@ def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDe
             s = c.goal.binder_sort
             ctx_k, hyps_k = extend(ctxs, hyps, TYPE, trkind(s))
             ctx_ke, hyps_ke = extend(ctx_k, hyps_k, EXPR, trind(e.TVar(0), s))
-            ih = _derive(d.premises[0], sub, ctx_ke, hyps_ke, memo)
+            ih = yield d.premises[0], sub, ctx_ke, hyps_ke, memo
             r = _realize(d, scope, (ih.conclusion.goal.prog,), memo)
             anti = _anti_red(e.TyApp(shift(r.inner, TYPE), e.TVar(0)), ih)
             uei = uni_intro(ctx_k, hyps_k, "UniExpI", anti)
@@ -416,9 +420,9 @@ def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDe
             fn, arg = d.premises
             # The argument first: its triple is a hypothesis of the function
             # premise and, shifted, hyps1[-2].
-            ih1 = _derive(arg, sub, ctxs, hyps, memo)
+            ih1 = yield arg, sub, ctxs, hyps, memo
             hyps0 = hyps + (ih1.conclusion.goal,)
-            ih0 = _derive(fn, sub, ctxs, hyps0, memo)
+            ih0 = yield fn, sub, ctxs, hyps0, memo
             imp = fn.conclusion.goal
             s_imp = trspec(sctx, imp, memo)
             tau1 = trtype(sctx, imp.lhs, memo)
@@ -434,7 +438,7 @@ def _derive(d: hc.HolDerivation, scope: tuple, ctxs, hyps, memo: _Memo) -> EffDe
 
         case "UniE":
             (p,) = d.premises
-            ih = _derive(p, sub, ctxs, hyps, memo)
+            ih = yield p, sub, ctxs, hyps, memo
             s_all = trspec(sctx, p.conclusion.goal, memo)
             ctx1, hyps1 = extend(ctxs, hyps, PROG, trtype(sctx, p.conclusion.goal, memo))
             idf = hyp(ctx1, hyps1 + (s_all,), s_all)

@@ -11,7 +11,7 @@ from effreal.effhol import check as eff_check
 from effreal.surface import jsonio
 from effreal.surface.cli import main
 from effreal.surface.elaborate import parse_document
-from tests.test_surface import MISPLACED
+from tests.test_surface import MISPLACED, STRAY_SECTIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -143,6 +143,19 @@ def test_misplaced_instance_parameter_is_a_usage_error(capsys, tmp_path, param):
     bad.write_text(text)
     argv = ("instantiate", str(CORPUS / "programs.eff"), "--instance", str(bad))
     assert run(capsys, *argv) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("command", ["instantiate", "check-laws"])
+@pytest.mark.parametrize("case", sorted(STRAY_SECTIONS))
+def test_stray_instance_section_is_a_usage_error(capsys, tmp_path, case, command):
+    """An instance file with an unknown or a repeated section is rejected
+    when it loads: exit 2 with the located message on stderr, nothing on
+    stdout."""
+    text, message = STRAY_SECTIONS[case]
+    bad = tmp_path / "bad.inst"
+    bad.write_text(text)
+    argv = (str(CORPUS / "programs.eff"),) if command == "instantiate" else ()
+    assert run(capsys, command, *argv, "--instance", str(bad)) == (2, "", message + "\n")
 
 
 # A modality rule whose goal is no modality: the instance templates would

@@ -58,10 +58,11 @@ from effreal.instances import (
     instantiate_prog,
 )
 from effreal.surface import print_program, print_spec
-from effreal.surface.elaborate import EffEnv, SurfaceDoc, elab_program, elab_spec
+from effreal.surface.elaborate import EffEnv, SurfaceDoc, elaborate
+from effreal.surface.grammar import PROGRAMS, SPECS
 from effreal.surface.sexp import parse_all
 from effreal.translation import extract_realizer
-from tests.test_pipeline import _nodes
+from tests.test_pipeline import _nodes, printed
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +255,7 @@ def test_no_unused_public_names():
 RECURSIVE = {
     "_astnode": {"_shift", "astnode", "shift", "subst"},
     "effhol.conversion": {"normalize"},
-    "effhol.forgetful": {"forget_derivation", "forget_expr", "forget_index", "forget_spec"},
+    "effhol.forgetful": {"forget_expr", "forget_index", "forget_spec"},
     "effhol.typing": {"_star", "index_of", "index_wf", "kind_of", "spec_wf", "type_of"},
     "frame": {"erase", "is_uvalue"},
     "generators": {
@@ -262,11 +263,11 @@ RECURSIVE = {
         "random_sort", "random_spec", "random_type", "random_typed_program",
     },
     "hol.checker": {"prop_wf", "sort_of"},
-    "instances": {"_instantiate", "_instantiate_derivation", "_interpret"},
-    "surface.elaborate": {"_elab", "_within", "elab_derivation"},
-    "surface.printer": {"_count", "_derivation", "_emit"},
+    "instances": {"_instantiate", "_interpret"},
+    "surface.elaborate": {"_elab", "_within"},
+    "surface.printer": {"_count", "_emit"},
     "translation": {
-        "_derive", "_realizer", "_subterms_of_prop",
+        "_subterms_of_prop",
         "tretype", "trind", "trkind", "trspec", "trtrm", "trtype",
     },
 }
@@ -335,9 +336,9 @@ def test_equal_trees_are_one_object(seed):
     (p2, tp2), s2 = build()
     assert p is p2 and tp is tp2 and s is s2
     (form,) = parse_all(print_program(p))
-    assert elab_program(SurfaceDoc(), EffEnv(), form) is p
+    assert elaborate(SurfaceDoc(), PROGRAMS, EffEnv(), form) is p
     (form,) = parse_all(print_spec(s))
-    assert elab_spec(SurfaceDoc(), EffEnv(), form) is s
+    assert elaborate(SurfaceDoc(), SPECS, EffEnv(), form) is s
     assert copy.deepcopy(s) is s
     assert pickle.loads(pickle.dumps(p)) is p
 
@@ -586,7 +587,7 @@ def test_replay_rebuilds_no_premise():
     while d.rule == "ImpE":
         arg = d.premises[1]
         assert r.rule == "ImpE"
-        assert r.premises[1] == extract_realizer(arg, derive=True).derivation
+        assert printed(r.premises[1]) == printed(extract_realizer(arg, derive=True).derivation)
         d, r = arg, r.premises[1]
     assert d.rule == "Id" and r.rule == "ModI"
 

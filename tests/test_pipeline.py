@@ -15,14 +15,14 @@ from effreal.effhol import KSTAR, TOP_SPEC, Comp, TVar, check as eff_check, type
 from effreal.effhol.conversion import normalize_type
 from effreal.effhol.forgetful import forget_derivation
 from effreal.errors import TemplateMissing
-from effreal.hol import check as hol_check
+from effreal.hol import HolDerivation, check as hol_check
 from effreal.instances import (
     continuation_instance,
     identity_instance,
     instantiate_derivation,
 )
 from effreal.surface.elaborate import parse_document
-from effreal.surface.printer import print_eff_derivation
+from effreal.surface.printer import print_eff_derivation, print_hol_derivation
 from effreal.translation import Ambient, extract_realizer, trtype
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -46,6 +46,12 @@ INSTANTIATED_NODES = {
 
 def _nodes(d) -> int:
     return 1 + sum(_nodes(p) for p in d.premises)
+
+
+def printed(d) -> str:
+    """The text of a derivation of either calculus.  Derivations compare
+    by identity, so tests compare their texts."""
+    return (print_hol_derivation if isinstance(d, HolDerivation) else print_eff_derivation)(d)
 
 
 def _corpus_derivations():

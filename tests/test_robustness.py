@@ -28,8 +28,10 @@ from effreal.effhol import (
     TOP_SPEC,
     check as eff_check,
 )
-from effreal.surface import jsonio
-from effreal.surface.elaborate import parse_document
+from effreal.surface import jsonio, print_hol_derivation
+from effreal.surface.elaborate import SurfaceDoc, elab_derivation, parse_document
+from effreal.surface.grammar import EFF, HOL
+from effreal.surface.sexp import parse_all
 from effreal.translation import extract_realizer
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -106,7 +108,7 @@ def test_rule_names_of_any_type_are_rejected(rule):
 
 
 def _cli(*argv):
-    """Run the command line in a fresh process: (exit code, stderr)."""
+    """Run the command line in a fresh process: (exit code, stdout, stderr)."""
     path = os.pathsep.join(filter(None, (str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH"))))
     r = subprocess.run(
         [sys.executable, "-m", "effreal.surface.cli", *argv],
@@ -115,7 +117,7 @@ def _cli(*argv):
         text=True,
         timeout=120,
     )
-    return r.returncode, r.stderr
+    return r.returncode, r.stdout, r.stderr
 
 
 @pytest.mark.parametrize(
@@ -138,7 +140,7 @@ def test_surface_arity_is_a_located_error(tmp_path, command, text):
     error with a position, never a traceback or a silent acceptance."""
     f = tmp_path / "bad.txt"
     f.write_text(text)
-    code, err = _cli(command, str(f))
+    code, _, err = _cli(command, str(f))
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("1:")
@@ -148,7 +150,7 @@ def test_surface_arity_is_a_located_error(tmp_path, command, text):
 def test_deep_nesting_keeps_the_exit_code_contract(tmp_path, argv):
     f = tmp_path / "deep.hol"
     f.write_text("(prop p " + "(imp bot " * 3000 + "bot" + ")" * 3000 + ")")
-    code, err = _cli(argv[0], str(f), *argv[1:])
+    code, _, err = _cli(argv[0], str(f), *argv[1:])
     assert (code, err) == (1, "input is nested too deeply\n")
 
 
@@ -382,3 +384,86 @@ def test_json_handles_deep_derivations(kernel):
     assert text.count('"rule": "ImpE"') == 1000
     back = _at_limit_1000(lambda: from_json(data))
     assert _at_limit_1000(lambda: jsonio.dumps(to_json(back))) == text
+
+
+@pytest.mark.parametrize("kernel", ["hol", "effhol"])
+def test_derivation_walks_handle_deep_derivations(kernel):
+    """Every walk that builds a result from a derivation runs from one
+    explicit stack, and derivations compare by identity: at the default
+    recursion limit, the 2,000-deep ImpE-over-ImpI chain prints and parses
+    back to the same text, and two separately built copies are unequal.
+    The program-logic chain is also forgotten to a logic derivation, and
+    instantiated under id and cont, and each result checks."""
+    from effreal.effhol.forgetful import forget_derivation, forget_sequent
+    from effreal.instances import continuation_instance, identity_instance, instantiate_derivation
+    from tests.test_pipeline import printed
+
+    deriv, imp, s, check = _calculus(kernel)
+    d = _deep_chain(deriv, imp, s, 1000, deriv("Id", s))
+    calc = HOL if kernel == "hol" else EFF
+    text = _at_limit_1000(lambda: printed(d))
+    (form,) = parse_all(text)
+    back = _at_limit_1000(lambda: elab_derivation(SurfaceDoc(), calc, form))
+    assert _at_limit_1000(lambda: printed(back)) == text
+    assert _at_limit_1000(lambda: (d == d, back == d, d != back)) == (True, False, True)
+    if kernel == "hol":
+        return
+    assert _at_limit_1000(lambda: hol_check(forget_derivation(d))) == forget_sequent(s)
+    for inst in (identity_instance(), continuation_instance()):
+        instance = _at_limit_1000(lambda: instantiate_derivation(d, inst))
+        assert _at_limit_1000(lambda: check(instance)) == instance.conclusion
+
+
+def test_extraction_handles_a_deep_derivation():
+    """Plain extraction builds the realizer from one explicit stack: at the
+    default recursion limit, the 500-deep logic chain extracts.  The
+    realizer grows with the proof, so typing it bounds the depth."""
+    deriv, imp, s, _ = _calculus("hol")
+    d = _deep_chain(deriv, imp, s, 250, deriv("Id", s))
+    res = _at_limit_1000(lambda: extract_realizer(d))
+    assert res.goal_triple.goal.prog is res.realizer
+
+
+def test_cli_checks_a_deep_derivation(tmp_path):
+    """``check-hol`` reads and checks the 2,000-deep logic chain at the
+    default recursion limit; ``extract --derive`` on it still exits 1 on
+    the depth of the realizer's terms, without a traceback."""
+    deriv, imp, s, _ = _calculus("hol")
+    d = _deep_chain(deriv, imp, s, 1000, deriv("Id", s))
+    f = tmp_path / "deep.hol"
+    f.write_text(f"(hol-derivation deep {print_hol_derivation(d)})")
+    assert _cli("check-hol", str(f)) == (0, "ok   deep\n", "")
+    code, _, err = _cli("extract", str(f), "--derivation", "deep", "--derive")
+    assert (code, err) == (1, "input is nested too deeply\n")
+
+
+@pytest.mark.parametrize("kernel", ["hol", "effhol"])
+def test_an_error_at_the_deepest_node_is_reported_unchanged(kernel):
+    """A bad rule at the deepest node of the 2,000-deep chain is raised
+    through every level of the walk as it was raised there: the text
+    reader reports its line and column, and the JSON reader, given a
+    second bad node later in the document, reports the first."""
+    from tests.test_pipeline import printed
+
+    deriv, imp, s, _ = _calculus(kernel)
+    calc = HOL if kernel == "hol" else EFF
+    d = _deep_chain(deriv, imp, s, 1000, deriv("Id", s))
+    # in pre-order, the first Id is the deepest node
+    text = printed(d).replace("(id ", "(bogus ", 1)
+    (form,) = parse_all(text)
+    with pytest.raises(SurfaceSyntaxError) as info:
+        _at_limit_1000(lambda: elab_derivation(SurfaceDoc(), calc, form))
+    assert str(info.value) == f"1:{text.index('(bogus ') + 1}: unknown rule 'bogus'"
+
+    to_json, from_json = {
+        "hol": (jsonio.hol_to_json, jsonio.hol_from_json),
+        "effhol": (jsonio.eff_to_json, jsonio.eff_from_json),
+    }[kernel]
+    data = _at_limit_1000(lambda: to_json(d))
+    node = data["derivation"]
+    node["premises"][1]["rule"] = "Later"
+    for _ in range(2000):
+        node = node["premises"][0]
+    node["rule"] = "Deepest"
+    with pytest.raises(SurfaceSyntaxError, match="unknown rule tag 'Deepest'"):
+        _at_limit_1000(lambda: from_json(data))

@@ -35,21 +35,12 @@ from effreal.surface import (
     print_type,
     print_untyped,
 )
-from effreal.surface.elaborate import (
-    EffEnv,
-    Env,
-    elab_eff_derivation,
-    elab_hol_derivation,
-    elab_hol_prop,
-    elab_program,
-    elab_spec,
-    elab_type,
-    elab_untyped,
-    SurfaceDoc,
-)
+from effreal.surface.elaborate import EffEnv, Env, SurfaceDoc, elab_derivation, elaborate
+from effreal.surface.grammar import EFF, HOL, PROGRAMS, PROPS, SPECS, TYPES, UNTYPED
 from effreal.surface import jsonio
 from effreal.surface.sexp import Atom, parse_all
 from effreal.translation import extract_realizer
+from tests.test_pipeline import printed
 from tests.test_translation import k_combinator_derivation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -62,20 +53,20 @@ def _doc():
 def roundtrip_prop(p):
     text = print_hol_prop(p)
     (form,) = parse_all(text)
-    return elab_hol_prop(_doc(), Env(), form)
+    return elaborate(_doc(), PROPS, Env(), form)
 
 
 def test_parse_falsum_encoding():
     (form,) = parse_all("(forall (u *) (member0 u))")
-    assert elab_hol_prop(_doc(), Env(), form) == FALSUM
+    assert elaborate(_doc(), PROPS, Env(), form) == FALSUM
     (short,) = parse_all("bot")
-    assert elab_hol_prop(_doc(), Env(), short) == FALSUM
+    assert elaborate(_doc(), PROPS, Env(), short) == FALSUM
 
 
 def test_unbound_name_is_scope_error():
     (form,) = parse_all("(member0 nowhere)")
     with pytest.raises(ScopeError):
-        elab_hol_prop(_doc(), Env(), form)
+        elaborate(_doc(), PROPS, Env(), form)
 
 
 def test_syntax_error_carries_position():
@@ -195,10 +186,10 @@ def test_type_and_program_roundtrip(seed):
     rng = random.Random(seed)
     t = random_type(rng, (), KSTAR, 3)
     (form,) = parse_all(print_type(t))
-    assert elab_type(_doc(), EffEnv(), form) == t
+    assert elaborate(_doc(), TYPES, EffEnv(), form) == t
     p, _ = random_closed_program(rng, size=4)
     (pform,) = parse_all(print_program(p))
-    assert elab_program(_doc(), EffEnv(), pform) == p
+    assert elaborate(_doc(), PROGRAMS, EffEnv(), pform) == p
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,19 +198,19 @@ def test_spec_roundtrip(seed):
     rng = random.Random(seed)
     s = random_spec(rng, (), (), 3)
     (form,) = parse_all(print_spec(s))
-    assert elab_spec(_doc(), EffEnv(), form) == s
+    assert elaborate(_doc(), SPECS, EffEnv(), form) == s
 
 
 def test_macros():
     doc = _doc()
     (na,) = parse_all("(not bot)")
-    assert elab_hol_prop(doc, Env(), na) == Imp(FALSUM, FALSUM)
+    assert elaborate(doc, PROPS, Env(), na) == Imp(FALSUM, FALSUM)
     (conj,) = parse_all("(and bot bot)")
-    p = elab_hol_prop(doc, Env(), conj)
+    p = elaborate(doc, PROPS, Env(), conj)
     # forall u:*. (bot => bot => u in0) => u in0
     assert isinstance(p, Forall)
     (ex,) = parse_all("(exists (u *) (member0 u))")
-    q = elab_hol_prop(doc, Env(), ex)
+    q = elaborate(doc, PROPS, Env(), ex)
     assert isinstance(q, Forall)
     from effreal.hol import prop_wf
 
@@ -238,7 +229,7 @@ def test_and_intro_elim_derivable():
     (conj_form,) = parse_all("(and A B)")
     doc.props["A"] = a
     doc.props["B"] = b
-    conj = elab_hol_prop(doc, Env(), conj_form)
+    conj = elaborate(doc, PROPS, Env(), conj_form)
     # intro: from a and b, derive the encoded conjunction
     sa, sb = shift(a, TERM), shift(b, TERM)
     u_in = MemBase(Var(0))
@@ -305,7 +296,7 @@ def test_derivation_print_parse_roundtrip():
     text = print_hol_derivation(d)
     doc = _doc()
     (form,) = parse_all(text)
-    assert elab_hol_derivation(doc, form) == d
+    assert printed(elab_derivation(doc, HOL, form)) == text
 
 
 def test_eff_derivation_roundtrip_via_text_and_json():
@@ -313,21 +304,21 @@ def test_eff_derivation_roundtrip_via_text_and_json():
     d = res.derivation
     text = print_eff_derivation(d)
     (form,) = parse_all(text)
-    back = elab_eff_derivation(_doc(), form)
-    assert back == d
+    back = elab_derivation(_doc(), EFF, form)
+    assert printed(back) == text
     eff_check(back)
 
     data = jsonio.eff_to_json(d)
     blob = jsonio.dumps(data)
     back2 = jsonio.eff_from_json(json.loads(blob))
-    assert back2 == d
+    assert printed(back2) == text
 
 
 def test_hol_json_roundtrip_and_validation():
     d = k_combinator_derivation()
     data = jsonio.hol_to_json(d)
     back = jsonio.hol_from_json(json.loads(jsonio.dumps(data)))
-    assert back == d
+    assert printed(back) == printed(d)
     bad = json.loads(jsonio.dumps(data))
     bad["derivation"]["rule"] = "Bogus"
     with pytest.raises(SurfaceSyntaxError):
@@ -363,7 +354,7 @@ def test_untyped_roundtrip():
     t = ULam(UBind(URet(UVar(0)), UApp(UProj1(UPair(UVar(0), UVar(1))), UVar(0))))
     text = print_untyped(t)
     (form,) = parse_all(text)
-    assert elab_untyped(_doc(), Env(), form) == t
+    assert elaborate(_doc(), UNTYPED, Env(), form) == t
 
 
 def test_corpus_documents_roundtrip():
@@ -372,22 +363,22 @@ def test_corpus_documents_roundtrip():
         doc = parse_document((CORPUS / fname).read_text())
         for p in doc.props.values():
             (form,) = parse_all(print_hol_prop(p))
-            assert elab_hol_prop(_doc(), Env(), form) == p
+            assert elaborate(_doc(), PROPS, Env(), form) == p
         for d in doc.hol_derivations.values():
-            (form,) = parse_all(print_hol_derivation(d))
-            assert elab_hol_derivation(_doc(), form) == d
+            (form,) = parse_all(printed(d))
+            assert printed(elab_derivation(_doc(), HOL, form)) == printed(d)
         for t in doc.types.values():
             (form,) = parse_all(print_type(t))
-            assert elab_type(_doc(), EffEnv(), form) == t
+            assert elaborate(_doc(), TYPES, EffEnv(), form) == t
         for p in doc.programs.values():
             (form,) = parse_all(print_program(p))
-            assert elab_program(_doc(), EffEnv(), form) == p
+            assert elaborate(_doc(), PROGRAMS, EffEnv(), form) == p
         for s in doc.specs.values():
             (form,) = parse_all(print_spec(s))
-            assert elab_spec(_doc(), EffEnv(), form) == s
+            assert elaborate(_doc(), SPECS, EffEnv(), form) == s
         for d in doc.eff_derivations.values():
-            (form,) = parse_all(print_eff_derivation(d))
-            assert elab_eff_derivation(_doc(), form) == d
+            (form,) = parse_all(printed(d))
+            assert printed(elab_derivation(_doc(), EFF, form)) == printed(d)
 
 
 def test_instance_file_matches_continuation():
@@ -527,12 +518,40 @@ def test_misplaced_parameters_are_rejected_at_load(param):
         parse_document(text)
 
 
+def _stray(sections: str, culprit: str, message: str) -> tuple[str, str]:
+    """``corpus/instance_cont.inst`` with ``sections`` inserted after its
+    strategy, and the error it loads with: ``message`` at the first
+    ``culprit``."""
+    text = (CORPUS / "instance_cont.inst").read_text()
+    text = text.replace("(strategy cbn)\n", f"(strategy cbn)\n  {sections}\n")
+    before = text[: text.index(culprit)].split("\n")
+    return text, f"{len(before)}:{len(before[-1]) + 1}: {message}"
+
+
+# Instance files with a section the format does not have, or with a
+# section given twice, and the located error each is rejected with.
+STRAY_SECTIONS = {
+    "unknown": _stray("(comp (T) T) (bogus 1 2 3)", "(bogus", "unknown instance section (bogus ...)"),
+    "repeated": _stray("(comp (T) T)", "(comp (T) (neg", "repeated instance section (comp ...)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_SECTIONS))
+def test_stray_instance_sections_are_rejected_at_load(case):
+    """An instance is read whole: a section with an unknown tag, or a
+    second section with a tag, is a located syntax error, not skipped."""
+    text, message = STRAY_SECTIONS[case]
+    with pytest.raises(SurfaceSyntaxError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
 def test_grammar_covers_every_node_class_and_rule():
     """The grammar table names every node class of each category and
     every rule the kernels check."""
     from effreal.effhol.theory import EFF_PREMISES
     from effreal.hol.checker import HOL_PREMISES
-    from effreal.surface.grammar import CATEGORIES, EFF, FORMS, HOL
+    from effreal.surface.grammar import CATEGORIES, FORMS
 
     for cat in CATEGORIES:
         assert set(cat.base.__subclasses__()) <= set(FORMS), cat.noun
@@ -597,7 +616,6 @@ def test_counted_table_prints_as_print_term(seed):
     """Sequents whose hypotheses and goal repeat generated subterms, one of
     them also under one more binder, print with the counted text table as
     their formulas printed one by one without a table."""
-    from effreal.surface.grammar import EFF, HOL
     from effreal.surface.printer import print_sequent
 
     rng = random.Random(seed)
@@ -629,7 +647,6 @@ def test_printing_tables_do_not_change_the_output():
         identity_instance,
         instantiate_derivation,
     )
-    from effreal.surface.grammar import EFF, HOL
 
     doc = parse_document((CORPUS / "hol_basic.hol").read_text())
     instances = (identity_instance(), continuation_instance())
