@@ -29,7 +29,6 @@ from .syntax import (
     TYPE,
     After,
     Bind,
-    Comp,
     Compr,
     ComprBase,
     EffContexts,
@@ -93,7 +92,7 @@ _MEM = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EffDerivation:
     rule: str
     conclusion: EffSequent
@@ -323,16 +322,3 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                     f"AntiRed: claimed reduction does not hold within {d.steps} steps", path
                 )
 
-
-def make_triple(
-    ctxs: EffContexts,
-    hyps: tuple[EffSpec, ...],
-    binder_type: EffType,
-    prog: EffProgram,
-    body: EffSpec,
-) -> EffSequent:
-    """The Hoare-style triple: hyps entail ``after prog (x:binder_type) body``."""
-    tp = type_of(ctxs.kinds, ctxs.types, prog)
-    if tp != normalize(Comp(binder_type)):
-        raise IllTyped(f"triple program has type {tp!r}, expected M {binder_type!r}")
-    return EffSequent(ctxs, hyps, After(prog, binder_type, body))

@@ -24,11 +24,3 @@ from .checker import (
     sort_of,
     sequent_wf,
 )
-
-__all__ = [
-    "Base", "Compr", "ComprBase", "FALSUM", "Forall", "HolProp", "HolTerm",
-    "Imp", "Mem", "MemBase", "Pred", "STAR", "Sort", "TERM", "Var",
-    "shift", "subst",
-    "HolDerivation", "Sequent", "check", "prop_wf", "sort_of",
-    "sequent_wf",
-]

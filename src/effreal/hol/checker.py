@@ -107,7 +107,7 @@ HOL_PREMISES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class HolDerivation:
     rule: str
     conclusion: Sequent

@@ -138,23 +138,23 @@ def cmd_extract(args) -> int:
 
 
 def _instance(spec: str):
+    """``id``, ``cont``, or a file's first instance (a bad file is a usage error)."""
     if spec == "id":
         return identity_instance()
     if spec == "cont":
         return continuation_instance()
-    doc = _load(spec)
+    try:
+        doc = _load(spec)
+    except KernelError as exc:
+        raise _UsageError(str(exc)) from exc
     if not doc.instances:
-        raise KernelError(f"no instance declaration in {spec!r}")
+        raise _UsageError(f"no instance declaration in {spec!r}")
     return next(iter(doc.instances.values()))
 
 
 def cmd_instantiate(args) -> int:
     doc = _load(args.file)
-    try:
-        inst = _instance(args.instance)
-    except (KernelError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    inst = _instance(args.instance)
     results = {}
     ok = True
     for name, t in doc.types.items():
@@ -184,11 +184,7 @@ def cmd_instantiate(args) -> int:
 def cmd_normalize(args) -> int:
     fuel = _fuel(args)
     prog = _named(_load(args.file).programs, "program", args.term)
-    try:
-        result, steps = multi_step(prog, Strategy(args.strategy), fuel)
-    except KernelError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    result, steps = multi_step(prog, Strategy(args.strategy), fuel)
     payload = {"result": pr.print_program(result), "steps": steps}
     _emit(args, payload, f"{payload['result']}\n({steps} step(s))")
     return 0
@@ -225,11 +221,7 @@ def cmd_ef_check(args) -> int:
 def cmd_check_laws(args) -> int:
     if args.samples < 1:
         raise _UsageError(f"--samples must be a positive integer, got {args.samples}")
-    try:
-        inst = _instance(args.instance)
-    except (KernelError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    inst = _instance(args.instance)
     report = check_instance_laws(inst, samples_per_law=args.samples, seed=args.seed)
     payload = {
         "instance": report.instance,

@@ -315,12 +315,16 @@ def parse_document(text: str) -> SurfaceDoc:
     from .instancefile import elab_instance
 
     doc = SurfaceDoc()
+    declared = set()  # each tag fills one table
     for form in parse_all(text):
         n = expect_list(form, "declaration")
         tag = head(n)
         if len(n) < 2:
             raise SurfaceSyntaxError(f"{tag} declaration needs a name", n.line, n.col)
         name = expect_atom(n[1], "name").text
+        if (tag, name) in declared:
+            raise SurfaceSyntaxError(f"{tag} {name!r} is declared twice", n.line, n.col)
+        declared.add((tag, name))
         doc.order.append((tag, name))
         what = _DECLARATIONS.get(tag)
         if isinstance(what, Calculus):

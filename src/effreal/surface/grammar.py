@@ -185,20 +185,33 @@ for _cat in CATEGORIES:
 @dataclass(frozen=True)
 class Literal:
     """A witness written as a bare atom: its value read from text or JSON,
-    and the JSON value written for it."""
+    and the JSON value written for it.  Only the spelling the printer
+    writes is read: in text the ``str`` of that JSON value, in JSON the
+    value itself, of the same type."""
 
     noun: str
     parse: typing.Callable
     dump: typing.Callable
 
-    def read(self, value, line: int = 1, col: int = 1):
+    def read(self, value, line: int = 1, col: int = 1, text: bool = True):
         try:
-            return self.parse(value)
-        except (TypeError, ValueError):
-            raise SurfaceSyntaxError(f"bad {self.noun} {value!r}", line, col) from None
+            got = self.parse(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            spelt = str(self.dump(got)) if text else self.dump(got)
+            if type(spelt) is type(value) and spelt == value:
+                return got
+        raise SurfaceSyntaxError(f"bad {self.noun} {value!r}", line, col)
 
 
-STEPS = Literal("step count", int, int)
+def _count(value) -> int:
+    if (n := int(value)) < 0:
+        raise ValueError(value)
+    return n
+
+
+STEPS = Literal("step count", _count, int)
 STRATEGY = Literal("strategy", Strategy, attrgetter("value"))
 
 

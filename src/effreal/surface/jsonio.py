@@ -105,7 +105,7 @@ def _elab_node(calc, node, doc):
         if w.key not in given:
             raise SurfaceSyntaxError(f"{rule} node is missing its {w.key!r} witness", 1, 1)
         if isinstance(w.category, Literal):
-            found[w.field] = w.category.read(given[w.key])
+            found[w.field] = w.category.read(given[w.key], text=False)
             continue
         found[w.field] = el.elaborate(doc, w.category, env, _one(given[w.key], w.key))
         if w.binds:

@@ -43,7 +43,7 @@ from .effhol import syntax as e
 from .effhol.build import anti_red, bind, cut, hyp, imp_elim, imp_intro, uni_elim, uni_intro
 from .effhol.reduction import Strategy
 from .effhol.syntax import EXPR, PROG, TYPE
-from .effhol.theory import EffDerivation, EffSequent, extend, make_triple, sequent_wf
+from .effhol.theory import EffDerivation, EffSequent, extend, sequent_wf
 from .walk import walk
 
 
@@ -372,8 +372,8 @@ def extract_realizer(
     frame = _contexts(c, ambient, memo)
     deriv = walk(_derive, d, c.hyps, frame.ctxs, frame.hyps, memo) if derive else None
     realizer = walk(_realizer, d, c.hyps, memo) if deriv is None else deriv.conclusion.goal.prog
-    triple = make_triple(frame.ctxs, frame.hyps, trtype(c.ctx, c.goal, memo), realizer, frame.goal)
-    sequent_wf(triple, None, {})  # one typing table for the whole triple
+    triple = replace(frame, goal=e.After(realizer, trtype(c.ctx, c.goal, memo), frame.goal))
+    sequent_wf(triple, None, {})  # the triple's one check: it types the realizer too
     return ExtractionResult(realizer, triple, deriv)
 
 

@@ -158,6 +158,39 @@ def test_stray_instance_section_is_a_usage_error(capsys, tmp_path, case, command
     assert run(capsys, command, *argv, "--instance", str(bad)) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("command", ["instantiate", "check-laws"])
+def test_unusable_instance_file_is_a_usage_error(capsys, tmp_path, command):
+    """An ``--instance`` path that does not exist, or a file that declares
+    no instance: exit 2 with the reason on stderr, nothing on stdout."""
+    missing, empty = tmp_path / "missing.inst", tmp_path / "empty.inst"
+    empty.write_text("")
+    argv = (str(CORPUS / "programs.eff"),) if command == "instantiate" else ()
+    for path, message in (
+        (missing, f"[Errno 2] No such file or directory: {str(missing)!r}"),
+        (empty, f"no instance declaration in {str(empty)!r}"),
+    ):
+        assert run(capsys, command, *argv, "--instance", str(path)) == (2, "", message + "\n")
+
+
+def test_a_name_declared_twice_keeps_the_syntax_error_exit_codes(capsys, tmp_path):
+    """A repeated declaration is a located syntax error: exit 1 in the
+    document argument, 2 in an ``--instance`` file."""
+    text = (CORPUS / "hol_basic.hol").read_text()
+    line = text.count("\n") + 1
+    bad = tmp_path / "bad.hol"
+    bad.write_text(text + "(hol-derivation i-combinator (id (sequent () (hyps bot) bot)))")
+    assert run(capsys, "check-hol", str(bad)) == (
+        1, "", f"{line}:1: hol-derivation 'i-combinator' is declared twice\n"
+    )
+    text = (CORPUS / "instance_cont.inst").read_text()
+    line = text.count("\n") + 1
+    bad = tmp_path / "bad.inst"
+    bad.write_text(text + "(instance cont-file (strategy cbn))")
+    assert run(capsys, "check-laws", "--instance", str(bad)) == (
+        2, "", f"{line}:1: instance 'cont-file' is declared twice\n"
+    )
+
+
 # A modality rule whose goal is no modality: the instance templates would
 # read parts the goal does not have.
 _UNCHECKED = {

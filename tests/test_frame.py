@@ -1,6 +1,7 @@
 """Erasure, untyped reduction, the lift operation, and the frame laws."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,9 @@ from effreal.frame import (
     untyped_step,
 )
 from effreal.generators import random_closed_program
+from effreal.surface.elaborate import parse_document
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 V = ULam(URet(UVar(0)))
 W = ULam(UVar(0))
@@ -178,6 +182,18 @@ def test_ef_law_suite_passes():
     samples = (make_prop(V), make_prop(W), make_prop(V, W))
     report = ef_law_suite(samples)
     assert report.ok, report.clauses
+
+
+def test_ef_law_suite_verdicts_per_fuel():
+    """The suite's verdict on each clause of ``corpus/ef_samples.ef`` at
+    fuel 0-12: T true, ? unknown (fuel ran out), F false."""
+    clauses = ("reflexivity", "transitivity", "top", "conjunction", "universal-implication")
+    rows = ["????F", "T?T?F", "T?T??", "T?T??", "TTT??", "TTTT?"] + ["TTTTT"] * 7
+    verdict = {"T": True, "?": None, "F": False}
+    samples = tuple(parse_document((CORPUS / "ef_samples.ef").read_text()).ef_props.values())
+    for fuel, row in enumerate(rows):
+        want = dict(zip(clauses, (verdict[c] for c in row)))
+        assert ef_law_suite(samples, fuel).clauses == want, fuel
 
 
 @settings(max_examples=150, deadline=None)

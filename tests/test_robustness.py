@@ -368,6 +368,16 @@ def test_kernels_check_deep_derivations(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["hol", "effhol"])
+def test_repr_of_a_deep_derivation_returns(kernel):
+    """A derivation's ``repr`` does not walk its premises (print it to see
+    them), so that of the 2,000-deep chain returns at the default
+    recursion limit."""
+    deriv, imp, s, _ = _calculus(kernel)
+    d = _deep_chain(deriv, imp, s, 1000, deriv("Id", s))
+    assert type(d).__name__ in _at_limit_1000(lambda: repr(d))
+
+
+@pytest.mark.parametrize("kernel", ["hol", "effhol"])
 def test_json_handles_deep_derivations(kernel):
     """Writing a derivation document, its text, and reading the document
     back walk the derivation from explicit stacks: at the default

@@ -348,6 +348,85 @@ def test_json_rejects_missing_witness():
         jsonio.hol_from_json(data)
 
 
+def _anti_reduction():
+    doc = parse_document((CORPUS / "effhol_basic.eff").read_text())
+    return doc.eff_derivations["anti-reduction"]
+
+
+def test_text_reads_the_printed_step_counts():
+    text = print_eff_derivation(_anti_reduction())
+    for steps in ("0", "1", "10"):
+        (form,) = parse_all(text.replace(" 1 base ", f" {steps} base "))
+        assert elab_derivation(_doc(), EFF, form).steps == int(steps)
+
+
+@pytest.mark.parametrize("steps", ["01", "+1", "1_0", "\u0661", "-1"])
+def test_text_reads_no_other_step_count(steps):
+    """A step count is read only as the printer writes it, ASCII
+    ``0|[1-9][0-9]*``: any other spelling is an error at its atom."""
+    text = print_eff_derivation(_anti_reduction())
+    assert text.count(" 1 base ") == 1
+    text = text.replace(" 1 base ", f" {steps} base ")
+    (form,) = parse_all(text)
+    with pytest.raises(SurfaceSyntaxError) as info:
+        elab_derivation(_doc(), EFF, form)
+    col = text.index(f" {steps} base ") + 2
+    assert str(info.value) == f"1:{col}: bad step count {steps!r}"
+
+
+@pytest.mark.parametrize("steps", [1.9, True, "1", -1, 1e400])
+def test_json_reads_no_step_count_but_a_non_negative_integer(steps):
+    data = json.loads(jsonio.dumps(jsonio.eff_to_json(_anti_reduction())))
+    assert data["derivation"]["witnesses"]["steps"] == 1
+    data["derivation"]["witnesses"]["steps"] = steps
+    with pytest.raises(SurfaceSyntaxError) as info:
+        jsonio.eff_from_json(data)
+    assert str(info.value) == f"1:1: bad step count {steps!r}"
+
+
+# One declaration for each table of a document; the assertion names the
+# proposition and evidence of _EF_PREAMBLE.
+_EF_PREAMBLE = "(ef-prop q (lam (x) (ret x))) (ef-evidence w (lam (x) (ret x)))"
+_DECLARATIONS = {
+    "sort": "(sort s *)",
+    "prop": "(prop a bot)",
+    "hol-derivation": "(hol-derivation d (id (sequent () (hyps bot) bot)))",
+    "kind": "(kind k *)",
+    "type": "(type t bot-type)",
+    "program": "(program p (lam (x bot-type) x))",
+    "index": "(index i (ref0 bot-type))",
+    "expr": "(expr e (compr0 (x bot-type) top-spec))",
+    "spec": "(spec s top-spec)",
+    "eff-derivation": (
+        "(eff-derivation d (id (sequent (kinds) (indices) (types) (hyps top-spec) top-spec)))"
+    ),
+    "instance": (
+        "(instance i (strategy base) (comp (T) T) (ret (T p) p)"
+        " (bind (T1 T2 p1 rest) (app (lam (x T1) rest) p1))"
+        " (after (T p body) (member0 p (compr0 (x T) body))))"
+    ),
+    "ef-prop": "(ef-prop a (lam (x) (ret x)))",
+    "ef-evidence": "(ef-evidence v (lam (x) (ret x)))",
+    "ef-assert": "(ef-assert b q w q)",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_DECLARATIONS))
+def test_a_name_declared_twice_in_one_table_is_rejected(tag):
+    """A second declaration of a name in the same table is a syntax error
+    at that declaration, not a silent replacement of the first."""
+    decl = _DECLARATIONS[tag]
+    parse_document(f"{_EF_PREAMBLE}\n{decl}")
+    with pytest.raises(SurfaceSyntaxError) as info:
+        parse_document(f"{_EF_PREAMBLE}\n{decl}\n{decl}")
+    assert str(info.value) == f"3:1: {tag} {decl.split()[1]!r} is declared twice"
+
+
+def test_tables_have_their_own_names():
+    doc = parse_document("(type g bot-type) (program g (lam (x bot-type) x))")
+    assert set(doc.types) == set(doc.programs) == {"g"}
+
+
 def test_untyped_roundtrip():
     from effreal.frame import UApp, UBind, ULam, UPair, UProj1, URet, UVar
 
@@ -466,7 +545,7 @@ def test_instance_templates_splice_across_their_binders():
           (allp (z T)
             (imp (member0 p (compr0 (w T) top-spec))
                  (allp (x T) body))))))
-    (type U (fun bot-type bot-type))
+    (type U2 (fun bot-type bot-type))
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")

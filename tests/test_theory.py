@@ -21,10 +21,10 @@ from effreal.effhol import (
     Strategy,
     TOP_SPEC,
     check,
-    make_triple,
+    sequent_wf,
 )
 from effreal.effhol import PROG, shift, subst
-from effreal.errors import IllTyped, KernelError, ReductionMismatch, RuleMismatch
+from effreal.errors import IllTyped, KernelError, ReductionMismatch, RuleMismatch, SpecIllFormed
 
 EMPTY = EffContexts()
 IDENT = Abs(BOT_TYPE, PVar(0))
@@ -163,10 +163,11 @@ def test_antired_bogus_reduction_rejected():
         )
 
 
-def test_make_triple():
+def test_sequent_wf_rejects_an_ill_typed_triple():
+    """A triple is a plain sequent whose goal is ``After``: ``sequent_wf``
+    types its realizer against the binder type."""
     cell = ComprBase(T_ID, TOP_SPEC)
     phi = SMemBase(PVar(0), cell)
-    s = make_triple(EMPTY, (), T_ID, Ret(IDENT), phi)
-    assert s.goal == After(Ret(IDENT), T_ID, phi)
-    with pytest.raises(IllTyped):
-        make_triple(EMPTY, (), BOT_TYPE, Ret(IDENT), phi)
+    sequent_wf(seq(After(Ret(IDENT), T_ID, phi)))
+    with pytest.raises(SpecIllFormed, match="^modality source has type "):
+        sequent_wf(seq(After(Ret(IDENT), BOT_TYPE, phi)))
