@@ -53,7 +53,11 @@ def _fuel(args) -> int:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as f:
-        return parse_document(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_document(text)
 
 
 def _named(table: dict, noun: str, name: str):

@@ -34,7 +34,7 @@ from .grammar import (
     Calculus,
     Literal,
 )
-from .sexp import Atom, expect_args, expect_atom, expect_list, head, parse_all
+from .sexp import Atom, expect_args, expect_atom, expect_list, head, read_forms
 
 
 class Env:
@@ -276,7 +276,7 @@ def _derivation(doc: SurfaceDoc, calc: Calculus, node):
     for w in witnesses:
         arg = next(args)
         if isinstance(w.category, Literal):
-            found[w.field] = w.category.read(expect_atom(arg, w.key).text, arg.line, arg.col)
+            found[w.field] = w.category.read(expect_atom(arg, w.key).text, arg)
         elif w.binds:
             _tagged(arg, w.binds)
             group = expect_args(arg, 2)
@@ -312,42 +312,55 @@ def _named(table: dict, node, what: str):
 
 
 def parse_document(text: str) -> SurfaceDoc:
-    from .instancefile import elab_instance
-
+    """The declarations of ``text``, each elaborated as soon as the reader
+    closes it and dropped before it reads on.  A reader error anywhere in
+    the text is reported before an elaboration error ahead of it."""
     doc = SurfaceDoc()
     declared = set()  # each tag fills one table
-    for form in parse_all(text):
-        n = expect_list(form, "declaration")
-        tag = head(n)
-        if len(n) < 2:
-            raise SurfaceSyntaxError(f"{tag} declaration needs a name", n.line, n.col)
-        name = expect_atom(n[1], "name").text
-        if (tag, name) in declared:
-            raise SurfaceSyntaxError(f"{tag} {name!r} is declared twice", n.line, n.col)
-        declared.add((tag, name))
-        doc.order.append((tag, name))
-        what = _DECLARATIONS.get(tag)
-        if isinstance(what, Calculus):
-            getattr(doc, what.store)[name] = elab_derivation(doc, what, expect_args(n, 2)[2])
-        elif what is not None:
-            envs = tuple(Env() for _ in what.family)
-            getattr(doc, what.store)[name] = _elab(doc, what, envs, expect_args(n, 2)[2])
-        elif tag == "instance":
-            doc.instances[name] = elab_instance(doc, n)
-        elif tag == "ef-prop":
-            values = (_elab(doc, UNTYPED, (Env(),), v) for v in n.items[2:])
-            doc.ef_props[name] = ef.make_prop(*values)
-        elif tag == "ef-assert":
-            # (ef-assert name PROP EVIDENCE PROP)
-            expect_args(n, 4)
-            doc.ef_asserts.append(
-                (
-                    name,
-                    _named(doc.ef_props, n[2], "proposition"),
-                    _named(doc.ef_evidence, n[3], "evidence"),
-                    _named(doc.ef_props, n[4], "proposition"),
-                )
-            )
-        else:
-            raise SurfaceSyntaxError(f"unknown declaration {tag!r}", n.line, n.col)
+    forms = read_forms(text)
+    try:
+        for form in forms:
+            _declare(doc, declared, form)
+    except Exception:
+        for _ in forms:  # read on: a reader error there wins
+            pass
+        raise
     return doc
+
+
+def _declare(doc: SurfaceDoc, declared: set, form) -> None:
+    n = expect_list(form, "declaration")
+    tag = head(n)
+    if len(n) < 2:
+        raise SurfaceSyntaxError(f"{tag} declaration needs a name", n.line, n.col)
+    name = expect_atom(n[1], "name").text
+    if (tag, name) in declared:
+        raise SurfaceSyntaxError(f"{tag} {name!r} is declared twice", n.line, n.col)
+    declared.add((tag, name))
+    doc.order.append((tag, name))
+    what = _DECLARATIONS.get(tag)
+    if isinstance(what, Calculus):
+        getattr(doc, what.store)[name] = elab_derivation(doc, what, expect_args(n, 2)[2])
+    elif what is not None:
+        envs = tuple(Env() for _ in what.family)
+        getattr(doc, what.store)[name] = _elab(doc, what, envs, expect_args(n, 2)[2])
+    elif tag == "instance":
+        from .instancefile import elab_instance
+
+        doc.instances[name] = elab_instance(doc, n)
+    elif tag == "ef-prop":
+        values = (_elab(doc, UNTYPED, (Env(),), v) for v in n.items[2:])
+        doc.ef_props[name] = ef.make_prop(*values)
+    elif tag == "ef-assert":
+        # (ef-assert name PROP EVIDENCE PROP)
+        expect_args(n, 4)
+        doc.ef_asserts.append(
+            (
+                name,
+                _named(doc.ef_props, n[2], "proposition"),
+                _named(doc.ef_evidence, n[3], "evidence"),
+                _named(doc.ef_props, n[4], "proposition"),
+            )
+        )
+    else:
+        raise SurfaceSyntaxError(f"unknown declaration {tag!r}", n.line, n.col)

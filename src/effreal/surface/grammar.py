@@ -193,7 +193,9 @@ class Literal:
     parse: typing.Callable
     dump: typing.Callable
 
-    def read(self, value, line: int = 1, col: int = 1, text: bool = True):
+    def read(self, value, at=None, text: bool = True):
+        """``value`` read; a bad one is reported at the form ``at``, or at
+        1:1 without one."""
         try:
             got = self.parse(value)
         except (TypeError, ValueError, OverflowError):
@@ -202,6 +204,7 @@ class Literal:
             spelt = str(self.dump(got)) if text else self.dump(got)
             if type(spelt) is type(value) and spelt == value:
                 return got
+        line, col = (at.line, at.col) if at is not None else (1, 1)
         raise SurfaceSyntaxError(f"bad {self.noun} {value!r}", line, col)
 
 

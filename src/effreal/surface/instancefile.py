@@ -125,7 +125,7 @@ def elab_instance(doc, node) -> PureInstance:
     name = expect_atom(node[1], "name").text
     sections = _sections(node)
     strat_s = sections["strategy"]
-    strat = STRATEGY.read(expect_atom(strat_s[1], "strategy").text, strat_s.line, strat_s.col)
+    strat = STRATEGY.read(expect_atom(strat_s[1], "strategy").text, strat_s)
     # the declarations so far, which later ones leave as they are
     tables = {c.store: dict(getattr(doc, c.store)) for c in CATEGORIES if c.store}
     comp, ret, bind, after = (

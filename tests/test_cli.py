@@ -172,6 +172,22 @@ def test_unusable_instance_file_is_a_usage_error(capsys, tmp_path, command):
         assert run(capsys, command, *argv, "--instance", str(path)) == (2, "", message + "\n")
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    """A document, ``--instance`` or ``--ambient`` file that does not
+    decode as UTF-8: exit 2 with one line on stderr, nothing on stdout."""
+    bad = tmp_path / "bad.hol"
+    bad.write_bytes(b"\xff\xfe(prop")
+    message = f"{str(bad)!r} is not UTF-8 text: invalid start byte at byte 0\n"
+    hol = str(CORPUS / "hol_basic.hol")
+    for argv in (
+        ("check-hol", str(bad)),
+        ("instantiate", str(CORPUS / "programs.eff"), "--instance", str(bad)),
+        ("check-laws", "--instance", str(bad)),
+        ("extract", hol, "--derivation", "k-combinator", "--ambient", str(bad)),
+    ):
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
 def test_a_name_declared_twice_keeps_the_syntax_error_exit_codes(capsys, tmp_path):
     """A repeated declaration is a located syntax error: exit 1 in the
     document argument, 2 in an ``--instance`` file."""

@@ -1,7 +1,9 @@
 """Surface syntax: elaboration, canonical printing, JSON, instance files."""
 
+import gc
 import json
 import random
+import tracemalloc
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -38,7 +40,8 @@ from effreal.surface import (
 from effreal.surface.elaborate import EffEnv, Env, SurfaceDoc, elab_derivation, elaborate
 from effreal.surface.grammar import EFF, HOL, PROGRAMS, PROPS, SPECS, TYPES, UNTYPED
 from effreal.surface import jsonio
-from effreal.surface.sexp import Atom, parse_all
+from effreal.surface import sexp
+from effreal.surface.sexp import Atom, SList, parse_all
 from effreal.translation import extract_realizer
 from tests.test_pipeline import printed
 from tests.test_translation import k_combinator_derivation
@@ -133,6 +136,83 @@ def test_reader_matches_the_character_loop(text):
     except SurfaceSyntaxError as exc:
         got = ("error", str(exc))
     assert got == _reference_parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(st.sampled_from(["(", ")", ";", "a", "é", "\t", "\r", "\n", "\f", " "])),
+    st.integers(1, 6),
+)
+def test_reader_reads_the_same_a_slice_at_a_time(text, size):
+    """Split into tokens a few characters at a time, a text reads as the
+    character-loop reader reads it: a token cut by the end of a slice, or
+    longer than a slice, is read whole."""
+    saved, sexp._SLICE = sexp._SLICE, size
+    try:
+        got = [_as_tuples(f) for f in parse_all(text)]
+    except SurfaceSyntaxError as exc:
+        got = ("error", str(exc))
+    finally:
+        sexp._SLICE = saved
+    assert got == _reference_parse(text)
+
+
+# First declarations that fail to elaborate, with the error each raises.
+_ELABORATION_FAILURES = {
+    "unknown-term": ("(prop p (member0 nowhere))", ScopeError),
+    "unknown-declaration": ("(bogus p bot)", SurfaceSyntaxError),
+    "declared-twice": ("(prop p bot)\n(prop p bot)", SurfaceSyntaxError),
+    "too-deep": ("(prop p " + "(not " * 10_000 + "bot" + ")" * 10_000 + ")", RecursionError),
+}
+# Later text the reader rejects, with the column of its error on the
+# tail's last line.
+_READER_FAILURES = {
+    "unbalanced": ("\n(prop q bot))", "13: unbalanced ')'"),
+    "unclosed": ("\n(prop q (not bot)", "1: unclosed '('"),
+}
+
+
+@pytest.mark.parametrize("tail", sorted(_READER_FAILURES))
+@pytest.mark.parametrize("first", sorted(_ELABORATION_FAILURES))
+def test_a_reader_error_wins_over_an_earlier_elaboration_error(first, tail):
+    """A document is read to its end before an elaboration error is
+    reported: a reader error anywhere in the text is raised instead, with
+    its own message and position."""
+    head, raised = _ELABORATION_FAILURES[first]
+    rest, where = _READER_FAILURES[tail]
+    with pytest.raises(raised):
+        parse_document(head)
+    with pytest.raises(SurfaceSyntaxError) as info:
+        parse_document(head + rest)
+    assert str(info.value) == f"{head.count(chr(10)) + 2}:{where}"
+
+
+def _reader_forms() -> int:
+    return sum(isinstance(o, (Atom, SList)) for o in gc.get_objects())
+
+
+def test_reading_holds_one_declaration_at_a_time():
+    """Reading a 1,000-declaration document peaks at no more than 1.5
+    times what the returned document keeps, and no reader form outlives
+    the read: each declaration's tree is dropped once it is elaborated."""
+    rng = random.Random(23)
+    text = []
+    for i in range(500):
+        p, ty = random_closed_program(rng, 8)
+        text += [f"(type g{i} {print_type(ty)})", f"(program g{i} {print_program(p)})"]
+    text = "\n".join(text)
+    gc.collect()
+    forms = _reader_forms()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = parse_document(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.programs) == len(doc.types) == 500
+    assert peak - base <= 1.5 * (kept - base), (peak - base, kept - base)
+    assert _reader_forms() == forms
 
 
 class _Mode(str, Enum):
