@@ -109,5 +109,17 @@ class SurfaceSyntaxError(KernelError):
         super().__init__(f"{line}:{col}: {message}")
 
 
+class ShadowWarning(UserWarning):
+    """A binder named like an enclosing one of its namespace, which its
+    variables then resolve to; carries the binder's 1-based source
+    position."""
+
+    def __init__(self, name: str, line: int, col: int):
+        self.line = line
+        self.col = col
+        self.text = f"binder {name!r} shadows an outer binder; resolving to the nearest"
+        super().__init__(f"{line}:{col}: {self.text}")
+
+
 class ScopeError(KernelError):
     pass

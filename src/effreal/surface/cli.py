@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from functools import partial
 
-from ..errors import KernelError
+from ..errors import KernelError, ShadowWarning
 from ..hol import check as hol_check
 from ..effhol import check as eff_check, type_of
 from ..effhol.reduction import DEFAULT_FUEL, Strategy, multi_step
@@ -239,6 +240,13 @@ def cmd_check_laws(args) -> int:
     return 0 if report.ok else 1
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as one stderr line, a located one in the format of
+    the reader's errors: ``LINE:COL: warning: MESSAGE``."""
+    where = f"{message.line}:{message.col}: " if isinstance(message, ShadowWarning) else ""
+    print(f"{where}warning: {getattr(message, 'text', message)}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="effreal",
@@ -304,7 +312,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except KernelError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .._astnode import shift
-from ..errors import ScopeError, SurfaceSyntaxError
+from ..errors import ScopeError, ShadowWarning, SurfaceSyntaxError
 from ..hol import syntax as h
 from ..effhol import syntax as e
 from .. import frame as ef
@@ -47,12 +47,12 @@ class Env:
     def slots(self) -> tuple[Env, ...]:
         return (self,)
 
-    def push(self, name: str) -> None:
+    def push(self, name: str, at=None) -> None:
+        """Bind ``name``, read at the form ``at``, where a shadowing binder
+        is reported (at 1:1 without one)."""
         if name in self.names:
-            warnings.warn(
-                f"binder {name!r} shadows an outer binder; resolving to the nearest",
-                stacklevel=2,
-            )
+            line, col = (at.line, at.col) if at is not None else (1, 1)
+            warnings.warn(ShadowWarning(name, line, col), stacklevel=2)
         self.names.append(name)
 
     def pop(self) -> None:
@@ -108,18 +108,20 @@ def _tagged(node, tag: str) -> tuple:
     return n.items[1:]
 
 
-def _binder(node, annotated: bool) -> tuple[str, object]:
+def _binder(node, annotated: bool) -> tuple[Atom, object]:
+    """The name atom of a binder and its annotation."""
     b = expect_list(node, "binder")
     if len(b) != 1 + annotated:
         shape = "(name annotation)" if annotated else "(name)"
         raise SurfaceSyntaxError(f"a binder here is {shape}", b.line, b.col)
-    return expect_atom(b[0], "binder name").text, b[1] if annotated else None
+    return expect_atom(b[0], "binder name"), b[1] if annotated else None
 
 
 def _within(doc, cat, envs, node, bound):
-    """Elaborate ``node`` under the binders ``bound``, (namespace, name) pairs."""
+    """Elaborate ``node`` under the binders ``bound``, (namespace, name
+    atom) pairs."""
     for ns, name in bound:
-        envs[ns.slot].push(name)
+        envs[ns.slot].push(name.text, name)
     x = _elab(doc, cat, envs, node)
     for ns, _ in bound:
         envs[ns.slot].pop()
@@ -246,7 +248,7 @@ def elab_sequent(doc: SurfaceDoc, calc: Calculus, node):
         for b in entries:
             name, ann = _binder(b, True)
             ctx.append(_elab(doc, cat, envs, ann))
-            envs[ANNOTATES[cat].slot].push(name)
+            envs[ANNOTATES[cat].slot].push(name.text, name)
         contexts.append(tuple(ctx))
     hyps = tuple(_elab(doc, calc.formula, envs, p) for p in _tagged(s[-2], "hyps"))
     goal = _elab(doc, calc.formula, envs, s[-1])

@@ -16,6 +16,12 @@ dataclass fields and the binder layout ``@astnode`` records, by one rule:
   enclosing binders of that namespace, so a variable prints as the prefix
   followed by ``depth - 1 - index`` and parse(print(x)) == x.
 
+Each form's ``scope`` is derived too: the namespaces whose binder depths
+the text of its category's members can read (those of its variables and
+binders, and its children's), which must be a prefix of its calculus's
+namespaces.  So a printed type or index depends on the type depth only,
+and a program on the type and program depths.
+
 Sequent contexts follow the same binder rule, entry by entry.  ``HOL`` and
 ``EFF`` describe each calculus's sequents and, per derivation rule, its
 surface tag and witnesses; a rule's premise count is the length of its
@@ -66,6 +72,7 @@ class Form:
     cls: type
     var: Namespace | None  # set for variable classes
     items: tuple[Item, ...]
+    scope: int = 0  # derived: its text reads the binder depths of family[:scope] only
 
 
 @dataclass(eq=False)
@@ -180,6 +187,28 @@ for _cat in CATEGORIES:
             _cat.forms[_tag] = _form
         else:
             _cat.atoms[_tag] = _cls()
+
+
+def _reads() -> dict:
+    """Per category, the namespaces whose binder depths a member's text can
+    read: those of its variables and binders, and its children's, as a
+    least fixed point."""
+    reads = {c: {FORMS[c.var].var} if c.var else set() for c in CATEGORIES}
+    while True:
+        before = sum(map(len, reads.values()))
+        for c in CATEGORIES:
+            for form in c.forms.values():
+                for i in form.items:
+                    reads[c] |= {i.binds} - {None} | reads.get(i.category, set())
+        if sum(map(len, reads.values())) == before:
+            return reads
+
+
+for _cat, _ns in _reads().items():
+    if _ns != set(_cat.family[: len(_ns)]):
+        raise TypeError(f"{_cat.noun}: the namespaces it reads are not a prefix of its family")
+    for _tag, _form in _cat.forms.items():
+        _cat.forms[_tag] = FORMS[_form.cls] = dataclasses.replace(_form, scope=len(_ns))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ Terms are embedded as canonical surface-syntax strings, so the JSON tree
 mirrors the derivation structure ({rule, conclusion, witnesses, premises})
 while staying human-readable.  The witnesses of each rule are those of
 its text form (``grammar``), keyed by name.  Writing a document prints
-all its strings with one counted text table (``printer``): the first pass
-counts every ``(node, binder depths)`` key that the conclusions and
-witnesses of all the derivation's nodes reach, so a subterm shared by
-many sequents is printed once, and its text is dropped after its last
-counted use.  Loading validates the schema version, rejects unknown rule
-tags, and re-elaborates every embedded term.
+all its strings in one pass with one text table (``printer``): a subterm
+is printed once per ``(node, depths it can read)`` key across all the
+derivation's conclusions and witnesses, and a later reach copies a slice
+of the conclusion or witness string it was first printed in, which the
+document holds anyway.  Loading validates the schema version, rejects
+unknown rule tags, and re-elaborates every embedded term.
 """
 
 from __future__ import annotations
@@ -27,18 +27,16 @@ SCHEMA = "effreal/derivation/1"
 
 
 def _to_json(calc, d) -> dict:
-    table = pr._table(calc, d)
-    return {"schema": SCHEMA, "calculus": calc.name, "derivation": walk(_node, calc, d, table)}
+    return {"schema": SCHEMA, "calculus": calc.name, "derivation": walk(_node, calc, d, {})}
 
 
 def _node(calc, d, table: dict):
     """The JSON tree of ``d``, its nodes made in pre-order; a walk (see
     ``walk``)."""
-    out: list[str] = []
-    depth = pr._sequent(calc, d.conclusion, out, table)
+    conclusion, depth = pr._sequent(calc, d.conclusion, table)
     node = {
         "rule": d.rule,
-        "conclusion": "".join(out),
+        "conclusion": conclusion,
         "witnesses": pr.witness_texts(calc, d, depth, table),
         "premises": [],
     }

@@ -6,51 +6,35 @@ depth (u0, u1, ... for logic variables; X, x, y prefixes on the effectful
 side, v for untyped terms), innermost binders getting the highest number,
 so parse(print(x)) == x.
 
-Printing a sequent or a derivation keeps one counted text table per
-top-level call (``print_sequent``, ``print_derivation``, and ``jsonio``'s
-``hol_to_json`` and ``eff_to_json``; ``witness_texts`` prints with its
-caller's table).  The key is ``(node, depth)``: a node with children and
-the binder depths it sits under.  It is exact, since a node's text depends
-only on the node, which is hash-consed, and on those depths.  A first
-pass, which builds no strings, counts how often ``_emit`` will reach each
-key from the call's formulas (context entries, hypotheses, goals,
-witnesses and the bodies under their binders).  It stops below a key it
-has reached before, because ``_emit`` reuses a printed key's text without
-reaching its children again.  The table keeps the keys reached more than
-once.  ``_emit`` prints any other key in place; it prints a kept key once,
-holds its text, and drops the text after its last counted use.  Variables
-and bare tags are always printed in place.
+Printing a sequent or a derivation keeps one text table per top-level call
+(``print_sequent``, ``print_derivation``, and ``jsonio``'s ``hol_to_json``
+and ``eff_to_json``; ``witness_texts`` prints with its caller's table).
+The key of a node with children is ``(node, depths)``, where ``depths``
+keeps the binder depths of the namespaces its category can read
+(``grammar``'s derived ``scope``): a type's text depends on the type depth
+only, however many program binders it sits under.  The key is exact, since
+nodes are hash-consed and a node's text reads the depths only at its
+variables and binders.  Printing is one pass in units, a sequent or a
+witness each.  A key printed for the first time is entered with where its
+text lies: fragment indices into the open unit's parts, and, once the unit
+is joined, that unit's text and character offsets.  A later reach appends
+that slice.  So the table holds no text but the units the call returns.
+Variables and bare tags are always printed in place.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, islice
 from operator import add
 
 from ..walk import walk
 from .grammar import ANNOTATES, EFF, FORMS, HOL, Literal, binder_name
 
 
-def _count(x, depth: tuple[int, ...], table: dict) -> None:
-    """Count one more reach of ``x`` under ``depth`` in ``table`` and, on
-    the first, the reaches of its children as ``_emit`` makes them."""
-    form = FORMS.get(type(x))
-    if form is None or form.var is not None or not form.items:
-        return
-    key = (x, depth)
-    reached = table.get(key, 0)
-    table[key] = reached + 1
-    if reached:
-        return
-    for name, _, _, under in form.items:
-        if name is not None:
-            _count(getattr(x, name), tuple(map(add, depth, under)) if under else depth, table)
-
-
 def _emit(x, depth: tuple[int, ...], out: list[str], table: dict) -> None:
     """Append the parts of ``x``, found under ``depth`` binders per
-    namespace slot, to ``out``; ``table`` is the counted text table of the
-    top-level call (an empty one prints every node in place)."""
+    namespace slot, to ``out``, the open unit; ``table`` maps each key
+    printed before to where its text lies."""
     form = FORMS.get(type(x))
     if form is None:
         raise TypeError(f"not a surface node: {x!r}")
@@ -61,13 +45,11 @@ def _emit(x, depth: tuple[int, ...], out: list[str], table: dict) -> None:
     if not form.items:
         out.append(form.tag)
         return
-    key = (x, depth)
-    uses = table.get(key, 1)
-    if type(uses) is list:  # [text, uses left], printed before
-        out.append(uses[0])
-        uses[1] -= 1
-        if not uses[1]:
-            del table[key]
+    key = (x, depth[: form.scope])
+    at = table.get(key)
+    if at is not None:  # (a closed unit's text, or the open unit's parts, start, end)
+        text, start, end = at
+        out.append(text[start:end] if type(text) is str else "".join(text[start:end]))
         return
     start = len(out)
     out.append("(" + form.tag)
@@ -82,16 +64,31 @@ def _emit(x, depth: tuple[int, ...], out: list[str], table: dict) -> None:
             _emit(getattr(x, name), depth, out, table)
         out.append(")")
     out.append(")")
-    if uses > 1:
-        text = "".join(out[start:])
-        out[start:] = (text,)
-        table[key] = [text, uses - 1]
+    table[key] = (out, start, len(out))
+
+
+def _close(out: list[str], table: dict, fresh: int) -> str:
+    """The text of a unit printed into ``out``; the entries of ``table``
+    from the ``fresh``-th on, which the unit made, now point into it."""
+    text = "".join(out)
+    ends = [0, *accumulate(map(len, out))]
+    for key in list(islice(reversed(table), len(table) - fresh)):
+        _, start, end = table[key]
+        table[key] = (text, ends[start], ends[end])
+    return text
 
 
 def _text(x, depth: tuple[int, ...], table: dict) -> str:
-    out: list[str] = []
+    fresh, out = len(table), []
     _emit(x, depth, out, table)
-    return "".join(out)
+    return _close(out, table, fresh)
+
+
+class _Unshared(dict):
+    """A table that keeps nothing: every node is printed in place."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
 
 
 def print_term(x, *depth: int) -> str:
@@ -100,7 +97,7 @@ def print_term(x, *depth: int) -> str:
     expression on the effectful side), missing counts being 0.  No table
     is kept, so this is also the reference the tables are tested against."""
     # padding is harmless: crossing a binder keeps only the family's slots
-    return _text(x, depth + (0, 0, 0), {})
+    return _text(x, depth + (0, 0, 0), _Unshared())
 
 
 print_hol_prop = print_type = print_program = print_spec = print_untyped = print_term
@@ -131,51 +128,20 @@ def _witnesses(calc, d, depth: tuple[int, ...]):
 
 def witness_texts(calc, d, depth: tuple[int, ...], table: dict) -> dict:
     """The witnesses of ``d``, whose conclusion sits under ``depth``
-    binders, by JSON key: terms as surface text, step counts and
-    strategies as their JSON values.  ``table`` is the counted text table
-    of the enclosing top-level call."""
+    binders, by JSON key: terms as surface text, each printed as a unit
+    with the enclosing top-level call's ``table``, step counts and
+    strategies as their JSON values."""
     return {
         key: v if at is None else _text(v, at, table) for key, v, at in _witnesses(calc, d, depth)
     }
 
 
-def _count_sequent(calc, seq, table: dict) -> tuple[int, ...]:
-    """Count the formulas of ``seq`` in ``table``; returns the binder
-    depths at them."""
-    contexts = calc.contexts(seq)
-    depth = calc.depth(contexts)
-    for x in (*chain.from_iterable(contexts), *seq.hyps, seq.goal):
-        _count(x, depth, table)
-    return depth
-
-
-def _shared(table: dict) -> dict:
-    """The keys of a counted ``table`` reached more than once; ``_emit``
-    prints any other key in place."""
-    return {key: n for key, n in table.items() if n > 1}
-
-
-def _table(calc, d) -> dict:
-    """The counted text table for printing the derivation ``d``: its
-    nodes are walked from an explicit stack, not by recursion."""
-    table: dict = {}
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        depth = _count_sequent(calc, d.conclusion, table)
-        for _, v, at in _witnesses(calc, d, depth):
-            if at is not None:
-                _count(v, at, table)
-        stack.extend(d.premises)
-    return _shared(table)
-
-
-def _sequent(calc, seq, out: list[str], table: dict) -> tuple[int, ...]:
-    """Append the text of ``seq`` to ``out``; returns the binder depths at
+def _sequent(calc, seq, table: dict) -> tuple[str, tuple[int, ...]]:
+    """The text of ``seq``, printed as a unit, and the binder depths at
     its formulas."""
     contexts = calc.contexts(seq)
     depth = calc.depth(contexts)
-    out.append("(sequent")
+    fresh, out = len(table), ["(sequent"]
     for (tag, cat), entries in zip(calc.sections, contexts):
         ns = ANNOTATES[cat]
         out.append(f" ({tag}" if tag else " (")
@@ -191,13 +157,13 @@ def _sequent(calc, seq, out: list[str], table: dict) -> tuple[int, ...]:
     out.append(") ")
     _emit(seq.goal, depth, out, table)
     out.append(")")
-    return depth
+    return _close(out, table, fresh), depth
 
 
 def _derivation(calc, d, out: list[str], table: dict):
     rule = calc.rules[d.rule]
-    out.append(f"({rule.tag} ")
-    depth = _sequent(calc, d.conclusion, out, table)
+    text, depth = _sequent(calc, d.conclusion, table)
+    out += (f"({rule.tag} ", text)
     texts = witness_texts(calc, d, depth, table)
     witnesses = iter(rule.witnesses)
     for w in witnesses:
@@ -218,16 +184,12 @@ def _derivation(calc, d, out: list[str], table: dict):
 
 
 def print_sequent(calc, seq) -> str:
-    table: dict = {}
-    _count_sequent(calc, seq, table)
-    out: list[str] = []
-    _sequent(calc, seq, out, _shared(table))
-    return "".join(out)
+    return _sequent(calc, seq, {})[0]
 
 
 def print_derivation(calc, d) -> str:
     out: list[str] = []
-    walk(_derivation, calc, d, out, _table(calc, d))
+    walk(_derivation, calc, d, out, {})
     return "".join(out)
 
 

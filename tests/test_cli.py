@@ -426,3 +426,21 @@ def test_corpus_cli_output_is_pinned(capsys, monkeypatch):
                 h.update(f"{code}\0{out}\0{err}\0".encode())
             got[mode + label] = h.hexdigest()[:16]
     assert got == CORPUS_CLI_DIGESTS
+
+
+def test_a_shadowing_binder_is_one_located_warning_line(capsys, tmp_path):
+    """A binder that shadows an outer one is reported on one stderr line at
+    its own position, in the reader's error format, before a reader error
+    later in the file; the exit codes are those without it, and the
+    caller's warning settings are left as they were."""
+    import warnings
+
+    shadow = "(prop p (forall (u *) (forall (u *) (member0 u))))\n"
+    warning = "1:32: warning: binder 'u' shadows an outer binder; resolving to the nearest\n"
+    ok, bad = tmp_path / "ok.hol", tmp_path / "bad.hol"
+    ok.write_text(shadow)
+    bad.write_text(shadow + "(prop q bot))\n")
+    before = (warnings.showwarning, list(warnings.filters))
+    assert run(capsys, "check-hol", str(ok)) == (0, "no derivations\n", warning)
+    assert run(capsys, "check-hol", str(bad)) == (1, "", warning + "2:13: unbalanced ')'\n")
+    assert (warnings.showwarning, list(warnings.filters)) == before

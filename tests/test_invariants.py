@@ -265,7 +265,7 @@ RECURSIVE = {
     "hol.checker": {"prop_wf", "sort_of"},
     "instances": {"_instantiate", "_interpret"},
     "surface.elaborate": {"_elab", "_within"},
-    "surface.printer": {"_count", "_emit"},
+    "surface.printer": {"_emit"},
     "translation": {
         "_subterms_of_prop",
         "tretype", "trind", "trkind", "trspec", "trtrm", "trtype",

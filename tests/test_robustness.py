@@ -244,9 +244,9 @@ def test_cont_instantiation_handles_a_long_chain():
 
 
 def test_counted_printing_handles_a_deep_goal():
-    """The counted text table's first pass takes one frame per formula
-    level, like ``_emit``, and walks the derivation from a stack: a sequent
-    and a one-node derivation whose hypothesis and goal are a 900-deep
+    """The one printing pass takes one frame per formula level, in
+    ``_emit``, and walks the derivation from a stack: a sequent and a
+    one-node derivation whose hypothesis and goal are a 900-deep
     left-nested implication print at the default recursion limit."""
     from effreal.effhol import SImp
     from effreal.surface import print_eff_sequent

@@ -773,8 +773,8 @@ def _sequent_by_print_term(calc, seq) -> str:
 @given(st.integers(0, 100_000))
 def test_counted_table_prints_as_print_term(seed):
     """Sequents whose hypotheses and goal repeat generated subterms, one of
-    them also under one more binder, print with the counted text table as
-    their formulas printed one by one without a table."""
+    them also under one more binder, print with one text table as their
+    formulas printed one by one without a table."""
     from effreal.surface.printer import print_sequent
 
     rng = random.Random(seed)
@@ -826,3 +826,184 @@ def test_printing_tables_do_not_change_the_output():
                 assert to_json(y)["derivation"] == ref
                 assert to_text(y) == _reference_text(calc, y, ref)
     assert replayed >= 9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_scoped_keys_print_as_print_term(seed):
+    """Generated types, indices and programs recur in the context entries,
+    hypotheses and goals of eight sequents, one for each of one to four
+    program binders and zero or one expression binders in scope, also
+    inside ``allp``, ``alle`` and ``allk`` binders.  Printed with one
+    table for all eight, each sequent reads as its formulas printed one by
+    one without a table."""
+    from effreal.effhol import (
+        After, ComprBase, EVar, Ref, RefBase, Ret, SForallExpr, SForallType, SMemBase, TOP_SPEC,
+    )
+    from effreal.generators import random_typed_program
+    from effreal.surface.printer import _sequent
+
+    rng = random.Random(seed)
+    kinds = (KSTAR,) * rng.randint(1, 2)
+    tys = tuple(random_type(rng, kinds, KSTAR, 2) for _ in range(3))
+    progs = [random_typed_program(rng, kinds, tys[:1], 4) for _ in range(2)]
+    idxs = [RefBase(tys[0]), Ref(tys[1], RefBase(tys[2]))]
+
+    def formula():
+        p, t, i = rng.choice(progs), rng.choice(tys), rng.choice(idxs)
+        inner = SMemBase(p, ComprBase(t, TOP_SPEC))
+        return rng.choice((
+            inner,
+            SForallProg(t, inner),
+            SForallExpr(i, SMemBase(p, EVar(0))),
+            SForallExpr(i, SForallProg(t, inner)),
+            SForallType(KSTAR, inner),
+            After(Ret(p), t, SImp(inner, SForallProg(t, inner))),
+        ))
+
+    table: dict = {}
+    for n_types in (1, 2, 3, 4):
+        for n_indices in (0, 1):
+            ctxs = EffContexts(
+                kinds=kinds,
+                indices=tuple(rng.choice(idxs) for _ in range(n_indices)),
+                types=tuple(rng.choice(tys) for _ in range(n_types)),
+            )
+            seq = EffSequent(ctxs, tuple(formula() for _ in range(4)), formula())
+            assert _sequent(EFF, seq, table)[0] == _sequent_by_print_term(EFF, seq)
+
+
+def _perfbench_inputs():
+    """The benchmark's input makers (``perfbench/inputs.py``)."""
+    import sys
+
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))  # it imports its sibling ``answers``
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(CORPUS.parent / "perfbench"))
+    return inputs
+
+
+def _scoped_keys(d) -> set:
+    """The ``(node, depths)`` keys with children that printing the
+    program-logic derivation ``d`` reaches, found without the printer:
+    each key keeps the depths its category can read (none for kinds, the
+    type depth for types and indices, type and program depth for programs,
+    all three for expressions and specifications), and a key reached
+    before is not entered again."""
+    from effreal.effhol import syntax as e
+    from effreal.surface.grammar import ANNOTATES, FORMS, Literal
+
+    reads = {e.Kind: 0, e.EffType: 1, e.EffIndex: 1, e.EffProgram: 2, e.EffExpr: 3, e.EffSpec: 3}
+    keys, todo = set(), []
+    for node in _nodes(d):
+        seq = node.conclusion
+        depth = (len(seq.ctxs.kinds), len(seq.ctxs.types), len(seq.ctxs.indices))
+        ctxs = (*seq.ctxs.kinds, *seq.ctxs.indices, *seq.ctxs.types)
+        todo += [(x, depth) for x in (*ctxs, *seq.hyps, seq.goal)]
+        witnesses = iter(EFF.rules[node.rule].witnesses)
+        for w in witnesses:
+            if not isinstance(w.category, Literal):
+                todo.append((getattr(node, w.field), depth))
+            if w.binds:
+                body = next(witnesses)
+                slot = ANNOTATES[w.category].slot
+                under = depth[:slot] + (depth[slot] + 1,) + depth[slot + 1 :]
+                todo.append((getattr(node, body.field), under))
+    while todo:
+        x, depth = todo.pop()
+        form = FORMS[type(x)]
+        if form.var is not None or not form.items:
+            continue
+        base = next(b for b in reads if isinstance(x, b))
+        key = (x, depth[: reads[base]])
+        if key in keys:
+            continue
+        keys.add(key)
+        for name, _, binds, under in form.items:
+            if name is not None:
+                todo.append((getattr(x, name), depth if binds else _plus(depth, under)))
+    return keys
+
+
+def _plus(depth: tuple, under: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(depth, under + (0,) * len(depth)))
+
+
+def _nodes(d) -> list:
+    found, todo = [], [d]
+    while todo:
+        found.append(todo.pop())
+        todo += found[-1].premises
+    return found
+
+
+def test_each_scoped_key_is_printed_once(monkeypatch):
+    """Writing the JSON of the seed-1 benchmark imp chain replay at n=16
+    prints a node's children once per ``(node, depths it can read)`` key:
+    the ``_emit`` calls that append more than one part, a node with its
+    children, are as many as the keys ``_scoped_keys`` finds."""
+    from effreal.surface import printer
+
+    d = extract_realizer(
+        _perfbench_inputs().imp_chain(random.Random(1), 16), derive=True
+    ).derivation
+    emit, printed = printer._emit, 0
+
+    def counting(x, depth, out, table):
+        nonlocal printed
+        before = len(out)
+        emit(x, depth, out, table)
+        printed += len(out) - before > 1
+
+    monkeypatch.setattr(printer, "_emit", counting)
+    jsonio.eff_to_json(d)
+    assert printed == len(_scoped_keys(d))
+
+
+def test_the_printing_table_holds_no_text_of_its_own():
+    """With one table for every node of a replayed derivation, passed to
+    ``_sequent`` and ``witness_texts``, every entry refers, by identity, to
+    a conclusion or witness text one of those calls returned."""
+    from effreal.surface.printer import _sequent, _witnesses, witness_texts
+
+    d = extract_realizer(
+        _perfbench_inputs().imp_chain(random.Random(1), 6), derive=True
+    ).derivation
+    table: dict = {}
+    returned = []
+    for node in _nodes(d):
+        text, depth = _sequent(EFF, node.conclusion, table)
+        texts = witness_texts(EFF, node, depth, table)
+        returned += [text] + [texts[k] for k, _, at in _witnesses(EFF, node, depth) if at]
+    assert any(node.rule == "AntiRed" for node in _nodes(d))
+    ids = {id(text) for text in returned}
+    assert table
+    for text, start, end in table.values():
+        assert type(text) is str and id(text) in ids
+        assert 0 <= start < end <= len(text)
+
+
+def test_a_shadowing_binder_warns_at_its_position():
+    """The library reports a shadowing binder as a ``UserWarning`` that
+    carries the binder's line and column, under a quantifier and in a
+    sequent context."""
+    import warnings
+
+    from effreal.errors import ShadowWarning
+
+    text = """(prop p
+      (forall (u *)
+        (forall (u *) (member0 u))))
+    (eff-derivation d (id (sequent (kinds (X *) (X *)) (indices) (types) (hyps) top-spec)))"""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_document(text)
+    assert [(w.category, w.message.line, w.message.col) for w in caught] == [
+        (ShadowWarning, 3, 18), (ShadowWarning, 4, 50),
+    ]
+    assert issubclass(ShadowWarning, UserWarning)
+    assert str(caught[0].message) == (
+        "3:18: binder 'u' shadows an outer binder; resolving to the nearest"
+    )
