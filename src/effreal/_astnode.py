@@ -12,9 +12,10 @@ every way a node is made: positional and keyword calls, ``map_children``,
 weak references: a node's death removes its entry, so memory is bounded by
 the live nodes, and the keys hold a node's children, so a node leaves the
 table only after its parents.  See Filliâtre and Conchon, "Type-Safe
-Modular Hash-Consing" (2006).  Node classes are dataclasses for their
-fields only; no method is generated per class.  ``_Node`` gives them all
-the dataclass ``repr``, immutability (``FrozenInstanceError``) and a
+Modular Hash-Consing" (2006).  Node classes are dataclasses with
+``__slots__`` for their fields and no instance dict; no method is
+generated per class.  ``_Node`` gives them all ``__weakref__``, the
+dataclass ``repr``, immutability (``FrozenInstanceError``) and a
 ``__reduce__`` that rebuilds copies and unpickled nodes through the table.
 
 Binding structure is declared once, on the node classes of all three
@@ -31,8 +32,11 @@ category; anything else is rejected when the class is defined.
 From that declaration this module derives ``shift``, ``subst`` and the
 child rebuild ``map_children`` for every calculus.  Each term node also
 records, when it is first built, its loose-variable bound per namespace
-(one more than the largest free index, 0 when closed), so that shifting
-and substitution return subtrees without the affected variables unchanged.
+(one more than the largest free index, 0 when closed) in ``_loose``, so
+that shifting and substitution return subtrees without the affected
+variables unchanged, and in ``_pure`` whether no node of a class marked
+``_impure`` lies in it, so that instantiation returns it unwalked.
+``_nf`` keeps a normal form once ``effhol.conversion`` has computed it.
 """
 
 from __future__ import annotations
@@ -80,19 +84,22 @@ class _Interned(type):
         node = ref and ref()
         if node is None:
             node = object.__new__(cls)
-            values = node.__dict__
-            values.update(zip(names, args))
-            binding = cls._binding
-            if binding is not None:
-                bound = None if binding.var is None else _var_bound(binding.var, args[0])
-                for name, under in binding.terms:
-                    b = values[name]._loose
+            for put, value in zip(cls._puts, args):
+                put(node, value)
+            terms = cls._terms
+            if terms is not None:
+                bound = None if cls._var is None else _var_bound(cls._var, args[0])
+                pure = not cls._impure
+                for i, under in terms:
+                    b, pure = args[i]._loose, pure and args[i]._pure
                     if under:
                         b = _BOUNDS.setdefault(c := tuple(x - u if x > u else 0 for x, u in zip(b, under)), c)
                     if bound is not None and b is not bound:
                         b = _BOUNDS.setdefault(c := tuple(map(max, bound, b)), c)
                     bound = b
-                values["_loose"] = bound
+                _put_loose(node, bound)
+                _put_nf(node, None)
+                _put_pure(node, pure)
             ref = _TABLE[key] = _Ref(node, _drop)
             ref.key = key
         return node
@@ -100,6 +107,8 @@ class _Interned(type):
 
 class _Node(metaclass=_Interned):
     """The methods every node class shares instead of generated ones."""
+
+    __slots__ = ("__weakref__",)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._names)})"
@@ -118,15 +127,18 @@ class _Node(metaclass=_Interned):
 class Term(_Node):
     """Base of the syntax categories whose nodes can contain variables."""
 
-    # The node's normal form under conversion once computed (see
-    # ``effhol.conversion``); never the node itself, so no node refers to itself.
-    _nf = None
+    __slots__ = ("_loose", "_nf", "_pure")
+    _impure = False
+
+
+_put_loose, _put_nf, _put_pure = (getattr(Term, n).__set__ for n in Term.__slots__)
 
 
 class NonTerm(_Node):
     """Base of the syntax categories without variables (kinds, sorts)."""
 
-    _binding = None
+    __slots__ = ()
+    _terms = None  # no loose bound or purity to keep
 
 
 class Namespace:
@@ -148,22 +160,6 @@ def namespaces(*names: str) -> tuple[Namespace, ...]:
     return family
 
 
-class _Binding:
-    """The binding layout of one term class.
-
-    ``fields`` lists every dataclass field in order with its binder counts
-    per namespace slot: ``()`` for a term field under no binder, ``None``
-    for a non-term field.
-    """
-
-    __slots__ = ("var", "fields", "terms")
-
-    def __init__(self, var, fields):
-        self.var = var
-        self.fields = fields
-        self.terms = tuple((n, u) for n, u in fields if u is not None)
-
-
 def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None):
     if cls is None:
         return lambda c: astnode(c, var=var, binds=binds)
@@ -173,8 +169,9 @@ def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None
         raise TypeError(f"{cls.__name__}: only Term classes declare binders")
     # a docstring of its own spares dataclass an inspect.signature call
     cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
-    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     cls._names = tuple(f.name for f in dataclasses.fields(cls))
+    cls._puts = tuple(getattr(cls, n).__set__ for n in cls._names)
     if issubclass(cls, NonTerm):
         return cls
     binds = binds or {}
@@ -197,8 +194,11 @@ def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None
                             f"non-term category ({ann!r})")
     if set(binds) - {n for n, u in fields if u}:
         raise TypeError(f"{cls.__name__}: binders declared on unknown or non-term fields")
-    cls._binding = _Binding(var, tuple(fields))
-    if var is None and not cls._binding.terms:
+    # a variable's namespace, every field with its binder counts per slot
+    # (``None``: not a term), and for ``__call__`` the term fields' positions
+    cls._var, cls._fields = var, tuple(fields)
+    cls._terms = terms = tuple((i, u) for i, (_, u) in enumerate(fields) if u is not None)
+    if var is None and not terms:
         raise TypeError(f"{cls.__name__}: a term class is a variable or has a term field")
     return cls
 
@@ -214,7 +214,7 @@ def map_children(x: Term, fn) -> Term:
     the child (``()`` for none).  Returns ``x`` itself if nothing changed."""
     args = []
     changed = False
-    for name, under in x._binding.fields:
+    for name, under in x._fields:
         v = getattr(x, name)
         if under is not None:
             w = fn(v, under)
@@ -234,7 +234,7 @@ def shift(x: Term, ns: Namespace, by: int = 1, cutoff: int = 0) -> Term:
 
 @lru_cache(maxsize=262144)
 def _shift(x, ns, by, cutoff):
-    if x._binding.var is ns:
+    if x._var is ns:
         return type(x)(x.index + by)
     slot = ns.slot
     return map_children(
@@ -249,7 +249,7 @@ def subst(x: Term, ns: Namespace, j: int, sub: Term) -> Term:
     binder crossed on the way down."""
     if x._loose[ns.slot] <= j:
         return x
-    if x._binding.var is ns:
+    if x._var is ns:
         return sub if x.index == j else type(x)(x.index - 1)
 
     def under_binders(c, under):

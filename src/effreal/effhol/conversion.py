@@ -35,8 +35,8 @@ def normalize(x, _under=None):
             nf = normalize(subst(fn.body, TYPE, 0, arg)) if redex else type(x)(fn, arg)
         case _:
             nf = map_children(x, normalize)
-    x.__dict__["_nf"] = _NORMAL if nf is x else nf
-    nf.__dict__["_nf"] = _NORMAL
+    object.__setattr__(x, "_nf", _NORMAL if nf is x else nf)
+    object.__setattr__(nf, "_nf", _NORMAL)
     return nf
 
 

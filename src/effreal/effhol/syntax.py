@@ -84,6 +84,7 @@ class TForall(EffType):
 class Comp(EffType):
     """Computation type: the monad applied to ``inner``."""
 
+    _impure = True
     inner: EffType
 
 
@@ -122,6 +123,7 @@ class App(EffProgram):
 
 @astnode
 class Ret(EffProgram):
+    _impure = True
     inner: EffProgram
 
 
@@ -132,6 +134,7 @@ class Bind(EffProgram):
     The annotation keeps type checking syntax-directed.
     """
 
+    _impure = True
     binder_type: EffType
     first: EffProgram
     rest: EffProgram
@@ -226,6 +229,7 @@ class SImp(EffSpec):
 class After(EffSpec):
     """after prog (x:binder_type) body — body holds of the result of running prog."""
 
+    _impure = True
     prog: EffProgram
     binder_type: EffType
     body: EffSpec

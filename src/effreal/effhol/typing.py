@@ -8,11 +8,11 @@ descending under a kind binder shifts every stored type and index.
 ``kind_of`` and ``type_of`` look their argument up in a typing table
 first: one dict per top-level call, which passes it down (as ``memo``;
 ``theory.check`` shares one across a whole derivation).  ``kind_of`` keys
-a type ``t`` by ``(t, kctx[len - a:])`` and ``type_of`` keys a program
-``p`` by ``(p, kctx[len - a:], tctx[len - b:])``, where ``a`` and ``b``
-are the node's loose type and program bounds.  These keys are exact: de
-Bruijn indices count from the innermost entry, a judgment reads ``tctx``
-only at loose program variables, and ``kctx`` only at loose type
+a type ``t`` by ``(t, kctx[-a:])`` and ``type_of`` keys a program ``p`` by
+``(p, kctx[-a:], tctx[-b:])``, with ``()`` for a bound of 0, where ``a``
+and ``b`` are the node's loose type and program bounds.  These keys are
+exact: de Bruijn indices count from the innermost entry, a judgment reads
+``tctx`` only at loose program variables, and ``kctx`` only at loose type
 variables (``type_of`` reads it to kind the types inside ``p``).  Only
 successes are stored, so a rejection is recomputed with its own path.
 """
@@ -94,7 +94,7 @@ def kind_of(kctx: KindCtx, t: EffType, path=None, memo=None) -> Kind:
         raise UnboundTypeVariable(f"type variable {t.index} unbound", path)
     if memo is None:
         memo = {}
-    key = (t, kctx[max(0, len(kctx) - t._loose[TYPE.slot]):])
+    key = (t, kctx[-a:] if (a := t._loose[TYPE.slot]) else ())
     k = memo.get(key)
     if k is None:
         k = KSTAR
@@ -155,7 +155,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, path=None, memo=None) -
     if memo is None:
         memo = {}
     a, b = p._loose[TYPE.slot], p._loose[PROG.slot]
-    key = (p, kctx[max(0, len(kctx) - a):], tctx[max(0, len(tctx) - b):])
+    key = (p, kctx[-a:] if a else (), tctx[-b:] if b else ())
     ty = memo.get(key)
     if ty is None:
         match p:

@@ -17,10 +17,13 @@ Shipped instances:
                 the classical-realizability instance; call/cc realizes
                 Peirce's law.
 
-Each ``instantiate`` or ``instantiate_derivation`` call keeps two tables
-(``_Memo``), so neither outlives the call or serves another instance.
-``nodes`` maps ``(x, kctx[len - a:], tctx[len - b:])`` to the image of
-``x``, where ``a`` and ``b`` are its loose type and program bounds;
+A node with no computation type, return, bind or modality below it
+(``_pure``, kept on the node when it is built) is its own image and comes
+back at once, with no table lookup.  For the others, each ``instantiate``
+or ``instantiate_derivation`` call keeps two tables (``_Memo``), so
+neither outlives the call or serves another instance.  ``nodes`` maps
+``(x, kctx[-a:], tctx[-b:])``, with ``()`` for a bound of 0, to the image
+of ``x``, where ``a`` and ``b`` are its loose type and program bounds;
 ``types`` is the typing table (see ``effhol.typing``) of the element types
 computed at returns and binds.  The suffix key is exact: the
 interpretation reads the contexts only through ``type_of``, at loose
@@ -76,7 +79,7 @@ def instantiate(x, inst: PureInstance, kctx=(), tctx=()):
     (element types of returns and binds are computed there); they grow
     with the binders crossed.  Types and indices hold no return or bind, so
     they are walked without contexts.  A subtree with nothing to interpret
-    comes back as the same object.
+    comes back as the same object, unwalked.
     """
     return _instantiate(x, inst, kctx, tctx, _Memo())
 
@@ -92,11 +95,13 @@ class _Memo:
 
 
 def _instantiate(x, inst, kctx, tctx, memo):
-    """``instantiate``, looking ``x`` up in ``memo.nodes`` first, keyed by
-    the context suffixes it can see; the walk below ``x`` gets those
-    suffixes as its contexts."""
+    """``instantiate``: ``x`` itself if it is pure, else looked up in
+    ``memo.nodes`` first, keyed by the context suffixes it can see; the
+    walk below ``x`` gets those suffixes as its contexts."""
+    if x._pure:
+        return x
     a, b = x._loose[TYPE.slot], x._loose[PROG.slot]
-    key = (x, kctx[max(0, len(kctx) - a):], tctx[max(0, len(tctx) - b):])
+    key = (x, kctx[-a:] if a else (), tctx[-b:] if b else ())
     y = memo.nodes.get(key)
     if y is None:
         y = memo.nodes[key] = _interpret(x, inst, key[1], key[2], memo)
@@ -145,7 +150,8 @@ instantiate_type = instantiate_prog = instantiate
 
 
 def assert_pure(x) -> None:
-    """Syntactic scan: no computational construct survives instantiation."""
+    """Syntactic scan: no computational construct survives instantiation.
+    A pure node passes on its ``_pure`` bit; the scan skips pure subtrees."""
     stack = [x]
 
     def push(child, _under):
@@ -154,6 +160,8 @@ def assert_pure(x) -> None:
 
     while stack:
         node = stack.pop()
+        if node._pure:
+            continue
         if isinstance(node, (e.Comp, e.Ret, e.Bind, e.After)):
             raise RecheckFailed(f"impure construct {type(node).__name__} in instance image")
         map_children(node, push)

@@ -313,6 +313,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         with warnings.catch_warnings():
+            warnings.simplefilter("always", ShadowWarning)  # one line per binder, even at one position
             warnings.showwarning = _show_warning
             return args.fn(args)
     except KernelError as exc:

@@ -152,11 +152,11 @@ FORMS: dict[type, Form] = {}
 
 
 def _derive(tag: str, cls: type, cat: Category) -> Form:
-    binding = getattr(cls, "_binding", None)
-    if binding is not None and binding.var is not None:
-        return Form(tag, cls, binding.var, ())
+    var = getattr(cls, "_var", None)
+    if var is not None:
+        return Form(tag, cls, var, ())
     hints = typing.get_type_hints(cls)
-    under = dict(binding.fields) if binding is not None else {}
+    under = dict(getattr(cls, "_fields", ()))
     items = []
     for f in dataclasses.fields(cls):
         c = _CATEGORY_OF[hints[f.name]]

@@ -18,7 +18,8 @@ captures; one with no program binder in scope is reported as
 TemplateMissing.  A binder of the template wins over a parameter of the
 same name, and a parameter over a declaration.  A template sees the
 declarations before its instance, and is elaborated once when the file
-loads, so a bad one is rejected there.  ``corpus/instance_cont.inst``
+loads, so a bad one is rejected there and a shadowing binder warns there
+only, not again at each call.  ``corpus/instance_cont.inst``
 declares the built-in continuation instance this way.
 
 File instances leave the instance's ``templates`` mapping empty: they
@@ -29,8 +30,10 @@ specifications and modality-free derivations instantiate fully.
 
 from __future__ import annotations
 
+import warnings
+
 from .._astnode import shift
-from ..errors import SurfaceSyntaxError, TemplateMissing
+from ..errors import ShadowWarning, SurfaceSyntaxError, TemplateMissing
 from ..effhol import syntax as e
 from ..effhol.syntax import EXPR, PROG, TYPE
 from ..instances import PureInstance
@@ -110,14 +113,19 @@ def _template(tables, section, cat, params):
     pieces, elaborating the template under the declaration ``tables``."""
     _params(section, tuple(name for name, _, _ in params))
 
-    def construct(*actuals):
+    def elab(actuals):
         pieces = {
             (pcat, name): _piece(x, misplaced)
             for (name, pcat, misplaced), x in zip(params, actuals)
         }
         return elaborate(SurfaceDoc(**tables, pieces=pieces), cat, EffEnv(), section[2])
 
-    construct(*(_PLACEHOLDER[pcat] for _, pcat, _ in params))
+    def construct(*actuals):
+        with warnings.catch_warnings():  # the load below warned already
+            warnings.simplefilter("ignore", ShadowWarning)
+            return elab(actuals)
+
+    elab(tuple(_PLACEHOLDER[pcat] for _, pcat, _ in params))
     return construct
 
 

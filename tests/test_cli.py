@@ -3,6 +3,10 @@ and the pinned output of every corpus invocation."""
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -428,6 +432,58 @@ def test_corpus_cli_output_is_pinned(capsys, monkeypatch):
     assert got == CORPUS_CLI_DIGESTS
 
 
+# Runs each argv of a JSON list through ``main`` in one process and prints
+# the exit code and stdout of each, as JSON.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from effreal.surface.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_all(python: str, argvs: list) -> list:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("EFFHOL_FUEL", None)
+    r = subprocess.run(
+        [python, "-c", _RUN_ALL, json.dumps(argvs)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_other_interpreters_print_the_same_corpus_output(python):
+    """``check-hol``, ``extract --derive`` and ``instantiate`` on the corpus
+    give the same exit codes and stdout under every other CPython on PATH
+    (``requires-python`` is >=3.10) as under the running one; an
+    interpreter that is absent, or that is the running one, is skipped."""
+    exe = shutil.which(python)
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if not probe or probe.returncode != 0 or not probe.stdout.startswith("cpython "):
+        pytest.skip(f"no working {python} on PATH")
+    if probe.stdout.split()[1:] == [str(v) for v in sys.version_info[:2]]:
+        pytest.skip(f"{python} is the running interpreter")
+    argvs = [
+        (label.replace("*", name)).split()
+        for label, names in _corpus_groups()
+        if label.startswith(("check-hol", "instantiate"))
+        or label == "extract corpus/hol_basic.hol --derivation * --derive"
+        for name in names
+    ]
+    assert len(argvs) > 10
+    assert _run_all(exe, argvs) == _run_all(sys.executable, argvs)
+
+
 def test_a_shadowing_binder_is_one_located_warning_line(capsys, tmp_path):
     """A binder that shadows an outer one is reported on one stderr line at
     its own position, in the reader's error format, before a reader error
@@ -444,3 +500,35 @@ def test_a_shadowing_binder_is_one_located_warning_line(capsys, tmp_path):
     assert run(capsys, "check-hol", str(ok)) == (0, "no derivations\n", warning)
     assert run(capsys, "check-hol", str(bad)) == (1, "", warning + "2:13: unbalanced ')'\n")
     assert (warnings.showwarning, list(warnings.filters)) == before
+
+
+def test_every_shadowing_binder_warns_even_at_one_position(capsys, tmp_path):
+    """Two shadowing binders at the same line and column of two files of
+    one command give two warning lines, not one."""
+    doc, ambient = tmp_path / "a.hol", tmp_path / "a.eff"
+    doc.write_text(
+        "(prop p    (forall (u *) (forall (u *) (member0 u))))\n"
+        "(hol-derivation d\n"
+        "  (imp-i (sequent () (hyps) (imp bot bot)) (id (sequent () (hyps bot) bot))))\n"
+    )
+    ambient.write_text("(spec s (allp (u bot-type) (allp (u bot-type) top-spec)))\n")
+    warning = "1:35: warning: binder 'u' shadows an outer binder; resolving to the nearest\n"
+    code, _, err = run(capsys, "extract", str(doc), "--derivation", "d", "--ambient", str(ambient))
+    assert (code, err) == (0, warning * 2)
+
+
+def test_a_shadowing_instance_template_warns_once(capsys, tmp_path):
+    """A template whose binder shadows warns when its file loads, and not
+    again each time instantiation elaborates it."""
+    text = (CORPUS / "instance_cont.inst").read_text()
+    ret = "(ret (T p) (lam (k (neg T)) (app k p)))"
+    assert text.count(ret) == 1
+    shadow = tmp_path / "shadow.inst"
+    shadow.write_text(
+        text.replace(ret, "(ret (T p) (lam (k (neg T)) (app (lam (k (neg T)) (app k p)) k)))")
+    )
+    line = text[: text.index(ret)].count("\n") + 1
+    warning = f"{line}:42: warning: binder 'k' shadows an outer binder; resolving to the nearest\n"
+    # instantiating programs.eff elaborates the template again at each return
+    argv = ("instantiate", str(CORPUS / "programs.eff"), "--instance", str(shadow))
+    assert run(capsys, *argv)[::2] == (0, warning)

@@ -19,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 from effreal._astnode import _TABLE, NonTerm, Term, _shift, astnode
 from effreal.effhol import (
     Abs,
+    After,
     App,
     BOT_SPEC,
     BOT_TYPE,
     Bind,
+    Comp,
     ComprBase,
     Fun,
     KSTAR,
@@ -42,12 +44,15 @@ from effreal.effhol import (
 )
 from effreal.effhol.conversion import normalize, normalize_type
 from effreal.effhol.reduction import count_steps, multi_step, step
-from effreal.frame import UVar
+from effreal.frame import UVar, erase
 from effreal.hol import Base
 from effreal.effhol import PROG, TYPE, shift, subst
 from effreal.generators import (
     random_closed_program,
+    random_computation,
+    random_hol_prop,
     random_kind,
+    random_sort,
     random_spec,
     random_type,
     random_typed_program,
@@ -418,6 +423,7 @@ def test_node_class_contract(node):
     names = cls._names
     assert tuple(f.name for f in dataclasses.fields(node)) == names == cls.__match_args__
     assert dataclasses.is_dataclass(node)
+    assert not hasattr(node, "__dict__")
     if not _written(cls, "__repr__"):
         fields = ", ".join(f"{n}={getattr(node, n)!r}" for n in names)
         assert repr(node) == f"{cls.__qualname__}({fields})"
@@ -432,6 +438,61 @@ def test_node_class_contract(node):
     assert cls(**{n: getattr(node, n) for n in names}) is node
     for n in names:
         assert dataclasses.replace(node, **{n: getattr(node, n)}) is node
+
+
+def _subterms(x) -> list:
+    """Every term node in ``x``, found through its dataclass fields alone."""
+    stack, found = [x], []
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        for f in dataclasses.fields(node):
+            if isinstance(child := getattr(node, f.name), Term):
+                stack.append(child)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_pure_bit_agrees_with_a_scan(seed):
+    """``_pure`` is true exactly when no ``Comp``, ``Ret``, ``Bind`` or
+    ``After`` lies in the node, at every node of random types, programs,
+    computations and specifications; logic and untyped nodes (whose
+    returns and binds are not the effectful ones) are always pure."""
+    rng = random.Random(seed)
+    kappa = random_kind(rng, 1)
+    for x in (
+        random_type(rng, (kappa,), KSTAR, 4),
+        random_typed_program(rng, (), (), 5),
+        random_computation(rng, (), (), 4),
+        random_spec(rng, (), (), 4),
+    ):
+        for node in _subterms(x):
+            impure = any(isinstance(n, (Comp, Ret, Bind, After)) for n in _subterms(node))
+            assert node._pure is not impure, node
+    logic = random_hol_prop(rng, (random_sort(rng),), 4)
+    untyped = erase(random_computation(rng, (), (), 4))
+    for x in (logic, untyped):
+        assert all(node._pure for node in _subterms(x))
+
+
+def test_instantiating_a_pure_node_keeps_no_entry():
+    """Under id and cont, a pure node is its own image in any contexts and
+    adds nothing to the call's tables; an impure one is stored once, keyed
+    by the context suffixes it can see."""
+    from effreal.instances import _instantiate, _Memo
+
+    kctx, tctx = (KSTAR,), (Fun(BOT_TYPE, BOT_TYPE), BOT_TYPE, BOT_TYPE)
+    pure = (BOT_SPEC, TOP_SPEC, PVar(1), Fun(TVar(0), BOT_TYPE), Abs(BOT_TYPE, App(PVar(1), PVar(0))))
+    impure = Ret(PVar(1))
+    for inst in (identity_instance(), continuation_instance()):
+        memo = _Memo()
+        for x in pure:
+            assert x._pure and _instantiate(x, inst, kctx, tctx, memo) is x
+        assert memo.nodes == {} and memo.types == {}
+        image = _instantiate(impure, inst, kctx, tctx, memo)
+        assert not impure._pure and image is not impure
+        assert memo.nodes == {(impure, (), tctx[-2:]): image}
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
