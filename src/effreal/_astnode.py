@@ -12,11 +12,12 @@ every way a node is made: positional and keyword calls, ``map_children``,
 weak references: a node's death removes its entry, so memory is bounded by
 the live nodes, and the keys hold a node's children, so a node leaves the
 table only after its parents.  See Filliâtre and Conchon, "Type-Safe
-Modular Hash-Consing" (2006).  Node classes are dataclasses with
-``__slots__`` for their fields and no instance dict; no method is
-generated per class.  ``_Node`` gives them all ``__weakref__``, the
-dataclass ``repr``, immutability (``FrozenInstanceError``) and a
-``__reduce__`` that rebuilds copies and unpickled nodes through the table.
+Modular Hash-Consing" (2006).  A node class is made once, by its class
+statement, with its annotated fields (none has a default) as ``__slots__``
+and no instance dict; ``dataclass`` records them and generates no method.
+``_Node`` gives all nodes ``__weakref__``, the dataclass ``repr``,
+immutability (``FrozenInstanceError``) and a ``__reduce__`` that rebuilds
+copies and unpickled nodes through the table.
 
 Binding structure is declared once, on the node classes of all three
 calculi.  Every syntax category derives from ``Term`` (it can contain
@@ -41,7 +42,6 @@ variables unchanged, and in ``_pure`` whether no node of a class marked
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
@@ -66,19 +66,22 @@ def _drop(ref: _Ref, table=_TABLE) -> None:
 
 
 class _Interned(type):
-    """Metaclass of the node categories: calling a node class returns the
-    one live node with that class and those fields, building it only if
-    there is none."""
+    """Metaclass of the node categories: a class keeps the fields its body
+    annotates in ``__slots__``, and calling a node class returns the one
+    live node with that class and those fields, building it if there is none."""
+
+    def __new__(mcls, name, bases, ns):
+        ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
+        return super().__new__(mcls, name, bases, ns)
 
     def __call__(cls, *args, **kwargs):
         names = cls._names
         if kwargs or len(args) != len(names):
-            # bind as a dataclass __init__ would: positional, keyword, default
+            # bind as a dataclass __init__ would: positional, then keyword
             given = {**dict(zip(names, args)), **kwargs}
-            surplus = len(given) != len(args) + len(kwargs)
-            args = tuple(given.pop(n, cls.__dataclass_fields__[n].default) for n in names)
-            if surplus or given or dataclasses.MISSING in args:
+            if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
                 raise TypeError(f"{cls.__name__}() got surplus, unknown or missing arguments")
+            args = tuple(given[n] for n in names)
         key = (cls, *args)
         ref = _TABLE.get(key)
         node = ref and ref()
@@ -137,7 +140,6 @@ _put_loose, _put_nf, _put_pure = (getattr(Term, n).__set__ for n in Term.__slots
 class NonTerm(_Node):
     """Base of the syntax categories without variables (kinds, sorts)."""
 
-    __slots__ = ()
     _terms = None  # no loose bound or purity to keep
 
 
@@ -168,9 +170,9 @@ def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None
     if not issubclass(cls, Term) and (var is not None or binds):
         raise TypeError(f"{cls.__name__}: only Term classes declare binders")
     # a docstring of its own spares dataclass an inspect.signature call
-    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    cls._names = tuple(f.name for f in dataclasses.fields(cls))
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__slots__)})"
+    dataclass(init=False, repr=False, eq=False)(cls)  # records the fields on cls itself
+    cls._names = cls.__slots__
     cls._puts = tuple(getattr(cls, n).__set__ for n in cls._names)
     if issubclass(cls, NonTerm):
         return cls
@@ -180,17 +182,17 @@ def astnode(cls=None, *, var: Namespace | None = None, binds: dict | None = None
     except NameError as exc:
         raise TypeError(f"{cls.__name__}: cannot resolve field annotation ({exc})") from None
     fields = []
-    for f in dataclasses.fields(cls):
-        ann = hints[f.name]
-        if var is not None and (f.name != "index" or ann is not int or len(hints) != 1):
+    for name in cls._names:
+        ann = hints[name]
+        if var is not None and (name != "index" or ann is not int or len(hints) != 1):
             raise TypeError(f"{cls.__name__}: a variable class has one field, index: int")
         if var is not None or isinstance(ann, type) and issubclass(ann, NonTerm):
-            fields.append((f.name, None))
+            fields.append((name, None))
         elif isinstance(ann, type) and issubclass(ann, Term):
-            family = binds[f.name][0].family if f.name in binds else ()
-            fields.append((f.name, tuple(sum(b is ns for b in binds[f.name]) for ns in family)))
+            family = binds[name][0].family if name in binds else ()
+            fields.append((name, tuple(sum(b is ns for b in binds[name]) for ns in family)))
         else:
-            raise TypeError(f"{cls.__name__}.{f.name}: field is neither a term nor a "
+            raise TypeError(f"{cls.__name__}.{name}: field is neither a term nor a "
                             f"non-term category ({ann!r})")
     if set(binds) - {n for n, u in fields if u}:
         raise TypeError(f"{cls.__name__}: binders declared on unknown or non-term fields")

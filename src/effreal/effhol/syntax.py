@@ -25,7 +25,7 @@ TYPE, PROG, EXPR = namespaces("type", "program", "expression")
 
 
 class Kind(NonTerm):
-    __slots__ = ()
+    """A kind of the program logic's types."""
 
 
 @astnode
@@ -48,7 +48,7 @@ KSTAR = KBase()
 
 
 class EffType(Term):
-    __slots__ = ()
+    """A type of the program logic."""
 
 
 @astnode(var=TYPE)
@@ -89,7 +89,7 @@ class Comp(EffType):
 
 
 class EffProgram(Term):
-    __slots__ = ()
+    """A program of the program logic."""
 
 
 @astnode(var=PROG)
@@ -141,7 +141,7 @@ class Bind(EffProgram):
 
 
 class EffIndex(Term):
-    __slots__ = ()
+    """An index: the sort of a specification expression."""
 
 
 @astnode
@@ -162,11 +162,11 @@ class IForall(EffIndex):
 
 
 class EffExpr(Term):
-    __slots__ = ()
+    """A specification expression."""
 
 
 class EffSpec(Term):
-    __slots__ = ()
+    """A specification: a formula of the program logic."""
 
 
 @astnode(var=EXPR)

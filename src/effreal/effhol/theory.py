@@ -44,7 +44,7 @@ from .syntax import (
     SMem,
     SMemBase,
 )
-from .typing import index_of, index_wf, kind_of, spec_wf, type_of
+from .typing import index_of, index_wf, kind_of, shift_ctx, spec_wf, type_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,14 +132,10 @@ def extend(ctxs: EffContexts, hyps: tuple, ns, entry):
     """``ctxs`` with one more innermost ``ns`` binder annotated ``entry``, and
     ``hyps`` shifted past it; a kind binder shifts the index and type
     entries too."""
-
-    def up(x):
-        return shift(x, ns)
-
     if ns is TYPE:
-        ctxs = EffContexts(ctxs.kinds, tuple(map(up, ctxs.indices)), tuple(map(up, ctxs.types)))
+        ctxs = EffContexts(ctxs.kinds, shift_ctx(ctxs.indices), shift_ctx(ctxs.types))
     ctxs = replace(ctxs, **{CONTEXT[ns]: getattr(ctxs, CONTEXT[ns]) + (entry,)})
-    return ctxs, tuple(map(up, hyps))
+    return ctxs, tuple(shift(h, ns) for h in hyps)
 
 
 def premise_frame(d: EffDerivation, i: int, path=None) -> tuple[EffContexts, tuple[EffSpec, ...]]:

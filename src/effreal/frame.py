@@ -34,7 +34,7 @@ from .effhol.reduction import DEFAULT_FUEL, contextual_step
 
 
 class UntypedTerm(Term):
-    __slots__ = ()
+    """A term of the untyped erasure target."""
 
 
 @astnode(var=UNTYPED)

@@ -19,7 +19,7 @@ from .._astnode import NonTerm, Term, astnode, namespaces
 
 
 class Sort(NonTerm):
-    __slots__ = ()
+    """A sort: the base sort ``*`` or a predicate sort."""
 
 
 @astnode
@@ -43,11 +43,11 @@ STAR = Base()
 
 
 class HolTerm(Term):
-    __slots__ = ()
+    """A term of the logic: a variable or a comprehension."""
 
 
 class HolProp(Term):
-    __slots__ = ()
+    """A proposition of the logic."""
 
 
 @astnode(var=TERM)

@@ -1,14 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  ``--json`` selects
-machine output; the ``EFFHOL_FUEL`` environment variable overrides the
-default reduction fuel.
+machine output; ``--fuel`` overrides the default reduction fuel.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from functools import partial
@@ -36,20 +34,17 @@ class _UsageError(Exception):
 
 
 def _fuel(args) -> int:
-    """The reduction fuel: ``--fuel``, else ``EFFHOL_FUEL``, else ``DEFAULT_FUEL``."""
-    source, text = "--fuel", args.fuel
-    if text is None:
-        source, text = "EFFHOL_FUEL", os.environ.get("EFFHOL_FUEL")
-        if text is None:
-            return DEFAULT_FUEL
+    """The reduction fuel: ``--fuel``, else ``DEFAULT_FUEL``."""
+    if args.fuel is None:
+        return DEFAULT_FUEL
     try:
-        fuel = int(text)
+        fuel = int(args.fuel)
     except ValueError:
         pass
     else:
         if fuel >= 0:
             return fuel
-    raise _UsageError(f"{source} must be a non-negative integer, got {text!r}")
+    raise _UsageError(f"--fuel must be a non-negative integer, got {args.fuel!r}")
 
 
 def _load(path: str):

@@ -2,7 +2,7 @@
 
 ``CATEGORIES`` maps each syntax category's surface tags to its node
 classes.  Everything else about a form is derived from the node class, its
-dataclass fields and the binder layout ``@astnode`` records, by one rule:
+fields and the binder layout ``@astnode`` records, by one rule:
 
 * a node prints as ``(tag field ...)`` in field order, and a node without
   fields as its bare tag;
@@ -31,9 +31,8 @@ derivations are both read from them.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .. import frame as ef
@@ -158,12 +157,12 @@ def _derive(tag: str, cls: type, cat: Category) -> Form:
     hints = typing.get_type_hints(cls)
     under = dict(getattr(cls, "_fields", ()))
     items = []
-    for f in dataclasses.fields(cls):
-        c = _CATEGORY_OF[hints[f.name]]
-        if f.name.startswith("binder_"):
-            items.append(Item(f.name, c, binds=ANNOTATES[c]))
+    for name in cls._names:
+        c = _CATEGORY_OF[hints[name]]
+        if name.startswith("binder_"):
+            items.append(Item(name, c, binds=ANNOTATES[c]))
         else:
-            items.append(Item(f.name, c, under=under.get(f.name) or ()))
+            items.append(Item(name, c, under=under.get(name) or ()))
     # per namespace: the binders some child sits under, and the annotated ones
     need = [max((i.under[s] for i in items if i.under), default=0) for s in range(len(cat.family))]
     have = [sum(i.binds is ns for i in items) for ns in cat.family]
@@ -208,7 +207,7 @@ for _cat, _ns in _reads().items():
     if _ns != set(_cat.family[: len(_ns)]):
         raise TypeError(f"{_cat.noun}: the namespaces it reads are not a prefix of its family")
     for _tag, _form in _cat.forms.items():
-        _cat.forms[_tag] = FORMS[_form.cls] = dataclasses.replace(_form, scope=len(_ns))
+        _cat.forms[_tag] = FORMS[_form.cls] = replace(_form, scope=len(_ns))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from effreal.effhol import check as eff_check
 from effreal.surface import jsonio
 from effreal.surface.cli import main
 from effreal.surface.elaborate import parse_document
+from tests.test_invariants import layout_garbage
 from tests.test_surface import MISPLACED, STRAY_SECTIONS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,17 +88,16 @@ def test_extract_json_contains_derivation(capsys):
     eff_check(jsonio.eff_from_json(data["derivation"]))
 
 
-def test_normalize_strategies_and_fuel_env(capsys, monkeypatch):
+def test_normalize_strategies_and_fuel_env(capsys):
     code, out, _ = run(
         capsys, "normalize", str(CORPUS / "programs.eff"), "--term", "cbn-only",
         "--strategy", "base",
     )
     assert code == 0
     assert "(0 step(s))" in out  # call-by-value blocks at the root
-    monkeypatch.setenv("EFFHOL_FUEL", "0")
     code, _, err = run(
         capsys, "normalize", str(CORPUS / "programs.eff"), "--term", "bind-chain",
-        "--strategy", "base",
+        "--strategy", "base", "--fuel", "0",
     )
     assert code == 1
     assert "0 steps" in err
@@ -108,21 +108,14 @@ _EF_CHECK = ("ef-check", str(CORPUS / "ef_samples.ef"))
 
 
 @pytest.mark.parametrize("argv", [_NORMALIZE, _EF_CHECK], ids=["normalize", "ef-check"])
-@pytest.mark.parametrize(
-    "flag, env",
-    [("-1", None), ("abc", None), ("1.5", None), (None, "abc"), (None, "-3"), (None, "")],
-)
-def test_bad_fuel_is_a_usage_error(capsys, monkeypatch, argv, flag, env):
-    """A negative or non-integer fuel, from ``--fuel`` or ``EFFHOL_FUEL``,
-    exits 2 with one line on stderr before any reduction runs."""
-    if env is not None:
-        monkeypatch.setenv("EFFHOL_FUEL", env)
-    code, out, err = run(capsys, *argv, *(("--fuel", flag) if flag else ()))
+# case ids stay "<flag>-None-<command>", so that results tracked by test id still match
+@pytest.mark.parametrize("flag", ["-1", "abc", "1.5"], ids="{}-None".format)
+def test_bad_fuel_is_a_usage_error(capsys, argv, flag):
+    """A negative or non-integer ``--fuel`` exits 2 with one line on stderr
+    before any reduction runs."""
+    code, out, err = run(capsys, *argv, "--fuel", flag)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "non-negative integer" in err
-    # the flag wins over the environment
-    monkeypatch.setenv("EFFHOL_FUEL", "abc")
-    assert run(capsys, *argv, "--fuel", "10000")[0] == 0
 
 
 def test_instantiate_file_instance(capsys):
@@ -420,7 +413,6 @@ CORPUS_CLI_DIGESTS = {
 def test_corpus_cli_output_is_pinned(capsys, monkeypatch):
     """Every corpus invocation prints what it printed when pinned."""
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("EFFHOL_FUEL", raising=False)
     got = {}
     for label, names in _corpus_groups():
         for mode in ("", "--json "):
@@ -448,11 +440,10 @@ print(json.dumps(results))
 
 
 def _run_all(python: str, argvs: list) -> list:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("EFFHOL_FUEL", None)
     r = subprocess.run(
         [python, "-c", _RUN_ALL, json.dumps(argvs)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)
@@ -462,8 +453,10 @@ def _run_all(python: str, argvs: list) -> list:
 def test_other_interpreters_print_the_same_corpus_output(python):
     """``check-hol``, ``extract --derive`` and ``instantiate`` on the corpus
     give the same exit codes and stdout under every other CPython on PATH
-    (``requires-python`` is >=3.10) as under the running one; an
-    interpreter that is absent, or that is the running one, is skipped."""
+    (``requires-python`` is >=3.10) as under the running one, and a fresh
+    process of it leaves no class or node of the package to the cyclic
+    collector; an interpreter that is absent, or that is the running one,
+    is skipped."""
     exe = shutil.which(python)
     probe = exe and subprocess.run(
         [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
@@ -482,6 +475,7 @@ def test_other_interpreters_print_the_same_corpus_output(python):
     ]
     assert len(argvs) > 10
     assert _run_all(exe, argvs) == _run_all(sys.executable, argvs)
+    assert layout_garbage(exe)[1] == []
 
 
 def test_a_shadowing_binder_is_one_located_warning_line(capsys, tmp_path):
