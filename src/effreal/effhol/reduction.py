@@ -20,6 +20,11 @@ each node class, the fields that are holes, in search order.
 untyped one in ``frame``).  It searches the holes from an explicit stack,
 so no step recurses over the depth of a term.  At most one step applies
 per strategy; ``step`` returns None on normal forms.
+
+``reducts`` is the one loop that takes successive steps, in both calculi:
+it yields a term and then each term it steps to.  ``run`` bounds it by a
+fuel of exactly that many steps and raises ``FuelExhausted`` past it;
+``multi_step``, ``count_steps`` and ``frame.untyped_normalize`` read it.
 """
 
 from __future__ import annotations
@@ -112,6 +117,26 @@ def contextual_step(x: Term, root, strategies: dict, strategy) -> Term | None:
         x, path = stack.pop()
 
 
+def reducts(x: Term, root, strategies: dict, strategy):
+    """``x``, then each term it steps to under ``strategy`` (as for
+    ``contextual_step``), ending at a normal form."""
+    while x is not None:
+        yield x
+        x = contextual_step(x, root, strategies, strategy)
+
+
+def run(x: Term, root, strategies: dict, strategy, fuel: int) -> tuple[Term, int]:
+    """The normal form of ``x`` and the steps taken to it; ``FuelExhausted``
+    if ``fuel`` steps reach none."""
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
+    for steps, x in enumerate(reducts(x, root, strategies, strategy)):
+        if steps > fuel:
+            name = getattr(strategy, "value", strategy)
+            raise FuelExhausted(f"no normal form within {fuel} steps under {name}")
+    return x, steps
+
+
 def step(p: EffProgram, strategy: Strategy = Strategy.BASE) -> EffProgram | None:
     return contextual_step(p, root_step, STRATEGIES, strategy)
 
@@ -119,27 +144,9 @@ def step(p: EffProgram, strategy: Strategy = Strategy.BASE) -> EffProgram | None
 def multi_step(
     p: EffProgram, strategy: Strategy = Strategy.BASE, fuel: int = DEFAULT_FUEL
 ) -> tuple[EffProgram, int]:
-    """Iterate ``step`` until normal form; returns (result, steps taken)."""
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
-    try:
-        strategy = Strategy(strategy)
-    except ValueError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
-    steps = 0
-    cur = p
-    while True:
-        nxt = step(cur, strategy)
-        if nxt is None:
-            return cur, steps
-        if steps >= fuel:
-            raise FuelExhausted(
-                f"no normal form within {fuel} steps under {strategy.value}",
-                partial=cur,
-                steps=steps,
-            )
-        cur = nxt
-        steps += 1
+    """The normal form of ``p`` under ``strategy``, a ``Strategy`` or its
+    name, and the steps taken to it."""
+    return run(p, root_step, STRATEGIES, strategy, fuel)
 
 
 def count_steps(
@@ -147,11 +154,5 @@ def count_steps(
 ) -> int | None:
     """The number of steps from p1 to p2, or None if p2 is not reached
     within ``max_steps`` steps."""
-    cur = p1
-    for n in range(max_steps + 1):
-        if cur == p2:
-            return n
-        cur = step(cur, strategy)
-        if cur is None:
-            return None
-    return None
+    path = zip(range(max_steps + 1), reducts(p1, root_step, STRATEGIES, strategy))
+    return next((n for n, x in path if x == p2), None)

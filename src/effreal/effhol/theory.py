@@ -298,10 +298,10 @@ def _check(d: EffDerivation, path: tuple[int, ...], memo: dict) -> None:
                 raise RuleMismatch(f"{d.rule}: {where} is not the substituted body", path)
 
         case "AntiRed":
-            if d.hole_spec is None or d.prog_before is None or d.prog_after is None:
+            if any(w is None for w in (d.hole_spec, d.hole_type, d.prog_before, d.prog_after)):
                 raise RuleMismatch("AntiRed: missing reduction witnesses", path)
-            if d.hole_type is None:
-                raise RuleMismatch("AntiRed: missing binder type", path)
+            if type(d.steps) is not int or d.steps < 0 or not isinstance(d.strategy, Strategy):
+                raise RuleMismatch(f"AntiRed: bad step count {d.steps!r} or strategy {d.strategy!r}", path)
             before = subst(d.hole_spec, PROG, 0, d.prog_before)
             after = subst(d.hole_spec, PROG, 0, d.prog_after)
             if normalize(before) != goal:

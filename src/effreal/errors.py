@@ -72,16 +72,8 @@ class ReductionMismatch(KernelError):
 
 
 class FuelExhausted(KernelError):
-    """Raised when a bounded reduction runs out of fuel.
-
-    ``partial`` holds the last term reached and ``steps`` how many steps
-    were taken before giving up.
-    """
-
-    def __init__(self, message: str, partial=None, steps: int = 0):
-        self.partial = partial
-        self.steps = steps
-        super().__init__(message)
+    """A bounded reduction (``effhol.reduction.run``) ran out of fuel:
+    ``no normal form within N steps under S``."""
 
 
 class LemmaViolation(KernelError):

@@ -3,7 +3,10 @@
 Erased programs live in the untyped computational lambda-calculus
 extended with pairs.  It reduces by the axioms of ``_uroot`` in the
 evaluation contexts of ``UNTYPED_STRATEGIES``, searched from an explicit
-stack by ``effhol.reduction.contextual_step``.  Under 'cbv', the identity
+stack by ``effhol.reduction.contextual_step``, and ``untyped_normalize``
+runs it in the typed calculus's one loop, ``effhol.reduction.run``, with
+the same fuel contract: exactly ``fuel`` steps, a negative fuel a
+``ValueError``, and ``FuelExhausted`` past it.  Under 'cbv', the identity
 instance's executable semantics, the holes are both sides of an
 application (left to right), a return, both parts of a pair, a
 projection and the bound computation of a bind, but never a lambda's
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from ._astnode import Term, astnode, namespaces, shift, subst
 from .errors import CandidateRejected, FuelExhausted
 from .effhol import syntax as e
-from .effhol.reduction import DEFAULT_FUEL, contextual_step
+from .effhol.reduction import DEFAULT_FUEL, contextual_step, run
 
 
 (UNTYPED,) = namespaces("untyped")
@@ -157,16 +160,9 @@ def untyped_step(t: UntypedTerm, strategy: str = "cbv") -> UntypedTerm | None:
 
 
 def untyped_normalize(t: UntypedTerm, fuel: int = DEFAULT_FUEL) -> UntypedTerm:
-    """The cbv normal form of ``t``, reached within ``fuel`` steps."""
-    cur = t
-    for _ in range(fuel):
-        nxt = untyped_step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    if untyped_step(cur) is None:
-        return cur
-    raise FuelExhausted(f"no untyped normal form within {fuel} steps", partial=cur)
+    """The cbv normal form of ``t``, reached within ``fuel`` steps (see
+    ``effhol.reduction.run``)."""
+    return run(t, _uroot, UNTYPED_STRATEGIES, "cbv", fuel)[0]
 
 
 EfProposition = frozenset  # of closed UntypedTerm values

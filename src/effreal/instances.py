@@ -150,21 +150,9 @@ instantiate_type = instantiate_prog = instantiate
 
 
 def assert_pure(x) -> None:
-    """Syntactic scan: no computational construct survives instantiation.
-    A pure node passes on its ``_pure`` bit; the scan skips pure subtrees."""
-    stack = [x]
-
-    def push(child, _under):
-        stack.append(child)
-        return child
-
-    while stack:
-        node = stack.pop()
-        if node._pure:
-            continue
-        if isinstance(node, (e.Comp, e.Ret, e.Bind, e.After)):
-            raise RecheckFailed(f"impure construct {type(node).__name__} in instance image")
-        map_children(node, push)
+    """No computational construct survives instantiation: ``x`` is ``_pure``."""
+    if not x._pure:
+        raise RecheckFailed("impure construct in instance image")
 
 
 def instantiate_derivation(d: EffDerivation, inst: PureInstance) -> EffDerivation:

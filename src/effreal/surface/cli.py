@@ -56,6 +56,14 @@ def _load(path: str):
     return parse_document(text)
 
 
+def _option_file(path: str):
+    """The document named by an option; one that does not load is a usage error."""
+    try:
+        return _load(path)
+    except KernelError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _named(table: dict, noun: str, name: str):
     """``table[name]``; a missing name is a usage error."""
     if name not in table:
@@ -106,10 +114,9 @@ def cmd_translate(args) -> int:
 
 def cmd_extract(args) -> int:
     d = _named(_load(args.file).hol_derivations, "derivation", args.derivation)
-    # an ambient file contributes extra hypotheses as named specs
-    ambient = (
-        Ambient(hyps=tuple(_load(args.ambient).specs.values())) if args.ambient else EMPTY_AMBIENT
-    )
+    ambient = EMPTY_AMBIENT
+    if args.ambient:  # an ambient file contributes extra hypotheses as named specs
+        ambient = Ambient(hyps=tuple(_option_file(args.ambient).specs.values()))
     try:
         res = extract_realizer(d, ambient, derive=args.derive)
     except KernelError as exc:
@@ -143,10 +150,7 @@ def _instance(spec: str):
         return identity_instance()
     if spec == "cont":
         return continuation_instance()
-    try:
-        doc = _load(spec)
-    except KernelError as exc:
-        raise _UsageError(str(exc)) from exc
+    doc = _option_file(spec)
     if not doc.instances:
         raise _UsageError(f"no instance declaration in {spec!r}")
     return next(iter(doc.instances.values()))
@@ -157,16 +161,15 @@ def cmd_instantiate(args) -> int:
     inst = _instance(args.instance)
     results = {}
     ok = True
-    for name, t in doc.types.items():
-        results[f"type {name}"] = pr.print_type(instantiate(t, inst))
-    for name, p in doc.programs.items():
-        got = instantiate(p, inst)
-        assert_pure(got)
-        results[f"program {name}"] = pr.print_program(got)
-    for name, s in doc.specs.items():
-        got = instantiate(s, inst)
-        assert_pure(got)
-        results[f"spec {name}"] = pr.print_spec(got)
+    for noun, table, show in (
+        ("type", doc.types, pr.print_type),
+        ("program", doc.programs, pr.print_program),
+        ("spec", doc.specs, pr.print_spec),
+    ):
+        for name, x in table.items():
+            got = instantiate(x, inst)
+            assert_pure(got)
+            results[f"{noun} {name}"] = show(got)
     for name, d in doc.eff_derivations.items():
         try:
             eff_check(d)  # the instance templates read only checked derivations
@@ -184,7 +187,7 @@ def cmd_instantiate(args) -> int:
 def cmd_normalize(args) -> int:
     fuel = _fuel(args)
     prog = _named(_load(args.file).programs, "program", args.term)
-    result, steps = multi_step(prog, Strategy(args.strategy), fuel)
+    result, steps = multi_step(prog, args.strategy, fuel)
     payload = {"result": pr.print_program(result), "steps": steps}
     _emit(args, payload, f"{payload['result']}\n({steps} step(s))")
     return 0
@@ -283,7 +286,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--term", required=True)
     p.add_argument("--fuel")
-    p.add_argument("--strategy", default="base", choices=["base", "cbn", "full"])
+    p.add_argument("--strategy", default="base", choices=[s.value for s in Strategy])
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("erase", help="erase a named program to the untyped calculus")

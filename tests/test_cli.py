@@ -329,6 +329,36 @@ def test_extract_rejects_an_ill_formed_ambient(tmp_path, capsys, derive):
     assert err.startswith("extraction failed: base membership needs index ")
 
 
+@pytest.mark.parametrize("derive", [(), ("--derive",)], ids=["plain", "derive"])
+def test_an_ambient_file_that_does_not_read_is_a_usage_error(tmp_path, capsys, derive):
+    """A reader error in an ``--ambient`` file is a usage error, as in an
+    ``--instance`` file: exit 2 with the located message on stderr."""
+    amb = tmp_path / "bad.eff"
+    amb.write_text("(spec bad (top-spec")
+    assert run(
+        capsys, "extract", str(CORPUS / "hol_basic.hol"), "--derivation", "k-combinator",
+        "--ambient", str(amb), *derive,
+    ) == (2, "", "1:11: unclosed '('\n")
+
+
+@pytest.mark.parametrize(
+    "declaration",
+    ["(type t (M (fun bot-type bot-type)))", "(program q (lam (x (M bot-type)) x))"],
+    ids=["type", "program"],
+)
+def test_instantiate_rejects_an_impure_image(tmp_path, capsys, declaration):
+    """An instance whose computation type is still ``M`` leaves a type or
+    a program impure: exit 1, with nothing printed for it."""
+    inst = tmp_path / "impure.inst"
+    text = (CORPUS / "instance_cont.inst").read_text()
+    inst.write_text(text.replace("(comp (T) (neg (neg T)))", "(comp (T) (M T))"))
+    doc = tmp_path / "doc.eff"
+    doc.write_text(declaration)
+    assert run(capsys, "instantiate", str(doc), "--instance", str(inst)) == (
+        1, "", "impure construct in instance image\n"
+    )
+
+
 def _corpus_groups():
     """Every subcommand on every corpus file it reads, as (label, names):
     the label is an argv in which ``*`` stands for each name in turn."""

@@ -40,6 +40,7 @@ from effreal.effhol import (
     EXPR,
     PROG,
     TYPE,
+    count_steps,
     index_of,
     kind_of,
     multi_step,
@@ -214,6 +215,46 @@ def test_multi_step_takes_a_strategy_name():
     assert multi_step(p, "cbn", 10) == (ident, 2)
     with pytest.raises(ValueError, match="unknown strategy 'cbv'"):
         multi_step(p, "cbv", 1)
+
+
+def _bind_chain(k):
+    """A program that takes exactly ``k`` base steps, the last to ``Ret(IDENT)``:
+    ``bind x <- ret IDENT; bind x <- ret x; ... ret x``."""
+    p = Ret(PVar(0))
+    for _ in range(k - 1):
+        p = Bind(BOT_TYPE, Ret(PVar(0)), p)
+    return Bind(BOT_TYPE, Ret(Abs(BOT_TYPE, PVar(0))), p)
+
+
+def test_multi_step_allows_exactly_its_fuel():
+    """The one fuel contract: fuel ``k`` reaches a normal form ``k`` steps
+    away, fuel ``k - 1`` raises ``FuelExhausted`` and a negative fuel is a
+    ``ValueError``."""
+    k, nf = 3, Ret(Abs(BOT_TYPE, PVar(0)))
+    p = _bind_chain(k)
+    assert multi_step(p, Strategy.BASE, k) == (nf, k)
+    with pytest.raises(FuelExhausted) as exc:
+        multi_step(p, Strategy.BASE, k - 1)
+    assert str(exc.value) == f"no normal form within {k - 1} steps under base"
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        multi_step(p, Strategy.BASE, -1)
+
+
+def test_count_steps_bound_is_exact():
+    """``count_steps`` answers the first ``n <= max_steps`` at which the
+    term is the target; past the bound, at a normal form that is not the
+    target, or under a negative bound, it answers None."""
+    k, nf = 3, Ret(Abs(BOT_TYPE, PVar(0)))
+    p = _bind_chain(k)
+    assert count_steps(p, nf, Strategy.BASE, k) == k
+    assert count_steps(p, nf, Strategy.BASE, k + 5) == k
+    assert count_steps(p, nf, Strategy.BASE, k - 1) is None
+    assert count_steps(p, nf, Strategy.BASE, -1) is None
+    assert count_steps(p, p, Strategy.BASE, 0) == 0
+    assert count_steps(p, p, Strategy.BASE, -1) is None
+    assert count_steps(p, step(p), Strategy.BASE, 1) == 1
+    # the normal form comes first and is not the target
+    assert count_steps(p, Ret(PVar(7)), Strategy.BASE, k + 5) is None
 
 
 # a closed redex and its reduct, and one whose argument is the bound variable

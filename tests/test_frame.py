@@ -19,7 +19,7 @@ from effreal.effhol import (
     TyApp,
     step,
 )
-from effreal.errors import CandidateRejected
+from effreal.errors import CandidateRejected, FuelExhausted
 from effreal.frame import (
     E_EVAL,
     E_FST,
@@ -45,6 +45,7 @@ from effreal.frame import (
     pair_evidence,
     ushift,
     univ_impl,
+    untyped_normalize,
     untyped_step,
 )
 from effreal.generators import random_closed_program
@@ -108,6 +109,29 @@ def test_untyped_step_rejects_unknown_strategies(strategy):
     assert untyped_step(t) == UApp(UVar(5), W)
     with pytest.raises(ValueError):
         untyped_step(t, strategy)
+
+
+def _ubind_chain(k):
+    """An untyped term that takes exactly ``k`` cbv steps, the last to
+    ``URet(V)``: ``bind x <- ret V; bind x <- ret x; ... ret x``."""
+    t = URet(UVar(0))
+    for _ in range(k - 1):
+        t = UBind(URet(UVar(0)), t)
+    return UBind(URet(V), t)
+
+
+def test_untyped_normalize_allows_exactly_its_fuel():
+    """The typed calculus's fuel contract: fuel ``k`` reaches a normal form
+    ``k`` steps away, fuel ``k - 1`` raises ``FuelExhausted`` with the
+    typed message, and a negative fuel is a ``ValueError``."""
+    k = 3
+    t = _ubind_chain(k)
+    assert untyped_normalize(t, k) == URet(V)
+    with pytest.raises(FuelExhausted) as exc:
+        untyped_normalize(t, k - 1)
+    assert str(exc.value) == f"no normal form within {k - 1} steps under cbv"
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        untyped_normalize(t, -1)
 
 
 def test_lift_membership():

@@ -3,8 +3,9 @@
 Covers a wrong premise count under every rule, an unknown rule, every
 check of the universal introductions and of the target theory's universal
 eliminations, Mon's entailment checks, every check of MemI, MemE, Mem0I
-and Mem0E in both kernels, the base-kind checks of the typing
-judgments, and a frame mutation of every premise of every rule.
+and Mem0E in both kernels, AntiRed's step count and strategy, the
+base-kind checks of the typing judgments, and a frame mutation of every
+premise of every rule.
 """
 
 from dataclasses import replace
@@ -69,6 +70,7 @@ from effreal.hol import checker as hol_checker
 from effreal.instances import continuation_instance, identity_instance, instantiate_derivation
 from effreal.surface.elaborate import parse_document
 from effreal.translation import extract_realizer
+from tests.test_theory import _antired_one_step
 
 HOL_COUNTS = {
     "Id": 0, "ImpI": 1, "ImpE": 2, "UniI": 1, "UniE": 1,
@@ -572,6 +574,25 @@ def test_base_kind_check_through_the_checker():
         lambda: eff_check(d), KindMismatch, "quantifier annotation has kind (* => *), expected *", ()
     )
 
+
+
+# AntiRed's step count and strategy, built through the API: anything but a
+# non-negative int and a ``Strategy``, as the readers' STEPS and STRATEGY
+# literals require, is one located rejection, not a TypeError or a
+# ValueError from the reduction.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", None), ("steps", "1"), ("steps", 1.5), ("steps", -1), ("steps", True),
+        ("strategy", "bogus"), ("strategy", None), ("strategy", "base"),
+    ],
+)
+def test_antired_rejects_a_bad_step_count_or_strategy(field, value):
+    d = replace(_antired_one_step(1), **{field: value})
+    msg = f"AntiRed: bad step count {d.steps!r} or strategy {d.strategy!r}"
+    _rejects(lambda: eff_check(d), RuleMismatch, msg, ())
+    below = EffDerivation("Conv", d.conclusion, (d,))
+    _rejects(lambda: eff_check(below), RuleMismatch, msg, (0,))
 
 
 # Frame mutations: every node with premises, from the corpus derivations,
