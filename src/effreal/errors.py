@@ -1,8 +1,10 @@
 """Exception hierarchy shared by the kernel modules.
 
-Checking failures carry a ``path``: the chain of premise positions from the
-root of a derivation down to the offending node, so errors in serialized
-proofs can be located.
+A rejection made through a checker's ``check`` (``hol.checker`` or
+``effhol.theory``) carries a ``path``: the chain of premise positions from
+the root of a derivation down to the offending node, so errors in
+serialized proofs can be located.  The judgments raise without one; each
+checker's loop locates what escapes at the node it is on, with ``at``.
 """
 
 from __future__ import annotations
@@ -11,16 +13,17 @@ from __future__ import annotations
 class KernelError(Exception):
     """Base class for every failure raised by the kernel."""
 
-    def __init__(self, message: str, path: tuple[int, ...] | None = None):
+    def __init__(self, message: str):
         self.message = message
-        self.path = path
-        super().__init__(self._render())
+        self.path = None
+        super().__init__(message)
 
-    def _render(self) -> str:
-        if self.path is not None:
-            loc = "/".join(str(i) for i in self.path) or "root"
-            return f"[at {loc}] {self.message}"
-        return self.message
+    def at(self, path: tuple[int, ...]) -> "KernelError":
+        """Locate this error at the node ``path`` (the root's is ``()``)
+        and return it."""
+        self.path = path
+        self.args = (f"[at {'/'.join(map(str, path)) or 'root'}] {self.message}",)
+        return self
 
 
 class UnboundVariable(KernelError):

@@ -245,22 +245,24 @@ def univ_impl(
     family: tuple[EfProposition, ...],
     candidates: tuple[UntypedTerm, ...],
     fuel: int = DEFAULT_FUEL,
-) -> EfProposition:
+) -> EfProposition | None:
     """The finite-carrier universal implication: the supplied lambda values
-    validated against the defining membership condition."""
-    members = []
+    validated against the defining membership condition; None if fuel ran
+    out on some member and none failed."""
+    members, unknown = [], False
     for cand in candidates:
         if not isinstance(cand, ULam):
             raise CandidateRejected(f"universal-implication member is not a lambda: {cand!r}")
         for v1 in phi1:
             for phi in family:
                 r = lift_member(subst(cand.body, UNTYPED, 0, v1), phi, fuel=fuel)
-                if r is not True:
+                if r is False:
                     raise CandidateRejected(
                         f"candidate fails the defining condition on {v1!r}"
                     )
+                unknown = unknown or r is None
         members.append(cand)
-    return frozenset(members)
+    return None if unknown else frozenset(members)
 
 
 @dataclass
@@ -323,6 +325,9 @@ def ef_law_suite(
                 impl = univ_impl(phi2, family, cands, fuel)
             except CandidateRejected as exc:
                 report.record("universal-implication", False, str(exc))
+                continue
+            if impl is None:
+                report.record("universal-implication", None)
                 continue
             report.record(
                 "universal-implication",

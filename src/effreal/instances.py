@@ -113,12 +113,12 @@ def _interpret(x, inst, kctx, tctx, memo):
         case e.Comp(inner):
             return inst.comp_type(_instantiate(inner, inst, (), (), memo))
         case e.Ret(inner):
-            ty = type_of(kctx, tctx, inner, None, memo.types)
+            ty = type_of(kctx, tctx, inner, memo.types)
             return inst.ret_prog(
                 _instantiate(ty, inst, (), (), memo), _instantiate(inner, inst, kctx, tctx, memo)
             )
         case e.Bind(ty, first, rest):
-            t2 = type_of(kctx, tctx + (ty,), rest, None, memo.types)
+            t2 = type_of(kctx, tctx + (ty,), rest, memo.types)
             assert isinstance(t2, e.Comp)
             return inst.bind_prog(
                 _instantiate(ty, inst, (), (), memo),

@@ -215,8 +215,9 @@ def cmd_ef_check(args) -> int:
         "clauses": {k: v for k, v in report.clauses.items()},
         "asserts": asserts,
     }
-    lines = [f"{'ok  ' if v is True else 'FAIL'} clause {k}" for k, v in report.clauses.items()]
-    lines += [f"{'ok  ' if v is True else 'FAIL'} assert {k}" for k, v in asserts.items()]
+    mark = {True: "ok  ", False: "FAIL", None: "??  "}  # None: fuel ran out
+    lines = [f"{mark[v]} clause {k}" for k, v in report.clauses.items()]
+    lines += [f"{mark[v]} assert {k}" for k, v in asserts.items()]
     _emit(args, payload, "\n".join(lines) or "no samples")
     return 0 if ok else 1
 

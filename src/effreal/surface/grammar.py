@@ -235,6 +235,17 @@ class Literal:
         line, col = (at.line, at.col) if at is not None else (1, 1)
         raise SurfaceSyntaxError(f"bad {self.noun} {value!r}", line, col)
 
+    def write(self, value, key: str):
+        """The JSON value written for ``value``; a ``TypeError`` naming the
+        witness ``key`` unless that value reads back as ``value`` itself."""
+        try:
+            got = self.dump(value)
+            if type(back := self.parse(got)) is type(value) and back == value:
+                return got
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            pass
+        raise TypeError(f"not a {self.noun} for witness {key!r}: {value!r}")
+
 
 def _count(value) -> int:
     if (n := int(value)) < 0:

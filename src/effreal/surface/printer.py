@@ -111,14 +111,14 @@ def _witnesses(calc, d, depth: tuple[int, ...]):
     """The witnesses of ``d``, whose conclusion sits under ``depth``
     binders, as ``(JSON key, value, depth)``: terms with the depth they
     print under, step counts and strategies as their JSON values with
-    depth None."""
+    depth None (a ``TypeError`` for one that would not read back)."""
     witnesses = iter(calc.rules[d.rule].witnesses)
     for w in witnesses:
         v = getattr(d, w.field)
-        if v is None:
-            continue
         if isinstance(w.category, Literal):
-            yield w.key, w.category.dump(v), None
+            yield w.key, w.category.write(v, w.key), None
+            continue
+        if v is None:
             continue
         yield w.key, v, depth
         if w.binds:

@@ -373,7 +373,7 @@ def extract_realizer(
     deriv = walk(_derive, d, c.hyps, frame.ctxs, frame.hyps, memo) if derive else None
     realizer = walk(_realizer, d, c.hyps, memo) if deriv is None else deriv.conclusion.goal.prog
     triple = replace(frame, goal=e.After(realizer, trtype(c.ctx, c.goal, memo), frame.goal))
-    sequent_wf(triple, None, {})  # the triple's one check: it types the realizer too
+    sequent_wf(triple, {})  # the triple's one check: it types the realizer too
     return ExtractionResult(realizer, triple, deriv)
 
 

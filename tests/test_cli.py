@@ -238,6 +238,39 @@ def test_ef_check(capsys):
     assert "clause universal-implication" in out
 
 
+def test_ef_check_marks_an_unknown_verdict(tmp_path, capsys):
+    """A verdict left unknown when fuel runs out prints as ``??``, one that
+    is refuted as ``FAIL``; either exits 1.  At fuel 1 the ``??`` lines
+    are exactly the verdicts ``--json`` reports as null."""
+    argv = ("ef-check", str(CORPUS / "ef_samples.ef"), "--fuel", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines == [
+        "ok   clause reflexivity",
+        "??   clause transitivity",
+        "ok   clause top",
+        "??   clause conjunction",
+        "??   clause universal-implication",
+        "ok   assert identity-preserves",
+        "??   assert swapping",
+        "ok   assert collapse",
+    ]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 1
+    data = json.loads(out)
+    nulls = [f"{kind[:-1]} {k}" for kind in ("clauses", "asserts") for k, v in data[kind].items() if v is None]
+    assert sorted(nulls) == sorted(line[5:] for line in lines if line.startswith("??"))
+    refuted = tmp_path / "refuted.ef"
+    refuted.write_text(
+        "(ef-evidence idv (lam (x) (ret x)))\n(ef-prop a (lam (x) x))\n"
+        "(ef-prop b (lam (x) (ret x)))\n(ef-assert wrong a idv b)\n"
+    )
+    code, out, _ = run(capsys, "ef-check", str(refuted))
+    assert code == 1
+    assert "FAIL assert wrong" in out.splitlines()
+
+
 def test_check_laws(capsys):
     code, out, _ = run(capsys, "check-laws", "--instance", "id", "--samples", "3")
     assert code == 0

@@ -196,6 +196,16 @@ def test_univ_impl_validation():
         univ_impl(phi2, (phi2,), (bad,))
 
 
+def test_univ_impl_is_unknown_when_fuel_runs_out():
+    phi2 = make_prop(V)
+    slow = ULam(UApp(ushift(E_ID, 1), UVar(0)))  # one step from each member's return
+    assert univ_impl(phi2, (phi2,), (slow,), 0) is None
+    assert slow in univ_impl(phi2, (phi2,), (slow,), 1)
+    bad = ULam(URet(ushift(W, 1)))
+    with pytest.raises(CandidateRejected):  # a refutation outweighs an unknown
+        univ_impl(phi2, (phi2,), (slow, bad), 0)
+
+
 def test_eval_on_validated_member():
     phi2 = make_prop(V)
     impl = univ_impl(phi2, (phi2,), (ULam(URet(UVar(0))),))
@@ -212,7 +222,7 @@ def test_ef_law_suite_verdicts_per_fuel():
     """The suite's verdict on each clause of ``corpus/ef_samples.ef`` at
     fuel 0-12: T true, ? unknown (fuel ran out), F false."""
     clauses = ("reflexivity", "transitivity", "top", "conjunction", "universal-implication")
-    rows = ["????F", "T?T?F", "T?T??", "T?T??", "TTT??", "TTTT?"] + ["TTTTT"] * 7
+    rows = ["?????", "T?T??", "T?T??", "T?T??", "TTT??", "TTTT?"] + ["TTTTT"] * 7
     verdict = {"T": True, "?": None, "F": False}
     samples = tuple(parse_document((CORPUS / "ef_samples.ef").read_text()).ef_props.values())
     for fuel, row in enumerate(rows):

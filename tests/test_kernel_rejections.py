@@ -50,7 +50,6 @@ from effreal.effhol import (
     spec_wf,
     type_of,
 )
-from effreal.effhol import theory
 from effreal.errors import IllTyped, KindMismatch, RuleMismatch, TemplateMissing
 from effreal.hol import (
     Compr as HolCompr,
@@ -66,7 +65,6 @@ from effreal.hol import (
     Var,
     check as hol_check,
 )
-from effreal.hol import checker as hol_checker
 from effreal.instances import continuation_instance, identity_instance, instantiate_derivation
 from effreal.surface.elaborate import parse_document
 from effreal.translation import extract_realizer
@@ -507,55 +505,54 @@ def test_eff_membership_checks(key):
 # The base-kind checks of the typing judgments.
 
 _F = TAbs(KSTAR, TVar(0))  # has kind (* => *)
-_PATH = (2, 0, 1)
 
 BASE_KIND_CASES = {
     "tabs body": (
-        lambda: kind_of((), TAbs(KSTAR, _F), _PATH),
+        lambda: kind_of((), TAbs(KSTAR, _F)),
         "abstraction body has kind (* => *), expected *",
     ),
     "fun domain": (
-        lambda: kind_of((), Fun(_F, BOT_TYPE), _PATH),
+        lambda: kind_of((), Fun(_F, BOT_TYPE)),
         "function component has kind (* => *), expected *",
     ),
     "fun codomain": (
-        lambda: kind_of((), Fun(BOT_TYPE, _F), _PATH),
+        lambda: kind_of((), Fun(BOT_TYPE, _F)),
         "function component has kind (* => *), expected *",
     ),
     "forall body": (
-        lambda: kind_of((), TForall(KSTAR, _F), _PATH),
+        lambda: kind_of((), TForall(KSTAR, _F)),
         "universal body has kind (* => *), expected *",
     ),
     "comp argument": (
-        lambda: kind_of((), Comp(_F), _PATH),
+        lambda: kind_of((), Comp(_F)),
         "computation argument has kind (* => *), expected *",
     ),
     "ref0 carrier": (
-        lambda: index_wf((), RefBase(_F), _PATH),
+        lambda: index_wf((), RefBase(_F)),
         "refinement carrier has kind (* => *), expected *",
     ),
     "ref carrier": (
-        lambda: index_wf((), Ref(_F, RefBase(BOT_TYPE)), _PATH),
+        lambda: index_wf((), Ref(_F, RefBase(BOT_TYPE))),
         "refinement carrier has kind (* => *), expected *",
     ),
     "lam annotation": (
-        lambda: type_of((), (), Abs(_F, PVar(0)), _PATH),
+        lambda: type_of((), (), Abs(_F, PVar(0))),
         "abstraction annotation has kind (* => *), expected *",
     ),
     "bind annotation": (
-        lambda: type_of((), (), Bind(_F, PVar(0), PVar(0)), _PATH),
+        lambda: type_of((), (), Bind(_F, PVar(0), PVar(0))),
         "bind annotation has kind (* => *), expected *",
     ),
     "compr carrier": (
-        lambda: index_of((), (), (), Compr(_F, RefBase(BOT_TYPE), BOT_SPEC), _PATH),
+        lambda: index_of((), (), (), Compr(_F, RefBase(BOT_TYPE), BOT_SPEC)),
         "comprehension carrier has kind (* => *), expected *",
     ),
     "compr0 carrier": (
-        lambda: index_of((), (), (), ComprBase(_F, BOT_SPEC), _PATH),
+        lambda: index_of((), (), (), ComprBase(_F, BOT_SPEC)),
         "comprehension carrier has kind (* => *), expected *",
     ),
     "allp annotation": (
-        lambda: spec_wf((), (), (), SForallProg(_F, BOT_SPEC), _PATH),
+        lambda: spec_wf((), (), (), SForallProg(_F, BOT_SPEC)),
         "quantifier annotation has kind (* => *), expected *",
     ),
 }
@@ -563,8 +560,15 @@ BASE_KIND_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BASE_KIND_CASES))
 def test_base_kind_checks(case):
+    """A judgment called outside a check raises unlocated."""
     run, msg = BASE_KIND_CASES[case]
-    _rejects(run, KindMismatch, msg, _PATH)
+    with pytest.raises(KindMismatch) as info:
+        run()
+    exc = info.value
+    assert type(exc) is KindMismatch
+    assert exc.message == msg
+    assert exc.path is None
+    assert str(exc) == msg
 
 
 def test_base_kind_check_through_the_checker():
@@ -633,8 +637,8 @@ def _frame_mutants(kernel, p):
 
 
 def test_every_premise_frame_mutation_is_rejected_at_its_node():
-    # the node's own check, without the root's well-formedness check
-    checks = {"hol": lambda d: hol_checker._check(d, ()), "eff": lambda d: theory._check(d, (), {})}
+    # each mutated node checked as a root: its own check comes first
+    checks = {"hol": hol_check, "eff": eff_check}
     seen = set()
     for kernel, root in _sweep_roots():
         stack = [root]

@@ -4,6 +4,7 @@ import gc
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -462,6 +463,23 @@ def test_json_reads_no_step_count_but_a_non_negative_integer(steps):
     with pytest.raises(SurfaceSyntaxError) as info:
         jsonio.eff_from_json(data)
     assert str(info.value) == f"1:1: bad step count {steps!r}"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", 1.5), ("steps", True), ("steps", _Count.ONE), ("steps", "1"), ("steps", -1),
+        ("steps", None), ("strategy", "base"), ("strategy", "bogus"), ("strategy", None),
+    ],
+)
+def test_printers_refuse_a_step_count_or_strategy_that_does_not_read_back(field, value):
+    """The text printer and the JSON writer write an AntiRed step count or
+    strategy only if it reads back as itself: anything else is a
+    ``TypeError`` naming the witness, as a node outside the grammar is."""
+    d = replace(_anti_reduction(), **{field: value})
+    for write in (print_eff_derivation, jsonio.eff_to_json):
+        with pytest.raises(TypeError, match=f"for witness '{field}': "):
+            write(d)
 
 
 # One declaration for each table of a document; the assertion names the
