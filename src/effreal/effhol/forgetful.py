@@ -5,17 +5,23 @@ propositions; the modality and the program/type quantifiers vanish.
 Expression variables map to term variables at the same position, so the
 translated index context is the sort context.
 
+Each erasure is a class table read by one map, ``erase_by``: a node
+class rebuilds as a target class from the erasures of some fields, in
+order, or collapses onto the erasure of one field, or, if a variable,
+keeps its index.  ``_FORGET`` is ``forget``'s table; ``frame._ERASE``,
+the type erasure of programs, is the other.
+
 Derivations translate rule by rule: nodes whose conclusion loses its
 structure (program/type quantifiers, modality rules, conversion,
 anti-reduction) collapse onto their translated premise; Mon becomes a cut,
 encoded as ImpI followed by ImpE.
 
-Each ``forget_derivation`` call keeps one table from an index, expression
-or specification to its erasure, shared by every sequent of the
+Each top-level call keeps one memo table from a node to its erasure;
+``forget_derivation`` shares one across every sequent of the
 derivation, so a hypothesis is erased once however many nodes carry it.
 The node alone is an exact key: the erasure reads no context, and nodes
-are hash-consed.  The three maps share the table because indices,
-expressions and specifications are distinct node classes.
+are hash-consed.  One table serves indices, expressions and
+specifications because they are distinct node classes.
 """
 
 from __future__ import annotations
@@ -24,105 +30,64 @@ from ..errors import RuleMismatch
 from ..hol import checker as hol_checker
 from ..hol import syntax as hol
 from ..walk import walk
-from .syntax import (
-    After,
-    Compr,
-    ComprBase,
-    EApp,
-    EffExpr,
-    EffIndex,
-    EffSpec,
-    EForall,
-    EVar,
-    IForall,
-    Ref,
-    RefBase,
-    SForallExpr,
-    SForallProg,
-    SForallType,
-    SImp,
-    SMem,
-    SMemBase,
-)
+from . import syntax as e
 from .theory import EffDerivation, EffSequent
 
+# Each class: its target class (None to collapse onto the one field) and
+# the fields whose erasures are the target's arguments; a variable keeps
+# its index.
+_FORGET = {
+    e.RefBase: (hol.Base, ()),
+    e.Ref: (hol.Pred, ("arg",)),
+    e.IForall: (None, ("body",)),
+    e.EVar: (hol.Var, ("index",)),
+    e.Compr: (hol.Compr, ("binder_index", "body")),
+    e.ComprBase: (hol.ComprBase, ("body",)),
+    e.EForall: (None, ("body",)),
+    e.EApp: (None, ("fn",)),
+    # element = the expression argument, set = the refining expression; this
+    # is the orientation accepted by the logic's membership typing (see
+    # README for the appendix discrepancy).
+    e.SMem: (hol.Mem, ("arg", "fn")),
+    e.SMemBase: (hol.MemBase, ("fn",)),
+    e.SImp: (hol.Imp, ("lhs", "rhs")),
+    e.After: (None, ("body",)),
+    e.SForallType: (None, ("body",)),
+    e.SForallProg: (None, ("body",)),
+    e.SForallExpr: (hol.Forall, ("binder_index", "body")),
+}
 
-def forget_index(s: EffIndex, memo: dict | None = None) -> hol.Sort:
-    if memo is None:
-        memo = {}
-    out = memo.get(s)
+
+def erase_by(table: dict, x, memo: dict):
+    """The erasure of ``x`` by the class table ``table``, kept in ``memo``.
+    It takes one stack frame per level: the arguments are built in a loop."""
+    out = memo.get(x)
     if out is None:
-        match s:
-            case RefBase(_):
-                out = hol.STAR
-            case Ref(_, arg):
-                out = hol.Pred(forget_index(arg, memo))
-            case IForall(_, body):
-                out = forget_index(body, memo)
-            case _:
-                raise TypeError(f"unexpected index {s!r}")
-        memo[s] = out
+        target, fields = table[type(x)]
+        if target is None:
+            out = erase_by(table, getattr(x, fields[0]), memo)
+        elif x._var is not None:
+            out = target(x.index)
+        else:
+            args = []
+            for f in fields:
+                args.append(erase_by(table, getattr(x, f), memo))
+            out = target(*args)
+        memo[x] = out
     return out
 
 
-def forget_expr(e: EffExpr, memo: dict | None = None) -> hol.HolTerm:
-    if memo is None:
-        memo = {}
-    out = memo.get(e)
-    if out is None:
-        match e:
-            case EVar(k):
-                out = hol.Var(k)
-            case Compr(_, idx, body):
-                out = hol.Compr(forget_index(idx, memo), forget_spec(body, memo))
-            case ComprBase(_, body):
-                out = hol.ComprBase(forget_spec(body, memo))
-            case EForall(_, body):
-                out = forget_expr(body, memo)
-            case EApp(fn, _):
-                out = forget_expr(fn, memo)
-            case _:
-                raise TypeError(f"unexpected expression {e!r}")
-        memo[e] = out
-    return out
-
-
-def forget_spec(f: EffSpec, memo: dict | None = None) -> hol.HolProp:
-    if memo is None:
-        memo = {}
-    out = memo.get(f)
-    if out is None:
-        match f:
-            case SMem(_, fn, arg):
-                # element = the expression argument, set = the refining
-                # expression; this is the orientation accepted by the logic's
-                # membership typing (see README for the appendix discrepancy).
-                out = hol.Mem(forget_expr(arg, memo), forget_expr(fn, memo))
-            case SMemBase(_, fn):
-                out = hol.MemBase(forget_expr(fn, memo))
-            case SImp(a, b):
-                out = hol.Imp(forget_spec(a, memo), forget_spec(b, memo))
-            case After(_, _, body):
-                out = forget_spec(body, memo)
-            case SForallType(_, body):
-                out = forget_spec(body, memo)
-            case SForallProg(_, body):
-                out = forget_spec(body, memo)
-            case SForallExpr(idx, body):
-                out = hol.Forall(forget_index(idx, memo), forget_spec(body, memo))
-            case _:
-                raise TypeError(f"unexpected specification {f!r}")
-        memo[f] = out
-    return out
+def forget(x: e.EffIndex | e.EffExpr | e.EffSpec, memo: dict | None = None):
+    """The sort, term or proposition of the logic that the index,
+    expression or specification ``x`` erases to."""
+    return erase_by(_FORGET, x, {} if memo is None else memo)
 
 
 def forget_sequent(seq: EffSequent, memo: dict | None = None) -> hol_checker.Sequent:
-    if memo is None:
-        memo = {}
-    ctx = tuple(forget_index(s, memo) for s in seq.ctxs.indices)
-    return hol_checker.Sequent(
-        ctx, tuple(forget_spec(h, memo) for h in seq.hyps), forget_spec(seq.goal, memo)
-    )
+    memo = {} if memo is None else memo
+    ctx = tuple(forget(s, memo) for s in seq.ctxs.indices)
+    hyps = tuple(forget(h, memo) for h in seq.hyps)
+    return hol_checker.Sequent(ctx, hyps, forget(seq.goal, memo))
 
 
 # The expression quantifier's rules become the logic's quantifier rules;
@@ -144,7 +109,7 @@ def _forget_derivation(d: EffDerivation, memo: dict):
                 _RENAMED.get(d.rule, d.rule),
                 forget_sequent(d.conclusion, memo),
                 tuple(premises),
-                witness=forget_expr(d.witness, memo) if d.rule == "UniExpE" else None,
+                witness=forget(d.witness, memo) if d.rule == "UniExpE" else None,
             )
         case "UniProgI" | "UniProgE" | "UniTypeI" | "UniTypeE" | "ModI" | "ModE" | "Conv" | "AntiRed":
             # The conclusion's extra structure vanishes; reuse the premise.

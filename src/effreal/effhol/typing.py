@@ -118,7 +118,7 @@ def kind_of(kctx: KindCtx, t: EffType, memo=None) -> Kind:
             case Comp(inner):
                 _star(kctx, inner, "computation argument", memo)
             case _:
-                raise TypeError(f"unexpected type {t!r}")
+                raise KindMismatch(f"unexpected type {t!r}")
         memo[key] = k
     return k
 
@@ -142,7 +142,7 @@ def index_wf(kctx: KindCtx, s: EffIndex, memo=None) -> None:
         case IForall(kind, body):
             index_wf(kctx + (kind,), body, memo)
         case _:
-            raise TypeError(f"unexpected index {s!r}")
+            raise IndexMismatch(f"unexpected index {s!r}")
 
 
 def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, memo=None) -> EffType:
@@ -188,7 +188,7 @@ def type_of(kctx: KindCtx, tctx: TypeCtx, p: EffProgram, memo=None) -> EffType:
                 if not isinstance(ty, Comp):
                     raise TypeMismatch(f"bind continuation has type {ty!r}, expected a computation")
             case _:
-                raise TypeError(f"unexpected program {p!r}")
+                raise TypeMismatch(f"unexpected program {p!r}")
         memo[key] = ty
     return ty
 
@@ -217,7 +217,7 @@ def index_of(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, e: EffExpr, memo=None
             if not isinstance(sf, IForall):
                 raise IndexMismatch(f"type application of non-universal index {sf!r}")
             return _type_apply(kctx, sf, arg, memo)
-    raise TypeError(f"unexpected expression {e!r}")
+    raise IndexMismatch(f"unexpected expression {e!r}")
 
 
 def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, memo=None) -> None:
@@ -251,4 +251,4 @@ def spec_wf(kctx: KindCtx, ictx: IndexCtx, tctx: TypeCtx, f: EffSpec, memo=None)
             index_wf(kctx, idx, memo)
             spec_wf(kctx, ictx + (idx,), tctx, body, memo)
         case _:
-            raise TypeError(f"unexpected specification {f!r}")
+            raise SpecIllFormed(f"unexpected specification {f!r}")

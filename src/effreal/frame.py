@@ -1,17 +1,18 @@
 """Type erasure and the finite-carrier evidenced frame.
 
-Erased programs live in the untyped computational lambda-calculus
-extended with pairs.  It reduces by the axioms of ``_uroot`` in the
-evaluation contexts of ``UNTYPED_STRATEGIES``, searched from an explicit
-stack by ``effhol.reduction.contextual_step``, and ``untyped_normalize``
-runs it in the typed calculus's one loop, ``effhol.reduction.run``, with
-the same fuel contract: exactly ``fuel`` steps, a negative fuel a
-``ValueError``, and ``FuelExhausted`` past it.  Under 'cbv', the identity
-instance's executable semantics, the holes are both sides of an
-application (left to right), a return, both parts of a pair, a
-projection and the bound computation of a bind, but never a lambda's
-body or a bind's rest.  'cbn' mirrors the erased call-by-name contexts:
-the head of an application and the body of a lambda.
+Erasure is the class table ``_ERASE``, read by the forgetful erasure's
+map, ``effhol.forgetful.erase_by``.  Erased programs live in the untyped
+computational lambda-calculus extended with pairs.  It reduces by the
+axioms of ``_uroot`` in the evaluation contexts of ``UNTYPED_STRATEGIES``,
+searched from an explicit stack by ``effhol.reduction.contextual_step``,
+and ``untyped_normalize`` runs it in the typed calculus's one loop,
+``effhol.reduction.run``, with the same fuel contract: exactly ``fuel``
+steps, a negative fuel a ``ValueError``, and ``FuelExhausted`` past it.
+Under 'cbv', the identity instance's executable semantics, the holes are
+both sides of an application (left to right), a return, both parts of a
+pair, a projection and the bound computation of a bind, but never a
+lambda's body or a bind's rest.  'cbn' mirrors the erased call-by-name
+contexts: the head of an application and the body of a lambda.
 
 Propositions at desk scale are explicit finite sets of closed values;
 evidence is any closed untyped term; the evidence relation runs every
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from ._astnode import Term, astnode, namespaces, shift, subst
 from .errors import CandidateRejected, FuelExhausted
 from .effhol import syntax as e
+from .effhol.forgetful import erase_by
 from .effhol.reduction import DEFAULT_FUEL, contextual_step, run
 
 
@@ -94,24 +96,21 @@ def is_uvalue(t: UntypedTerm) -> bool:
     return False
 
 
+# As ``effhol.forgetful._FORGET``.
+_ERASE = {
+    e.PVar: (UVar, ("index",)),
+    e.Abs: (ULam, ("body",)),
+    e.App: (UApp, ("fn", "arg")),
+    e.TyAbs: (None, ("body",)),
+    e.TyApp: (None, ("fn",)),
+    e.Ret: (URet, ("inner",)),
+    e.Bind: (UBind, ("first", "rest")),
+}
+
+
 def erase(p: e.EffProgram) -> UntypedTerm:
     """Drop all type structure; returns and binds survive."""
-    match p:
-        case e.PVar(k):
-            return UVar(k)
-        case e.Abs(_, body):
-            return ULam(erase(body))
-        case e.App(fn, arg):
-            return UApp(erase(fn), erase(arg))
-        case e.TyAbs(_, body):
-            return erase(body)
-        case e.TyApp(fn, _):
-            return erase(fn)
-        case e.Ret(inner):
-            return URet(erase(inner))
-        case e.Bind(_, first, rest):
-            return UBind(erase(first), erase(rest))
-    raise TypeError(f"unexpected program {p!r}")
+    return erase_by(_ERASE, p, {})
 
 
 def ushift(t: UntypedTerm, by: int, cutoff: int = 0) -> UntypedTerm:

@@ -59,7 +59,7 @@ def sort_of(ctx: SortContext, t: HolTerm) -> Sort:
             except SortMismatch as e:
                 raise IllFormedBody(f"base comprehension body ill-formed: {e.message}")
             return STAR
-    raise TypeError(f"unexpected term {t!r}")
+    raise SortMismatch(f"unexpected term {t!r}")
 
 
 def prop_wf(ctx: SortContext, p: HolProp) -> None:
@@ -80,7 +80,7 @@ def prop_wf(ctx: SortContext, p: HolProp) -> None:
         case Forall(s, body):
             prop_wf(ctx + (s,), body)
         case _:
-            raise TypeError(f"unexpected proposition {p!r}")
+            raise SortMismatch(f"unexpected proposition {p!r}")
 
 
 @dataclass(frozen=True, slots=True)

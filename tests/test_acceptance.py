@@ -82,7 +82,7 @@ from effreal.translation import (
     check_substitution_lemma,
     trtype,
 )
-from effreal.effhol.forgetful import forget_derivation, forget_sequent, forget_spec
+from effreal.effhol.forgetful import forget, forget_derivation, forget_sequent
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -427,7 +427,7 @@ def test_criterion_9_forgetful_translation(eff_corpus):
     from effreal.hol import prop_wf
 
     for name, s in eff_corpus.specs.items():
-        prop_wf((), forget_spec(s))
+        prop_wf((), forget(s))
     # every corpus derivation forgets to an accepted derivation
     for name, d in eff_corpus.eff_derivations.items():
         hd = forget_derivation(d)

@@ -22,51 +22,68 @@ from effreal.effhol import (
     TVar,
     TOP_SPEC,
     check as eff_check,
+    forget,
     forget_derivation,
-    forget_index,
-    forget_spec,
 )
+from effreal.effhol.forgetful import _FORGET
+from effreal.frame import _ERASE
 from effreal.generators import random_hol_prop, random_sort
 from effreal.hol import FALSUM, Pred, STAR, check as hol_check, prop_wf
+from effreal.surface.grammar import EXPRS, INDICES, PROGRAMS, SPECS
 from effreal.translation import extract_realizer, translate_prop
 from tests.test_translation import k_combinator_derivation
 
 
+def _classes(*categories):
+    """The concrete node classes of ``categories``: tags and variables."""
+    return {c for cat in categories for c in (*cat.tags.values(), cat.var) if c is not None}
+
+
+def test_erasure_tables_cover_their_categories():
+    """Each erasure's class table has an entry for exactly the node classes
+    of its source categories, so no class is left out of it."""
+    assert set(_FORGET) == _classes(INDICES, EXPRS, SPECS)
+    assert set(_ERASE) == _classes(PROGRAMS)
+
+
 def test_forget_index_rows():
-    assert forget_index(RefBase(BOT_TYPE)) == STAR
+    assert forget(RefBase(BOT_TYPE)) == STAR
     from effreal.effhol import Ref
 
-    assert forget_index(Ref(BOT_TYPE, RefBase(BOT_TYPE))) == Pred(STAR)
+    assert forget(Ref(BOT_TYPE, RefBase(BOT_TYPE))) == Pred(STAR)
     from effreal.effhol import IForall
 
-    assert forget_index(IForall(KSTAR, RefBase(TVar(0)))) == STAR
+    assert forget(IForall(KSTAR, RefBase(TVar(0)))) == STAR
 
 
 def test_forget_quantifiers_vanish():
-    assert forget_spec(SForallType(KSTAR, BOT_SPEC)) == forget_spec(BOT_SPEC)
-    assert forget_spec(SForallProg(BOT_TYPE, BOT_SPEC)) == forget_spec(BOT_SPEC)
+    assert forget(SForallType(KSTAR, BOT_SPEC)) == forget(BOT_SPEC)
+    assert forget(SForallProg(BOT_TYPE, BOT_SPEC)) == forget(BOT_SPEC)
 
 
 def test_forget_bot_spec_is_falsum():
-    assert forget_spec(BOT_SPEC) == FALSUM
+    assert forget(BOT_SPEC) == FALSUM
 
 
 def test_forget_after_vanishes():
     f = After(Ret(PVar(0)), BOT_TYPE, BOT_SPEC)
-    assert forget_spec(f) == FALSUM
+    assert forget(f) == FALSUM
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 100_000), st.integers(1, 3))
 def test_translated_props_forget_to_wf(seed, size):
-    """Round trip: the forgetful image of a translated spec is well-formed."""
+    """Round trip: the forgetful image of a translated spec is the
+    proposition itself, in the sort context itself, and well-formed."""
     rng = random.Random(seed)
     sctx = tuple(random_sort(rng) for _ in range(rng.randrange(3)))
     p = random_hol_prop(rng, sctx, size)
     prop_wf(sctx, p)
     out = translate_prop(sctx, p)
-    hol_ctx = tuple(forget_index(s) for s in out.index_ctx)
-    prop_wf(hol_ctx, forget_spec(out.spec))
+    hol_ctx = tuple(forget(s) for s in out.index_ctx)
+    assert forget(out.spec) is p
+    assert hol_ctx == sctx
+    prop_wf(hol_ctx, forget(out.spec))
 
 
 def test_forget_extraction_derivations_recheck():

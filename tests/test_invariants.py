@@ -264,9 +264,9 @@ def test_no_unused_public_names():
 RECURSIVE = {
     "_astnode": {"_shift", "astnode", "shift", "subst"},
     "effhol.conversion": {"normalize"},
-    "effhol.forgetful": {"forget_expr", "forget_index", "forget_spec"},
+    "effhol.forgetful": {"erase_by"},
     "effhol.typing": {"_star", "index_of", "index_wf", "kind_of", "spec_wf", "type_of"},
-    "frame": {"erase", "is_uvalue"},
+    "frame": {"is_uvalue"},
     "generators": {
         "random_computation", "random_hol_prop", "random_hol_term", "random_kind",
         "random_sort", "random_spec", "random_type", "random_typed_program",

@@ -4,7 +4,8 @@ Covers a wrong premise count under every rule, an unknown rule, every
 check of the universal introductions and of the target theory's universal
 eliminations, Mon's entailment checks, every check of MemI, MemE, Mem0I
 and Mem0E in both kernels, AntiRed's step count and strategy, the
-base-kind checks of the typing judgments, and a frame mutation of every
+base-kind checks of the typing judgments, a node of the wrong category
+given to each syntax-directed judgment, and a frame mutation of every
 premise of every rule.
 """
 
@@ -50,10 +51,21 @@ from effreal.effhol import (
     spec_wf,
     type_of,
 )
-from effreal.errors import IllTyped, KindMismatch, RuleMismatch, TemplateMissing
+from effreal.errors import (
+    IllFormedBody,
+    IllTyped,
+    IndexMismatch,
+    KindMismatch,
+    RuleMismatch,
+    SortMismatch,
+    SpecIllFormed,
+    TemplateMissing,
+    TypeMismatch,
+)
 from effreal.hol import (
     Compr as HolCompr,
     ComprBase as HolComprBase,
+    FALSUM,
     Forall,
     HolDerivation,
     Imp,
@@ -577,6 +589,72 @@ def test_base_kind_check_through_the_checker():
     _rejects(
         lambda: eff_check(d), KindMismatch, "quantifier annotation has kind (* => *), expected *", ()
     )
+
+
+# A node of the wrong category where a judgment expects another: a
+# universal elimination's witness, a hypothesis or a context entry.  Each
+# is rejected by that judgment's own error, located, not by a TypeError.
+
+
+def _witness(rule, w):
+    d, _ = _uni_e(rule, "ok")
+    return replace(d, premises=(replace(d.premises[0], witness=w),))
+
+
+def _eff_id(hyp, ctxs=EffContexts()):
+    return EffDerivation("Id", EffSequent(ctxs, (hyp,), hyp))
+
+
+def _hol_id(hyp):
+    return HolDerivation("Id", Sequent((), (hyp,), hyp))
+
+
+WRONG_CATEGORY_CASES = {
+    "UniProgE witness is a type": (
+        eff_check, _witness("UniProgE", BOT_TYPE), TypeMismatch,
+        f"unexpected program {BOT_TYPE!r}", (0,),
+    ),
+    "UniProgE witness is a spec": (
+        eff_check, _witness("UniProgE", TOP_SPEC), TypeMismatch,
+        f"unexpected program {TOP_SPEC!r}", (0,),
+    ),
+    "UniTypeE witness is a program": (
+        eff_check, _witness("UniTypeE", PVar(0)), KindMismatch,
+        f"unexpected type {PVar(0)!r}", (0,),
+    ),
+    "UniExpE witness is a type": (
+        eff_check, _witness("UniExpE", BOT_TYPE), IndexMismatch,
+        f"unexpected expression {BOT_TYPE!r}", (0,),
+    ),
+    "hypothesis is a type": (
+        eff_check, _eff_id(BOT_TYPE), SpecIllFormed,
+        f"unexpected specification {BOT_TYPE!r}", (),
+    ),
+    "type context entry is a spec": (
+        eff_check, _eff_id(TOP_SPEC, EffContexts(types=(TOP_SPEC,))), KindMismatch,
+        f"unexpected type {TOP_SPEC!r}", (),
+    ),
+    "index context entry is a type": (
+        eff_check, _eff_id(TOP_SPEC, EffContexts(indices=(BOT_TYPE,))), IndexMismatch,
+        f"unexpected index {BOT_TYPE!r}", (),
+    ),
+    "hol hypothesis is a term": (
+        hol_check, _hol_id(Var(0)), SortMismatch, f"unexpected proposition {Var(0)!r}", (),
+    ),
+    "hol member is a proposition": (
+        hol_check, _hol_id(MemBase(FALSUM)), SortMismatch, f"unexpected term {FALSUM!r}", (),
+    ),
+    "hol comprehension body is a term": (
+        hol_check, _hol_id(MemBase(HolComprBase(Var(0)))), IllFormedBody,
+        f"base comprehension body ill-formed: unexpected proposition {Var(0)!r}", (),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_CATEGORY_CASES))
+def test_a_node_of_the_wrong_category_is_rejected(case):
+    check, d, cls, msg, path = WRONG_CATEGORY_CASES[case]
+    _rejects(lambda: check(d), cls, msg, path)
 
 
 

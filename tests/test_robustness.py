@@ -197,21 +197,24 @@ def test_json_loading_is_total(calculus):
 
 def test_pure_maps_handle_deep_left_nesting():
     """At the default recursion limit, printing, forgetting and translating
-    a 900-deep left-nested implication take one stack frame per level: a
-    memo table adds no frame of its own."""
-    from effreal.effhol import SImp
-    from effreal.effhol.forgetful import forget_spec
+    a 900-deep left-nested implication, and erasing a 900-deep left-nested
+    application, take one stack frame per level: a memo table adds no
+    frame of its own."""
+    from effreal.effhol import App, PVar, SImp
+    from effreal.effhol.forgetful import forget
+    from effreal.frame import erase
     from effreal.surface import print_spec
     from effreal.translation import trspec, trtype
 
-    spec, prop = TOP_SPEC, FALSUM
+    spec, prop, prog = TOP_SPEC, FALSUM, PVar(0)
     for _ in range(900):
-        spec, prop = SImp(spec, TOP_SPEC), Imp(prop, FALSUM)
+        spec, prop, prog = SImp(spec, TOP_SPEC), Imp(prop, FALSUM), App(prog, PVar(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         assert print_spec(spec, 0, 1).count("(imp ") >= 900
-        assert forget_spec(spec) is not None
+        assert forget(spec) is not None
+        assert erase(prog) is not None
         assert trtype((STAR,), prop) is not None
         assert trspec((STAR,), prop) is not None
     finally:
